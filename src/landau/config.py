@@ -8,7 +8,7 @@ import os
 from dataclasses import dataclass, field, fields
 from typing import Any, Mapping
 
-from .primes import DEFAULT_CONVENTION, DEFAULT_SEGMENT_SIZE, PrimeConvention
+from .primes import DEFAULT_CONVENTION, PrimeConvention
 
 ENV_PREFIX = "LANDAU_"
 
@@ -24,7 +24,6 @@ def default_workers() -> int:
 @dataclass(frozen=True)
 class Config:
     convention: PrimeConvention = DEFAULT_CONVENTION
-    segment_size: int = DEFAULT_SEGMENT_SIZE
     workers: int = field(default_factory=default_workers)
     checkpoint_dir: str = "."
 
@@ -32,7 +31,6 @@ class Config:
         """One-line rendering for report headers."""
         return (
             f"convention={self.convention.value}"
-            f" segment_size={self.segment_size}"
             f" workers={self.workers}"
             f" checkpoint_dir={self.checkpoint_dir}"
         )
@@ -73,7 +71,6 @@ def _parse_dir(value: Any, key: str) -> str:
 
 _PARSERS = {
     "convention": _parse_convention,
-    "segment_size": _parse_positive_int,
     "workers": _parse_positive_int,
     "checkpoint_dir": _parse_dir,
 }

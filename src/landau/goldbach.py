@@ -8,15 +8,14 @@ route from the ring analysis is available as an opt-in cross-check.
 """
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 
 from .primes import (
     DEFAULT_CONVENTION,
     PrimeConvention,
-    _ensure_base_primes,
     is_prime,
     prev_prime,
     prime_flags,
@@ -134,18 +133,6 @@ def canonical_couple(
     raise GoldbachCounterexample(two_n, conv, tuple(steps))
 
 
-# shared primality flags (1 excluded; the unit is special-cased by callers)
-_flags = bytearray()
-
-
-def _ensure_flags(limit: int) -> bytearray:
-    global _flags
-    if len(_flags) <= limit:
-        size = max(limit, 2 * len(_flags), 1 << 16)
-        _flags = prime_flags(size, PrimeConvention.EXCLUDE1)
-    return _flags
-
-
 def enumerate_couples(
     two_n: int,
     conv: PrimeConvention = DEFAULT_CONVENTION,
@@ -160,12 +147,11 @@ def enumerate_couples(
     """
     _validate_even(two_n, conv)
     n = two_n // 2
-    flags = _ensure_flags(two_n)
+    flags = prime_flags(two_n, PrimeConvention.EXCLUDE1)  # the unit is handled below
     pairs: list[tuple[int, int]] = []
     if conv is PrimeConvention.INCLUDE1 and (two_n == 2 or flags[two_n - 1]):
         pairs.append((1, two_n - 1))
-    base = _ensure_base_primes(n)
-    for p in base[: bisect.bisect_right(base, n)]:
+    for p in compress(range(n + 1), flags[: n + 1]):
         if flags[two_n - p]:
             pairs.append((p, two_n - p))
     couples = []
@@ -204,7 +190,7 @@ def quasi_couples(
     """Unit pairs (a, 2n-a) with a composite member: sums that stay inside
     the unit group but fail to be couples."""
     _validate_even(two_n, conv)
-    flags = _ensure_flags(two_n)
+    flags = prime_flags(two_n, PrimeConvention.EXCLUDE1)
 
     def counts_prime(v: int) -> bool:
         return bool(flags[v]) or (v == 1 and conv is PrimeConvention.INCLUDE1)

@@ -20,13 +20,14 @@ import json
 import os
 import time
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import compress
 from multiprocessing import get_context
 from typing import Any, Iterable
 
-from .goldbach import _ensure_flags
-from .primes import DEFAULT_CONVENTION, PrimeConvention, _ensure_base_primes, is_prime
+from .primes import DEFAULT_CONVENTION, PrimeConvention, is_prime, prime_flags
 from .zn import totient
 
 CHUNK_SIZE = 4096
@@ -246,67 +247,54 @@ def _merge_stats(task: Task, acc: dict[str, int] | None, new: dict[str, int]) ->
 # per-task instance checkers
 #
 # Shared state is prepared in the parent before any fork, so worker processes
-# inherit the tables copy-on-write and every chunk sees identical data.
+# inherit it copy-on-write and every chunk sees identical data: for the even
+# tasks, _prepare builds the run's one prime flag table (unit excluded) and
+# the ascending sequence of the primes it marks.
 
 _W_TASK: Task = Task.GOLDBACH
 _W_CONV: PrimeConvention = DEFAULT_CONVENTION
 _W_FLAGS: bytearray = bytearray()
-_W_PREV: array = array("q", [0, 0])
-_W_PRIMES: list[int] = []
-
-
-def _prev_prime_table(hi: int) -> array:
-    """prev[i] = largest prime <= i (unit excluded), as a compact array."""
-    global _W_PREV
-    if len(_W_PREV) > hi:
-        return _W_PREV
-    flags = _ensure_flags(hi + 1)
-    arr = array("q", bytes(8 * (hi + 1)))
-    last = 0
-    for i in range(2, hi + 1):
-        if flags[i]:
-            last = i
-        arr[i] = last
-    _W_PREV = arr
-    return arr
+_W_PRIMES: array = array("q")
 
 
 def _prepare(task: Task, conv: PrimeConvention, hi: int) -> None:
     global _W_TASK, _W_CONV, _W_FLAGS, _W_PRIMES
     _W_TASK = task
     _W_CONV = conv
-    if task is Task.GOLDBACH:
-        _W_FLAGS = _ensure_flags(hi + 1)
-        _prev_prime_table(hi)
-    elif task is Task.PRE_POLIGNAC:
-        _W_FLAGS = _ensure_flags(2 * hi + 2)
-        _W_PRIMES = _ensure_base_primes(max(hi, 4))
+    if task in _EVEN_TASKS:
+        # Goldbach reads flags up to hi + 1, pre-Polignac's q + gap stays below 2 * hi
+        top = hi + 1 if task is Task.GOLDBACH else 2 * hi + 2
+        _W_FLAGS = prime_flags(top, PrimeConvention.EXCLUDE1)
+        _W_PRIMES = array("q", compress(range(hi + 1), _W_FLAGS))
 
 
 def _check_goldbach(lo: int, hi: int) -> dict[str, Any]:
     flags = _W_FLAGS
-    prev = _W_PREV
+    primes = _W_PRIMES
     include1 = _W_CONV is PrimeConvention.INCLUDE1
     stats = {"instances": 0, "max_depth": 0, "max_depth_at": 0}
+    top = bisect_right(primes, lo - 1) - 1  # primes[top] is the largest prime <= 2n - 1
     for two_n in range(lo, hi + 1, 2):
         if two_n == 2:  # domain check admitted it, so 1 counts: couple (1, 1)
             depth = 1
+            top += 1  # the even prime 2 joins the candidates from 2n = 4 on
         else:
-            p = prev[two_n - 1]
+            k = top
             depth = 1
             while True:
-                rem = two_n - p
+                rem = two_n - primes[k]
                 if flags[rem] or (include1 and rem == 1):
                     break
-                if p <= 2:
-                    # last candidate under include1 is the unit itself
-                    if include1 and flags[two_n - 1]:
-                        depth += 1
-                        break
+                if k == 0:
+                    # the unit is never needed as a last candidate: it closes
+                    # only when 2n - 1 is prime, and then the first candidate
+                    # 2n - 1 already closed with remainder 1
                     witness = {"instance": two_n, "reason": "descent exhausted"}
                     return {"lo": lo, "hi": hi, "stats": stats, "witness": witness}
-                p = prev[p - 1]
+                k -= 1
                 depth += 1
+        if flags[two_n + 1]:
+            top += 1
         stats["instances"] += 1
         if depth > stats["max_depth"]:
             stats["max_depth"] = depth

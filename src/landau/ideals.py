@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from .primes import DEFAULT_CONVENTION, PrimeConvention, _ensure_base_primes, is_prime
+from .primes import DEFAULT_CONVENTION, PrimeConvention, is_prime, primes_in_range
 from .zn import Factorization, factorize
 
 __all__ = [
@@ -282,8 +282,8 @@ def goldbach_ideal_analysis(
     # b = 1 and b = 2n-1 never carry an ideal, whatever the convention
     pairs = [
         (two_n - p, p)
-        for p in _ensure_base_primes(two_n)
-        if 1 < p < two_n - 1 and math.gcd(p, two_n) == 1
+        for p in primes_in_range(2, two_n, PrimeConvention.EXCLUDE1)
+        if p < two_n - 1 and math.gcd(p, two_n) == 1
     ]
     pairs.sort()
     remainders = tuple(rem for rem, _ in pairs)

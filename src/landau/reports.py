@@ -1070,7 +1070,6 @@ def _emit_verify_summary(params: dict[str, Any], config: Config) -> Report:
 def _config_dict(config: Config) -> dict[str, Any]:
     return {
         "convention": config.convention.value,
-        "segment_size": config.segment_size,
         "workers": config.workers,
         "checkpoint_dir": config.checkpoint_dir,
     }

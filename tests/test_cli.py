@@ -12,7 +12,6 @@ from landau.primes import PrimeConvention
 
 CLEAN_ENV = {
     "LANDAU_CONVENTION": None,
-    "LANDAU_SEGMENT_SIZE": None,
     "LANDAU_WORKERS": None,
     "LANDAU_CHECKPOINT_DIR": None,
     "LANDAU_CONFIG": None,
@@ -152,14 +151,14 @@ class TestConfigPrecedence:
 
     def test_env_beats_file(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"convention": "include1", "segment_size": 4096}')
+        cfg.write_text('{"convention": "include1", "workers": 3}')
         result = runner.invoke(
             main,
             ["--config", str(cfg), "triangle", "value", "3"],
             env={"LANDAU_CONVENTION": "exclude1"},
         )
         assert result.output.startswith(
-            "config: convention=exclude1 segment_size=4096"
+            "config: convention=exclude1 workers=3"
         )
 
     def test_flag_beats_env(self, runner):
@@ -182,10 +181,10 @@ class TestConfigPrecedence:
 
     def test_malformed_config_is_usage_error_naming_key(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"segment_size": "tiny"}')
+        cfg.write_text('{"workers": "tiny"}')
         result = runner.invoke(main, ["--config", str(cfg), "triangle", "value", "3"])
         assert result.exit_code == 2
-        assert "segment_size" in result.stderr
+        assert "workers" in result.stderr
 
     def test_missing_explicit_config_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(

@@ -20,7 +20,6 @@ def write_config(path, payload):
 def test_defaults(tmp_path):
     cfg = load_config(env={})
     assert cfg.convention is INC
-    assert cfg.segment_size == 1 << 20
     assert cfg.workers == default_workers()
     assert cfg.checkpoint_dir == "."
 
@@ -28,20 +27,19 @@ def test_defaults(tmp_path):
 def test_file_layer_overrides_defaults(tmp_path):
     path = write_config(tmp_path / "run.json", {
         "convention": "exclude1",
-        "segment_size": 4096,
         "workers": 2,
         "checkpoint_dir": str(tmp_path),
     })
     cfg = load_config(path=path, env={})
-    assert cfg == Config(EXC, 4096, 2, str(tmp_path))
+    assert cfg == Config(EXC, 2, str(tmp_path))
 
 
 def test_env_layer_overrides_file(tmp_path):
     path = write_config(tmp_path / "run.json", {"convention": "exclude1", "workers": 2})
     cfg = load_config(path=path, env={"LANDAU_CONVENTION": "include1",
-                                      "LANDAU_SEGMENT_SIZE": "512"})
+                                      "LANDAU_CHECKPOINT_DIR": "/tmp/ck"})
     assert cfg.convention is INC  # env wins
-    assert cfg.segment_size == 512  # env fills what the file left alone
+    assert cfg.checkpoint_dir == "/tmp/ck"  # env fills what the file left alone
     assert cfg.workers == 2  # file survives where env is silent
 
 
@@ -52,21 +50,21 @@ def test_overrides_beat_env_and_file(tmp_path):
 
 
 def test_env_names_config_file(tmp_path):
-    path = write_config(tmp_path / "run.json", {"segment_size": 8192})
+    path = write_config(tmp_path / "run.json", {"workers": 3})
     cfg = load_config(env={"LANDAU_CONFIG": path})
-    assert cfg.segment_size == 8192
+    assert cfg.workers == 3
 
 
 def test_explicit_path_beats_env_config(tmp_path):
-    a = write_config(tmp_path / "a.json", {"segment_size": 1024})
-    b = write_config(tmp_path / "b.json", {"segment_size": 2048})
+    a = write_config(tmp_path / "a.json", {"workers": 1})
+    b = write_config(tmp_path / "b.json", {"workers": 2})
     cfg = load_config(path=a, env={"LANDAU_CONFIG": b})
-    assert cfg.segment_size == 1024
+    assert cfg.workers == 1
 
 
 @pytest.mark.parametrize("overrides,key", [
-    ({"segment_size": 0}, "segment_size"),
-    ({"segment_size": -5}, "segment_size"),
+    ({"workers": -5}, "workers"),
+    ({"checkpoint_dir": ""}, "checkpoint_dir"),
     ({"workers": 0}, "workers"),
     ({"convention": "both"}, "convention"),
 ])
@@ -83,9 +81,12 @@ def test_bad_env_values_name_the_key():
 
 
 def test_unknown_file_key_names_key_and_path(tmp_path):
-    path = write_config(tmp_path / "run.json", {"segmnt_size": 1})
-    with pytest.raises(ConfigError, match=r"^segmnt_size.*run\.json"):
-        load_config(path=path, env={})
+    # an old config file that still sets segment_size must fail loudly
+    for payload in ({"segmnt_size": 1}, {"segment_size": 4096}):
+        path = write_config(tmp_path / "run.json", payload)
+        key = next(iter(payload))
+        with pytest.raises(ConfigError, match=rf"^{key}.*run\.json"):
+            load_config(path=path, env={})
 
 
 def test_missing_file_is_an_error(tmp_path):
@@ -108,8 +109,8 @@ def test_non_object_json_is_an_error(tmp_path):
 
 
 def test_echo_lists_every_knob():
-    cfg = Config(EXC, 4096, 3, "/tmp/ckpt")
-    assert cfg.echo() == "convention=exclude1 segment_size=4096 workers=3 checkpoint_dir=/tmp/ckpt"
+    cfg = Config(EXC, 3, "/tmp/ckpt")
+    assert cfg.echo() == "convention=exclude1 workers=3 checkpoint_dir=/tmp/ckpt"
 
 
 def test_config_is_frozen():

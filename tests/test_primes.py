@@ -5,9 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from landau.primes import (
-    DEFAULT_SEGMENT_SIZE,
     PrimeConvention,
-    PrimeTable,
+    _sieves,
     is_isolated,
     is_prime,
     next_prime,
@@ -137,16 +136,22 @@ class TestPrimesInRange:
         left = primes_in_range(0, 17389, EXC)
         right = primes_in_range(17390, 30000, EXC)
         assert left + right == whole
-        # and with a segment size forcing many chunks
-        small = primes_in_range(0, 30000, EXC, segment_size=1 << 8)
-        assert small == whole
 
-    def test_above_crossover_path(self):
-        # force the per-candidate path and compare against the sieve path
-        lo, hi = 99_900, 100_100
-        direct = primes_in_range(lo, hi, EXC, crossover=10)
-        sieved = primes_in_range(lo, hi, EXC)
-        assert direct == sieved
+    @pytest.mark.parametrize(
+        "lo,width,sieved",
+        [(10**12, 10**3, False), (10**9, 10**5, True)],
+        ids=["narrow-high-tested", "wide-sieved"],
+    )
+    def test_sieve_or_test_rule(self, lo, width, sieved):
+        hi = lo + width
+        assert _sieves(lo, hi) is sieved
+        got = primes_in_range(lo, hi, EXC)
+        assert got == [k for k in range(lo, hi + 1) if is_prime(k, EXC)]
+
+    def test_prime_flags_consistent(self):
+        for conv in (INC, EXC):
+            flags = prime_flags(3000, conv)
+            assert [k for k, f in enumerate(flags) if f] == primes_in_range(0, 3000, conv)
 
     @given(
         st.integers(min_value=0, max_value=5000),
@@ -157,39 +162,6 @@ class TestPrimesInRange:
         hi = lo + width
         got = primes_in_range(lo, hi, INC)
         assert got == [k for k in range(lo, hi + 1) if is_prime(k, INC)]
-
-
-class TestPrimeTable:
-    def test_membership_against_trial_division(self):
-        t = PrimeTable.build(0, 10000, INC)
-        for k in range(0, 10001):
-            assert (k in t) == trial_division_prime(k, include1=True), k
-
-    def test_convention(self):
-        t1 = PrimeTable.build(0, 10, INC)
-        t2 = PrimeTable.build(0, 10, EXC)
-        assert 1 in t1 and 1 not in t2
-
-    def test_out_of_bounds_is_error(self):
-        t = PrimeTable.build(10, 20, INC)
-        with pytest.raises(ValueError):
-            21 in t
-        with pytest.raises(ValueError):
-            9 in t
-
-    def test_offset_window(self):
-        t = PrimeTable.build(1000, 1100, EXC)
-        assert [k for k in range(1000, 1101) if k in t] == primes_in_range(1000, 1100, EXC)
-
-    def test_segmented_build_matches(self):
-        a = PrimeTable.build(0, 5000, EXC)
-        b = PrimeTable.build(0, 5000, EXC, segment_size=1 << 7)
-        assert a == b
-
-    def test_prime_flags_consistent(self):
-        flags = prime_flags(3000, INC)
-        t = PrimeTable.build(0, 3000, INC)
-        assert [k for k, f in enumerate(flags) if f] == [k for k in range(3001) if k in t]
 
 
 class TestIsolated:

@@ -332,7 +332,6 @@ class TestRenderers:
         assert set(doc) == {"kind", "title", "config", "footnotes", "report"}
         assert doc["config"] == {
             "convention": "include1",
-            "segment_size": 1 << 20,
             "workers": 1,
             "checkpoint_dir": ".",
         }
