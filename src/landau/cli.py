@@ -103,22 +103,21 @@ def _verify(
         ctx.exit(1)
 
 
-def _verify_options(with_checkpoint: bool = True):
+def _verify_options():
     def wrap(f):
-        if with_checkpoint:
-            f = click.option(
-                "--jobs",
-                type=int,
-                default=None,
-                help="Worker count [default: from config].",
-            )(f)
-            f = click.option(
-                "--checkpoint",
-                type=click.Path(dir_okay=False),
-                default=None,
-                help="Resumable checkpoint file (relative paths land in the "
-                "configured checkpoint directory).",
-            )(f)
+        f = click.option(
+            "--jobs",
+            type=int,
+            default=None,
+            help="Worker count [default: from config].",
+        )(f)
+        f = click.option(
+            "--checkpoint",
+            type=click.Path(dir_okay=False),
+            default=None,
+            help="Resumable checkpoint file (relative paths land in the "
+            "configured checkpoint directory).",
+        )(f)
         f = click.option("--to", "hi", type=int, required=True, help="Last instance.")(f)
         f = click.option("--from", "lo", type=int, required=True, help="First instance.")(f)
         return f

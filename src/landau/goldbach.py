@@ -3,8 +3,8 @@ quasi-couples, and the right-triangle identity attached to each couple.
 
 The canonical couple comes from one fixed criterion: walk candidate primes
 down from prev_prime(2n) and stop at the first whose remainder 2n - p is
-prime. Enumeration is an independent half-range scan; the ideal-theoretic
-route from the ring analysis is available as an opt-in cross-check.
+prime. Enumeration is an independent half-range scan; the tests check it
+against the ideal-theoretic route of the ring analysis.
 """
 from __future__ import annotations
 
@@ -134,17 +134,9 @@ def canonical_couple(
 
 
 def enumerate_couples(
-    two_n: int,
-    conv: PrimeConvention = DEFAULT_CONVENTION,
-    *,
-    ideal_check: bool = False,
+    two_n: int, conv: PrimeConvention = DEFAULT_CONVENTION
 ) -> list[GoldbachCouple]:
-    """All couples for 2n, ascending by smaller member, canonical one marked.
-
-    ideal_check replays the enumeration through the ring-theoretic route
-    (maximal ideals over the modulus r) and insists on set equality; it is
-    opt-in because that route is far slower than the scan.
-    """
+    """All couples for 2n, ascending by smaller member, canonical one marked."""
     _validate_even(two_n, conv)
     n = two_n // 2
     flags = prime_flags(two_n, PrimeConvention.EXCLUDE1)  # the unit is handled below
@@ -161,27 +153,7 @@ def enumerate_couples(
             couples.append(
                 GoldbachCouple(p, q, two_n, _classify(p, q, two_n), (p, q) == star)
             )
-    if ideal_check:
-        _check_against_ideal_route(two_n, conv, pairs)
     return couples
-
-
-def _check_against_ideal_route(
-    two_n: int, conv: PrimeConvention, pairs: list[tuple[int, int]]
-) -> None:
-    from .ideals import goldbach_ideal_analysis
-
-    rep = goldbach_ideal_analysis(two_n, conv)
-    expected = set(rep.couples)
-    if rep.noether is not None:
-        expected.add(rep.noether)
-    if rep.trivial is not None:
-        expected.add(rep.trivial)
-    if expected != set(pairs):
-        raise RuntimeError(
-            f"couple enumeration disagrees with the ideal route at {two_n}: "
-            f"scan {sorted(pairs)}, ideals {sorted(expected)}"
-        )
 
 
 def quasi_couples(

@@ -8,9 +8,10 @@ for every parabolic candidate.
 Progress lives in a line-delimited JSON checkpoint, one record per contiguous
 verified subrange.  The file is only ever replaced whole (write a sibling
 temp file, fsync, rename), so a killed run leaves the previous parseable
-state behind.  Work is split into fixed-size chunks and merged back in
-ascending order before anything is written, which keeps the checkpoint
-content independent of the worker count.
+state behind.  Work is split into fixed-size chunks whose results come back
+in ascending order from one stream (a worker pool's ordered imap, or a plain
+map with one worker) and are folded into records in that order, which keeps
+the checkpoint content independent of the worker count.
 """
 
 from __future__ import annotations
@@ -21,11 +22,12 @@ import os
 import time
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import compress
 from multiprocessing import get_context
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from .primes import DEFAULT_CONVENTION, PrimeConvention, is_prime, prime_flags
 from .zn import totient
@@ -249,7 +251,8 @@ def _merge_stats(task: Task, acc: dict[str, int] | None, new: dict[str, int]) ->
 # Shared state is prepared in the parent before any fork, so worker processes
 # inherit it copy-on-write and every chunk sees identical data: for the even
 # tasks, _prepare builds the run's one prime flag table (unit excluded) and
-# the ascending sequence of the primes it marks.
+# the ascending sequence of the primes it marks.  Both are freed when the run
+# ends, whether it completes, meets a counterexample or raises.
 
 _W_TASK: Task = Task.GOLDBACH
 _W_CONV: PrimeConvention = DEFAULT_CONVENTION
@@ -381,9 +384,27 @@ _CHECKERS = {
 }
 
 
-def _run_indexed(item: tuple[int, int, int]) -> tuple[int, dict[str, Any]]:
-    idx, lo, hi = item
-    return idx, _CHECKERS[_W_TASK](lo, hi)
+def _run_chunk(span: tuple[int, int]) -> dict[str, Any]:
+    # looked up here, in the worker, so a replaced checker reaches forked workers
+    return _CHECKERS[_W_TASK](*span)
+
+
+@contextmanager
+def _chunk_results(task: Task, conv: PrimeConvention, hi: int, spans: list[tuple[int, int]],
+                   worker_count: int) -> Iterator[Iterator[dict[str, Any]]]:
+    """Yield the chunk results in span order; the run's tables live only as
+    long as the stream, and leaving it stops any workers still busy."""
+    global _W_FLAGS, _W_PRIMES
+    _prepare(task, conv, hi)
+    try:
+        if worker_count > 1 and len(spans) > 1:
+            with get_context("fork").Pool(min(worker_count, len(spans))) as pool:
+                yield pool.imap(_run_chunk, spans)
+        else:
+            yield map(_run_chunk, spans)
+    finally:
+        _W_FLAGS = bytearray()
+        _W_PRIMES = array("q")
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +427,22 @@ class RunSummary:
 
 def _now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+
+
+@contextmanager
+def _locked_history(path: str | None) -> Iterator[list[Checkpoint]]:
+    """Hold the checkpoint's lock file and yield its records; without a
+    checkpoint there is no lock and the history is empty."""
+    if path is None:
+        yield []
+        return
+    lock_fd = os.open(path + ".lock", os.O_CREAT | os.O_RDWR, 0o644)
+    try:
+        fcntl.flock(lock_fd, fcntl.LOCK_EX)
+        yield load_checkpoints(path)
+    finally:
+        fcntl.flock(lock_fd, fcntl.LOCK_UN)
+        os.close(lock_fd)
 
 
 def verify_range(
@@ -432,6 +469,8 @@ def verify_range(
         raise ValueError(f"worker_count must be positive, got {worker_count}")
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
+    if flush_every < 1:
+        raise ValueError(f"flush_every must be positive, got {flush_every}")
     start = time.perf_counter()
     step = _step(task)
     if step == 2:
@@ -462,121 +501,52 @@ def verify_range(
         return summary(0, 0, (), {}, True)
 
     path = None if checkpoint_path is None else os.fspath(checkpoint_path)
-    if path is None:
-        return _execute(task, conv, lo, hi, step, None, [], worker_count,
-                        chunk_size, flush_every, summary)
-    lock_fd = os.open(path + ".lock", os.O_CREAT | os.O_RDWR, 0o644)
-    try:
-        fcntl.flock(lock_fd, fcntl.LOCK_EX)
-        existing = load_checkpoints(path)
+    with _locked_history(path) as existing:
         mine = [cp for cp in existing if cp.task is task and cp.convention is conv]
         terminal = tuple(cp.witness for cp in mine if cp.status == "counterexample")
         if terminal:
             # the claim is already falsified for this task+convention
             return summary(0, 0, terminal, {}, False)
-        return _execute(task, conv, lo, hi, step, path, existing, worker_count,
-                        chunk_size, flush_every, summary)
-    finally:
-        fcntl.flock(lock_fd, fcntl.LOCK_UN)
-        os.close(lock_fd)
+        gaps = _uncovered(lo, hi, [(cp.lo, cp.hi) for cp in mine], step)
+        skipped = instance_count(task, lo, hi) - sum(instance_count(task, a, b) for a, b in gaps)
+        if not gaps:
+            return summary(0, skipped, (), {}, True)
+        spans = [
+            (a + i * step, min(a + (i + chunk_size - 1) * step, b))
+            for a, b in gaps
+            for i in range(0, instance_count(task, a, b), chunk_size)
+        ]
+        gap_starts = {a for a, _ in gaps}
 
-
-def _execute(task, conv, lo, hi, step, path, existing, worker_count,
-             chunk_size, flush_every, summary) -> RunSummary:
-    mine = [cp for cp in existing if cp.task is task and cp.convention is conv]
-    covered = [(cp.lo, cp.hi) for cp in mine]
-    gaps = _uncovered(lo, hi, covered, step)
-    total = instance_count(task, lo, hi)
-    to_check = sum(instance_count(task, a, b) for a, b in gaps)
-    skipped = total - to_check
-    if not gaps:
-        return summary(0, skipped, (), {}, True)
-
-    descs: list[tuple[int, int, int]] = []  # (gap id, chunk lo, chunk hi)
-    for gap_id, (g_lo, g_hi) in enumerate(gaps):
-        count = instance_count(task, g_lo, g_hi)
-        for i in range(0, count, chunk_size):
-            c_lo = g_lo + i * step
-            c_hi = min(g_lo + (i + chunk_size - 1) * step, g_hi)
-            descs.append((gap_id, c_lo, c_hi))
-
-    _prepare(task, conv, hi)
-    ts = _now()
-    closed: list[Checkpoint] = []
-    open_rec: dict[str, Any] | None = None
-    cx_record: Checkpoint | None = None
-    run_stats: dict[str, int] | None = None
-    verified = 0
-    next_idx = 0
-    since_flush = 0
-    results: dict[int, dict[str, Any]] = {}
-
-    def current_records() -> list[Checkpoint]:
-        out = list(existing) + closed
-        if open_rec is not None:
-            out.append(Checkpoint(task, conv, open_rec["lo"], open_rec["hi"],
-                                  "verified", dict(open_rec["stats"]), ts))
-        if cx_record is not None:
-            out.append(cx_record)
-        return out
-
-    def flush() -> None:
-        nonlocal since_flush
-        if path is not None:
-            _write_checkpoints(path, current_records())
-        since_flush = 0
-
-    def advance() -> None:
-        """Fold completed chunks, in ascending order, into open records."""
-        nonlocal open_rec, cx_record, run_stats, verified, next_idx, since_flush
-        while cx_record is None and next_idx < len(descs) and next_idx in results:
-            gap_id, c_lo, c_hi = descs[next_idx]
-            res = results.pop(next_idx)
-            stats = res["stats"]
-            run_stats = _merge_stats(task, run_stats, stats)
-            verified += stats["instances"]
-            prefix_hi = c_hi
-            if res["witness"] is not None:
-                bad = res["witness"]["instance"]
-                prefix_hi = bad - step
-            if stats["instances"] > 0:
-                if open_rec is not None and open_rec["gap_id"] == gap_id:
-                    open_rec["hi"] = prefix_hi
-                    _merge_stats(task, open_rec["stats"], stats)
-                else:
-                    if open_rec is not None:
-                        closed.append(Checkpoint(task, conv, open_rec["lo"], open_rec["hi"],
-                                                 "verified", open_rec["stats"], ts))
-                    open_rec = {"gap_id": gap_id, "lo": c_lo, "hi": prefix_hi,
-                                "stats": dict(stats)}
-            if res["witness"] is not None:
-                bad = res["witness"]["instance"]
-                cx_record = Checkpoint(task, conv, bad, bad, "counterexample",
-                                       {}, ts, witness=res["witness"])
-                break
-            next_idx += 1
-            since_flush += 1
-            if since_flush >= flush_every:
-                flush()
-
-    if worker_count > 1 and len(descs) > 1:
-        ctx = get_context("fork")
-        items = [(idx, c_lo, c_hi) for idx, (_, c_lo, c_hi) in enumerate(descs)]
-        with ctx.Pool(min(worker_count, len(descs))) as pool:
-            for idx, res in pool.imap_unordered(_run_indexed, items):
-                results[idx] = res
-                advance()
-                if cx_record is not None:
-                    pool.terminate()
+        ts = _now()
+        # the history plus this run's records; while a gap is being filled,
+        # its growing record is the last entry
+        records = list(existing)
+        run_stats: dict[str, int] | None = None
+        verified = 0
+        witness = None
+        with _chunk_results(task, conv, hi, spans, worker_count) as results:
+            for folded, ((c_lo, c_hi), res) in enumerate(zip(spans, results), start=1):
+                stats, witness = res["stats"], res["witness"]
+                run_stats = _merge_stats(task, run_stats, stats)
+                verified += stats["instances"]
+                if stats["instances"] > 0:
+                    if witness is not None:
+                        c_hi = witness["instance"] - step
+                    if c_lo in gap_starts:
+                        records.append(Checkpoint(task, conv, c_lo, c_hi, "verified",
+                                                  dict(stats), ts))
+                    else:
+                        _merge_stats(task, records[-1].stats, stats)
+                        records[-1] = replace(records[-1], hi=c_hi)
+                if witness is not None:
+                    bad = witness["instance"]
+                    records.append(Checkpoint(task, conv, bad, bad, "counterexample",
+                                              {}, ts, witness=witness))
                     break
-    else:
-        for idx, (_, c_lo, c_hi) in enumerate(descs):
-            results[idx] = _CHECKERS[task](c_lo, c_hi)
-            advance()
-            if cx_record is not None:
-                break
-
-    flush()
-    witnesses = () if cx_record is None else (cx_record.witness,)
-    complete = cx_record is None and next_idx == len(descs)
-    return summary(verified, skipped, witnesses, run_stats or {}, complete)
+                if path is not None and folded % flush_every == 0:
+                    _write_checkpoints(path, records)
+        if path is not None:
+            _write_checkpoints(path, records)
+    cx = () if witness is None else (witness,)
+    return summary(verified, skipped, cx, run_stats or {}, witness is None)

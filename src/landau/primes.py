@@ -36,15 +36,6 @@ class PrimeConvention(Enum):
     INCLUDE1 = "include1"
     EXCLUDE1 = "exclude1"
 
-    @classmethod
-    def parse(cls, text: str) -> "PrimeConvention":
-        try:
-            return cls(text.strip().lower())
-        except ValueError:
-            raise ValueError(
-                f"unknown prime convention {text!r}; expected 'include1' or 'exclude1'"
-            ) from None
-
 
 DEFAULT_CONVENTION = PrimeConvention.INCLUDE1
 
@@ -137,8 +128,10 @@ def next_prime(n: int, conv: PrimeConvention = DEFAULT_CONVENTION) -> int:
 
 # --- segmented sieve ---------------------------------------------------------
 
+# The seed list covers [2, 36]: the smallest growth, to 2^10, sieves with
+# primes up to 32, and _odd_flags must find those here without growing again.
 _base_primes: list[int] = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
-_base_limit = 31
+_base_limit = 36
 
 
 def _ensure_base_primes(limit: int) -> list[int]:
@@ -147,17 +140,8 @@ def _ensure_base_primes(limit: int) -> list[int]:
     if limit <= _base_limit:
         return _base_primes
     limit = max(limit, 2 * _base_limit, 1 << 10)
-    half = (limit - 1) // 2  # flags[i] <-> odd value 2i+1
-    flags = bytearray([1]) * (half + 1)
-    flags[0] = 0  # 1 is handled by convention, not by the sieve
-    i = 1
-    while (2 * i + 1) * (2 * i + 1) <= limit:
-        if flags[i]:
-            p = 2 * i + 1
-            start = (p * p - 1) // 2
-            flags[start::p] = bytearray(len(range(start, half + 1, p)))
-        i += 1
-    _base_primes = [2] + [2 * i + 1 for i in range(1, half + 1) if flags[i]]
+    first, flags = _odd_flags(3, limit)
+    _base_primes = [2, *compress(range(first, limit + 1, 2), flags)]
     _base_limit = limit
     return _base_primes
 

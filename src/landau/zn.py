@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import product as iter_product
 
 from .primes import (
     DEFAULT_CONVENTION,
@@ -34,7 +33,7 @@ __all__ = [
     "subgroup_lattice",
 ]
 
-# units are enumerated by gcd scan up to here, by CRT composition above
+# factorize divides by cached base primes up to here and walks the odd numbers above
 _GCD_SCAN_LIMIT = 10**6
 
 
@@ -207,25 +206,10 @@ class UnitsProfile:
             raise ValueError(f"unit count {len(self.units)} != phi {self.totient}")
 
 
-def _units_by_crt(n: int) -> list[int]:
-    """Units of Z_n composed from prime-power unit lists through CRT."""
-    fact = factorize(n).factors
-    moduli = [p**e for p, e in fact]
-    unit_lists = [[a for a in range(1, m) if a % p != 0] for (p, _), m in zip(fact, moduli)]
-    out = []
-    for combo in iter_product(*unit_lists):
-        out.append(crt_reconstruct(list(zip(combo, moduli))))
-    out.sort()
-    return out
-
-
 def units_profile(n: int, conv: PrimeConvention = DEFAULT_CONVENTION) -> UnitsProfile:
     if n < 2:
         raise ValueError(f"units_profile needs n >= 2, got {n}")
-    if n <= _GCD_SCAN_LIMIT:
-        units = tuple(k for k in range(1, n) if math.gcd(k, n) == 1)
-    else:
-        units = tuple(_units_by_crt(n))
+    units = tuple(k for k in range(1, n) if math.gcd(k, n) == 1)
     phi = totient(n)
     lam = carmichael(n)
     strong = tuple(u for u in units if is_prime(u, conv))

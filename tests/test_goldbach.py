@@ -25,7 +25,7 @@ from landau.goldbach import (
     noether_status,
     quasi_couples,
 )
-from landau.ideals import bezout
+from landau.ideals import bezout, goldbach_ideal_analysis
 from landau.primes import PrimeConvention, is_prime, prev_prime
 from landau.zn import totient, units_profile
 
@@ -376,8 +376,12 @@ class TestEnumerate:
     def test_ideal_route_agrees(self):
         targets = list(range(4, 601, 2)) + [220, 972, 2028]
         for two_n in targets:
-            enumerate_couples(two_n, INC, ideal_check=True)
-            enumerate_couples(two_n, EXC, ideal_check=True)
+            for conv in (INC, EXC):
+                rep = goldbach_ideal_analysis(two_n, conv)
+                expected = set(rep.couples)
+                expected.update(c for c in (rep.noether, rep.trivial) if c is not None)
+                scan = {c.pair() for c in enumerate_couples(two_n, conv)}
+                assert scan == expected, (two_n, conv)
 
     def test_nonempty_through_moderate_range(self):
         # descent success is an existence certificate; it raises otherwise

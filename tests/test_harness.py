@@ -193,7 +193,7 @@ def test_counterexample_only_blocks_its_own_convention(tmp_path):
     assert s.verified == 499 and s.complete
 
 
-def test_checker_failure_writes_prefix_and_counterexample(tmp_path, monkeypatch):
+def _break_goldbach_at_76(monkeypatch):
     import landau.harness as harness
 
     def broken(lo, hi):
@@ -206,8 +206,14 @@ def test_checker_failure_writes_prefix_and_counterexample(tmp_path, monkeypatch)
         return {"lo": lo, "hi": hi, "stats": stats, "witness": None}
 
     monkeypatch.setitem(harness._CHECKERS, Task.GOLDBACH, broken)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_checker_failure_writes_prefix_and_counterexample(tmp_path, monkeypatch, workers):
+    _break_goldbach_at_76(monkeypatch)
     cp = tmp_path / "cx.jsonl"
-    s = verify_range(Task.GOLDBACH, 2, 1000, INC, checkpoint_path=cp, chunk_size=8)
+    s = verify_range(Task.GOLDBACH, 2, 1000, INC, checkpoint_path=cp, chunk_size=8,
+                     worker_count=workers)
     assert s.counterexamples and s.counterexamples[0]["instance"] == 76
     assert not s.complete
     assert s.verified == instance_count(Task.GOLDBACH, 2, 74)
@@ -217,6 +223,16 @@ def test_checker_failure_writes_prefix_and_counterexample(tmp_path, monkeypatch)
     # and the counterexample now blocks reruns
     s2 = verify_range(Task.GOLDBACH, 2, 1000, INC, checkpoint_path=cp)
     assert s2.verified == 0 and not s2.complete
+
+
+def test_run_tables_are_freed_when_the_run_ends(monkeypatch):
+    import landau.harness as harness
+
+    assert verify_range(Task.GOLDBACH, 2, 20000, INC).complete
+    assert (len(harness._W_FLAGS), len(harness._W_PRIMES)) == (0, 0)
+    _break_goldbach_at_76(monkeypatch)
+    assert verify_range(Task.GOLDBACH, 2, 20000, INC, chunk_size=8).counterexamples
+    assert (len(harness._W_FLAGS), len(harness._W_PRIMES)) == (0, 0)
 
 
 # ---------------------------------------------------------------------------
