@@ -344,6 +344,14 @@ def parabolic_zeta(ctx: click.Context, k_max: int) -> None:
     _emit(ctx, "zeta-table", {"k_max": k_max})
 
 
+@parabolic.command("verify")
+@_verify_options()
+@click.pass_context
+def parabolic_verify(ctx, lo, hi, checkpoint, jobs) -> None:
+    """Certify totient and primality agree on k^2 + 1 for K in [FROM, TO]."""
+    _verify(ctx, Task.PARABOLIC, lo, hi, checkpoint, jobs)
+
+
 # ---------------------------------------------------------------- triangle
 
 @main.group()

@@ -139,10 +139,8 @@ def enumerate_couples(
     """All couples for 2n, ascending by smaller member, canonical one marked."""
     _validate_even(two_n, conv)
     n = two_n // 2
-    flags = prime_flags(two_n, PrimeConvention.EXCLUDE1)  # the unit is handled below
+    flags = prime_flags(two_n, conv)
     pairs: list[tuple[int, int]] = []
-    if conv is PrimeConvention.INCLUDE1 and (two_n == 2 or flags[two_n - 1]):
-        pairs.append((1, two_n - 1))
     for p in compress(range(n + 1), flags[: n + 1]):
         if flags[two_n - p]:
             pairs.append((p, two_n - p))
@@ -162,17 +160,13 @@ def quasi_couples(
     """Unit pairs (a, 2n-a) with a composite member: sums that stay inside
     the unit group but fail to be couples."""
     _validate_even(two_n, conv)
-    flags = prime_flags(two_n, PrimeConvention.EXCLUDE1)
-
-    def counts_prime(v: int) -> bool:
-        return bool(flags[v]) or (v == 1 and conv is PrimeConvention.INCLUDE1)
-
+    flags = prime_flags(two_n, conv)
     out = []
     for a in range(1, two_n // 2 + 1, 2):
         b = two_n - a
         if math.gcd(a, two_n) != 1:
             continue
-        if not (counts_prime(a) and counts_prime(b)):
+        if not (flags[a] and flags[b]):
             out.append((a, b))
     return out
 

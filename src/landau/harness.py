@@ -11,7 +11,11 @@ temp file, fsync, rename), so a killed run leaves the previous parseable
 state behind.  Work is split into fixed-size chunks whose results come back
 in ascending order from one stream (a worker pool's ordered imap, or a plain
 map with one worker) and are folded into records in that order, which keeps
-the checkpoint content independent of the worker count.
+the checkpoint content independent of the worker count.  A chunk is a pure
+function of its task, convention and span: it sieves only the window it
+reads, its span plus a reach that grows only when a search runs off it, so
+a run holds no table that grows with the range and memory is
+O(chunk + reach) at any height.
 """
 
 from __future__ import annotations
@@ -20,16 +24,13 @@ import fcntl
 import json
 import os
 import time
-from array import array
-from bisect import bisect_right
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import compress
 from multiprocessing import get_context
 from typing import Any, Iterable, Iterator
 
-from .primes import DEFAULT_CONVENTION, PrimeConvention, is_prime, prime_flags
+from .primes import DEFAULT_CONVENTION, PrimeConvention, is_prime, prime_flags, primes_in_range
 from .zn import totient
 
 CHUNK_SIZE = 4096
@@ -248,91 +249,78 @@ def _merge_stats(task: Task, acc: dict[str, int] | None, new: dict[str, int]) ->
 # ---------------------------------------------------------------------------
 # per-task instance checkers
 #
-# Shared state is prepared in the parent before any fork, so worker processes
-# inherit it copy-on-write and every chunk sees identical data: for the even
-# tasks, _prepare builds the run's one prime flag table (unit excluded) and
-# the ascending sequence of the primes it marks.  Both are freed when the run
-# ends, whether it completes, meets a counterexample or raises.
+# Each checker is a pure function of its span: it takes (conv, lo, hi), sieves
+# only the window it reads under the run's own convention (so the unit is
+# already in every table under include1), and returns the span's stats and
+# the first counterexample, if any.  The even tasks' windows reach _REACH below
+# (Goldbach's descent) or above (pre-Polignac's partners) the span, and a
+# chunk whose search runs off its window is redone with four times the reach.
+# Memory is O(chunk + reach) at any height, and nothing outlives the chunk.
 
-_W_TASK: Task = Task.GOLDBACH
-_W_CONV: PrimeConvention = DEFAULT_CONVENTION
-_W_FLAGS: bytearray = bytearray()
-_W_PRIMES: array = array("q")
-
-
-def _prepare(task: Task, conv: PrimeConvention, hi: int) -> None:
-    global _W_TASK, _W_CONV, _W_FLAGS, _W_PRIMES
-    _W_TASK = task
-    _W_CONV = conv
-    if task in _EVEN_TASKS:
-        # Goldbach reads flags up to hi + 1, pre-Polignac's q + gap stays below 2 * hi
-        top = hi + 1 if task is Task.GOLDBACH else 2 * hi + 2
-        _W_FLAGS = prime_flags(top, PrimeConvention.EXCLUDE1)
-        _W_PRIMES = array("q", compress(range(hi + 1), _W_FLAGS))
+_REACH = 1 << 10
 
 
-def _check_goldbach(lo: int, hi: int) -> dict[str, Any]:
-    flags = _W_FLAGS
-    primes = _W_PRIMES
-    include1 = _W_CONV is PrimeConvention.INCLUDE1
-    stats = {"instances": 0, "max_depth": 0, "max_depth_at": 0}
-    top = bisect_right(primes, lo - 1) - 1  # primes[top] is the largest prime <= 2n - 1
-    for two_n in range(lo, hi + 1, 2):
-        if two_n == 2:  # domain check admitted it, so 1 counts: couple (1, 1)
-            depth = 1
-            top += 1  # the even prime 2 joins the candidates from 2n = 4 on
-        else:
+def _check_goldbach(conv: PrimeConvention, lo: int, hi: int) -> dict[str, Any]:
+    reach = _REACH
+    while True:
+        base = max(lo - reach, 0)
+        primes = primes_in_range(base, hi, conv)
+        primes.append(hi + 1)  # sentinel above every target
+        flags = prime_flags(hi - base, conv)  # remainders 2n - p with p >= base
+        stats = {"instances": 0, "max_depth": 0, "max_depth_at": 0}
+        top = -1  # primes[top] is the largest candidate below 2n
+        for two_n in range(lo, hi + 1, 2):
+            while primes[top + 1] < two_n:
+                top += 1
             k = top
-            depth = 1
-            while True:
-                rem = two_n - primes[k]
-                if flags[rem] or (include1 and rem == 1):
-                    break
-                if k == 0:
-                    # the unit is never needed as a last candidate: it closes
-                    # only when 2n - 1 is prime, and then the first candidate
-                    # 2n - 1 already closed with remainder 1
-                    witness = {"instance": two_n, "reason": "descent exhausted"}
-                    return {"lo": lo, "hi": hi, "stats": stats, "witness": witness}
+            while k >= 0 and not flags[two_n - primes[k]]:
                 k -= 1
-                depth += 1
-        if flags[two_n + 1]:
-            top += 1
-        stats["instances"] += 1
-        if depth > stats["max_depth"]:
-            stats["max_depth"] = depth
-            stats["max_depth_at"] = two_n
-    return {"lo": lo, "hi": hi, "stats": stats, "witness": None}
-
-
-def _check_pre_polignac(lo: int, hi: int) -> dict[str, Any]:
-    flags = _W_FLAGS
-    primes = _W_PRIMES
-    include1 = _W_CONV is PrimeConvention.INCLUDE1
-    stats = {"instances": 0, "max_witness": 0, "max_witness_at": 0}
-    for gap in range(lo, hi + 1, 2):
-        if include1 and flags[gap + 1]:
-            w = 1
+            if k < 0:
+                if base > 0:
+                    break  # the descent ran below the window: widen it
+                witness = {"instance": two_n, "reason": "descent exhausted"}
+                return {"stats": stats, "witness": witness}
+            depth = top - k + 1
+            stats["instances"] += 1
+            if depth > stats["max_depth"]:
+                stats["max_depth"] = depth
+                stats["max_depth_at"] = two_n
         else:
-            w = 0
-            for q in primes:
-                if q >= gap:
-                    break
-                if flags[q + gap]:
+            return {"stats": stats, "witness": None}
+        reach *= 4
+
+
+def _check_pre_polignac(conv: PrimeConvention, lo: int, hi: int) -> dict[str, Any]:
+    reach = _REACH
+    while True:
+        witnesses = primes_in_range(0, min(reach, hi), conv)
+        partners = bytearray(hi + reach - lo + 1)  # partners[v - lo]: is v prime
+        for p in primes_in_range(lo, hi + reach, conv):
+            partners[p - lo] = 1
+        stats = {"instances": 0, "max_witness": 0, "max_witness_at": 0}
+        for gap in range(lo, hi + 1, 2):
+            # w: the smallest q with q + gap prime; the certificate needs q < gap
+            off = gap - lo
+            w = gap
+            for q in witnesses:
+                if partners[q + off]:
                     w = q
                     break
-            if not w:
+            if w >= gap:
+                if reach < gap:
+                    break  # a witness may lie above the reach: widen it
                 witness = {"instance": gap, "reason": "no prime witness below the gap"}
-                return {"lo": lo, "hi": hi, "stats": stats, "witness": witness}
-        stats["instances"] += 1
-        if w > stats["max_witness"]:
-            stats["max_witness"] = w
-            stats["max_witness_at"] = gap
-    return {"lo": lo, "hi": hi, "stats": stats, "witness": None}
+                return {"stats": stats, "witness": witness}
+            stats["instances"] += 1
+            if w > stats["max_witness"]:
+                stats["max_witness"] = w
+                stats["max_witness_at"] = gap
+        else:
+            return {"stats": stats, "witness": None}
+        reach *= 4
 
 
-def _check_legendre(lo: int, hi: int) -> dict[str, Any]:
-    conv = _W_CONV
+def _check_legendre(conv: PrimeConvention, lo: int, hi: int) -> dict[str, Any]:
     stats = {"instances": 0, "max_first_gap": 0, "max_first_gap_at": 0}
     for n in range(lo, hi + 1):
         base = n * n
@@ -345,17 +333,16 @@ def _check_legendre(lo: int, hi: int) -> dict[str, Any]:
                 break
         if found < 0:
             witness = {"instance": n, "reason": "no prime in the square interval"}
-            return {"lo": lo, "hi": hi, "stats": stats, "witness": witness}
+            return {"stats": stats, "witness": witness}
         stats["instances"] += 1
         gap = found - base
         if gap > stats["max_first_gap"]:
             stats["max_first_gap"] = gap
             stats["max_first_gap_at"] = n
-    return {"lo": lo, "hi": hi, "stats": stats, "witness": None}
+    return {"stats": stats, "witness": None}
 
 
-def _check_parabolic(lo: int, hi: int) -> dict[str, Any]:
-    conv = _W_CONV
+def _check_parabolic(conv: PrimeConvention, lo: int, hi: int) -> dict[str, Any]:
     stats = {"instances": 0, "parabolic": 0, "largest_parabolic_k": 0}
     for k in range(lo, hi + 1):
         p = k * k + 1
@@ -368,12 +355,12 @@ def _check_parabolic(lo: int, hi: int) -> dict[str, Any]:
                 "prime": prime,
                 "totient_match": tot_match,
             }
-            return {"lo": lo, "hi": hi, "stats": stats, "witness": witness}
+            return {"stats": stats, "witness": witness}
         stats["instances"] += 1
         if prime:
             stats["parabolic"] += 1
             stats["largest_parabolic_k"] = k
-    return {"lo": lo, "hi": hi, "stats": stats, "witness": None}
+    return {"stats": stats, "witness": None}
 
 
 _CHECKERS = {
@@ -384,27 +371,10 @@ _CHECKERS = {
 }
 
 
-def _run_chunk(span: tuple[int, int]) -> dict[str, Any]:
+def _run_chunk(item: tuple[Task, PrimeConvention, int, int]) -> dict[str, Any]:
     # looked up here, in the worker, so a replaced checker reaches forked workers
-    return _CHECKERS[_W_TASK](*span)
-
-
-@contextmanager
-def _chunk_results(task: Task, conv: PrimeConvention, hi: int, spans: list[tuple[int, int]],
-                   worker_count: int) -> Iterator[Iterator[dict[str, Any]]]:
-    """Yield the chunk results in span order; the run's tables live only as
-    long as the stream, and leaving it stops any workers still busy."""
-    global _W_FLAGS, _W_PRIMES
-    _prepare(task, conv, hi)
-    try:
-        if worker_count > 1 and len(spans) > 1:
-            with get_context("fork").Pool(min(worker_count, len(spans))) as pool:
-                yield pool.imap(_run_chunk, spans)
-        else:
-            yield map(_run_chunk, spans)
-    finally:
-        _W_FLAGS = bytearray()
-        _W_PRIMES = array("q")
+    task, conv, lo, hi = item
+    return _CHECKERS[task](conv, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +495,12 @@ def verify_range(
         run_stats: dict[str, int] | None = None
         verified = 0
         witness = None
-        with _chunk_results(task, conv, hi, spans, worker_count) as results:
+        items = [(task, conv, a, b) for a, b in spans]
+        parallel = worker_count > 1 and len(items) > 1
+        # leaving the pool's block stops any workers still busy
+        with (get_context("fork").Pool(min(worker_count, len(items))) if parallel
+              else nullcontext()) as pool:
+            results = pool.imap(_run_chunk, items) if parallel else map(_run_chunk, items)
             for folded, ((c_lo, c_hi), res) in enumerate(zip(spans, results), start=1):
                 stats, witness = res["stats"], res["witness"]
                 run_stats = _merge_stats(task, run_stats, stats)

@@ -315,11 +315,10 @@ def _emit_ring_table(params: dict[str, Any], config: Config) -> Report:
         couple_cell = "; ".join(
             f"{_pair(c.p, c.q)}★" if c.canonical else _pair(c.p, c.q) for c in couples
         )
+        strong = set(profile.strong)
         unit_cell = (
             "{"
-            + ",".join(
-                str(u) if is_prime(u, conv) else f"({u})" for u in profile.units
-            )
+            + ",".join(str(u) if u in strong else f"({u})" for u in profile.units)
             + "}"
         )
         quasi = quasi_couples(two_n, conv)
@@ -335,7 +334,7 @@ def _emit_ring_table(params: dict[str, Any], config: Config) -> Report:
                     for c in couples
                 ],
                 "units": list(profile.units),
-                "composite_units": [u for u in profile.units if not is_prime(u, conv)],
+                "composite_units": [u for u in profile.units if u not in strong],
                 "strong": list(profile.strong),
                 "totient": profile.totient,
                 "quasi": [[a, b] for a, b in quasi],

@@ -15,6 +15,7 @@ from .primes import (
     PrimeConvention,
     _ensure_base_primes,
     is_prime,
+    prime_flags,
 )
 
 __all__ = [
@@ -212,7 +213,8 @@ def units_profile(n: int, conv: PrimeConvention = DEFAULT_CONVENTION) -> UnitsPr
     units = tuple(k for k in range(1, n) if math.gcd(k, n) == 1)
     phi = totient(n)
     lam = carmichael(n)
-    strong = tuple(u for u in units if is_prime(u, conv))
+    flags = prime_flags(n, conv)
+    strong = tuple(u for u in units if flags[u])
     return UnitsProfile(n, units, phi, lam, phi == lam, strong, conv)
 
 

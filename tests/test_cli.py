@@ -47,6 +47,7 @@ SMOKE = [
     ["legendre", "verify", "--from", "1", "--to", "50"],
     ["parabolic", "list", "--max-k", "20"],
     ["parabolic", "zeta"],
+    ["parabolic", "verify", "--from", "1", "--to", "50"],
     ["triangle", "value", "10"],
     ["triangle", "square-seq", "4"],
     ["triangle", "three", "35"],
@@ -79,7 +80,7 @@ class TestGrammar:
             "ideals": {"analyze", "radical", "jacobson", "bezout"},
             "polignac": {"pairs", "dyadic", "verify"},
             "legendre": {"primes", "verify"},
-            "parabolic": {"list", "zeta"},
+            "parabolic": {"list", "zeta", "verify"},
             "triangle": {"value", "square-seq", "three", "faulhaber"},
         }
         for group, leaves in expected.items():

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -196,14 +197,14 @@ def test_counterexample_only_blocks_its_own_convention(tmp_path):
 def _break_goldbach_at_76(monkeypatch):
     import landau.harness as harness
 
-    def broken(lo, hi):
+    def broken(conv, lo, hi):
         stats = {"instances": 0, "max_depth": 0, "max_depth_at": 0}
         for two_n in range(lo, hi + 1, 2):
             if two_n == 76:
                 witness = {"instance": two_n, "reason": "synthetic"}
-                return {"lo": lo, "hi": hi, "stats": stats, "witness": witness}
+                return {"stats": stats, "witness": witness}
             stats["instances"] += 1
-        return {"lo": lo, "hi": hi, "stats": stats, "witness": None}
+        return {"stats": stats, "witness": None}
 
     monkeypatch.setitem(harness._CHECKERS, Task.GOLDBACH, broken)
 
@@ -225,14 +226,35 @@ def test_checker_failure_writes_prefix_and_counterexample(tmp_path, monkeypatch,
     assert s2.verified == 0 and not s2.complete
 
 
-def test_run_tables_are_freed_when_the_run_ends(monkeypatch):
+@pytest.mark.parametrize("task,hi", [(Task.GOLDBACH, 3000), (Task.PRE_POLIGNAC, 1200)])
+@pytest.mark.parametrize("conv", [INC, EXC], ids=lambda c: c.value)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_widening_from_the_smallest_reach_changes_nothing(tmp_path, monkeypatch, task, hi,
+                                                          conv, workers):
     import landau.harness as harness
 
-    assert verify_range(Task.GOLDBACH, 2, 20000, INC).complete
-    assert (len(harness._W_FLAGS), len(harness._W_PRIMES)) == (0, 0)
-    _break_goldbach_at_76(monkeypatch)
-    assert verify_range(Task.GOLDBACH, 2, 20000, INC, chunk_size=8).counterexamples
-    assert (len(harness._W_FLAGS), len(harness._W_PRIMES)) == (0, 0)
+    lo = 2 if conv is INC else 4
+    texts = []
+    for reach in (harness._REACH, 1):
+        monkeypatch.setattr(harness, "_REACH", reach)
+        cp = tmp_path / f"r{reach}.jsonl"
+        s = verify_range(task, lo, hi, conv, checkpoint_path=cp, worker_count=workers,
+                         chunk_size=16)
+        assert s.complete
+        texts.append(strip_timestamps(cp.read_text()))
+    assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("task", [Task.GOLDBACH, Task.PRE_POLIGNAC])
+def test_even_task_memory_does_not_grow_with_height(task):
+    tracemalloc.start()
+    try:
+        s = verify_range(task, 10**7, 10**7 + 2 * 10**4, INC)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.complete
+    assert peak < 4 * 2**20, peak
 
 
 # ---------------------------------------------------------------------------
