@@ -27,13 +27,15 @@ class Config:
     workers: int = field(default_factory=default_workers)
     checkpoint_dir: str = "."
 
+    def as_dict(self) -> dict[str, Any]:
+        """The settings in field order, the convention by its value."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["convention"] = self.convention.value
+        return out
+
     def echo(self) -> str:
         """One-line rendering for report headers."""
-        return (
-            f"convention={self.convention.value}"
-            f" workers={self.workers}"
-            f" checkpoint_dir={self.checkpoint_dir}"
-        )
+        return " ".join(f"{k}={v}" for k, v in self.as_dict().items())
 
 
 _KEYS = tuple(f.name for f in fields(Config))

@@ -3,12 +3,12 @@ quasi-couples, and the right-triangle identity attached to each couple.
 
 The canonical couple comes from one fixed criterion: walk candidate primes
 down from prev_prime(2n) and stop at the first whose remainder 2n - p is
-prime. Enumeration is an independent half-range scan; the tests check it
-against the ideal-theoretic route of the ring analysis.
+prime. Enumeration is an independent half-range scan whose first pair is
+that couple; the tests check it against the descent and against the
+ideal-theoretic route of the ring analysis.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
@@ -20,7 +20,7 @@ from .primes import (
     prev_prime,
     prime_flags,
 )
-from .zn import Factorization, factorize, totient
+from .zn import Factorization, factorize, totient, units
 
 __all__ = [
     "CoupleKind",
@@ -144,14 +144,12 @@ def enumerate_couples(
     for p in compress(range(n + 1), flags[: n + 1]):
         if flags[two_n - p]:
             pairs.append((p, two_n - p))
-    couples = []
-    if pairs:
-        star = canonical_couple(two_n, conv)[0].pair()
-        for p, q in pairs:
-            couples.append(
-                GoldbachCouple(p, q, two_n, _classify(p, q, two_n), (p, q) == star)
-            )
-    return couples
+    # the descent stops at the largest candidate whose remainder is prime, so
+    # the canonical couple is the one with the smallest smaller member
+    return [
+        GoldbachCouple(p, q, two_n, _classify(p, q, two_n), i == 0)
+        for i, (p, q) in enumerate(pairs)
+    ]
 
 
 def quasi_couples(
@@ -161,14 +159,11 @@ def quasi_couples(
     the unit group but fail to be couples."""
     _validate_even(two_n, conv)
     flags = prime_flags(two_n, conv)
-    out = []
-    for a in range(1, two_n // 2 + 1, 2):
-        b = two_n - a
-        if math.gcd(a, two_n) != 1:
-            continue
-        if not (flags[a] and flags[b]):
-            out.append((a, b))
-    return out
+    return [
+        (a, two_n - a)
+        for a in units(two_n)
+        if a <= two_n - a and not (flags[a] and flags[two_n - a])
+    ]
 
 
 def noether_status(two_n: int) -> tuple[bool, int]:

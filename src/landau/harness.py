@@ -30,10 +30,18 @@ from enum import Enum
 from multiprocessing import get_context
 from typing import Any, Iterable, Iterator
 
-from .primes import DEFAULT_CONVENTION, PrimeConvention, is_prime, prime_flags, primes_in_range
+from .primes import (
+    DEFAULT_CONVENTION,
+    PrimeConvention,
+    is_prime,
+    next_prime,
+    prime_flags,
+    primes_in_range,
+)
 from .zn import totient
 
-CHUNK_SIZE = 4096
+CHUNK_SIZE = 4096  # instances per chunk
+FLUSH_EVERY = 8  # folded chunks between checkpoint writes
 SCHEMA_VERSION = 1
 
 
@@ -324,14 +332,10 @@ def _check_legendre(conv: PrimeConvention, lo: int, hi: int) -> dict[str, Any]:
     stats = {"instances": 0, "max_first_gap": 0, "max_first_gap_at": 0}
     for n in range(lo, hi + 1):
         base = n * n
-        found = -1
+        found = next_prime(base - 1, conv)
         # the upper endpoint (n+1)^2 is a square > 1, never prime, so the
-        # interior scan decides the whole closed interval
-        for x in range(base, base + 2 * n + 1):
-            if is_prime(x, conv):
-                found = x
-                break
-        if found < 0:
+        # first prime from n^2 on decides the whole closed interval
+        if found > base + 2 * n:
             witness = {"instance": n, "reason": "no prime in the square interval"}
             return {"stats": stats, "witness": witness}
         stats["instances"] += 1
@@ -422,9 +426,6 @@ def verify_range(
     conv: PrimeConvention = DEFAULT_CONVENTION,
     checkpoint_path: str | os.PathLike[str] | None = None,
     worker_count: int = 1,
-    *,
-    chunk_size: int = CHUNK_SIZE,
-    flush_every: int = 8,
 ) -> RunSummary:
     """Check every instance of [lo, hi] not already covered by the checkpoint.
 
@@ -437,10 +438,6 @@ def verify_range(
         raise ValueError(f"empty range [{lo}, {hi}]")
     if worker_count < 1:
         raise ValueError(f"worker_count must be positive, got {worker_count}")
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    if flush_every < 1:
-        raise ValueError(f"flush_every must be positive, got {flush_every}")
     start = time.perf_counter()
     step = _step(task)
     if step == 2:
@@ -482,9 +479,9 @@ def verify_range(
         if not gaps:
             return summary(0, skipped, (), {}, True)
         spans = [
-            (a + i * step, min(a + (i + chunk_size - 1) * step, b))
+            (a + i * step, min(a + (i + CHUNK_SIZE - 1) * step, b))
             for a, b in gaps
-            for i in range(0, instance_count(task, a, b), chunk_size)
+            for i in range(0, instance_count(task, a, b), CHUNK_SIZE)
         ]
         gap_starts = {a for a, _ in gaps}
 
@@ -519,7 +516,7 @@ def verify_range(
                     records.append(Checkpoint(task, conv, bad, bad, "counterexample",
                                               {}, ts, witness=witness))
                     break
-                if path is not None and folded % flush_every == 0:
+                if path is not None and folded % FLUSH_EVERY == 0:
                     _write_checkpoints(path, records)
         if path is not None:
             _write_checkpoints(path, records)

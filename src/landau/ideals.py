@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from .primes import DEFAULT_CONVENTION, PrimeConvention, is_prime, primes_in_range
-from .zn import Factorization, factorize
+from .primes import DEFAULT_CONVENTION, PrimeConvention, prime_flags
+from .zn import Factorization, factorize, units
 
 __all__ = [
     "CombineKind",
@@ -223,10 +223,8 @@ class GoldbachIdealReport:
         """The lcm inputs: units of Z_2n strictly inside ]1, 2n-1[, plus the
         top unit 2n-1 when include_top is set."""
         two_n = self.two_n
-        out = [k for k in range(2, two_n - 1) if math.gcd(k, two_n) == 1]
-        if self.include_top and two_n >= 3:
-            out.append(two_n - 1)
-        return tuple(out)
+        inner = tuple(u for u in units(two_n) if 1 < u < two_n - 1)
+        return inner + (two_n - 1,) if self.include_top and two_n >= 3 else inner
 
     @cached_property
     def r(self) -> Factorization:
@@ -278,21 +276,16 @@ def goldbach_ideal_analysis(
     if two_n < 2 or two_n % 2 == 1:
         raise ValueError(f"needs an even number >= 2, got {two_n}")
     n = two_n // 2
+    flags = prime_flags(two_n, conv)
     # strong generators b with both b and its mirror inside ]1, 2n-1[;
     # b = 1 and b = 2n-1 never carry an ideal, whatever the convention
-    pairs = [
-        (two_n - p, p)
-        for p in primes_in_range(2, two_n, PrimeConvention.EXCLUDE1)
-        if p < two_n - 1 and math.gcd(p, two_n) == 1
-    ]
-    pairs.sort()
-    remainders = tuple(rem for rem, _ in pairs)
-    generators = tuple(b for _, b in pairs)
-    maximal_subset = tuple(rem for rem in remainders if is_prime(rem, conv))
-    couples = sorted({(min(b, r), max(b, r)) for r, b in pairs if is_prime(r, conv)})
+    generators = tuple(b for b in reversed(units(two_n)) if 1 < b < two_n - 1 and flags[b])
+    remainders = tuple(two_n - b for b in generators)
+    maximal_subset = tuple(rem for rem in remainders if flags[rem])
+    couples = sorted({(min(b, r), max(b, r)) for r, b in zip(remainders, generators) if flags[r]})
     # the top couple needs both members prime: 1 itself and the unit 2n-1
-    noether = (1, two_n - 1) if is_prime(1, conv) and is_prime(two_n - 1, conv) else None
-    trivial = (n, n) if is_prime(n, conv) else None
+    noether = (1, two_n - 1) if flags[1] and flags[two_n - 1] else None
+    trivial = (n, n) if flags[n] else None
     return GoldbachIdealReport(
         two_n=two_n,
         convention=conv,

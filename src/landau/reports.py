@@ -301,8 +301,13 @@ def _emit_units_grid(params: dict[str, Any], config: Config) -> Report:
 # strong-generator overview across small even moduli
 
 def _emit_ring_table(params: dict[str, Any], config: Config) -> Report:
-    opts = _take(params, {"moduli": ("ints", RING_MODULI)})
     conv = config.convention
+    # 2 = 1 + 1 is a couple only when the unit counts as prime
+    include1 = conv is PrimeConvention.INCLUDE1
+    default = RING_MODULI if include1 else tuple(m for m in RING_MODULI if m != 2)
+    opts = _take(params, {"moduli": ("ints", default)})
+    if not include1 and 2 in opts["moduli"]:
+        raise ReportError("moduli: 2 = 1 + 1 needs the unit counted as prime; use include1")
     rows = []
     payload_rows = []
     for two_n in opts["moduli"]:
@@ -348,7 +353,7 @@ def _emit_ring_table(params: dict[str, Any], config: Config) -> Report:
         "(♣) Except in the case n=1, trivial Goldbach couples are never identified by units in ℤ₂ₙ.",
         "(♠) Quasi-Goldbach couples that are not Goldbach couples.",
     ]
-    if conv is PrimeConvention.INCLUDE1 and 22 in opts["moduli"]:
+    if include1 and 22 in opts["moduli"]:
         footers.append(
             "Erratum: some transcriptions of the ℤ₂₂ row list 11 among the units "
             "and leave 21 unbracketed; 11 divides 22, and 21=3×7 is composite."
@@ -1066,14 +1071,6 @@ def _emit_verify_summary(params: dict[str, Any], config: Config) -> Report:
 # --------------------------------------------------------------------------
 # renderers
 
-def _config_dict(config: Config) -> dict[str, Any]:
-    return {
-        "convention": config.convention.value,
-        "workers": config.workers,
-        "checkpoint_dir": config.checkpoint_dir,
-    }
-
-
 def _render_md(report: Report, config: Config) -> bytes:
     def esc(cell: str) -> str:
         return cell.replace("|", "\\|")
@@ -1102,7 +1099,7 @@ def _render_json(report: Report, config: Config) -> bytes:
     doc = {
         "kind": report.kind,
         "title": report.title,
-        "config": _config_dict(config),
+        "config": config.as_dict(),
         "footnotes": list(report.footers),
         "report": report.payload,
     }

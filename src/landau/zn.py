@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
+from itertools import compress
 
 from .primes import (
     DEFAULT_CONVENTION,
@@ -25,6 +26,7 @@ __all__ = [
     "factorize",
     "totient",
     "carmichael",
+    "units",
     "units_profile",
     "unit_inverse",
     "multiplication_table",
@@ -207,15 +209,29 @@ class UnitsProfile:
             raise ValueError(f"unit count {len(self.units)} != phi {self.totient}")
 
 
+def units(n: int) -> tuple[int, ...]:
+    """The units of Z_n, ascending: every k in [1, n) coprime to n.
+
+    One bytearray over [0, n) with the multiples of each prime factor of n
+    struck out, so the cost is a few slice assignments rather than a gcd per k.
+    """
+    if n < 2:
+        raise ValueError(f"modulus must be >= 2, got {n}")
+    mask = bytearray(b"\x01") * n
+    for p in factorize(n).primes():
+        mask[::p] = bytes(len(range(0, n, p)))
+    return tuple(compress(range(n), mask))
+
+
 def units_profile(n: int, conv: PrimeConvention = DEFAULT_CONVENTION) -> UnitsProfile:
     if n < 2:
         raise ValueError(f"units_profile needs n >= 2, got {n}")
-    units = tuple(k for k in range(1, n) if math.gcd(k, n) == 1)
+    unit_list = units(n)
     phi = totient(n)
     lam = carmichael(n)
     flags = prime_flags(n, conv)
-    strong = tuple(u for u in units if flags[u])
-    return UnitsProfile(n, units, phi, lam, phi == lam, strong, conv)
+    strong = tuple(u for u in unit_list if flags[u])
+    return UnitsProfile(n, unit_list, phi, lam, phi == lam, strong, conv)
 
 
 def unit_inverse(a: int, n: int) -> int:
@@ -246,12 +262,10 @@ class MultiplicationTable:
 
 
 def multiplication_table(n: int) -> MultiplicationTable:
-    if n < 2:
-        raise ValueError(f"modulus must be >= 2, got {n}")
-    units = tuple(k for k in range(1, n) if math.gcd(k, n) == 1)
-    rows = tuple(tuple(u * v % n for v in units) for u in units)
-    inverses = tuple((u, unit_inverse(u, n)) for u in units)
-    return MultiplicationTable(n, units, rows, inverses)
+    unit_list = units(n)
+    rows = tuple(tuple(u * v % n for v in unit_list) for u in unit_list)
+    inverses = tuple((u, unit_inverse(u, n)) for u in unit_list)
+    return MultiplicationTable(n, unit_list, rows, inverses)
 
 
 def is_prime_via_totient(m: int) -> bool:

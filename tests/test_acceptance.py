@@ -299,9 +299,9 @@ def test_c10_harness_idempotent_worker_invariant_kill_resume(tmp_path):
     # kill mid-run, then resume to completion with no gaps
     cp = tmp_path / "kill.jsonl"
     child = (
-        "from landau.harness import Task, verify_range\n"
-        f"verify_range(Task.GOLDBACH, 2, 1000000, checkpoint_path={str(cp)!r},\n"
-        "             chunk_size=512, flush_every=1)\n"
+        "from landau import harness\n"
+        "harness.CHUNK_SIZE, harness.FLUSH_EVERY = 512, 1\n"
+        f"harness.verify_range(harness.Task.GOLDBACH, 2, 1000000, checkpoint_path={str(cp)!r})\n"
     )
     proc = subprocess.Popen([sys.executable, "-c", child])
     deadline = time.time() + 60

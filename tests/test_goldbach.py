@@ -331,12 +331,13 @@ class TestEnumerate:
             )
 
     def test_canonical_member_agrees_with_descent(self):
-        for two_n in range(2, 3_001, 2):
-            couples = enumerate_couples(two_n)
-            stars = [c for c in couples if c.canonical]
-            assert len(stars) == 1
-            direct = canonical_couple(two_n)[0]
-            assert stars[0] == direct
+        for conv, start in ((INC, 2), (EXC, 4)):
+            for two_n in range(start, 3_001, 2):
+                couples = enumerate_couples(two_n, conv)
+                stars = [c for c in couples if c.canonical]
+                assert len(stars) == 1
+                direct = canonical_couple(two_n, conv)[0]
+                assert stars[0] == direct, (two_n, conv)
 
     def test_top_couple_is_always_canonical(self):
         # descent starts at prev_prime(2n), so a prime 2n-1 ends it at once

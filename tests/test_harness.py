@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import landau.harness as harness
 from landau.gaps import pre_polignac_witness
 from landau.goldbach import canonical_couple
 from landau.harness import (
@@ -195,8 +196,6 @@ def test_counterexample_only_blocks_its_own_convention(tmp_path):
 
 
 def _break_goldbach_at_76(monkeypatch):
-    import landau.harness as harness
-
     def broken(conv, lo, hi):
         stats = {"instances": 0, "max_depth": 0, "max_depth_at": 0}
         for two_n in range(lo, hi + 1, 2):
@@ -212,9 +211,9 @@ def _break_goldbach_at_76(monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_checker_failure_writes_prefix_and_counterexample(tmp_path, monkeypatch, workers):
     _break_goldbach_at_76(monkeypatch)
+    monkeypatch.setattr(harness, "CHUNK_SIZE", 8)
     cp = tmp_path / "cx.jsonl"
-    s = verify_range(Task.GOLDBACH, 2, 1000, INC, checkpoint_path=cp, chunk_size=8,
-                     worker_count=workers)
+    s = verify_range(Task.GOLDBACH, 2, 1000, INC, checkpoint_path=cp, worker_count=workers)
     assert s.counterexamples and s.counterexamples[0]["instance"] == 76
     assert not s.complete
     assert s.verified == instance_count(Task.GOLDBACH, 2, 74)
@@ -231,15 +230,13 @@ def test_checker_failure_writes_prefix_and_counterexample(tmp_path, monkeypatch,
 @pytest.mark.parametrize("workers", [1, 2])
 def test_widening_from_the_smallest_reach_changes_nothing(tmp_path, monkeypatch, task, hi,
                                                           conv, workers):
-    import landau.harness as harness
-
     lo = 2 if conv is INC else 4
+    monkeypatch.setattr(harness, "CHUNK_SIZE", 16)
     texts = []
     for reach in (harness._REACH, 1):
         monkeypatch.setattr(harness, "_REACH", reach)
         cp = tmp_path / f"r{reach}.jsonl"
-        s = verify_range(task, lo, hi, conv, checkpoint_path=cp, worker_count=workers,
-                         chunk_size=16)
+        s = verify_range(task, lo, hi, conv, checkpoint_path=cp, worker_count=workers)
         assert s.complete
         texts.append(strip_timestamps(cp.read_text()))
     assert texts[0] == texts[1]
@@ -261,28 +258,31 @@ def test_even_task_memory_does_not_grow_with_height(task):
 # determinism and parallelism
 
 
-def test_worker_count_does_not_change_checkpoint_bytes(tmp_path):
+def test_worker_count_does_not_change_checkpoint_bytes(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "CHUNK_SIZE", 512)
     texts = {}
     for workers in (1, 3):
         cp = tmp_path / f"w{workers}.jsonl"
         s = verify_range(Task.GOLDBACH, 2, 50000, INC, checkpoint_path=cp,
-                         worker_count=workers, chunk_size=512)
+                         worker_count=workers)
         assert s.complete
         texts[workers] = strip_timestamps(cp.read_text())
     assert texts[1] == texts[3]
 
 
-def test_parallel_summary_matches_serial():
-    serial = verify_range(Task.LEGENDRE, 1, 3000, INC, chunk_size=128)
-    parallel = verify_range(Task.LEGENDRE, 1, 3000, INC, chunk_size=128, worker_count=3)
+def test_parallel_summary_matches_serial(monkeypatch):
+    monkeypatch.setattr(harness, "CHUNK_SIZE", 128)
+    serial = verify_range(Task.LEGENDRE, 1, 3000, INC)
+    parallel = verify_range(Task.LEGENDRE, 1, 3000, INC, worker_count=3)
     assert serial.verified == parallel.verified == 3000
     assert serial.stats == parallel.stats
 
 
-def test_flush_leaves_no_temp_file(tmp_path):
+def test_flush_leaves_no_temp_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "CHUNK_SIZE", 64)
+    monkeypatch.setattr(harness, "FLUSH_EVERY", 1)
     cp = tmp_path / "g.jsonl"
-    verify_range(Task.GOLDBACH, 2, 5000, INC, checkpoint_path=cp,
-                 chunk_size=64, flush_every=1)
+    verify_range(Task.GOLDBACH, 2, 5000, INC, checkpoint_path=cp)
     assert not (tmp_path / "g.jsonl.tmp").exists()
     assert load_checkpoints(str(cp))[0].hi == 5000
 
@@ -314,9 +314,9 @@ def test_checkpoint_lock_excludes_concurrent_writers(tmp_path):
 def test_kill_and_resume(tmp_path):
     cp = tmp_path / "kill.jsonl"
     child = (
-        "from landau.harness import Task, verify_range\n"
-        f"verify_range(Task.GOLDBACH, 2, 2000000, checkpoint_path={str(cp)!r},\n"
-        "             chunk_size=512, flush_every=1)\n"
+        "from landau import harness\n"
+        "harness.CHUNK_SIZE, harness.FLUSH_EVERY = 512, 1\n"
+        f"harness.verify_range(harness.Task.GOLDBACH, 2, 2000000, checkpoint_path={str(cp)!r})\n"
     )
     proc = subprocess.Popen([sys.executable, "-c", child])
     deadline = time.time() + 60
@@ -389,10 +389,11 @@ def test_parabolic_counts_match_direct_enumeration():
     assert s.verified == 200 and s.complete
 
 
-def test_record_stats_merge_like_a_single_run(tmp_path):
+def test_record_stats_merge_like_a_single_run(tmp_path, monkeypatch):
     cp = tmp_path / "g.jsonl"
-    verify_range(Task.GOLDBACH, 2, 500, INC, checkpoint_path=cp, chunk_size=7)
     whole = verify_range(Task.GOLDBACH, 2, 500, INC)
+    monkeypatch.setattr(harness, "CHUNK_SIZE", 7)
+    verify_range(Task.GOLDBACH, 2, 500, INC, checkpoint_path=cp)
     rec = load_checkpoints(str(cp))[0]
     assert rec.stats == whole.stats
 

@@ -170,6 +170,25 @@ class TestRingTable:
             assert row["totient"] == frozen["phi"]
             assert [tuple(q) for q in row["quasi"]] == frozen["quasi"]
 
+    @pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+    def test_exclude1_default_starts_at_z4(self, fmt):
+        cfg = Config(convention=EXC, workers=1)
+        raw = emit_report("ring-table", {}, fmt, cfg).decode("utf-8")
+        if fmt == "json":
+            rows = json.loads(raw)["report"]["rows"]
+            assert [r["two_n"] for r in rows] == [m for m in RING_MODULI if m != 2]
+            assert all(1 not in r["strong"] for r in rows)
+            assert all(c["pair"][0] != 1 for r in rows for c in r["couples"])
+        elif fmt == "md":
+            assert "\n| ℤ₄ | " in raw and "ℤ₂ |" not in raw
+        else:
+            assert raw.splitlines()[2].startswith("ℤ₄,") and "\nℤ₂," not in raw
+
+    def test_exclude1_refuses_modulus_2_naming_moduli(self):
+        cfg = Config(convention=EXC, workers=1)
+        with pytest.raises(ReportError, match="^moduli: "):
+            emit_report("ring-table", {"moduli": (2, 4)}, "md", cfg)
+
     def test_published_row_strings(self):
         text = (GOLDEN / "ring_table.md").read_text(encoding="utf-8")
         assert (

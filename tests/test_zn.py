@@ -13,6 +13,7 @@ from landau.zn import (
     factorize,
     totient,
     carmichael,
+    units,
     units_profile,
     unit_inverse,
     multiplication_table,
@@ -173,6 +174,17 @@ class TestTotientCarmichael:
     def test_carmichael_divides_totient(self):
         for n in range(1, 2001):
             assert totient(n) % carmichael(n) == 0, n
+
+
+class TestUnits:
+    def test_matches_gcd_scan(self):
+        for n in range(2, 2001):
+            assert units(n) == tuple(k for k in range(1, n) if math.gcd(k, n) == 1), n
+
+    @pytest.mark.parametrize("n", [1, 0, -4])
+    def test_modulus_below_2_raises(self, n):
+        with pytest.raises(ValueError, match=f"modulus must be >= 2, got {n}"):
+            units(n)
 
 
 class TestUnitsProfile:
