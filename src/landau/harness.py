@@ -16,6 +16,16 @@ function of its task, convention and span: it sieves only the window it
 reads, its span plus a reach that grows only when a search runs off it, so
 a run holds no table that grows with the range and memory is
 O(chunk + reach) at any height.
+
+The two even tasks are certified by one bitset scan rather than a loop per
+instance: the window's odd prime flags are packed into one Python int, each
+of the chunk's even instances is one bit, and for each small prime q in
+ascending order one shift, AND and XOR take out every instance whose
+smallest prime remainder (Goldbach) or witness (pre-Polignac) is q.  The
+scan leaves a few levels (q, instances); a gap's largest witness is read off
+the top level, and the largest descent depth is counted exactly on the top
+levels only, down to the first level too short to beat the best depth so
+far.
 """
 
 from __future__ import annotations
@@ -27,15 +37,17 @@ import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import accumulate
 from multiprocessing import get_context
-from typing import Any, Iterable, Iterator
+from operator import sub
+from typing import Any, Callable, Iterable, Iterator
 
 from .primes import (
     DEFAULT_CONVENTION,
     PrimeConvention,
+    _odd_flags,
     is_prime,
     next_prime,
-    prime_flags,
     primes_in_range,
 )
 from .zn import totient
@@ -260,72 +272,178 @@ def _merge_stats(task: Task, acc: dict[str, int] | None, new: dict[str, int]) ->
 # Each checker is a pure function of its span: it takes (conv, lo, hi), sieves
 # only the window it reads under the run's own convention (so the unit is
 # already in every table under include1), and returns the span's stats and
-# the first counterexample, if any.  The even tasks' windows reach _REACH below
-# (Goldbach's descent) or above (pre-Polignac's partners) the span, and a
-# chunk whose search runs off its window is redone with four times the reach.
-# Memory is O(chunk + reach) at any height, and nothing outlives the chunk.
+# the first counterexample, if any.  Memory is O(chunk + reach) at any height,
+# and nothing outlives the chunk.
+#
+# The even tasks share one scan (the minimal-partition check of Oliveira e
+# Silva, Herzog and Pardi, Math. Comp. 83 (2014) 2033-2060, on Python ints).
+# The window's odd prime flags become one int P, bit j standing for the odd
+# value first + 2j, and the span's instances 2n = lo + 2i become the bits i of
+# `remaining`.  For each prime q in ascending order, P shifted so that bit i
+# reads 2n - q (Goldbach) or 2n + q (pre-Polignac) is ANDed with `remaining`:
+# the hits are the instances whose smallest prime remainder or witness is q,
+# they leave `remaining`, and the scan stops once nothing remains.  Each
+# instance thus lands on the level its descent or witness search stops at, in
+# a few word operations per level rather than a loop per instance.
+#
+# The Goldbach window reaches _REACH below the span (the descent's
+# candidates), the pre-Polignac window _REACH above it (the partners q + 2n);
+# a chunk whose search runs off its window is redone with four times the reach.
 
 _REACH = 1 << 10
+_BITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _as_int(flags: bytearray) -> int:
+    """The 0/1 bytes as one int, flags[j] as bit j."""
+    return int(flags[::-1].translate(_BITS), 2) if flags else 0
+
+
+def _lowest(x: int) -> int:
+    """Position of the lowest set bit of x > 0."""
+    return (x & -x).bit_length() - 1
+
+
+def _bit_indices(x: int) -> Iterator[int]:
+    """Positions of the set bits of x, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def _ascending_primes(limit: int, conv: PrimeConvention) -> Iterator[int]:
+    """Primes up to limit under conv, sieved in blocks that grow 4x from 2^10,
+    so a scan that stops early (nearly all stop below 10^3) sieves little."""
+    lo, hi = 0, 1 << 10
+    while lo <= limit:
+        yield from primes_in_range(lo, min(hi, limit), conv)
+        lo, hi = hi + 1, 4 * hi
+
+
+def _scan(
+    count: int, qs: Iterable[int], shifted: Callable[[int], int]
+) -> tuple[list[tuple[int, int]], int]:
+    """The levels (q, hit) of count instances, each hit holding the instances
+    first met by q, and the instances that no q met."""
+    remaining = (1 << count) - 1
+    levels = []
+    for q in qs:
+        hit = shifted(q) & remaining
+        if hit:
+            levels.append((q, hit))
+            remaining ^= hit
+            if not remaining:
+                break
+    return levels, remaining
+
+
+def _fewest_slots(flags: bytearray) -> Callable[[int], int]:
+    """d -> the fewest consecutive odd values of the window that hold d of
+    its primes (set flags), or more than the window holds when none do."""
+    # the k-th set flag sits at slot gaps[k] + k, gaps[k] counting the zeros
+    # before it
+    gaps = list(accumulate(map(len, flags.split(b"\1"))))[:-1]
+
+    def slots(d: int) -> int:
+        if d < 1:
+            return 0
+        if d > len(gaps):
+            return len(flags) + 1
+        return min(map(sub, gaps[d - 1:], gaps)) + d
+
+    return slots
 
 
 def _check_goldbach(conv: PrimeConvention, lo: int, hi: int) -> dict[str, Any]:
     reach = _REACH
+    count = (hi - lo) // 2 + 1
     while True:
         base = max(lo - reach, 0)
-        primes = primes_in_range(base, hi, conv)
-        primes.append(hi + 1)  # sentinel above every target
-        flags = prime_flags(hi - base, conv)  # remainders 2n - p with p >= base
-        stats = {"instances": 0, "max_depth": 0, "max_depth_at": 0}
-        top = -1  # primes[top] is the largest candidate below 2n
-        for two_n in range(lo, hi + 1, 2):
-            while primes[top + 1] < two_n:
-                top += 1
-            k = top
-            while k >= 0 and not flags[two_n - primes[k]]:
-                k -= 1
-            if k < 0:
-                if base > 0:
-                    break  # the descent ran below the window: widen it
-                witness = {"instance": two_n, "reason": "descent exhausted"}
-                return {"stats": stats, "witness": witness}
-            depth = top - k + 1
-            stats["instances"] += 1
-            if depth > stats["max_depth"]:
-                stats["max_depth"] = depth
-                stats["max_depth_at"] = two_n
-        else:
-            return {"stats": stats, "witness": None}
-        reach *= 4
+        first, flags = _odd_flags(base, hi)  # the candidates p and remainders q
+        if first == 1:
+            flags[0] = is_prime(1, conv)
+        P = _as_int(flags)
+        # 2 is a candidate or a remainder only in 4 = 2 + 2
+        four = 1 << (4 - lo) // 2 if lo <= 4 and base <= 2 else 0
+
+        def shifted(q: int) -> int:
+            if q == 2:
+                return four
+            s = (lo - q - first) // 2
+            return P >> s if s >= 0 else P << -s
+
+        levels, remaining = _scan(count, _ascending_primes(hi - base, conv), shifted)
+        if remaining and base > 0:
+            reach *= 4  # a descent ran below the window: widen it
+            continue
+        n_ok = _lowest(remaining) if remaining else count
+        # The depth of 2n at level q counts the candidates in [2n - q, 2n):
+        # the primes among its (q + 1) // 2 odd values, and 2 when the window
+        # holds it.  Depths are read exactly on the top levels only, down to
+        # the first level too short to hold as many primes as the best so far
+        # anywhere in the window.
+        with_two = base <= 2
+        slots = _fewest_slots(flags)
+        prefix = (1 << n_ok) - 1
+        best = best_at = 0
+        need = 0  # the fewest odd values an interval of depth >= best spans
+        for q, hit in reversed(levels):
+            hit &= prefix
+            if not hit:
+                continue
+            if (q + 1) // 2 < need:
+                break
+            before = best
+            for i in _bit_indices(hit):
+                two_n = lo + 2 * i
+                a = two_n - q
+                depth = (flags.count(1, (a - first + 1) // 2, (two_n - first + 1) // 2)
+                         + (with_two and a <= 2 < two_n))
+                if depth > best or depth == best and two_n < best_at:
+                    best, best_at = depth, two_n
+            if best > before:
+                need = slots(best - with_two)
+        stats = {"instances": n_ok, "max_depth": best, "max_depth_at": best_at}
+        witness = None
+        if n_ok < count:
+            witness = {"instance": lo + 2 * n_ok, "reason": "descent exhausted"}
+        return {"stats": stats, "witness": witness}
 
 
 def _check_pre_polignac(conv: PrimeConvention, lo: int, hi: int) -> dict[str, Any]:
     reach = _REACH
+    count = (hi - lo) // 2 + 1
     while True:
-        witnesses = primes_in_range(0, min(reach, hi), conv)
-        partners = bytearray(hi + reach - lo + 1)  # partners[v - lo]: is v prime
-        for p in primes_in_range(lo, hi + reach, conv):
-            partners[p - lo] = 1
-        stats = {"instances": 0, "max_witness": 0, "max_witness_at": 0}
-        for gap in range(lo, hi + 1, 2):
-            # w: the smallest q with q + gap prime; the certificate needs q < gap
-            off = gap - lo
-            w = gap
-            for q in witnesses:
-                if partners[q + off]:
-                    w = q
-                    break
-            if w >= gap:
-                if reach < gap:
-                    break  # a witness may lie above the reach: widen it
-                witness = {"instance": gap, "reason": "no prime witness below the gap"}
-                return {"stats": stats, "witness": witness}
-            stats["instances"] += 1
-            if w > stats["max_witness"]:
-                stats["max_witness"] = w
-                stats["max_witness_at"] = gap
-        else:
-            return {"stats": stats, "witness": None}
-        reach *= 4
+        first, flags = _odd_flags(lo, hi + reach)  # the partners 2n + q
+        P = _as_int(flags)
+
+        def shifted(q: int) -> int:
+            # an even gap plus 2 is even, never a prime partner
+            return 0 if q == 2 else P >> (lo + q - first) // 2
+
+        levels, failed = _scan(count, _ascending_primes(min(reach, hi), conv), shifted)
+        # the certificate needs q < gap: a gap first met by some q >= gap has
+        # no witness below it, like one that no q met
+        for q, hit in levels:
+            if q >= lo:
+                failed |= hit & ((2 << (q - lo) // 2) - 1)
+        n_ok = _lowest(failed) if failed else count
+        if n_ok < count and reach < lo + 2 * n_ok:
+            reach *= 4  # a witness may lie above the reach: widen it
+            continue
+        prefix = (1 << n_ok) - 1
+        stats = {"instances": n_ok, "max_witness": 0, "max_witness_at": 0}
+        for q, hit in reversed(levels):
+            hit &= prefix
+            if hit:
+                stats["max_witness"] = q
+                stats["max_witness_at"] = lo + 2 * _lowest(hit)
+                break
+        witness = None
+        if n_ok < count:
+            witness = {"instance": lo + 2 * n_ok, "reason": "no prime witness below the gap"}
+        return {"stats": stats, "witness": witness}
 
 
 def _check_legendre(conv: PrimeConvention, lo: int, hi: int) -> dict[str, Any]:

@@ -239,13 +239,21 @@ class GoldbachIdealReport:
     def primes_of_r(self) -> tuple[int, ...]:
         return self.r.primes()
 
+    @cached_property
+    def _rank_in_r(self) -> dict[int, int]:
+        return {p: k for k, p in enumerate(self.primes_of_r, start=1)}
+
     def maximal_index(self, p: int) -> int:
         """1-based position of pZ/rZ in the ascending maximal ideals of Z_r."""
-        return self.primes_of_r.index(p) + 1
+        try:
+            return self._rank_in_r[p]
+        except KeyError:
+            raise ValueError(f"{p} is not a prime of r") from None
 
     @cached_property
     def entries(self) -> tuple[IdealEntry, ...]:
         out = []
+        maximal = set(self.maximal_subset)
         for b, rem in zip(self.generators, self.remainders):
             fact = factorize(rem)
             out.append(
@@ -254,7 +262,7 @@ class GoldbachIdealReport:
                     remainder=rem,
                     remainder_factorization=fact,
                     ideal=PrincipalIdeal(fact, self.r),
-                    maximal=rem in self.maximal_subset,
+                    maximal=rem in maximal,
                     maximal_indices=tuple(self.maximal_index(p) for p in fact.primes()),
                     squarefree=all(e == 1 for _, e in fact.factors),
                 )

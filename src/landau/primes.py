@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, islice
 
 __all__ = [
     "PrimeConvention",
@@ -150,26 +150,35 @@ def _odd_flags(lo: int, hi: int) -> tuple[int, bytearray]:
     """Flags for odd values in [lo, hi]: returns (first_odd, flags).
 
     flags[i] == 1 iff first_odd + 2i is prime (in the n >= 3 sense; the caller
-    deals with 1 and 2).
+    deals with 1 and 2).  The window is sieved in one piece when its odd
+    candidates outnumber the base primes up to sqrt(hi) that the sieve needs,
+    each candidate weighted by what one is_prime call costs against one base
+    prime's share of the sieve; otherwise each odd candidate is tested with
+    is_prime.  So a narrow window at a large height is tested and a wide one
+    is sieved.
     """
     first = lo if lo % 2 == 1 else lo + 1
     if first > hi:
         return first, bytearray()
+    if not _sieves(first, hi):
+        return first, bytearray(map(is_prime, range(first, hi + 1, 2)))
     count = (hi - first) // 2 + 1
     flags = bytearray([1]) * count
+    zeros = memoryview(bytes(count // 3 + 1))
     root = math.isqrt(hi)
-    for p in _ensure_base_primes(root):
-        if p == 2:
-            continue
-        if p * p > hi:
+    for p in islice(_ensure_base_primes(root), 1, None):
+        if p > root:
             break
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        if start % 2 == 0:
-            start += p
-        if start > hi:
-            continue
-        idx = (start - first) // 2
-        flags[idx::p] = bytearray(len(range(idx, count, p)))
+        # slot of the first odd multiple of p from max(p*p, first) on; the
+        # odd multiples of p are p slots apart
+        if p * p >= first:
+            j = (p * p - first) // 2
+        else:
+            j = -first * ((p + 1) // 2) % p
+        if p < count:
+            flags[j::p] = zeros[: (count - 1 - j) // p + 1]
+        elif j < count:
+            flags[j] = 0
     if first == 1:
         flags[0] = 0
     return first, flags
@@ -183,7 +192,7 @@ _TEST_COST = 4
 
 
 def _sieves(lo: int, hi: int) -> bool:
-    """Whether primes_in_range sieves [lo, hi] rather than testing each odd
+    """Whether _odd_flags sieves [lo, hi] rather than testing each odd
     candidate; root / ln(root) estimates the base primes the sieve needs."""
     root = math.isqrt(hi)
     if root < 3:
@@ -194,14 +203,8 @@ def _sieves(lo: int, hi: int) -> bool:
 def primes_in_range(
     lo: int, hi: int, conv: PrimeConvention = DEFAULT_CONVENTION
 ) -> list[int]:
-    """Ascending primes in the inclusive range [lo, hi] under conv.
-
-    The window is sieved in one piece when its odd candidates outnumber the
-    base primes up to sqrt(hi) that the sieve needs, each candidate weighted
-    by what one is_prime call costs against one base prime's share of the
-    sieve; otherwise each odd candidate is tested with is_prime.  So a narrow
-    window at a large height is tested and a wide one is sieved.
-    """
+    """Ascending primes in the inclusive range [lo, hi] under conv, read off
+    _odd_flags (which sieves or tests the window by its width and height)."""
     if lo < 0 or lo > hi:
         raise ValueError(f"invalid range [{lo}, {hi}]: need 0 <= lo <= hi")
     out: list[int] = []
@@ -211,12 +214,8 @@ def primes_in_range(
         return out
     if lo <= 2:
         out.append(2)
-    start = max(lo, 3)
-    if _sieves(start, hi):
-        first, flags = _odd_flags(start, hi)
-        out.extend(compress(range(first, hi + 1, 2), flags))
-    else:
-        out.extend(k for k in range(start | 1, hi + 1, 2) if is_prime(k, conv))
+    first, flags = _odd_flags(max(lo, 3), hi)
+    out.extend(compress(range(first, hi + 1, 2), flags))
     return out
 
 

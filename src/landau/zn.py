@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import compress
 
 from .primes import (
@@ -68,10 +68,13 @@ class Factorization:
         return tuple(p for p, _ in self.factors)
 
     def exponent(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
+        return self._exponents.get(p, 0)
+
+    @cached_property
+    def _exponents(self) -> dict[int, int]:
+        # built once, so a modulus with thousands of primes answers each
+        # divisibility check in O(the divisor's own primes)
+        return dict(self.factors)
 
     def is_one(self) -> bool:
         return not self.factors

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Any
+
+from landau.primes import PrimeConvention, prime_flags, primes_in_range
 
 
 def trial_division_prime(n: int, include1: bool = True) -> bool:
@@ -123,3 +126,70 @@ def numpy_goldbach_pairs(two_n: int, mask, primes) -> list[tuple[int, int]]:
     ps = primes[primes <= two_n // 2]
     hit = mask[two_n - ps]
     return [(int(p), two_n - int(p)) for p in ps[hit]]
+
+
+# The per-instance even-task checkers that the bitset scan in landau.harness
+# replaced; kept as the oracle for it.  Same (conv, lo, hi) -> {"stats",
+# "witness"} contract, and the same widening from their own reach.
+
+_REACH = 1 << 10
+
+
+def check_goldbach(conv: PrimeConvention, lo: int, hi: int) -> dict[str, Any]:
+    reach = _REACH
+    while True:
+        base = max(lo - reach, 0)
+        primes = primes_in_range(base, hi, conv)
+        primes.append(hi + 1)  # sentinel above every target
+        flags = prime_flags(hi - base, conv)  # remainders 2n - p with p >= base
+        stats = {"instances": 0, "max_depth": 0, "max_depth_at": 0}
+        top = -1  # primes[top] is the largest candidate below 2n
+        for two_n in range(lo, hi + 1, 2):
+            while primes[top + 1] < two_n:
+                top += 1
+            k = top
+            while k >= 0 and not flags[two_n - primes[k]]:
+                k -= 1
+            if k < 0:
+                if base > 0:
+                    break  # the descent ran below the window: widen it
+                witness = {"instance": two_n, "reason": "descent exhausted"}
+                return {"stats": stats, "witness": witness}
+            depth = top - k + 1
+            stats["instances"] += 1
+            if depth > stats["max_depth"]:
+                stats["max_depth"] = depth
+                stats["max_depth_at"] = two_n
+        else:
+            return {"stats": stats, "witness": None}
+        reach *= 4
+
+
+def check_pre_polignac(conv: PrimeConvention, lo: int, hi: int) -> dict[str, Any]:
+    reach = _REACH
+    while True:
+        witnesses = primes_in_range(0, min(reach, hi), conv)
+        partners = bytearray(hi + reach - lo + 1)  # partners[v - lo]: is v prime
+        for p in primes_in_range(lo, hi + reach, conv):
+            partners[p - lo] = 1
+        stats = {"instances": 0, "max_witness": 0, "max_witness_at": 0}
+        for gap in range(lo, hi + 1, 2):
+            # w: the smallest q with q + gap prime; the certificate needs q < gap
+            off = gap - lo
+            w = gap
+            for q in witnesses:
+                if partners[q + off]:
+                    w = q
+                    break
+            if w >= gap:
+                if reach < gap:
+                    break  # a witness may lie above the reach: widen it
+                witness = {"instance": gap, "reason": "no prime witness below the gap"}
+                return {"stats": stats, "witness": witness}
+            stats["instances"] += 1
+            if w > stats["max_witness"]:
+                stats["max_witness"] = w
+                stats["max_witness_at"] = gap
+        else:
+            return {"stats": stats, "witness": None}
+        reach *= 4

@@ -17,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import landau.harness as harness
+import landau.primes as primes
+import oracles
 from landau.gaps import pre_polignac_witness
 from landau.goldbach import canonical_couple
 from landau.harness import (
@@ -252,6 +254,117 @@ def test_even_task_memory_does_not_grow_with_height(task):
         tracemalloc.stop()
     assert s.complete
     assert peak < 4 * 2**20, peak
+
+
+# ---------------------------------------------------------------------------
+# the bitset scan against the per-instance checkers it replaced
+
+_EVEN_CHECKERS = [
+    (harness._check_goldbach, oracles.check_goldbach),
+    (harness._check_pre_polignac, oracles.check_pre_polignac),
+]
+
+
+@st.composite
+def even_spans(draw):
+    conv = draw(st.sampled_from([INC, EXC]))
+    floor = 2 if conv is INC else 4
+    top = 10 ** draw(st.integers(1, 12))
+    lo = 2 * draw(st.integers(floor // 2, top // 2))
+    width = draw(st.integers(1, 3 * harness.CHUNK_SIZE))
+    return conv, lo, lo + 2 * (width - 1)
+
+
+@pytest.mark.parametrize("reach", [harness._REACH, 1])
+@given(span=even_spans())
+@settings(max_examples=40, deadline=None)
+def test_bitset_scan_equals_per_instance_checkers(reach, span):
+    conv, lo, hi = span
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_REACH", reach)
+        for checker, oracle in _EVEN_CHECKERS:
+            assert checker(conv, lo, hi) == oracle(conv, lo, hi)
+
+
+def _doctor_primes(monkeypatch, keep):
+    """Make every prime source that the even checkers and their oracles read
+    forget the primes p with keep(p) false, so that some instance has no
+    decomposition or no witness."""
+    real_odd_flags = primes._odd_flags
+    real_range = primes.primes_in_range
+    real_flags = primes.prime_flags
+
+    def odd_flags(lo, hi):
+        first, flags = real_odd_flags(lo, hi)
+        for j, flag in enumerate(flags):
+            flags[j] = flag and keep(first + 2 * j)
+        return first, flags
+
+    def primes_in_range(lo, hi, conv):
+        return [p for p in real_range(lo, hi, conv) if keep(p)]
+
+    def prime_flags(hi, conv):
+        return bytearray(flag and keep(v) for v, flag in enumerate(real_flags(hi, conv)))
+
+    monkeypatch.setattr(harness, "_odd_flags", odd_flags)
+    monkeypatch.setattr(harness, "primes_in_range", primes_in_range)
+    monkeypatch.setattr(oracles, "primes_in_range", primes_in_range)
+    monkeypatch.setattr(oracles, "prime_flags", prime_flags)
+
+
+_DOCTORED = {
+    "above-600": lambda p: p <= 600,
+    "above-1000": lambda p: p <= 1000,
+    "above-3000": lambda p: p <= 3000,
+    "without-3": lambda p: p != 3,  # gaps 2 and 4 meet q = 5, 7 first
+}
+
+
+def _doctored_case(which, conv, dropped, lo=None):
+    task = ("goldbach", "pre-polignac")[which]
+    start = f"from-{lo}" if lo else "from-floor"
+    return pytest.param(which, conv, dropped, lo, id=f"{task}-{conv.value}-{dropped}-{start}")
+
+
+@pytest.mark.parametrize(
+    "which,conv,dropped,lo",
+    [
+        _doctored_case(which, conv, dropped, lo)
+        for which in (0, 1)
+        for conv in (INC, EXC)
+        for dropped, lo in (("above-600", None), ("above-1000", 1500), ("above-3000", 1500))
+    ]
+    + [_doctored_case(0, EXC, "without-3"), _doctored_case(1, INC, "without-3"),
+       _doctored_case(1, EXC, "without-3")],
+)
+def test_counterexample_branch_matches_per_instance_checkers(monkeypatch, which, conv,
+                                                             dropped, lo):
+    _doctor_primes(monkeypatch, _DOCTORED[dropped])
+    checker, oracle = _EVEN_CHECKERS[which]
+    lo = lo or (2 if conv is INC else 4)
+    got, want = checker(conv, lo, 8000), oracle(conv, lo, 8000)
+    assert want["witness"] is not None
+    assert got["witness"] == want["witness"]
+    assert got["stats"] == want["stats"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "task,lo,hi,convs,stats",
+    [
+        (Task.GOLDBACH, 2, 4 * 10**6, [INC], (42, 3807404)),
+        (Task.PRE_POLIGNAC, 2, 4 * 10**6, [INC], (631, 2373478)),
+        (Task.GOLDBACH, 10**9, 10**9 + 10**6, [INC, EXC], (43, 1000235816)),
+        (Task.PRE_POLIGNAC, 10**9, 10**9 + 10**6, [INC, EXC], (1039, 1000045258)),
+    ],
+    ids=["goldbach-4e6", "pre-polignac-4e6", "goldbach-1e9", "pre-polignac-1e9"],
+)
+def test_benchmark_range_statistics(task, lo, hi, convs, stats, workers):
+    key, at_key = harness._STAT_MERGE[task][0][1:]
+    for conv in convs:
+        s = verify_range(task, lo, hi, conv, worker_count=workers)
+        assert s.complete and s.verified == instance_count(task, lo, hi)
+        assert (s.stats[key], s.stats[at_key]) == stats
 
 
 # ---------------------------------------------------------------------------
