@@ -10,8 +10,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .primes import DEFAULT_CONVENTION, PrimeConvention, is_prime
-from .zn import totient
+from .primes import DEFAULT_CONVENTION, PrimeConvention, is_prime, next_prime, primes_in_range
 
 __all__ = [
     "TriangleWitness",
@@ -24,6 +23,7 @@ __all__ = [
     "square_triangular",
     "three_triangular",
     "faulhaber",
+    "parabolic_totients",
     "parabolic_primes",
     "zeta_partial",
     "ghost_classify",
@@ -191,18 +191,62 @@ class ParabolicRecord:
             )
 
 
+# width of the prime windows parabolic_totients walks
+_ROOT_WINDOW = 1 << 16
+
+
+def parabolic_totients(lo: int, hi: int) -> list[int]:
+    """Euler's totient of k^2 + 1 for k = lo..hi, by sieving the polynomial
+    over the window (the n^2 + a sieve of Shanks, Math. Comp. 14 (1960)
+    321-332) rather than factoring each value.
+
+    An odd prime p divides k^2 + 1 exactly when p = 1 (mod 4) and k = +-r
+    (mod p), r a square root of -1 mod p; 2 divides it exactly once for odd
+    k.  Once every such p <= hi is divided out, each k is left with a
+    cofactor whose primes exceed k; two of them would exceed k^2 + 1, so the
+    cofactor is 1 or prime and the totient is exact.  The primes are walked
+    in windows of fixed width, so memory is O(hi - lo + window) at any
+    height.
+    """
+    if lo < 0:
+        raise ValueError(f"needs lo >= 0, got {lo}")
+    n = hi - lo + 1
+    rem = [k * k + 1 for k in range(lo, hi + 1)]
+    phi = [1] * n
+    odd = (lo + 1) % 2  # index of the first odd k
+    rem[odd::2] = [v >> 1 for v in rem[odd::2]]
+    for start in range(5, hi + 1, _ROOT_WINDOW):
+        for p in primes_in_range(start, min(start + _ROOT_WINDOW - 1, hi)):
+            if p % 4 != 1:
+                continue
+            # c^((p-1)/4) squares to the Legendre symbol of c, so it is a
+            # root of -1 at the least non-residue c, which is prime; 2 is one
+            # exactly when p = 5 (mod 8)
+            c = 2 if p & 4 else 3
+            while (r := pow(c, p >> 2, p)) * r % p != p - 1:
+                c = next_prime(c, PrimeConvention.EXCLUDE1)
+            for root in (r, p - r):
+                for j in range((root - lo) % p, n, p):
+                    v, e = rem[j] // p, 1
+                    while v % p == 0:  # p^2 | k^2 + 1 happens, e.g. 5^3 | 57^2 + 1
+                        v //= p
+                        e += 1
+                    rem[j] = v
+                    phi[j] *= p ** (e - 1) * (p - 1)
+    return [f * (v - 1) if v > 1 else f for f, v in zip(phi, rem)]
+
+
 def parabolic_primes(
     k_max: int, conv: PrimeConvention = DEFAULT_CONVENTION
 ) -> list[ParabolicRecord]:
-    """Records for k = 1..k_max; construction re-verifies the totient
-    equivalence on every row."""
+    """Records for k = 1..k_max, the totients from one sieve over the whole
+    range; construction re-verifies the totient equivalence on every row."""
     if k_max < 1:
         raise ValueError(f"needs k_max >= 1, got {k_max}")
-    out = []
-    for k in range(1, k_max + 1):
-        p = k * k + 1
-        out.append(ParabolicRecord(k, p, is_prime(p, conv), totient(p) == k * k))
-    return out
+    return [
+        ParabolicRecord(k, k * k + 1, is_prime(k * k + 1, conv), phi == k * k)
+        for k, phi in zip(range(1, k_max + 1), parabolic_totients(1, k_max))
+    ]
 
 
 # strict lower bound of pi^2/6 by a partial sum; far above any value the

@@ -3,7 +3,9 @@
 Each task turns a headline claim into a range certificate: descent success
 for every even number (couple search), a small-prime witness for every even
 gap, a prime inside every square interval, and totient/primality agreement
-for every parabolic candidate.
+for every parabolic candidate k^2 + 1, whose totients come from one sieve of
+the polynomial over the chunk's k-window (figurate.parabolic_totients) and
+whose primality from is_prime, so the two verdicts stay independent.
 
 Progress lives in a line-delimited JSON checkpoint, one record per contiguous
 verified subrange.  The file is only ever replaced whole (write a sibling
@@ -13,8 +15,9 @@ in ascending order from one stream (a worker pool's ordered imap, or a plain
 map with one worker) and are folded into records in that order, which keeps
 the checkpoint content independent of the worker count.  A chunk is a pure
 function of its task, convention and span: it sieves only the window it
-reads, its span plus a reach that grows only when a search runs off it, so
-a run holds no table that grows with the range and memory is
+reads, its span plus a reach that grows only when a search runs off it (the
+parabolic sieve walks its primes up to the span's top in windows of fixed
+width), so a run holds no table that grows with the range and memory is
 O(chunk + reach) at any height.
 
 The two even tasks are certified by one bitset scan rather than a loop per
@@ -42,6 +45,7 @@ from multiprocessing import get_context
 from operator import sub
 from typing import Any, Callable, Iterable, Iterator
 
+from .figurate import parabolic_totients
 from .primes import (
     DEFAULT_CONVENTION,
     PrimeConvention,
@@ -50,7 +54,6 @@ from .primes import (
     next_prime,
     primes_in_range,
 )
-from .zn import totient
 
 CHUNK_SIZE = 4096  # instances per chunk
 FLUSH_EVERY = 8  # folded chunks between checkpoint writes
@@ -466,10 +469,9 @@ def _check_legendre(conv: PrimeConvention, lo: int, hi: int) -> dict[str, Any]:
 
 def _check_parabolic(conv: PrimeConvention, lo: int, hi: int) -> dict[str, Any]:
     stats = {"instances": 0, "parabolic": 0, "largest_parabolic_k": 0}
-    for k in range(lo, hi + 1):
-        p = k * k + 1
-        prime = is_prime(p, conv)
-        tot_match = totient(p) == k * k
+    for k, phi in zip(range(lo, hi + 1), parabolic_totients(lo, hi)):
+        prime = is_prime(k * k + 1, conv)
+        tot_match = phi == k * k
         if prime != tot_match:
             witness = {
                 "instance": k,

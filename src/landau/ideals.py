@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from .primes import DEFAULT_CONVENTION, PrimeConvention, prime_flags
+from .primes import DEFAULT_CONVENTION, PrimeConvention, prime_flags, primes_in_range
 from .zn import Factorization, factorize, units
 
 __all__ = [
@@ -219,21 +219,21 @@ class GoldbachIdealReport:
     trivial: tuple[int, int] | None  # (n, n) when n is prime
 
     @cached_property
-    def unit_list(self) -> tuple[int, ...]:
-        """The lcm inputs: units of Z_2n strictly inside ]1, 2n-1[, plus the
-        top unit 2n-1 when include_top is set."""
-        two_n = self.two_n
-        inner = tuple(u for u in units(two_n) if 1 < u < two_n - 1)
-        return inner + (two_n - 1,) if self.include_top and two_n >= 3 else inner
-
-    @cached_property
     def r(self) -> Factorization:
-        exps: dict[int, int] = {}
-        for u in self.unit_list:
-            for p, e in factorize(u).factors:
-                if exps.get(p, 0) < e:
-                    exps[p] = e
-        return Factorization(tuple(sorted(exps.items())))
+        """The lcm of the units of Z_2n strictly inside ]1, 2n-1[, and of the
+        top unit 2n-1 when include_top is set: each prime p not dividing 2n
+        to its largest power at or below that top."""
+        top = self.two_n - 1 if self.include_top else self.two_n - 2
+        factors = []
+        # 2 always divides 2n, so the range may start at 2 even when top < 2
+        for p in primes_in_range(2, max(top, 2)):
+            if self.two_n % p:
+                power, e = p, 1
+                while power * p <= top:
+                    power *= p
+                    e += 1
+                factors.append((p, e))
+        return Factorization(tuple(factors))
 
     @cached_property
     def primes_of_r(self) -> tuple[int, ...]:

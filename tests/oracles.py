@@ -11,7 +11,8 @@ import math
 from fractions import Fraction
 from typing import Any
 
-from landau.primes import PrimeConvention, prime_flags, primes_in_range
+from landau.primes import PrimeConvention, is_prime, prime_flags, primes_in_range
+from landau.zn import totient
 
 
 def trial_division_prime(n: int, include1: bool = True) -> bool:
@@ -193,3 +194,28 @@ def check_pre_polignac(conv: PrimeConvention, lo: int, hi: int) -> dict[str, Any
         else:
             return {"stats": stats, "witness": None}
         reach *= 4
+
+
+# The per-k parabolic checker that the k^2 + 1 sieve in landau.harness
+# replaced: every totient by trial division through zn.totient.
+
+
+def check_parabolic(conv: PrimeConvention, lo: int, hi: int) -> dict[str, Any]:
+    stats = {"instances": 0, "parabolic": 0, "largest_parabolic_k": 0}
+    for k in range(lo, hi + 1):
+        p = k * k + 1
+        prime = is_prime(p, conv)
+        tot_match = totient(p) == k * k
+        if prime != tot_match:
+            witness = {
+                "instance": k,
+                "reason": "primality and totient verdicts disagree",
+                "prime": prime,
+                "totient_match": tot_match,
+            }
+            return {"stats": stats, "witness": witness}
+        stats["instances"] += 1
+        if prime:
+            stats["parabolic"] += 1
+            stats["largest_parabolic_k"] = k
+    return {"stats": stats, "witness": None}

@@ -101,7 +101,7 @@ def test_c04_ideal_analysis_examples_and_radical_rows():
         assert rep.generators == () and rep.couples == ()
     rep8 = goldbach_ideal_analysis(8)
     assert rep8.r.value() == 15
-    assert rep8.unit_list == (3, 5)
+    assert rep8.r.factors == ((3, 1), (5, 1))
     assert rep8.maximal_subset == (3, 5) and rep8.couples == ((3, 5),)
     rep10 = goldbach_ideal_analysis(10)
     assert rep10.r.value() == 21 and rep10.couples == ((3, 7),)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import landau.figurate as figurate
 from landau.figurate import (
     DecompositionCounterexample,
     LineKind,
@@ -20,6 +21,7 @@ from landau.figurate import (
     ghost_classify,
     is_triangular,
     parabolic_primes,
+    parabolic_totients,
     square_triangular,
     three_triangular,
     triangle_index,
@@ -234,6 +236,28 @@ class TestParabolicPrimes:
             assert rec.is_parabolic == rec.totient_check
             assert rec.totient_check == (totient(rec.p) == rec.k**2)
 
+    # prime squares divide k^2 + 1 at 7^2 + 1 = 2 * 5^2, 38^2 + 1 = 5 * 17^2,
+    # 57^2 + 1 = 2 * 5^3 * 13 and 70^2 + 1 = 13^2 * 29
+    @pytest.mark.parametrize(
+        "lo,hi",
+        [(1, 1), (1, 2), (2, 2), (1, 400), (2, 401), (7, 7), (38, 38), (57, 57), (70, 70),
+         (0, 70), (10**6, 10**6 + 300), (3 * 10**6 - 200, 3 * 10**6)],
+    )
+    def test_sieve_equals_totient_per_k(self, lo, hi):
+        assert parabolic_totients(lo, hi) == [totient(k * k + 1) for k in range(lo, hi + 1)]
+
+    @given(lo=st.integers(0, 2 * 10**5), width=st.integers(1, 600))
+    @settings(max_examples=30, deadline=None)
+    def test_sieve_equals_totient_on_random_windows(self, lo, width):
+        hi = lo + width - 1
+        assert parabolic_totients(lo, hi) == [totient(k * k + 1) for k in range(lo, hi + 1)]
+
+    @pytest.mark.parametrize("window", [1, 7, 1 << 10])
+    def test_sieve_does_not_depend_on_the_prime_window(self, monkeypatch, window):
+        want = parabolic_totients(5000, 8000)
+        monkeypatch.setattr(figurate, "_ROOT_WINDOW", window)
+        assert parabolic_totients(5000, 8000) == want
+
     def test_odd_k_beyond_one_never_qualifies(self):
         for k in range(3, 100_001, 2):
             assert not is_prime(k * k + 1, EXC)
@@ -247,6 +271,8 @@ class TestParabolicPrimes:
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             parabolic_primes(0)
+        with pytest.raises(ValueError):
+            parabolic_totients(-1, 5)
 
 
 class TestZetaEstimate:

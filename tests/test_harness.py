@@ -348,6 +348,53 @@ def test_counterexample_branch_matches_per_instance_checkers(monkeypatch, which,
     assert got["stats"] == want["stats"]
 
 
+# ---------------------------------------------------------------------------
+# the k^2 + 1 sieve against the per-k checker it replaced
+
+
+@st.composite
+def parabolic_spans(draw):
+    conv = draw(st.sampled_from([INC, EXC]))
+    top = min(10 ** draw(st.integers(1, 7)), 3 * 10**6)
+    lo = draw(st.integers(1, top))
+    width = draw(st.integers(1, harness.CHUNK_SIZE))
+    return conv, lo, lo + width - 1
+
+
+@given(span=parabolic_spans())
+@settings(max_examples=25, deadline=None)
+def test_parabolic_sieve_equals_per_k_checker(span):
+    conv, lo, hi = span
+    assert harness._check_parabolic(conv, lo, hi) == oracles.check_parabolic(conv, lo, hi)
+
+
+def _lying_is_prime(above, says):
+    """is_prime that answers `says` for every k^2 + 1 with k > above."""
+
+    def lie(n, conv=INC):
+        return says if n > above * above + 1 else is_prime(n, conv)
+
+    return lie
+
+
+@pytest.mark.parametrize("conv", [INC, EXC], ids=lambda c: c.value)
+@pytest.mark.parametrize(
+    "lo,above,says",
+    [(1, 0, True), (1, 2, False), (1, 900, True), (1, 900, False), (5000, 6000, False),
+     (10**6, 10**6 + 77, True)],
+)
+def test_parabolic_counterexample_branch_matches_per_k_checker(monkeypatch, conv, lo,
+                                                               above, says):
+    lie = _lying_is_prime(above, says)
+    monkeypatch.setattr(harness, "is_prime", lie)
+    monkeypatch.setattr(oracles, "is_prime", lie)
+    hi = lo + 2000
+    got, want = harness._check_parabolic(conv, lo, hi), oracles.check_parabolic(conv, lo, hi)
+    assert want["witness"] is not None and want["witness"]["prime"] is says
+    assert got["witness"] == want["witness"]
+    assert got["stats"] == want["stats"]
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize(
     "task,lo,hi,convs,stats",
@@ -356,15 +403,19 @@ def test_counterexample_branch_matches_per_instance_checkers(monkeypatch, which,
         (Task.PRE_POLIGNAC, 2, 4 * 10**6, [INC], (631, 2373478)),
         (Task.GOLDBACH, 10**9, 10**9 + 10**6, [INC, EXC], (43, 1000235816)),
         (Task.PRE_POLIGNAC, 10**9, 10**9 + 10**6, [INC, EXC], (1039, 1000045258)),
+        (Task.PARABOLIC, 1, 25000, [INC], (1914, 24996)),
+        (Task.PARABOLIC, 351, 25350, [INC], (1885, 25350)),
+        (Task.PARABOLIC, 10**6, 10**6 + 2 * 10**4, [INC, EXC], (993, 1019994)),
     ],
-    ids=["goldbach-4e6", "pre-polignac-4e6", "goldbach-1e9", "pre-polignac-1e9"],
+    ids=["goldbach-4e6", "pre-polignac-4e6", "goldbach-1e9", "pre-polignac-1e9",
+         "parabolic-25e3", "parabolic-351", "parabolic-1e6"],
 )
 def test_benchmark_range_statistics(task, lo, hi, convs, stats, workers):
-    key, at_key = harness._STAT_MERGE[task][0][1:]
+    keys = [k for _, key, at_key in harness._STAT_MERGE[task] for k in (key, at_key) if k]
     for conv in convs:
         s = verify_range(task, lo, hi, conv, worker_count=workers)
         assert s.complete and s.verified == instance_count(task, lo, hi)
-        assert (s.stats[key], s.stats[at_key]) == stats
+        assert tuple(s.stats[k] for k in keys) == stats
 
 
 # ---------------------------------------------------------------------------

@@ -302,14 +302,14 @@ class TestGoldbachIdealAnalysis:
     def test_pinned_8(self):
         rep = goldbach_ideal_analysis(8)
         assert rep.r.value() == 15
-        assert rep.unit_list == (3, 5)
+        assert rep.r.factors == ((3, 1), (5, 1))
         assert rep.remainders == (3, 5) and rep.generators == (5, 3)
         assert rep.maximal_subset == (3, 5) and rep.couples == ((3, 5),)
         assert rep.noether == (1, 7) and rep.trivial is None
 
     def test_pinned_10(self):
         rep = goldbach_ideal_analysis(10)
-        assert rep.r.value() == 21 and rep.unit_list == (3, 7)
+        assert rep.r.value() == 21 and rep.r.factors == ((3, 1), (7, 1))
         assert rep.couples == ((3, 7),)
         assert rep.noether is None and rep.trivial == (5, 5)
 
@@ -328,6 +328,15 @@ class TestGoldbachIdealAnalysis:
             goldbach_ideal_analysis(9)
         with pytest.raises(ValueError):
             goldbach_ideal_analysis(0)
+
+    def test_r_is_the_lcm_of_the_units(self):
+        for two_n in range(2, 601, 2):
+            inner = [u for u in range(2, two_n - 1) if math.gcd(u, two_n) == 1]
+            for include_top in (False, True):
+                lcm_inputs = inner + [two_n - 1] if include_top and two_n >= 3 else inner
+                want = reduce(Factorization.lcm, map(factorize, lcm_inputs), Factorization())
+                for conv in (INC, EXC):
+                    assert goldbach_ideal_analysis(two_n, conv, include_top).r == want
 
     def test_pinned_28_under_both_moduli(self):
         plain = goldbach_ideal_analysis(28)
