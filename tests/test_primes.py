@@ -1,3 +1,4 @@
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from landau.primes import (
+    _MR_TIERS,
+    _WHEEL,
     PrimeConvention,
     _sieves,
     is_isolated,
@@ -55,8 +58,14 @@ class TestIsPrime:
             # spot checks straddling the witness-set tier boundaries
             (2_047, False),
             (1_373_653, False),
+            (41 * 43, False),
+            (257 * 257, False),
+            (257 * 263, False),
+            (263 * 263, False),
             (25_326_001, False),
-            (3_215_031_751, False),
+            (15_188_557, False),  # 1949 * 7793, a strong pseudoprime to 2 and 7
+            (3_215_031_751, False),  # 151 * 751 * 28351, caught by the gcd
+            (4_759_123_141, False),  # 48781 * 97561, by the next tier
             (2_152_302_898_747, False),
             (67_280_421_310_721, True),  # known prime (Fermat factor)
             (2_305_843_009_213_693_951, True),  # 2^61 - 1
@@ -66,10 +75,37 @@ class TestIsPrime:
     def test_tier_boundaries(self, n, expected):
         assert is_prime(n, EXC) is expected
 
+    def test_tier_table_shape(self):
+        bounds = [bound for bound, _ in _MR_TIERS]
+        assert bounds == sorted(set(bounds))
+        assert bounds[-1] == 1 << 64
+
+    def test_beyond_64_bits(self):
+        # False with a prime factor up to 257, otherwise a refusal
+        big = (1 << 61) - 1
+        assert is_prime(1 << 64, EXC) is False
+        assert is_prime(257 * big, EXC) is False
+        with pytest.raises(ValueError):
+            is_prime(263 * big, EXC)
+        with pytest.raises(ValueError):
+            is_prime((1 << 64) + 1, EXC)  # 274177 * 67280421310721
+
     @given(st.integers(min_value=2, max_value=10**6))
     @settings(max_examples=300)
     def test_agrees_with_trial_division(self, n):
         assert is_prime(n, EXC) == trial_division_prime(n, include1=False)
+
+    @given(
+        st.integers(min_value=0, max_value=5 * 10**9),
+        st.integers(min_value=4096, max_value=8192),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_agrees_with_sieved_windows(self, lo, width):
+        hi = lo + width
+        # a narrow window would be tested with is_prime, not sieved
+        assert _sieves(lo, hi)
+        got = primes_in_range(lo, hi, EXC)
+        assert got == [k for k in range(lo, hi + 1) if is_prime(k, EXC)]
 
 
 class TestPrevNextPrime:
@@ -97,6 +133,19 @@ class TestPrevNextPrime:
     def test_round_trip_through_next_prime(self):
         for p in primes_in_range(2, 100000, EXC):
             assert prev_prime(next_prime(p, EXC), EXC) == p
+
+    @pytest.mark.parametrize("conv", [INC, EXC])
+    def test_wheel_walks_match_flags(self, conv):
+        # around each multiple of the wheel's modulus, where the walks wrap
+        top = 12 * _WHEEL + 200
+        primes = [k for k, f in enumerate(prime_flags(top, conv)) if f]
+        for n in range(0, 12 * _WHEEL + 31):
+            if 30 < n % _WHEEL < _WHEEL - 30:
+                continue
+            i = bisect_right(primes, n)
+            assert next_prime(n, conv) == primes[i], n
+            j = bisect_left(primes, n)
+            assert prev_prime(n, conv) == (primes[j - 1] if j else None), n
 
     def test_next_prime_small(self):
         assert next_prime(0, INC) == 1
