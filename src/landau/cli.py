@@ -103,293 +103,126 @@ def _verify(
         ctx.exit(1)
 
 
-def _verify_options():
-    def wrap(f):
-        f = click.option(
-            "--jobs",
-            type=int,
-            default=None,
-            help="Worker count [default: from config].",
-        )(f)
-        f = click.option(
-            "--checkpoint",
+def _int(name: str, metavar: str | None = None, **kwargs: Any) -> click.Argument:
+    return click.Argument([name], type=int, metavar=metavar, **kwargs)
+
+
+def _one(ctx: click.Context, param: click.Parameter, value: int) -> tuple[int]:
+    """Wrap one value as the 1-tuple a sequence parameter takes."""
+    return (value,)
+
+
+def _flag(name: str, help: str) -> click.Option:
+    return click.Option([name], is_flag=True, help=help)
+
+
+GROUPS = {
+    "goldbach": "Goldbach couples of an even number.",
+    "zn": "The ring of integers modulo N and its group of units.",
+    "ideals": "Principal ideals, radicals, and the ideal view of the descent.",
+    "polignac": "Prime pairs with a fixed even gap, grouped in dyadic blocks.",
+    "legendre": "Primes between consecutive squares.",
+    "parabolic": "Primes of the form k^2 + 1.",
+    "triangle": "Triangular numbers and their square and sum decompositions.",
+}
+
+# (group, name, report kind, help, parameters); each parameter is named after
+# the report parameter it fills
+REPORT_LEAVES = [
+    ("goldbach", "canonical", "couple", "Canonical couple produced by the descent.",
+     [_int("two_n", "2N"), _flag("--trace", "Show the full descent chain.")]),
+    ("goldbach", "enumerate", "couples",
+     "Every couple, classified, with the canonical one starred.", [_int("two_n", "2N")]),
+    ("goldbach", "quasi", "quasi-couples",
+     "Quasi-couples: unit pairs summing to 2N with a composite member.", [_int("two_n", "2N")]),
+    ("zn", "profile", "units-profile", "Units, totients, cyclicity, and strong generators.",
+     [_int("n")]),
+    ("zn", "table", "units-grid", "Multiplication table of the group of units.", [_int("n")]),
+    ("zn", "strong", "strong-generators", "Strong generators (the prime units).", [_int("n")]),
+    ("zn", "crt", "crt", "Residue of A in each prime-power factor ring of Z_N.",
+     [_int("a"), _int("n")]),
+    ("ideals", "analyze", "ideal-table",
+     "Ideals (2N - a)Z/rZ for the units a, with radicals and containments.",
+     [_int("two_n", "2N"), _flag("--include-top", "Let the top unit 2N-1 enter r."),
+      _flag("--descent-only", "Only the canonical descent's ideals.")]),
+    ("ideals", "radical", "radical", "Radical of the principal ideal mZ.", [_int("m")]),
+    ("ideals", "jacobson", "jacobson", "Jacobson radical of Z_N.", [_int("n")]),
+    ("ideals", "bezout", "bezout", "Extended gcd certificate aZ + bZ = gcd(a,b)Z.",
+     [_int("a"), _int("b")]),
+    ("polignac", "pairs", "polignac-pairs", "Pairs (q, p) with p - q = 2N and q <= MAX-Q.",
+     [_int("two_n", "2N"),
+      click.Option(["--max-q", "q_max"], type=int, required=True, help="Largest smaller member.")]),
+    ("polignac", "dyadic", "polignac-table",
+     "Pairs with gap 2N bucketed into dyadic blocks m = 1..M.",
+     [_int("gaps", "2N", callback=_one),
+      click.Option(["--m", "m_max"], type=int, required=True, help="Largest dyadic block.")]),
+    ("legendre", "primes", "legendre-table", "All primes in [N^2, (N+1)^2].",
+     [_int("ns", "N", callback=_one)]),
+    ("parabolic", "list", "ghost-table", "The k^2 + 1 column with parabolic primes marked.",
+     [click.Option(["--max-k", "n_max"], type=int, default=60, show_default=True,
+                   help="Largest k shown.")]),
+    ("parabolic", "zeta", "zeta-table",
+     "Partial sum of 1/k^2 over parabolic k, bounded by pi^2/6.",
+     [click.Option(["--max-k", "k_max"], type=int, default=10, show_default=True,
+                   help="Largest k in the partial sum.")]),
+    ("triangle", "value", "triangle", "The N-th triangular number.", [_int("n")]),
+    ("triangle", "square-seq", "square-triangular",
+     "First K square triangular numbers via S(k+1) = 4S(8S+1).", [_int("k_max", "K")]),
+    ("triangle", "three", "three-triangular", "N as a sum of at most three triangular numbers.",
+     [_int("n")]),
+    ("triangle", "faulhaber", "faulhaber", "Power sum 1^M + 2^M + ... + N^M in closed form.",
+     [_int("m"), _int("n")]),
+]
+
+# (group, task, help); every verify leaf takes --from/--to/--checkpoint/--jobs
+VERIFY_LEAVES = [
+    ("goldbach", Task.GOLDBACH,
+     "Certify a couple exists for every even number in [FROM, TO]."),
+    ("polignac", Task.PRE_POLIGNAC,
+     "Certify the gap certificate for every even number in [FROM, TO]."),
+    ("legendre", Task.LEGENDRE,
+     "Certify a prime exists in every square interval for N in [FROM, TO]."),
+    ("parabolic", Task.PARABOLIC,
+     "Certify totient and primality agree on k^2 + 1 for K in [FROM, TO]."),
+]
+
+
+def _verify_params() -> list[click.Parameter]:
+    return [
+        click.Option(["--from", "lo"], type=int, required=True, help="First instance."),
+        click.Option(["--to", "hi"], type=int, required=True, help="Last instance."),
+        click.Option(
+            ["--checkpoint"],
             type=click.Path(dir_okay=False),
             default=None,
             help="Resumable checkpoint file (relative paths land in the "
             "configured checkpoint directory).",
-        )(f)
-        f = click.option("--to", "hi", type=int, required=True, help="Last instance.")(f)
-        f = click.option("--from", "lo", type=int, required=True, help="First instance.")(f)
-        return f
-
-    return wrap
-
-
-# ---------------------------------------------------------------- goldbach
-
-@main.group()
-def goldbach() -> None:
-    """Goldbach couples of an even number."""
+        ),
+        click.Option(
+            ["--jobs"], type=int, default=None, help="Worker count [default: from config]."
+        ),
+    ]
 
 
-@goldbach.command("canonical")
-@click.argument("two_n", metavar="2N", type=int)
-@click.option("--trace", is_flag=True, help="Show the full descent chain.")
-@click.pass_context
-def goldbach_canonical(ctx: click.Context, two_n: int, trace: bool) -> None:
-    """Canonical couple produced by the descent."""
-    _emit(ctx, "couple", {"two_n": two_n, "trace": trace})
+def _report_callback(kind: str):
+    return click.pass_context(lambda ctx, **params: _emit(ctx, kind, params))
 
 
-@goldbach.command("enumerate")
-@click.argument("two_n", metavar="2N", type=int)
-@click.pass_context
-def goldbach_enumerate(ctx: click.Context, two_n: int) -> None:
-    """Every couple, classified, with the canonical one starred."""
-    _emit(ctx, "couples", {"two_n": two_n})
+def _verify_callback(task: Task):
+    return click.pass_context(lambda ctx, **opts: _verify(ctx, task, **opts))
 
 
-@goldbach.command("quasi")
-@click.argument("two_n", metavar="2N", type=int)
-@click.pass_context
-def goldbach_quasi(ctx: click.Context, two_n: int) -> None:
-    """Quasi-couples: unit pairs summing to 2N with a composite member."""
-    _emit(ctx, "quasi-couples", {"two_n": two_n})
-
-
-@goldbach.command("verify")
-@_verify_options()
-@click.pass_context
-def goldbach_verify(ctx, lo, hi, checkpoint, jobs) -> None:
-    """Certify a couple exists for every even number in [FROM, TO]."""
-    _verify(ctx, Task.GOLDBACH, lo, hi, checkpoint, jobs)
-
-
-# ---------------------------------------------------------------------- zn
-
-@main.group()
-def zn() -> None:
-    """The ring of integers modulo N and its group of units."""
-
-
-@zn.command("profile")
-@click.argument("n", type=int)
-@click.pass_context
-def zn_profile(ctx: click.Context, n: int) -> None:
-    """Units, totients, cyclicity, and strong generators."""
-    _emit(ctx, "units-profile", {"n": n})
-
-
-@zn.command("table")
-@click.argument("n", type=int)
-@click.pass_context
-def zn_table(ctx: click.Context, n: int) -> None:
-    """Multiplication table of the group of units."""
-    _emit(ctx, "units-grid", {"n": n})
-
-
-@zn.command("strong")
-@click.argument("n", type=int)
-@click.pass_context
-def zn_strong(ctx: click.Context, n: int) -> None:
-    """Strong generators (the prime units)."""
-    _emit(ctx, "strong-generators", {"n": n})
-
-
-@zn.command("crt")
-@click.argument("a", type=int)
-@click.argument("n", type=int)
-@click.pass_context
-def zn_crt(ctx: click.Context, a: int, n: int) -> None:
-    """Residue of A in each prime-power factor ring of Z_N."""
-    _emit(ctx, "crt", {"a": a, "n": n})
-
-
-# ------------------------------------------------------------------ ideals
-
-@main.group()
-def ideals() -> None:
-    """Principal ideals, radicals, and the ideal view of the descent."""
-
-
-@ideals.command("analyze")
-@click.argument("two_n", metavar="2N", type=int)
-@click.option("--include-top", is_flag=True, help="Let the top unit 2N-1 enter r.")
-@click.option("--descent-only", is_flag=True, help="Only the canonical descent's ideals.")
-@click.pass_context
-def ideals_analyze(ctx, two_n, include_top, descent_only) -> None:
-    """Ideals (2N - a)Z/rZ for the units a, with radicals and containments."""
-    _emit(
-        ctx,
-        "ideal-table",
-        {"two_n": two_n, "include_top": include_top, "descent_only": descent_only},
+for _name, _help in GROUPS.items():
+    main.add_command(click.Group(_name, help=_help))
+for _group, _name, _kind, _help, _params in REPORT_LEAVES:
+    main.commands[_group].add_command(
+        click.Command(_name, params=_params, help=_help, callback=_report_callback(_kind))
     )
-
-
-@ideals.command("radical")
-@click.argument("m", type=int)
-@click.pass_context
-def ideals_radical(ctx: click.Context, m: int) -> None:
-    """Radical of the principal ideal mZ."""
-    _emit(ctx, "radical", {"m": m})
-
-
-@ideals.command("jacobson")
-@click.argument("n", type=int)
-@click.pass_context
-def ideals_jacobson(ctx: click.Context, n: int) -> None:
-    """Jacobson radical of Z_N."""
-    _emit(ctx, "jacobson", {"n": n})
-
-
-@ideals.command("bezout")
-@click.argument("a", type=int)
-@click.argument("b", type=int)
-@click.pass_context
-def ideals_bezout(ctx: click.Context, a: int, b: int) -> None:
-    """Extended gcd certificate aZ + bZ = gcd(a,b)Z."""
-    _emit(ctx, "bezout", {"a": a, "b": b})
-
-
-# ---------------------------------------------------------------- polignac
-
-@main.group()
-def polignac() -> None:
-    """Prime pairs with a fixed even gap, grouped in dyadic blocks."""
-
-
-@polignac.command("pairs")
-@click.argument("two_n", metavar="2N", type=int)
-@click.option("--max-q", "q_max", type=int, required=True, help="Largest smaller member.")
-@click.pass_context
-def polignac_pairs_cmd(ctx, two_n, q_max) -> None:
-    """Pairs (q, p) with p - q = 2N and q <= MAX-Q."""
-    _emit(ctx, "polignac-pairs", {"two_n": two_n, "q_max": q_max})
-
-
-@polignac.command("dyadic")
-@click.argument("two_n", metavar="2N", type=int)
-@click.option("--m", "m_max", type=int, required=True, help="Largest dyadic block.")
-@click.pass_context
-def polignac_dyadic(ctx, two_n, m_max) -> None:
-    """Pairs with gap 2N bucketed into dyadic blocks m = 1..M."""
-    _emit(ctx, "polignac-table", {"gaps": (two_n,), "m_max": m_max})
-
-
-@polignac.command("verify")
-@_verify_options()
-@click.pass_context
-def polignac_verify(ctx, lo, hi, checkpoint, jobs) -> None:
-    """Certify the gap certificate for every even number in [FROM, TO]."""
-    _verify(ctx, Task.PRE_POLIGNAC, lo, hi, checkpoint, jobs)
-
-
-# ---------------------------------------------------------------- legendre
-
-@main.group()
-def legendre() -> None:
-    """Primes between consecutive squares."""
-
-
-@legendre.command("primes")
-@click.argument("n", type=int)
-@click.pass_context
-def legendre_primes_cmd(ctx: click.Context, n: int) -> None:
-    """All primes in [N^2, (N+1)^2]."""
-    _emit(ctx, "legendre-table", {"ns": (n,)})
-
-
-@legendre.command("verify")
-@_verify_options()
-@click.pass_context
-def legendre_verify(ctx, lo, hi, checkpoint, jobs) -> None:
-    """Certify a prime exists in every square interval for N in [FROM, TO]."""
-    _verify(ctx, Task.LEGENDRE, lo, hi, checkpoint, jobs)
-
-
-# --------------------------------------------------------------- parabolic
-
-@main.group()
-def parabolic() -> None:
-    """Primes of the form k^2 + 1."""
-
-
-@parabolic.command("list")
-@click.option(
-    "--max-k",
-    "k_max",
-    type=int,
-    default=60,
-    show_default=True,
-    help="Largest k shown.",
-)
-@click.pass_context
-def parabolic_list(ctx: click.Context, k_max: int) -> None:
-    """The k^2 + 1 column with parabolic primes marked."""
-    _emit(ctx, "ghost-table", {"n_max": k_max})
-
-
-@parabolic.command("zeta")
-@click.option(
-    "--max-k",
-    "k_max",
-    type=int,
-    default=10,
-    show_default=True,
-    help="Largest k in the partial sum.",
-)
-@click.pass_context
-def parabolic_zeta(ctx: click.Context, k_max: int) -> None:
-    """Partial sum of 1/k^2 over parabolic k, bounded by pi^2/6."""
-    _emit(ctx, "zeta-table", {"k_max": k_max})
-
-
-@parabolic.command("verify")
-@_verify_options()
-@click.pass_context
-def parabolic_verify(ctx, lo, hi, checkpoint, jobs) -> None:
-    """Certify totient and primality agree on k^2 + 1 for K in [FROM, TO]."""
-    _verify(ctx, Task.PARABOLIC, lo, hi, checkpoint, jobs)
-
-
-# ---------------------------------------------------------------- triangle
-
-@main.group()
-def triangle() -> None:
-    """Triangular numbers and their square and sum decompositions."""
-
-
-@triangle.command("value")
-@click.argument("n", type=int)
-@click.pass_context
-def triangle_value(ctx: click.Context, n: int) -> None:
-    """The N-th triangular number."""
-    _emit(ctx, "triangle", {"n": n})
-
-
-@triangle.command("square-seq")
-@click.argument("k", type=int)
-@click.pass_context
-def triangle_square_seq(ctx: click.Context, k: int) -> None:
-    """First K square triangular numbers via S(k+1) = 4S(8S+1)."""
-    _emit(ctx, "square-triangular", {"k_max": k})
-
-
-@triangle.command("three")
-@click.argument("n", type=int)
-@click.pass_context
-def triangle_three(ctx: click.Context, n: int) -> None:
-    """N as a sum of at most three triangular numbers."""
-    _emit(ctx, "three-triangular", {"n": n})
-
-
-@triangle.command("faulhaber")
-@click.argument("m", type=int)
-@click.argument("n", type=int)
-@click.pass_context
-def triangle_faulhaber(ctx: click.Context, m: int, n: int) -> None:
-    """Power sum 1^M + 2^M + ... + N^M in closed form."""
-    _emit(ctx, "faulhaber", {"m": m, "n": n})
+for _group, _task, _help in VERIFY_LEAVES:
+    main.commands[_group].add_command(
+        click.Command("verify", params=_verify_params(), help=_help,
+                      callback=_verify_callback(_task))
+    )
 
 
 if __name__ == "__main__":

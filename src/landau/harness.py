@@ -613,9 +613,12 @@ def verify_range(
         verified = 0
         witness = None
         items = [(task, conv, a, b) for a, b in spans]
-        parallel = worker_count > 1 and len(items) > 1
+        # workers beyond the chunks or the host's cores only add forks; results
+        # do not depend on the count
+        pool_size = min(worker_count, len(items), os.cpu_count() or 1)
+        parallel = pool_size > 1
         # leaving the pool's block stops any workers still busy
-        with (get_context("fork").Pool(min(worker_count, len(items))) if parallel
+        with (get_context("fork").Pool(pool_size) if parallel
               else nullcontext()) as pool:
             results = pool.imap(_run_chunk, items) if parallel else map(_run_chunk, items)
             for folded, ((c_lo, c_hi), res) in enumerate(zip(spans, results), start=1):

@@ -1,6 +1,7 @@
 """Command-line interface: grammar, exit codes, config precedence, formats."""
 
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -260,3 +261,43 @@ class TestCheckpointWiring:
         )
         assert "| verified | 0 |" in second.output
         assert "| skipped | 100 |" in second.output
+
+
+GOLDEN_HELP = Path(__file__).parent / "golden" / "cli_help.txt"
+
+USAGE_ERRORS = [
+    ["goldbach", "canonical"],
+    ["goldbach", "canonical", "7"],
+    ["polignac", "pairs", "20"],
+    ["parabolic", "list", "--max-k", "ten"],
+    ["goldbach", "verify", "--from", "4"],
+    ["frobnicate"],
+]
+
+
+def _help_transcript() -> str:
+    """`--help` of the root, every group and every leaf, then a few usage
+    errors, each with its exit code and both streams."""
+    argvs = [["--help"]]
+    for group in sorted(main.commands):
+        argvs.append([group, "--help"])
+        for leaf in sorted(main.commands[group].commands):
+            argvs.append([group, leaf, "--help"])
+    argvs += USAGE_ERRORS
+    runner = CliRunner(env=dict(CLEAN_ENV))
+    parts = []
+    for argv in argvs:
+        result = runner.invoke(main, argv, prog_name="landau", terminal_width=80)
+        parts.append(
+            f"$ landau {' '.join(argv)}\n"
+            f"exit: {result.exit_code}\n"
+            f"--- stdout\n{result.stdout}"
+            f"--- stderr\n{result.stderr}"
+        )
+    return "".join(parts)
+
+
+def test_help_is_unchanged():
+    # regenerate with GOLDEN_HELP.write_text(_help_transcript()) only when
+    # the command surface is meant to change
+    assert _help_transcript() == GOLDEN_HELP.read_text()

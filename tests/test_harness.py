@@ -434,6 +434,42 @@ def test_worker_count_does_not_change_checkpoint_bytes(tmp_path, monkeypatch):
     assert texts[1] == texts[3]
 
 
+class _FakeContext:
+    """Stands in for a fork context: records pool sizes, starts no process."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def Pool(self, n):
+        self.sizes.append(n)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "workers, cores, size", [(100_000, 4, 4), (3, 4, 3), (100_000, None, None)]
+)
+def test_pool_is_bounded_by_cores_and_chunks(monkeypatch, workers, cores, size):
+    monkeypatch.setattr(harness, "CHUNK_SIZE", 64)
+    fake = _FakeContext()
+    monkeypatch.setattr(harness, "get_context", lambda method: fake)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cores)
+    s = verify_range(Task.LEGENDRE, 1, 640, INC, worker_count=workers)
+    assert s.verified == 640
+    # an unknown core count means one: the serial path, no pool
+    assert fake.sizes == ([] if size is None else [size])
+    assert verify_range(Task.LEGENDRE, 1, 128, INC, worker_count=workers).verified == 128
+    assert fake.sizes[1:] == ([] if size is None else [2])
+
+
 def test_parallel_summary_matches_serial(monkeypatch):
     monkeypatch.setattr(harness, "CHUNK_SIZE", 128)
     serial = verify_range(Task.LEGENDRE, 1, 3000, INC)
