@@ -74,6 +74,8 @@ def _verify(
     jobs: int | None = None,
 ) -> None:
     cfg: Config = ctx.obj["config"]
+    if jobs is not None and jobs < 1:
+        raise click.BadParameter(f"must be positive, got {jobs}", param_hint="--jobs")
     path = None
     if checkpoint is not None:
         path = (

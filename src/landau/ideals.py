@@ -233,7 +233,8 @@ class GoldbachIdealReport:
                     power *= p
                     e += 1
                 factors.append((p, e))
-        return Factorization(tuple(factors))
+        # primes_in_range yields primes, so they are not tested again
+        return Factorization._of_primes(tuple(factors))
 
     @cached_property
     def primes_of_r(self) -> tuple[int, ...]:

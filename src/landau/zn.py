@@ -2,7 +2,10 @@
 strong generators, CRT decomposition, and the subgroup lattice.
 
 Factorizations are exponent vectors; all gcd/lcm/product arithmetic happens
-on exponents so values never need to fit a machine word.
+on exponents so values never need to fit a machine word.  `factorize` divides
+out the primes up to 1024 and splits what is left with Pollard-Brent rho, so
+it answers every n whose cofactor after that division is below 2**64 (every
+n < 2**64 among them) and refuses any other n with ValueError at once.
 """
 from __future__ import annotations
 
@@ -36,8 +39,11 @@ __all__ = [
     "subgroup_lattice",
 ]
 
-# factorize divides by cached base primes up to here and walks the odd numbers above
-_GCD_SCAN_LIMIT = 10**6
+# factorize divides by the cached base primes up to here; a cofactor below its
+# square is then prime, and rho splits each composite cofactor above it
+_TRIAL_BOUND = 1 << 10
+# differences x - y multiplied together before each gcd in _rho
+_RHO_BATCH = 128
 
 
 @dataclass(frozen=True)
@@ -56,6 +62,14 @@ class Factorization:
             if not is_prime(p, PrimeConvention.EXCLUDE1):
                 raise ValueError(f"{p} is not prime")
             last = p
+
+    @classmethod
+    def _of_primes(cls, factors: tuple[tuple[int, int], ...]) -> "Factorization":
+        """Build from ascending (p, e) pairs whose p are already known prime
+        and whose e are >= 1, without testing them again."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "factors", factors)
+        return out
 
     # -- views ---------------------------------------------------------------
     def value(self) -> int:
@@ -98,8 +112,7 @@ class Factorization:
             seen.discard(p)
         for p in seen:  # primes only on the left
             exps[p] = combine(exps[p], 0)
-        out = tuple(sorted((p, e) for p, e in exps.items() if e > 0))
-        return Factorization(out)
+        return Factorization._of_primes(tuple(sorted((p, e) for p, e in exps.items() if e > 0)))
 
     def gcd(self, other: "Factorization") -> "Factorization":
         return self._merge(other, min)
@@ -111,7 +124,7 @@ class Factorization:
         return self._merge(other, lambda a, b: a + b)
 
     def squarefree(self) -> "Factorization":
-        return Factorization(tuple((p, 1) for p, _ in self.factors))
+        return Factorization._of_primes(tuple((p, 1) for p, _ in self.factors))
 
     def divides(self, other: "Factorization") -> bool:
         return all(other.exponent(p) >= e for p, e in self.factors)
@@ -121,7 +134,7 @@ class Factorization:
         out = tuple(
             (p, min(e, cap.exponent(p))) for p, e in self.factors if cap.exponent(p) > 0
         )
-        return Factorization(tuple((p, e) for p, e in out if e > 0))
+        return Factorization._of_primes(tuple((p, e) for p, e in out if e > 0))
 
     @staticmethod
     def of(n: int) -> "Factorization":
@@ -129,42 +142,71 @@ class Factorization:
 
 
 def factorize(n: int) -> Factorization:
-    """Exact prime factorization of n >= 1 by trial division."""
+    """Exact prime factorization of n >= 1: trial division by the primes up
+    to 1024, then Pollard-Brent rho on each composite cofactor.
+
+    Every n < 2**64 is answered.  Past that, n is answered when dividing out
+    the primes up to 1024 leaves a cofactor below 2**64; otherwise ValueError
+    is raised at once, since primality is exact only below 2**64.
+    """
     if n < 1:
         raise ValueError(f"factorize needs n >= 1, got {n}")
-    if n == 1:
-        return Factorization()
-    out: list[tuple[int, int]] = []
-    limit = min(math.isqrt(n), _GCD_SCAN_LIMIT)
-    for p in _ensure_base_primes(max(limit, 3)):
-        if p * p > n:
+    m = n
+    exps: dict[int, int] = {}
+    for p in _ensure_base_primes(_TRIAL_BOUND):
+        if p > _TRIAL_BOUND or p * p > m:
             break
-        if n % p == 0:
+        if m % p == 0:
             e = 0
-            while n % p == 0:
-                n //= p
+            while m % p == 0:
+                m //= p
                 e += 1
-            out.append((p, e))
-    if n > 1:
-        if is_prime(n, PrimeConvention.EXCLUDE1):
-            out.append((n, 1))
+            exps[p] = e
+    if m >> 64:
+        raise ValueError(
+            f"cannot factorize {n}: its cofactor {m} has no prime factor up to "
+            f"{_TRIAL_BOUND} and is not below 2**64"
+        )
+    stack = [m] if m > 1 else []
+    while stack:
+        m = stack.pop()
+        if m < _TRIAL_BOUND**2 or is_prime(m, PrimeConvention.EXCLUDE1):
+            exps[m] = exps.get(m, 0) + 1
         else:
-            # all remaining factors exceed the sieve cache; walk the odds
-            d = _GCD_SCAN_LIMIT + 1
-            while d * d <= n:
-                if n % d == 0:
-                    e = 0
-                    while n % d == 0:
-                        n //= d
-                        e += 1
-                    out.append((d, e))
-                    if n > 1 and is_prime(n, PrimeConvention.EXCLUDE1):
-                        break
-                d += 2
-            if n > 1:
-                out.append((n, 1))
-            out.sort()
-    return Factorization(tuple(out))
+            d = _rho(m)
+            stack += (d, m // d)
+    return Factorization._of_primes(tuple(sorted(exps.items())))
+
+
+def _rho(m: int) -> int:
+    """A proper divisor of the composite m, which has no prime factor up to
+    _TRIAL_BOUND: Pollard's rho (BIT 15 (1975) 331-334) in Brent's form (BIT 20
+    (1980) 176-184) on y <- y^2 + c mod m from y = 2, for c = 1, 2, ..."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % m
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % m
+                    q = q * (x - y) % m
+                g = math.gcd(q, m)
+                k += _RHO_BATCH
+            r *= 2
+        if g == m:
+            # the batch overshot: step again from its start, one gcd per step
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % m
+                g = math.gcd(x - ys, m)
+        if g != m:
+            return g
 
 
 def totient(n: int) -> int:

@@ -133,6 +133,27 @@ class TestExitCodes:
         assert payload == {"instance": 98, "reason": "descent exhausted"}
         assert "counterexample" in result.output
 
+    def test_jobs_below_1_is_usage_error_naming_the_option(self, runner):
+        result = runner.invoke(
+            main, ["legendre", "verify", "--from", "1", "--to", "10", "--jobs", "0"]
+        )
+        assert result.exit_code == 2
+        assert "--jobs" in result.stderr
+        assert "worker_count" not in result.stderr
+
+    def test_64_bit_radical_exits_0(self, runner):
+        n = 18446743979220271189  # 4294967279 * 4294967291, squarefree
+        result = runner.invoke(main, ["--format", "json", "ideals", "radical", str(n)])
+        assert result.exit_code == 0
+        report = json.loads(result.output)["report"]
+        assert report["radical"] == n
+        assert report["radical_factors"] == [[4294967279, 1], [4294967291, 1]]
+
+    def test_radical_past_2_64_is_usage_error(self, runner):
+        result = runner.invoke(main, ["ideals", "radical", str(2**64 + 1)])
+        assert result.exit_code == 2
+        assert "2**64" in result.stderr
+
     def test_clean_verify_exits_0(self, runner):
         result = runner.invoke(main, ["goldbach", "verify", "--from", "2", "--to", "100"])
         assert result.exit_code == 0

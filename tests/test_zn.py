@@ -2,12 +2,14 @@
 Carmichael functions, unit groups, multiplication tables, CRT, subgroups."""
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from landau.primes import PrimeConvention, is_prime
+import landau.zn as zn
+from landau.primes import PrimeConvention, is_prime, prev_prime
 from landau.zn import (
     Factorization,
     factorize,
@@ -83,6 +85,75 @@ class TestFactorize:
     def test_large_semiprime_beyond_sieve_cache(self):
         p, q = 1_000_003, 1_000_033
         assert factorize(p * q).as_dict() == {p: 1, q: 1}
+
+    @pytest.mark.parametrize(
+        "n,expected",
+        [
+            # the two largest primes below 2^32: the hardest split for rho
+            (4294967279 * 4294967291, {4294967279: 1, 4294967291: 1}),
+            (4294967291**2, {4294967291: 2}),
+            (65521**4, {65521: 4}),
+            (2**61 - 1, {2**61 - 1: 1}),
+            # three Carmichael numbers, whose primes overlap
+            (561 * 1105 * 1729, {3: 1, 5: 1, 7: 1, 11: 1, 13: 2, 17: 2, 19: 1}),
+        ],
+    )
+    def test_pinned_64_bit(self, n, expected):
+        assert factorize(n).as_dict() == expected
+
+    @given(
+        st.integers(min_value=3, max_value=2**32),
+        st.integers(min_value=3, max_value=2**32),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_two_prime_round_trip(self, a, b):
+        p, q = prev_prime(a, EXC), prev_prime(b, EXC)
+        start = time.perf_counter()
+        f = factorize(p * q)
+        assert time.perf_counter() - start < 2.0
+        assert f.as_dict() == ({p: 2} if p == q else {p: 1, q: 1})
+
+    def test_past_2_64_with_small_cofactor_answers(self):
+        assert factorize(2**70).as_dict() == {2: 70}
+        assert factorize(3 * 5**30 * (2**61 - 1)).as_dict() == {3: 1, 5: 30, 2**61 - 1: 1}
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            3 * (2**61 - 1) ** 2,
+            # 274177 * 67280421310721: both primes lie above 1024
+            2**64 + 1,
+        ],
+    )
+    def test_past_2_64_with_large_cofactor_refuses_at_once(self, n):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            factorize(n)
+        assert time.perf_counter() - start < 0.5
+
+    def test_each_cofactor_is_tested_once(self, monkeypatch):
+        calls = []
+
+        def counting_is_prime(n, conv=PrimeConvention.INCLUDE1):
+            calls.append(n)
+            return is_prime(n, conv)
+
+        monkeypatch.setattr(zn, "is_prime", counting_is_prime)
+        p, q = 4294967279, 4294967291
+        # the cofactor 1031 of 4 * 1031 is below 1024^2, so prime without a test
+        assert factorize(4 * 1031).as_dict() == {2: 2, 1031: 1}
+        assert calls == []
+        f = factorize(3 * p * q)
+        assert f.as_dict() == {3: 1, p: 1, q: 1}
+        assert sorted(calls) == [p, q, p * q]
+        calls.clear()
+        fp, fq = factorize(p), factorize(q)
+        assert calls == [p, q]
+        calls.clear()
+        assert f.gcd(fp) == fp and f.lcm(fq) == f
+        assert f.product(f).squarefree() == f
+        assert f.capped_by(fp) == fp
+        assert calls == []
 
 
 class TestFactorizationAlgebra:
