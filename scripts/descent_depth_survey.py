@@ -53,7 +53,7 @@ def main() -> None:
     for depth, two_n in deepest:
         couple, trace = canonical_couple(two_n, conv)
         chain = " -> ".join(str(s.candidate) for s in trace.steps)
-        print(f"  depth {depth}: 2n={two_n}, couple {couple.pair()}, candidates {chain}")
+        print(f"  depth {depth}: 2n={two_n}, couple {(couple.p, couple.q)}, candidates {chain}")
 
 
 if __name__ == "__main__":

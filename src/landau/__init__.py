@@ -9,7 +9,6 @@ supporting modular/ideal arithmetic.
 from .config import Config, ConfigError, load_config
 from .figurate import (
     ParabolicRecord,
-    TriangleWitness,
     faulhaber,
     parabolic_primes,
     square_triangular,
@@ -20,12 +19,10 @@ from .figurate import (
 )
 from .gaps import (
     LegendreCounterexample,
-    PolignacCounterexample,
     PolignacPair,
     legendre_primes,
     polignac_dyadic_search,
     polignac_pairs,
-    pre_polignac_witness,
 )
 from .goldbach import (
     CoupleKind,
@@ -43,14 +40,12 @@ from .ideals import (
     bezout,
     goldbach_ideal_analysis,
     jacobson_radical_zn,
-    maximal_ideals_zn,
     radical,
 )
 from .primes import (
     DEFAULT_CONVENTION,
     PrimeConvention,
     TwinStats,
-    is_isolated,
     is_prime,
     next_prime,
     prev_prime,
@@ -64,7 +59,6 @@ from .zn import (
     UnitsProfile,
     carmichael,
     crt_decompose,
-    crt_reconstruct,
     factorize,
     multiplication_table,
     totient,
@@ -87,7 +81,6 @@ __all__ = [
     "LegendreCounterexample",
     "MultiplicationTable",
     "ParabolicRecord",
-    "PolignacCounterexample",
     "PolignacPair",
     "PrimeConvention",
     "PrincipalIdeal",
@@ -95,7 +88,6 @@ __all__ = [
     "ReportError",
     "RunSummary",
     "Task",
-    "TriangleWitness",
     "TwinStats",
     "UnitsProfile",
     "bezout",
@@ -103,24 +95,20 @@ __all__ = [
     "canonical_couple",
     "carmichael",
     "crt_decompose",
-    "crt_reconstruct",
     "emit_report",
     "enumerate_couples",
     "factorize",
     "faulhaber",
     "goldbach_ideal_analysis",
-    "is_isolated",
     "is_prime",
     "jacobson_radical_zn",
     "legendre_primes",
     "load_config",
-    "maximal_ideals_zn",
     "multiplication_table",
     "next_prime",
     "parabolic_primes",
     "polignac_dyadic_search",
     "polignac_pairs",
-    "pre_polignac_witness",
     "prev_prime",
     "primes_in_range",
     "quasi_couples",

@@ -1,22 +1,19 @@
 """Triangular numbers and their identities, the square-triangular chain,
-three-part triangular decompositions, exact power sums, parabolic primes
-k^2 + 1 with their zeta-style estimate, and integer-distance classification
-of lattice segments.
+three-part triangular decompositions, exact power sums, and parabolic primes
+k^2 + 1 with their zeta-style estimate.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 from .primes import DEFAULT_CONVENTION, PrimeConvention, is_prime, next_prime, primes_in_range
 
 __all__ = [
-    "TriangleWitness",
     "ParabolicRecord",
-    "LineKind",
     "DecompositionCounterexample",
+    "SQUARE_TRIANGULAR_MAX_K",
     "triangle_number",
     "is_triangular",
     "triangle_index",
@@ -26,7 +23,6 @@ __all__ = [
     "parabolic_totients",
     "parabolic_primes",
     "zeta_partial",
-    "ghost_classify",
 ]
 
 
@@ -50,35 +46,16 @@ def triangle_index(x: int) -> int:
     return (math.isqrt(8 * x + 1) - 1) // 2
 
 
-@dataclass(frozen=True)
-class TriangleWitness:
-    """T_n together with its predecessor split of the square: for n >= 1,
-    T_n + T_(n-1) = n^2."""
-
-    n: int
-    t_n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"needs n >= 0, got {self.n}")
-        if self.t_n != self.n * (self.n + 1) // 2:
-            raise ValueError(f"T_{self.n} is not {self.t_n}")
-
-    @classmethod
-    def of(cls, n: int) -> "TriangleWitness":
-        return cls(n, triangle_number(n))
-
-    def square_parts(self) -> tuple[int, int]:
-        """(T_(n-1), T_n), summing to n^2."""
-        prev = triangle_number(self.n - 1) if self.n else 0
-        return (prev, self.t_n)
+# S(k) doubles its digit count each step: S(12) has 3,135 digits and S(13)
+# 6,270, past the 4,300 digits CPython will convert to text
+SQUARE_TRIANGULAR_MAX_K = 12
 
 
 def square_triangular(k: int) -> int:
     """k-th member of the chain S(1) = 1, S(k+1) = 4 S(k) (8 S(k) + 1);
     every member is checked to be both triangular and a perfect square."""
-    if k < 1:
-        raise ValueError(f"needs k >= 1, got {k}")
+    if not 1 <= k <= SQUARE_TRIANGULAR_MAX_K:
+        raise ValueError(f"needs 1 <= k <= {SQUARE_TRIANGULAR_MAX_K}, got k = {k}")
     s = 1
     for _ in range(k - 1):
         s = 4 * s * (8 * s + 1)
@@ -270,19 +247,3 @@ def zeta_partial(k_max: int) -> tuple[Fraction, float]:
     if k_max >= 2 and total <= 1:
         raise RuntimeError(f"series estimate {total} fell under 1")
     return total, math.pi * math.pi / 6
-
-
-class LineKind(Enum):
-    METRIC_REGULAR = "metric-regular"
-    GHOST = "ghost"
-
-
-def ghost_classify(
-    a: tuple[int, int], b: tuple[int, int]
-) -> tuple[LineKind, int]:
-    """Classify the segment between two lattice points by whether its
-    Euclidean length is an integer; returns the kind and squared length."""
-    d2 = (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2
-    r = math.isqrt(d2)
-    kind = LineKind.METRIC_REGULAR if r * r == d2 else LineKind.GHOST
-    return kind, d2

@@ -18,11 +18,9 @@ from .primes import (
 
 __all__ = [
     "PolignacPair",
-    "PolignacCounterexample",
     "LegendreCounterexample",
     "polignac_pairs",
     "polignac_dyadic_search",
-    "pre_polignac_witness",
     "legendre_primes",
 ]
 
@@ -49,15 +47,6 @@ class PolignacPair:
 
     def pair(self) -> tuple[int, int]:
         return (self.q, self.p)
-
-
-class PolignacCounterexample(Exception):
-    """No prime q < 2n with q + 2n prime; would refute the gap certificate."""
-
-    def __init__(self, two_n: int, conv: PrimeConvention):
-        self.two_n = two_n
-        self.convention = conv
-        super().__init__(f"no witness below {two_n} under {conv.value}")
 
 
 class LegendreCounterexample(Exception):
@@ -102,17 +91,6 @@ def polignac_dyadic_search(
     for pair in polignac_pairs(two_n, two_n << m_max, conv):
         blocks[pair.block].append(pair)
     return blocks
-
-
-def pre_polignac_witness(
-    two_n: int, conv: PrimeConvention = DEFAULT_CONVENTION
-) -> int:
-    """Smallest prime q < 2n with q + 2n prime; the per-gap certificate."""
-    _validate_gap(two_n)
-    for q in primes_in_range(1, two_n - 1, conv):
-        if is_prime(q + two_n, conv):
-            return q
-    raise PolignacCounterexample(two_n, conv)
 
 
 def legendre_primes(

@@ -1,5 +1,5 @@
 """Goldbach couples for even 2n: canonical descent search, full enumeration,
-quasi-couples, and the right-triangle identity attached to each couple.
+and quasi-couples.
 
 The canonical couple comes from one fixed criterion: walk candidate primes
 down from prev_prime(2n) and stop at the first whose remainder 2n - p is
@@ -20,20 +20,17 @@ from .primes import (
     prev_prime,
     prime_flags,
 )
-from .zn import Factorization, factorize, totient, units
+from .zn import Factorization, factorize, units
 
 __all__ = [
     "CoupleKind",
     "GoldbachCouple",
     "DescentStep",
     "DescentTrace",
-    "GoldbachTriangle",
     "GoldbachCounterexample",
     "canonical_couple",
     "enumerate_couples",
     "quasi_couples",
-    "noether_status",
-    "goldbach_triangle",
 ]
 
 
@@ -60,9 +57,6 @@ class GoldbachCouple:
             raise ValueError(f"({self.p}, {self.q}) cannot be a top couple")
         if self.kind is CoupleKind.TRIVIAL and self.p != self.q:
             raise ValueError(f"({self.p}, {self.q}) cannot be a middle couple")
-
-    def pair(self) -> tuple[int, int]:
-        return (self.p, self.q)
 
 
 @dataclass(frozen=True)
@@ -164,36 +158,3 @@ def quasi_couples(
         for a in units(two_n)
         if a <= two_n - a and not (flags[a] and flags[two_n - a])
     ]
-
-
-def noether_status(two_n: int) -> tuple[bool, int]:
-    """Whether (1, 2n-1) closes into a couple, decided through the unit-group
-    order: the totient of 2n-1 hits 2n-2 exactly for prime 2n-1."""
-    if two_n < 4 or two_n % 2 == 1:
-        raise ValueError(f"needs an even number >= 4, got {two_n}")
-    phi = totient(two_n - 1)
-    via_totient = phi == two_n - 2
-    if via_totient != is_prime(two_n - 1, PrimeConvention.EXCLUDE1):
-        raise RuntimeError(f"totient and primality disagree at {two_n - 1}")
-    return via_totient, phi
-
-
-@dataclass(frozen=True)
-class GoldbachTriangle:
-    """Right-triangle data over the diameter [0, 2n]: the couple's members
-    split it at a point whose altitude h satisfies h^2 = p*q."""
-
-    altitude_sq: int  # p * q
-    half_gap: int  # (q - p) / 2
-    radius: int  # n
-    identity_ok: bool  # p*q + half_gap^2 == n^2
-
-
-def goldbach_triangle(couple: GoldbachCouple) -> GoldbachTriangle:
-    p, q, n = couple.p, couple.q, couple.two_n // 2
-    alt_sq = p * q
-    half_gap = (q - p) // 2
-    ok = alt_sq + half_gap * half_gap == n * n
-    if not ok:
-        raise RuntimeError(f"triangle identity failed for ({p}, {q})")
-    return GoldbachTriangle(alt_sq, half_gap, n, ok)

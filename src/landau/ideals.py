@@ -1,41 +1,26 @@
-"""Principal-ideal algebra of Z and Z/nZ on factored generators, and the
-even-number ideal analysis built on it.
+"""Principal ideals of Z and Z/nZ on factored generators: radicals, the
+Jacobson radical of Z_n, Bezout certificates, and the even-number ideal
+analysis over the working modulus r.
 
-Everything is exponent arithmetic on Factorization values; the working
-modulus r is never expanded to a plain integer, since it grows
-super-exponentially with 2n.
+The modulus r is kept as a Factorization and read off one prime list,
+since it grows super-exponentially with 2n.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 
 from .primes import DEFAULT_CONVENTION, PrimeConvention, prime_flags, primes_in_range
 from .zn import Factorization, factorize, units
 
 __all__ = [
-    "CombineKind",
     "PrincipalIdeal",
-    "PrimaryDecomposition",
-    "IdealEntry",
     "GoldbachIdealReport",
-    "ideal_combine",
     "radical",
-    "maximal_ideals_zn",
     "jacobson_radical_zn",
-    "containing_maximal_ideal",
     "bezout",
-    "primary_decomposition",
     "goldbach_ideal_analysis",
 ]
-
-
-class CombineKind(Enum):
-    SUM = "sum"
-    INTERSECTION = "intersection"
-    PRODUCT = "product"
 
 
 @dataclass(frozen=True)
@@ -55,76 +40,15 @@ class PrincipalIdeal:
     def of_int(m: int) -> "PrincipalIdeal":
         return PrincipalIdeal(factorize(m))
 
-    @staticmethod
-    def in_quotient(d: int, n: int) -> "PrincipalIdeal":
-        """The ideal generated by d in Z/nZ; its canonical generator is
-        gcd(d, n), so non-divisor inputs are normalized."""
-        return PrincipalIdeal(factorize(math.gcd(d, n) if d else n), factorize(n))
-
-    @property
-    def is_quotient(self) -> bool:
-        return self.modulus is not None
-
-    @property
-    def is_full_ring(self) -> bool:
-        return self.generator.is_one()
-
-    @property
-    def is_zero(self) -> bool:
-        return self.modulus is not None and self.generator == self.modulus
-
-    def index(self) -> int:
-        """Additive-subgroup index: dZ/nZ has index d in Z/nZ."""
-        return self.generator.value()
-
-    def order(self) -> int:
-        """Additive order of dZ/nZ, i.e. n/d. Quotient rings only."""
-        if self.modulus is None:
-            raise ValueError("order is defined only in a quotient ring")
-        exps = {p: e for p, e in self.modulus.factors}
-        for p, e in self.generator.factors:
-            exps[p] -= e
-        out = 1
-        for p, e in exps.items():
-            out *= p**e
-        return out
-
     def __str__(self) -> str:
         if self.modulus is None:
             return f"({self.generator})Z"
         return f"({self.generator})Z/({self.modulus})Z"
 
 
-def ideal_combine(kind: CombineKind, a: PrincipalIdeal, b: PrincipalIdeal) -> PrincipalIdeal:
-    """Sum = gcd of generators, intersection = lcm, product = exponent sum
-    (capped at the modulus inside a quotient)."""
-    if a.modulus != b.modulus:
-        raise ValueError(f"mismatched rings: {a} vs {b}")
-    if kind is CombineKind.SUM:
-        gen = a.generator.gcd(b.generator)
-    elif kind is CombineKind.INTERSECTION:
-        gen = a.generator.lcm(b.generator)
-    elif kind is CombineKind.PRODUCT:
-        gen = a.generator.product(b.generator)
-        if a.modulus is not None:
-            gen = gen.capped_by(a.modulus)
-    else:
-        raise ValueError(f"unknown combine kind: {kind!r}")
-    return PrincipalIdeal(gen, a.modulus)
-
-
 def radical(a: PrincipalIdeal) -> PrincipalIdeal:
     """Squarefree kernel of the generator; idempotent."""
     return PrincipalIdeal(a.generator.squarefree(), a.modulus)
-
-
-def maximal_ideals_zn(n: int) -> list[PrincipalIdeal]:
-    """pZ/nZ for each prime p | n, ascending. For prime n this is the zero
-    ideal and Z_n is a field."""
-    if n < 2:
-        raise ValueError(f"needs n >= 2, got {n}")
-    mod = factorize(n)
-    return [PrincipalIdeal(Factorization(((p, 1),)), mod) for p, _ in mod.factors]
 
 
 def jacobson_radical_zn(n: int) -> PrincipalIdeal:
@@ -136,27 +60,15 @@ def jacobson_radical_zn(n: int) -> PrincipalIdeal:
     return PrincipalIdeal(mod.squarefree(), mod)
 
 
-def containing_maximal_ideal(a: int, n: int) -> PrincipalIdeal:
-    """Smallest-prime maximal ideal of Z_n containing a; units are in none."""
-    if n < 2:
-        raise ValueError(f"needs n >= 2, got {n}")
-    a %= n
-    mod = factorize(n)
-    if a == 0:
-        # zero lies in every maximal ideal; smallest prime breaks the tie
-        return PrincipalIdeal(Factorization(((mod.factors[0][0], 1),)), mod)
-    g = math.gcd(a, n)
-    if g == 1:
-        raise ValueError(f"{a} is a unit modulo {n} and lies in no proper ideal")
-    p = min(p for p, _ in factorize(g).factors)
-    return PrincipalIdeal(Factorization(((p, 1),)), mod)
-
-
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    if b == 0:
-        return a, 1, 0
-    d, x, y = _egcd(b, a % b)
-    return d, y, x - (a // b) * y
+    """(d, x, y) with a*x + b*y = d = gcd(a, b) for a, b >= 0, by the
+    iterative extended Euclid, so inputs of any length stay off the stack."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, (a, b) = a // b, (b, a % b)
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
 
 
 def bezout(a: int, b: int) -> tuple[int, int, int]:
@@ -167,39 +79,6 @@ def bezout(a: int, b: int) -> tuple[int, int, int]:
         return abs(a), (1 if a > 0 else -1), 0
     d, x, y = _egcd(abs(a), abs(b))
     return d, (-x if a < 0 else x), (-y if b < 0 else y)
-
-
-@dataclass(frozen=True)
-class PrimaryDecomposition:
-    components: tuple[PrincipalIdeal, ...]
-    radical: PrincipalIdeal
-
-
-def primary_decomposition(a: PrincipalIdeal) -> PrimaryDecomposition:
-    """One primary component p^e Z/nZ per prime power of the generator; their
-    intersection reproduces the ideal, and the radical is the intersection of
-    the matching maximal ideals."""
-    if a.modulus is None:
-        raise ValueError("primary decomposition is provided in quotient rings only")
-    if a.is_full_ring:
-        raise ValueError("the full ring has no primary decomposition")
-    components = tuple(
-        PrincipalIdeal(Factorization(((p, e),)), a.modulus) for p, e in a.generator.factors
-    )
-    return PrimaryDecomposition(components, radical(a))
-
-
-@dataclass(frozen=True)
-class IdealEntry:
-    """One ideal (2n - b)Z/rZ attached to the strong generator b."""
-
-    generator_unit: int  # b, a prime unit of Z_2n
-    remainder: int  # 2n - b, the ideal's generator value
-    remainder_factorization: Factorization
-    ideal: PrincipalIdeal
-    maximal: bool  # remainder prime
-    maximal_indices: tuple[int, ...]  # 1-based ranks of its primes among the primes of r
-    squarefree: bool  # equality with the maximal-ideal intersection vs strict inclusion
 
 
 @dataclass(frozen=True)
@@ -250,31 +129,6 @@ class GoldbachIdealReport:
             return self._rank_in_r[p]
         except KeyError:
             raise ValueError(f"{p} is not a prime of r") from None
-
-    @cached_property
-    def entries(self) -> tuple[IdealEntry, ...]:
-        out = []
-        maximal = set(self.maximal_subset)
-        for b, rem in zip(self.generators, self.remainders):
-            fact = factorize(rem)
-            out.append(
-                IdealEntry(
-                    generator_unit=b,
-                    remainder=rem,
-                    remainder_factorization=fact,
-                    ideal=PrincipalIdeal(fact, self.r),
-                    maximal=rem in maximal,
-                    maximal_indices=tuple(self.maximal_index(p) for p in fact.primes()),
-                    squarefree=all(e == 1 for _, e in fact.factors),
-                )
-            )
-        return tuple(out)
-
-    def entry_for(self, b: int) -> IdealEntry:
-        for entry in self.entries:
-            if entry.generator_unit == b:
-                return entry
-        raise KeyError(f"{b} is not a strong generator with an attached ideal")
 
 
 def goldbach_ideal_analysis(

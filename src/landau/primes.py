@@ -22,7 +22,6 @@ __all__ = [
     "next_prime",
     "primes_in_range",
     "prime_flags",
-    "is_isolated",
     "twin_stats",
 ]
 
@@ -317,10 +316,3 @@ def twin_stats(n_max: int, conv: PrimeConvention = DEFAULT_CONVENTION) -> TwinSt
         acc += Fraction(1, p) + Fraction(1, q)
     bound = n_max / math.log(n_max) ** 2
     return TwinStats(n_max, len(pairs), pairs, acc, bound)
-
-
-def is_isolated(p: int, conv: PrimeConvention = DEFAULT_CONVENTION) -> bool:
-    """True iff neither p-2 nor p+2 is prime. Input must itself be prime."""
-    if not is_prime(p, conv):
-        raise ValueError(f"{p} is not prime under {conv.value}")
-    return not is_prime(p - 2, conv) and not is_prime(p + 2, conv)

@@ -25,6 +25,7 @@ from typing import Any, Callable, Mapping
 
 from .config import Config
 from .figurate import (
+    SQUARE_TRIANGULAR_MAX_K,
     faulhaber,
     parabolic_primes,
     square_triangular,
@@ -42,7 +43,7 @@ from .ideals import (
     jacobson_radical_zn,
     radical,
 )
-from .primes import PrimeConvention, is_prime, primes_in_range
+from .primes import PrimeConvention, primes_in_range
 from .zn import Factorization, crt_decompose, factorize, multiplication_table, units_profile
 
 __all__ = [
@@ -384,11 +385,9 @@ def _r_as_prime_powers(fact: Factorization) -> str:
     return "·".join(str(v) for v in values)
 
 
-def _ideal_cell(index: int, two_n: int, generator: int, rem: int, rep) -> str:
-    a_i = f"𝔞{_sub(index)}"
-    lhs = f"{a_i}=({two_n}-{generator})ℤ/rℤ"
-    if rem == 1:
-        return f"{lhs}=ℤᵣ"
+def _ideal_row(index: int, two_n: int, generator: int, rem: int, rep) -> tuple[str, dict]:
+    """The rendered cell and the payload entry of the ideal (2n - b)Z/rZ,
+    both read off one factorization of its remainder."""
     fact = factorize(rem)
     missing = [p for p in fact.primes() if p not in rep.primes_of_r]
     if missing:
@@ -396,10 +395,26 @@ def _ideal_cell(index: int, two_n: int, generator: int, rem: int, rep) -> str:
             f"remainder {rem} is not a unit ideal modulo {two_n}: "
             f"prime(s) {missing} do not divide r"
         )
-    gen_txt = _dot_powers(fact)
-    maximals = "∩".join(f"𝔪{_sub(rep.maximal_index(p))}" for p in fact.primes())
-    relation = "=" if all(e == 1 for _, e in fact.factors) else "⊂"
-    return f"{lhs}={gen_txt}ℤ/rℤ{relation}{maximals}=𝔯({a_i})"
+    indices = [rep.maximal_index(p) for p in fact.primes()]
+    squarefree = all(e == 1 for _, e in fact.factors)
+    a_i = f"𝔞{_sub(index)}"
+    lhs = f"{a_i}=({two_n}-{generator})ℤ/rℤ"
+    if rem == 1:
+        cell = f"{lhs}=ℤᵣ"
+    else:
+        maximals = "∩".join(f"𝔪{_sub(i)}" for i in indices)
+        relation = "=" if squarefree else "⊂"
+        cell = f"{lhs}={_dot_powers(fact)}ℤ/rℤ{relation}{maximals}=𝔯({a_i})"
+    entry = {
+        "index": index,
+        "generator_unit": generator,
+        "remainder": rem,
+        "factors": _factor_list(fact),
+        "maximal": fact.factors == ((rem, 1),),
+        "maximal_indices": indices,
+        "squarefree": squarefree,
+    }
+    return cell, entry
 
 
 def _emit_ideal_table(params: dict[str, Any], config: Config) -> Report:
@@ -417,27 +432,17 @@ def _emit_ideal_table(params: dict[str, Any], config: Config) -> Report:
     rep = goldbach_ideal_analysis(two_n, conv, include_top=include_top)
     alt = goldbach_ideal_analysis(two_n, conv, include_top=not include_top)
 
-    rows = []
-    payload_entries = []
     if opts["descent_only"]:
         _, trace = canonical_couple(two_n, conv)
         items = [(s.candidate, s.remainder) for s in trace.steps]
     else:
-        items = [(e.generator_unit, e.remainder) for e in rep.entries]
+        items = zip(rep.generators, rep.remainders)
+    rows = []
+    payload_entries = []
     for index, (generator, rem) in enumerate(items, start=1):
-        rows.append((_ideal_cell(index, two_n, generator, rem, rep),))
-        fact = factorize(rem)
-        payload_entries.append(
-            {
-                "index": index,
-                "generator_unit": generator,
-                "remainder": rem,
-                "factors": _factor_list(fact),
-                "maximal": is_prime(rem, PrimeConvention.EXCLUDE1),
-                "maximal_indices": [rep.maximal_index(p) for p in fact.primes()],
-                "squarefree": all(e == 1 for _, e in fact.factors),
-            }
-        )
+        cell, entry = _ideal_row(index, two_n, generator, rem, rep)
+        rows.append((cell,))
+        payload_entries.append(entry)
 
     r_text = _r_as_prime_powers(rep.r)
     alt_text = _r_as_prime_powers(alt.r)
@@ -978,8 +983,11 @@ def _emit_triangle(params: dict[str, Any], config: Config) -> Report:
 def _emit_square_triangular(params: dict[str, Any], config: Config) -> Report:
     opts = _take(params, {"k_max": ("int", _MISSING)})
     k_max = opts["k_max"]
-    if k_max < 1:
-        raise ReportError(f"k_max: needs at least 1, got {k_max}")
+    if not 1 <= k_max <= SQUARE_TRIANGULAR_MAX_K:
+        raise ReportError(
+            f"K (k_max): needs 1 to {SQUARE_TRIANGULAR_MAX_K}, got {k_max}; "
+            "S(k) doubles its digit count each step"
+        )
     rows = []
     values = []
     for k in range(1, k_max + 1):

@@ -1,8 +1,7 @@
 """Structure of the ring Z_n: factorization, totient, Carmichael, units,
-strong generators, CRT decomposition, and the subgroup lattice.
+strong generators, and CRT decomposition.
 
-Factorizations are exponent vectors; all gcd/lcm/product arithmetic happens
-on exponents so values never need to fit a machine word.  `factorize` divides
+Factorizations are ascending (prime, exponent) vectors.  `factorize` divides
 out the primes up to 1024 and splits what is left with Pollard-Brent rho, so
 it answers every n whose cofactor after that division is below 2**64 (every
 n < 2**64 among them) and refuses any other n with ValueError at once.
@@ -11,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import compress
 
 from .primes import (
@@ -33,10 +32,7 @@ __all__ = [
     "units_profile",
     "unit_inverse",
     "multiplication_table",
-    "is_prime_via_totient",
     "crt_decompose",
-    "crt_reconstruct",
-    "subgroup_lattice",
 ]
 
 # factorize divides by the cached base primes up to here; a cofactor below its
@@ -71,7 +67,6 @@ class Factorization:
         object.__setattr__(out, "factors", factors)
         return out
 
-    # -- views ---------------------------------------------------------------
     def value(self) -> int:
         out = 1
         for p, e in self.factors:
@@ -81,64 +76,17 @@ class Factorization:
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 
-    def exponent(self, p: int) -> int:
-        return self._exponents.get(p, 0)
-
-    @cached_property
-    def _exponents(self) -> dict[int, int]:
-        # built once, so a modulus with thousands of primes answers each
-        # divisibility check in O(the divisor's own primes)
-        return dict(self.factors)
-
-    def is_one(self) -> bool:
-        return not self.factors
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.factors)
-
     def __str__(self) -> str:
         if not self.factors:
             return "1"
         return "*".join(str(p) if e == 1 else f"{p}^{e}" for p, e in self.factors)
 
-    # -- exponent-vector arithmetic -------------------------------------------
-    def _merge(self, other: "Factorization", combine) -> "Factorization":
-        exps: dict[int, int] = {}
-        for p, e in self.factors:
-            exps[p] = e
-        seen = set(exps)
-        for p, e in other.factors:
-            exps[p] = combine(exps.get(p, 0), e)
-            seen.discard(p)
-        for p in seen:  # primes only on the left
-            exps[p] = combine(exps[p], 0)
-        return Factorization._of_primes(tuple(sorted((p, e) for p, e in exps.items() if e > 0)))
-
-    def gcd(self, other: "Factorization") -> "Factorization":
-        return self._merge(other, min)
-
-    def lcm(self, other: "Factorization") -> "Factorization":
-        return self._merge(other, max)
-
-    def product(self, other: "Factorization") -> "Factorization":
-        return self._merge(other, lambda a, b: a + b)
-
     def squarefree(self) -> "Factorization":
         return Factorization._of_primes(tuple((p, 1) for p, _ in self.factors))
 
     def divides(self, other: "Factorization") -> bool:
-        return all(other.exponent(p) >= e for p, e in self.factors)
-
-    def capped_by(self, cap: "Factorization") -> "Factorization":
-        """Exponentwise min against cap, dropping primes not in cap."""
-        out = tuple(
-            (p, min(e, cap.exponent(p))) for p, e in self.factors if cap.exponent(p) > 0
-        )
-        return Factorization._of_primes(tuple((p, e) for p, e in out if e > 0))
-
-    @staticmethod
-    def of(n: int) -> "Factorization":
-        return factorize(n)
+        exps = dict(other.factors)
+        return all(exps.get(p, 0) >= e for p, e in self.factors)
 
 
 def factorize(n: int) -> Factorization:
@@ -297,14 +245,6 @@ class MultiplicationTable:
     rows: tuple[tuple[int, ...], ...]
     inverses: tuple[tuple[int, int], ...]
 
-    def entry(self, a: int, b: int) -> int:
-        try:
-            i = self.units.index(a)
-            j = self.units.index(b)
-        except ValueError:
-            raise ValueError(f"{a} or {b} is not a unit modulo {self.modulus}") from None
-        return self.rows[i][j]
-
 
 def multiplication_table(n: int) -> MultiplicationTable:
     unit_list = units(n)
@@ -313,41 +253,9 @@ def multiplication_table(n: int) -> MultiplicationTable:
     return MultiplicationTable(n, unit_list, rows, inverses)
 
 
-def is_prime_via_totient(m: int) -> bool:
-    """m prime iff phi(m) = m - 1; the totient route, independent of P."""
-    if m < 2:
-        raise ValueError(f"needs m >= 2, got {m}")
-    return totient(m) == m - 1
-
-
 def crt_decompose(a: int, n: int) -> list[tuple[int, int]]:
     """Residues of a over the prime-power factors of n, ascending by prime."""
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
     a %= n
     return [(a % p**e, p**e) for p, e in factorize(n).factors]
-
-
-def crt_reconstruct(components: list[tuple[int, int]]) -> int:
-    """Inverse of crt_decompose: unique residue modulo the product."""
-    if not components:
-        raise ValueError("nothing to reconstruct")
-    total = 1
-    for _, m in components:
-        total *= m
-    x = 0
-    for r, m in components:
-        rest = total // m
-        x += r * rest * pow(rest, -1, m)
-    return x % total
-
-
-def subgroup_lattice(n: int) -> list[tuple[int, int]]:
-    """All subgroups of Z_n as (index c, order b) pairs, n = b*c, ascending
-    by index; entry (c, b) names the subgroup cZ/nZ isomorphic to Z_b."""
-    if n < 2:
-        raise ValueError(f"needs n >= 2, got {n}")
-    divisors = [1]
-    for p, e in factorize(n).factors:
-        divisors = [d * p**k for d in divisors for k in range(e + 1)]
-    return [(c, n // c) for c in sorted(divisors)]

@@ -86,6 +86,24 @@ def egcd(a: int, b: int) -> tuple[int, int, int]:
     return (g, y, x - (a // b) * y)
 
 
+def crt_reconstruct(components: list[tuple[int, int]]) -> int:
+    """The residue modulo the product of the coprime moduli m that leaves
+    remainder r modulo each m, lifted one modulus at a time (Garner)."""
+    x, total = 0, 1
+    for r, m in components:
+        x += total * ((r - x) * pow(total, -1, m) % m)
+        total *= m
+    return x
+
+
+def pre_polignac_witness(two_n: int, include1: bool = True) -> int | None:
+    """Smallest prime q < 2n with q + 2n prime, or None if there is none."""
+    for q in range(1, two_n):
+        if trial_division_prime(q, include1) and trial_division_prime(q + two_n, include1):
+            return q
+    return None
+
+
 def naive_factorize(n: int) -> dict[int, int]:
     out: dict[int, int] = {}
     d = 2

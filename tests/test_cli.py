@@ -154,6 +154,24 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert "2**64" in result.stderr
 
+    def test_bezout_on_long_fibonacci_pair_exits_0(self, runner):
+        # F(3001) and F(3000), 627 digits each: about 3,000 Euclid steps
+        f_prev, f = 0, 1
+        for _ in range(3000):
+            f_prev, f = f, f_prev + f
+        argv = ["--format", "json", "ideals", "bezout", str(f), str(f_prev)]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.output)["report"]
+        assert report["gcd"] == 1
+        assert f * report["x"] + f_prev * report["y"] == 1
+
+    def test_square_seq_past_the_bound_is_usage_error_naming_k(self, runner):
+        result = runner.invoke(main, ["triangle", "square-seq", "13"])
+        assert result.exit_code == 2
+        assert "K (k_max): needs 1 to 12, got 13" in result.stderr
+        assert result.stdout == ""  # no row was printed
+
     def test_clean_verify_exits_0(self, runner):
         result = runner.invoke(main, ["goldbach", "verify", "--from", "2", "--to", "100"])
         assert result.exit_code == 0

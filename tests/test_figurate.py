@@ -1,5 +1,5 @@
 """Triangular identities, square-triangular chain, power sums, parabolic
-primes, the zeta-style estimate, and lattice-segment classification."""
+primes, and the zeta-style estimate."""
 from __future__ import annotations
 
 import math
@@ -13,12 +13,10 @@ from hypothesis import strategies as st
 
 import landau.figurate as figurate
 from landau.figurate import (
+    SQUARE_TRIANGULAR_MAX_K,
     DecompositionCounterexample,
-    LineKind,
     ParabolicRecord,
-    TriangleWitness,
     faulhaber,
-    ghost_classify,
     is_triangular,
     parabolic_primes,
     parabolic_totients,
@@ -79,17 +77,6 @@ class TestTriangleNumbers:
         for n in range(1, 1_000):
             assert triangle_number(n) + triangle_number(n - 1) == n * n
 
-    def test_witness_type(self):
-        w = TriangleWitness.of(6)
-        assert (w.n, w.t_n) == (6, 21)
-        assert w.square_parts() == (15, 21)
-        assert sum(w.square_parts()) == 36
-        assert TriangleWitness.of(0).square_parts() == (0, 0)
-        with pytest.raises(ValueError):
-            TriangleWitness(4, 11)
-        with pytest.raises(ValueError):
-            TriangleWitness(-1, 0)
-
 
 class TestSquareTriangular:
     def test_chain_start(self):
@@ -112,6 +99,14 @@ class TestSquareTriangular:
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             square_triangular(0)
+
+    def test_refuses_k_past_the_bound_at_once(self):
+        # S(k) doubles its bit length each step; S(13) is already past the
+        # digits CPython converts to text, so the bound stops at 12
+        assert len(str(square_triangular(SQUARE_TRIANGULAR_MAX_K))) == 3135
+        for k in (SQUARE_TRIANGULAR_MAX_K + 1, 40, 10**9):
+            with pytest.raises(ValueError, match=f"k <= {SQUARE_TRIANGULAR_MAX_K}, got k = {k}"):
+                square_triangular(k)
 
 
 def brute_three(n: int) -> tuple[int, ...]:
@@ -303,37 +298,3 @@ class TestZetaEstimate:
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             zeta_partial(0)
-
-
-class TestGhostLines:
-    def test_documented_values(self):
-        assert ghost_classify((0, 8), (6, 0)) == (LineKind.METRIC_REGULAR, 100)
-        assert ghost_classify((0, 6), (1, 0)) == (LineKind.GHOST, 37)
-        assert ghost_classify((0, 0), (0, 0)) == (LineKind.METRIC_REGULAR, 0)
-
-    def test_parabolic_hypotenuses_are_ghosts(self):
-        # legs k and 1: a prime k^2 + 1 is never a perfect square
-        for k in PARABOLIC_K:
-            kind, d2 = ghost_classify((0, k), (1, 0))
-            assert kind is LineKind.GHOST
-            assert d2 == k * k + 1
-
-    def test_scaled_triples_stay_regular(self):
-        for a, b, c in ((3, 4, 5), (5, 12, 13), (8, 15, 17), (20, 21, 29)):
-            for m in range(1, 11):
-                kind, d2 = ghost_classify((0, m * a), (m * b, 0))
-                assert kind is LineKind.METRIC_REGULAR
-                assert d2 == (m * c) ** 2
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
-        st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
-        st.tuples(st.integers(0, 10**3), st.integers(0, 10**3)),
-    )
-    def test_symmetric_and_translation_invariant(self, a, b, shift):
-        kind, d2 = ghost_classify(a, b)
-        assert ghost_classify(b, a) == (kind, d2)
-        a2 = (a[0] + shift[0], a[1] + shift[1])
-        b2 = (b[0] + shift[0], b[1] + shift[1])
-        assert ghost_classify(a2, b2) == (kind, d2)

@@ -6,13 +6,12 @@ import pytest
 from landau.figurate import triangle_number
 from landau.gaps import (
     LegendreCounterexample,
-    PolignacCounterexample,
     PolignacPair,
     legendre_primes,
     polignac_dyadic_search,
     polignac_pairs,
-    pre_polignac_witness,
 )
+from landau.harness import Task, verify_range
 from landau.primes import PrimeConvention, is_prime
 
 from oracles import trial_division_prime
@@ -206,30 +205,30 @@ class TestDyadicBlocks:
 
 
 class TestGapCertificate:
+    """The per-gap certificate as `polignac verify` checks it: the stat
+    max_witness of a one-gap range is that gap's smallest witness q."""
+
+    @staticmethod
+    def witness(two_n, conv=INC):
+        return verify_range(Task.PRE_POLIGNAC, two_n, two_n, conv).stats["max_witness"]
+
     def test_witness_examples(self):
-        assert [pre_polignac_witness(t) for t in range(2, 21, 2)] == [
+        assert [self.witness(t) for t in range(2, 21, 2)] == [
             1, 1, 1, 3, 1, 1, 3, 1, 1, 3,
         ]
 
     def test_witness_is_smallest(self):
         for two_n in range(2, 501, 2):
-            w = pre_polignac_witness(two_n)
+            w = self.witness(two_n)
             assert is_prime(w, INC) and is_prime(w + two_n, INC) and w < two_n
             for q in range(1, w):
                 assert not (is_prime(q, INC) and is_prime(q + two_n, INC))
 
     def test_certificate_holds_everywhere(self):
-        for two_n in range(2, 10_001, 2):
-            assert pre_polignac_witness(two_n, INC) < two_n
-        for two_n in range(4, 10_001, 2):
-            assert pre_polignac_witness(two_n, EXC) < two_n
-
-    def test_no_witness_is_reported(self):
-        # without the unit there is no prime below 2, so the gap-2 search
-        # at its smallest instance has nothing to offer
-        with pytest.raises(PolignacCounterexample) as exc:
-            pre_polignac_witness(2, EXC)
-        assert exc.value.two_n == 2
+        for lo, conv in ((2, INC), (4, EXC)):
+            s = verify_range(Task.PRE_POLIGNAC, lo, 10_000, conv)
+            assert s.complete and not s.counterexamples
+            assert s.stats["max_witness"] < s.stats["max_witness_at"]
 
 
 class TestLegendrePrimes:

@@ -7,11 +7,10 @@ from __future__ import annotations
 
 import math
 import random
+from operator import attrgetter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from landau.goldbach import (
     CoupleKind,
@@ -21,8 +20,6 @@ from landau.goldbach import (
     GoldbachCounterexample,
     canonical_couple,
     enumerate_couples,
-    goldbach_triangle,
-    noether_status,
     quasi_couples,
 )
 from landau.ideals import bezout, goldbach_ideal_analysis
@@ -33,6 +30,7 @@ from oracles import brute_couples, numpy_goldbach_pairs, numpy_sieve
 
 INC = PrimeConvention.INCLUDE1
 EXC = PrimeConvention.EXCLUDE1
+PQ = attrgetter("p", "q")  # a couple as its (p, q) pair
 
 
 def chain(two_n: int, conv: PrimeConvention = INC) -> list[tuple[int, int, str | None]]:
@@ -185,29 +183,29 @@ class TestCanonicalDescent:
 
     def test_couples_from_chains(self):
         couple, trace = canonical_couple(220)
-        assert couple.pair() == (23, 197)
+        assert (couple.p, couple.q) == (23, 197)
         assert couple.kind is CoupleKind.ORDINARY
         assert couple.canonical
         assert trace.depth() == 3
-        assert canonical_couple(10)[0].pair() == (3, 7)
-        assert canonical_couple(972)[0].pair() == (1, 971)
+        assert PQ(canonical_couple(10)[0]) == (3, 7)
+        assert PQ(canonical_couple(972)[0]) == (1, 971)
         assert canonical_couple(972)[0].kind is CoupleKind.NOETHER
 
     def test_descent_keeps_strictly_decreasing(self):
         # 670 descends 661 -> 659; a lazier walk would resume above 659
         couple, trace = canonical_couple(670)
-        assert couple.pair() == (11, 659)
+        assert (couple.p, couple.q) == (11, 659)
         assert [s.candidate for s in trace.steps] == [661, 659]
 
     def test_exclude1_changes_small_targets(self):
-        assert canonical_couple(8, EXC)[0].pair() == (3, 5)
-        assert canonical_couple(4, EXC)[0].pair() == (2, 2)
+        assert PQ(canonical_couple(8, EXC)[0]) == (3, 5)
+        assert PQ(canonical_couple(4, EXC)[0]) == (2, 2)
         assert canonical_couple(4, EXC)[0].kind is CoupleKind.TRIVIAL
-        assert canonical_couple(6, EXC)[0].pair() == (3, 3)
+        assert PQ(canonical_couple(6, EXC)[0]) == (3, 3)
 
     def test_two_is_unit_plus_unit(self):
         couple, trace = canonical_couple(2, INC)
-        assert couple.pair() == (1, 1)
+        assert (couple.p, couple.q) == (1, 1)
         # (1, 1) is both a top and a middle pair; top classification wins
         assert couple.kind is CoupleKind.NOETHER
         assert trace.depth() == 1
@@ -288,19 +286,19 @@ class TestEnumerate:
     def test_documented_rings(self):
         for two_n, expected in ENUM_FULL.items():
             got = enumerate_couples(two_n)
-            assert [c.pair() for c in got] == expected, two_n
+            assert [(c.p, c.q) for c in got] == expected, two_n
             stars = [c for c in got if c.canonical]
             assert len(stars) == 1
-            assert stars[0].pair() == RING_ROWS[two_n]["star"]
+            assert PQ(stars[0]) == RING_ROWS[two_n]["star"]
 
     def test_kind_labels(self):
-        kinds = {c.pair(): c.kind for c in enumerate_couples(22)}
+        kinds = {(c.p, c.q): c.kind for c in enumerate_couples(22)}
         assert kinds == {
             (3, 19): CoupleKind.ORDINARY,
             (5, 17): CoupleKind.ORDINARY,
             (11, 11): CoupleKind.TRIVIAL,
         }
-        kinds4 = {c.pair(): c.kind for c in enumerate_couples(4)}
+        kinds4 = {(c.p, c.q): c.kind for c in enumerate_couples(4)}
         assert kinds4[(1, 3)] is CoupleKind.NOETHER
         assert kinds4[(2, 2)] is CoupleKind.TRIVIAL
 
@@ -314,19 +312,19 @@ class TestEnumerate:
         ]
         for two_n in targets:
             expected = numpy_goldbach_pairs(two_n, mask, primes)
-            inc = [c.pair() for c in enumerate_couples(two_n, INC)]
-            exc = [c.pair() for c in enumerate_couples(two_n, EXC)]
+            inc = [(c.p, c.q) for c in enumerate_couples(two_n, INC)]
+            exc = [(c.p, c.q) for c in enumerate_couples(two_n, EXC)]
             top = [(1, two_n - 1)] if mask[two_n - 1] else []
             assert inc == top + expected, two_n
             assert exc == expected, two_n
 
     def test_complete_against_trial_division(self):
         for two_n in range(2, 301, 2):
-            assert [c.pair() for c in enumerate_couples(two_n, INC)] == brute_couples(
+            assert [(c.p, c.q) for c in enumerate_couples(two_n, INC)] == brute_couples(
                 two_n, include1=True
             )
         for two_n in range(4, 301, 2):
-            assert [c.pair() for c in enumerate_couples(two_n, EXC)] == brute_couples(
+            assert [(c.p, c.q) for c in enumerate_couples(two_n, EXC)] == brute_couples(
                 two_n, include1=False
             )
 
@@ -349,8 +347,8 @@ class TestEnumerate:
 
     def test_convention_only_moves_the_top_couple(self):
         for two_n in range(4, 2_001, 2):
-            inc = {c.pair() for c in enumerate_couples(two_n, INC)}
-            exc = {c.pair() for c in enumerate_couples(two_n, EXC)}
+            inc = {(c.p, c.q) for c in enumerate_couples(two_n, INC)}
+            exc = {(c.p, c.q) for c in enumerate_couples(two_n, EXC)}
             assert exc <= inc
             assert inc - exc <= {(1, two_n - 1)}
 
@@ -381,7 +379,7 @@ class TestEnumerate:
                 rep = goldbach_ideal_analysis(two_n, conv)
                 expected = set(rep.couples)
                 expected.update(c for c in (rep.noether, rep.trivial) if c is not None)
-                scan = {c.pair() for c in enumerate_couples(two_n, conv)}
+                scan = {(c.p, c.q) for c in enumerate_couples(two_n, conv)}
                 assert scan == expected, (two_n, conv)
 
     def test_nonempty_through_moderate_range(self):
@@ -411,7 +409,7 @@ class TestQuasiCouples:
                     if math.gcd(a, two_n) == 1
                 }
                 couple_pairs = {
-                    c.pair()
+                    (c.p, c.q)
                     for c in enumerate_couples(two_n, conv)
                     if math.gcd(c.p, two_n) == 1
                 }
@@ -436,61 +434,29 @@ class TestQuasiCouples:
 
 
 class TestNoetherStatus:
+    """The Noether couple (1, 2n-1) as the ideal analysis reports it, checked
+    against the unit-group order: phi(2n-1) = 2n-2 exactly for prime 2n-1."""
+
     def test_documented_values(self):
-        assert noether_status(8) == (True, 6)
-        assert noether_status(10) == (False, 6)
-        assert noether_status(4) == (True, 2)
+        assert goldbach_ideal_analysis(8).noether == (1, 7) and totient(7) == 6
+        assert goldbach_ideal_analysis(10).noether is None and totient(9) == 6
+        assert goldbach_ideal_analysis(4).noether == (1, 3) and totient(3) == 2
 
     def test_agrees_with_enumeration(self):
         for two_n in range(4, 3_001, 2):
-            flag, phi = noether_status(two_n)
-            assert phi == totient(two_n - 1)
+            flag = goldbach_ideal_analysis(two_n).noether is not None
+            assert flag == (totient(two_n - 1) == two_n - 2)
             present = any(
                 c.kind is CoupleKind.NOETHER for c in enumerate_couples(two_n, INC)
             )
             assert flag == present
-
-    def test_rejects_bad_input(self):
-        for bad in (2, 3, 9, 0):
-            with pytest.raises(ValueError):
-                noether_status(bad)
-
-
-class TestTriangle:
-    def test_documented_values(self):
-        t = goldbach_triangle(GoldbachCouple(3, 7, 10, CoupleKind.ORDINARY, True))
-        assert (t.altitude_sq, t.half_gap, t.radius) == (21, 2, 5)
-        t = goldbach_triangle(GoldbachCouple(5, 23, 28, CoupleKind.ORDINARY, True))
-        assert (t.altitude_sq, t.half_gap, t.radius) == (115, 9, 14)
-        assert t.altitude_sq + t.half_gap**2 == 14**2
-
-    def test_trivial_couple_degenerates(self):
-        t = goldbach_triangle(GoldbachCouple(7, 7, 14, CoupleKind.TRIVIAL, False))
-        assert t.half_gap == 0
-        assert t.altitude_sq == 49
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(min_value=2, max_value=500_000))
-    def test_identity_holds_on_canonical_couples(self, n):
-        couple, _ = canonical_couple(2 * n)
-        t = goldbach_triangle(couple)
-        assert t.identity_ok
-        assert t.altitude_sq + t.half_gap**2 == t.radius**2
-        assert t.radius == n
-
-    def test_identity_holds_on_every_couple_small(self):
-        for two_n in range(2, 801, 2):
-            for c in enumerate_couples(two_n):
-                t = goldbach_triangle(c)
-                assert t.altitude_sq == c.p * c.q
-                assert 0 <= t.half_gap < t.radius or c.p == c.q
 
 
 class TestRingTableRows:
     def test_couples_column(self):
         for two_n, row in RING_ROWS.items():
             shown = [
-                c.pair()
+                (c.p, c.q)
                 for c in enumerate_couples(two_n)
                 if c.kind is not CoupleKind.TRIVIAL or two_n == 2
             ]

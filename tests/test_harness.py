@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 import landau.harness as harness
 import landau.primes as primes
 import oracles
-from landau.gaps import pre_polignac_witness
 from landau.goldbach import canonical_couple
 from landau.harness import (
     Checkpoint,
@@ -569,7 +568,7 @@ def test_gap_witness_is_the_smallest(gap):
         if gap < 4 and conv is EXC:
             continue  # the gap-2 witness needs the unit
         s = verify_range(Task.PRE_POLIGNAC, gap, gap, conv)
-        assert s.stats["max_witness"] == pre_polignac_witness(gap, conv)
+        assert s.stats["max_witness"] == oracles.pre_polignac_witness(gap, conv is INC)
 
 
 def test_square_interval_first_prime_offsets():

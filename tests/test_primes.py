@@ -10,7 +10,6 @@ from landau.primes import (
     _WHEEL,
     PrimeConvention,
     _sieves,
-    is_isolated,
     is_prime,
     next_prime,
     prev_prime,
@@ -211,36 +210,6 @@ class TestPrimesInRange:
         hi = lo + width
         got = primes_in_range(lo, hi, INC)
         assert got == [k for k in range(lo, hi + 1) if is_prime(k, INC)]
-
-
-class TestIsolated:
-    @pytest.mark.parametrize(
-        "p,conv,expected",
-        [
-            (23, EXC, True),
-            (5, EXC, False),
-            (89, EXC, True),
-            (2, EXC, True),
-            (3, INC, False),  # 1 counts as prime, so 3 has a neighbour
-            (3, EXC, False),  # 5 is prime
-            (37, EXC, True),
-            (47, EXC, True),
-            (97, EXC, True),
-        ],
-    )
-    def test_pinned(self, p, conv, expected):
-        assert is_isolated(p, conv) is expected
-
-    def test_non_prime_is_domain_error(self):
-        with pytest.raises(ValueError):
-            is_isolated(21, EXC)
-        with pytest.raises(ValueError):
-            is_isolated(1, EXC)
-
-    def test_example_list(self):
-        # the ten smallest isolated primes when 1 is not prime
-        got = [p for p in primes_in_range(2, 100, EXC) if is_isolated(p, EXC)]
-        assert got == [2, 23, 37, 47, 53, 67, 79, 83, 89, 97]
 
 
 class TestTwinStats:

@@ -19,6 +19,7 @@ from landau.reports import (
     emit_report,
     report_kinds,
 )
+from landau.zn import factorize
 
 from test_figurate import PARABOLIC_K, PARABOLIC_P
 from test_gaps import LEGENDRE_ROWS, PUBLISHED_PAIRS
@@ -243,9 +244,32 @@ class TestIdealTable:
         assert "{𝔪ᵢ} = {3ℤ/rℤ, 7ℤ/rℤ, 13ℤ/rℤ, 17ℤ/rℤ, 19ℤ/rℤ, 23ℤ/rℤ, 29ℤ/rℤ, 31ℤ/rℤ, ⋯}" in text
 
     def test_full_ring_cell_for_unit_remainder(self):
-        from landau.reports import _ideal_cell
+        # with 1 counted prime, the descent for 8 stops at once on 7 + 1
+        report = build_report("ideal-table", {"two_n": 8, "descent_only": True}, CFG)
+        assert report.rows == (("𝔞₁=(8-7)ℤ/rℤ=ℤᵣ",),)
 
-        assert _ideal_cell(1, 8, 7, 1, None) == "𝔞₁=(8-7)ℤ/rℤ=ℤᵣ"
+    @pytest.mark.parametrize(
+        "params,calls",
+        [
+            ({"two_n": 28, "include_top": True}, 8),
+            ({"two_n": 220}, 45),
+            ({"two_n": 220, "descent_only": True}, 4),
+        ],
+    )
+    def test_one_factorize_per_row_and_one_for_2n(self, monkeypatch, params, calls):
+        import landau.reports as reports
+
+        seen = []
+
+        def counting_factorize(n):
+            seen.append(n)
+            return factorize(n)
+
+        monkeypatch.setattr(reports, "factorize", counting_factorize)
+        report = build_report("ideal-table", params, CFG)
+        remainders = [e["remainder"] for e in report.payload["entries"]]
+        assert sorted(seen) == sorted(remainders + [params["two_n"]])
+        assert len(seen) == calls
 
 
 class TestPolignacTable:
