@@ -14,7 +14,7 @@ import click
 
 from .config import Config, ConfigError, load_config
 from .harness import Task, verify_range
-from .reports import ReportError, emit_report
+from .reports import ReportError, emit_report, report_parameters
 
 CONVENTIONS = click.Choice(["include1", "exclude1"])
 FORMATS = click.Choice(["json", "csv", "md"])
@@ -118,6 +118,11 @@ def _flag(name: str, help: str) -> click.Option:
     return click.Option([name], is_flag=True, help=help)
 
 
+def _max_k(kind: str, name: str, help: str) -> click.Option:
+    default = report_parameters(kind)[name].default  # the emitter's own default
+    return click.Option(["--max-k", name], type=int, default=default, show_default=True, help=help)
+
+
 GROUPS = {
     "goldbach": "Goldbach couples of an even number.",
     "zn": "The ring of integers modulo N and its group of units.",
@@ -129,7 +134,7 @@ GROUPS = {
 }
 
 # (group, name, report kind, help, parameters); each parameter is named after
-# the report parameter it fills
+# the keyword of the report's emitter it fills
 REPORT_LEAVES = [
     ("goldbach", "canonical", "couple", "Canonical couple produced by the descent.",
      [_int("two_n", "2N"), _flag("--trace", "Show the full descent chain.")]),
@@ -161,12 +166,10 @@ REPORT_LEAVES = [
     ("legendre", "primes", "legendre-table", "All primes in [N^2, (N+1)^2].",
      [_int("ns", "N", callback=_one)]),
     ("parabolic", "list", "ghost-table", "The k^2 + 1 column with parabolic primes marked.",
-     [click.Option(["--max-k", "n_max"], type=int, default=60, show_default=True,
-                   help="Largest k shown.")]),
+     [_max_k("ghost-table", "n_max", "Largest k shown.")]),
     ("parabolic", "zeta", "zeta-table",
      "Partial sum of 1/k^2 over parabolic k, bounded by pi^2/6.",
-     [click.Option(["--max-k", "k_max"], type=int, default=10, show_default=True,
-                   help="Largest k in the partial sum.")]),
+     [_max_k("zeta-table", "k_max", "Largest k in the partial sum.")]),
     ("triangle", "value", "triangle", "The N-th triangular number.", [_int("n")]),
     ("triangle", "square-seq", "square-triangular",
      "First K square triangular numbers via S(k+1) = 4S(8S+1).", [_int("k_max", "K")]),

@@ -9,19 +9,25 @@ three formats:
 * ``json`` — ``{"kind", "title", "config", "footnotes", "report"}`` with
   sorted keys and stable indentation.
 
-All three are deterministic byte-for-byte for a fixed config, so they can be
-frozen as golden files.  Tables never carry floating-point cells; exact
+Each emitter is a plain function ``(config, /, *, name: type = default, ...)``
+whose signature is the one declaration of its report's parameters;
+:func:`build_report` checks a params mapping against it.
+
+All three formats are deterministic byte-for-byte for a fixed config, so they
+can be frozen as golden files.  Tables never carry floating-point cells; exact
 rationals are rendered as ``numerator/denominator`` strings.
 """
 
 from __future__ import annotations
 
 import csv
+import inspect
 import io
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from .config import Config
 from .figurate import (
@@ -46,6 +52,9 @@ from .ideals import (
 from .primes import PrimeConvention, primes_in_range
 from .zn import Factorization, crt_decompose, factorize, multiplication_table, units_profile
 
+if TYPE_CHECKING:
+    from .harness import RunSummary
+
 __all__ = [
     "DESCENT_TARGETS",
     "POLIGNAC_GAPS",
@@ -55,6 +64,7 @@ __all__ = [
     "build_report",
     "emit_report",
     "report_kinds",
+    "report_parameters",
 ]
 
 
@@ -140,48 +150,49 @@ def _factor_list(fact: Factorization) -> list[list[int]]:
     return [[p, e] for p, e in fact.factors]
 
 
+def _braced(values) -> str:
+    return "{" + ",".join(map(str, values)) + "}"
+
+
+def _steps_entry(steps) -> list[dict[str, Any]]:
+    return [
+        {
+            "candidate": s.candidate,
+            "remainder": s.remainder,
+            "factors": None
+            if s.remainder_factorization is None
+            else _factor_list(s.remainder_factorization),
+        }
+        for s in steps
+    ]
+
+
+def _couple_entry(c) -> dict[str, Any]:
+    return {"pair": [c.p, c.q], "kind": c.kind.value, "canonical": c.canonical}
+
+
 # --------------------------------------------------------------------------
-# parameter plumbing
+# parameter checks: an emitter's annotation picks the check its value gets;
+# any other annotation (the verify summary) passes the value through
 
-_MISSING = object()
-
-
-def _coerce(name: str, value: Any, kind: str) -> Any:
-    if kind == "int":
+def _coerce(name: str, value: Any, annotation: str) -> Any:
+    if annotation == "int":
         if isinstance(value, bool) or not isinstance(value, int):
             raise ReportError(f"{name}: expected an integer, got {value!r}")
         return value
-    if kind == "bool":
+    if annotation == "bool":
         if not isinstance(value, bool):
             raise ReportError(f"{name}: expected a boolean, got {value!r}")
         return value
-    if kind == "ints":
+    if annotation.startswith("tuple[int, ...]"):
         if isinstance(value, (str, bytes)) or not hasattr(value, "__iter__"):
             raise ReportError(f"{name}: expected a sequence of integers, got {value!r}")
-        out = []
+        value = tuple(value)
         for item in value:
             if isinstance(item, bool) or not isinstance(item, int):
                 raise ReportError(f"{name}: expected integers, got {item!r}")
-            out.append(item)
-        return tuple(out)
-    if kind == "any":
         return value
-    raise AssertionError(kind)
-
-
-def _take(params: dict[str, Any], spec: dict[str, tuple[str, Any]]) -> dict[str, Any]:
-    """Pop declared parameters out of ``params``; reject leftovers."""
-    out = {}
-    for name, (kind, default) in spec.items():
-        if name in params:
-            out[name] = _coerce(name, params.pop(name), kind)
-        elif default is _MISSING:
-            raise ReportError(f"{name}: required parameter missing")
-        else:
-            out[name] = default
-    if params:
-        raise ReportError(f"unknown parameter(s): {', '.join(sorted(params))}")
-    return out
+    return value
 
 
 # --------------------------------------------------------------------------
@@ -211,13 +222,14 @@ def _chain_text(two_n: int, steps) -> str:
     return " ⇒ ".join(parts)
 
 
-def _emit_descent_table(params: dict[str, Any], config: Config) -> Report:
-    opts = _take(params, {"targets": ("ints", DESCENT_TARGETS)})
+def _emit_descent_table(
+    config: Config, /, *, targets: tuple[int, ...] = DESCENT_TARGETS
+) -> Report:
     conv = config.convention
     rows = []
     payload_rows = []
     errata_notes = []
-    for two_n in opts["targets"]:
+    for two_n in targets:
         couple, trace = canonical_couple(two_n, conv)
         chain = _chain_text(two_n, trace.steps)
         n_cell = str(two_n // 2)
@@ -234,16 +246,7 @@ def _emit_descent_table(params: dict[str, Any], config: Config) -> Report:
                 "couple": [couple.p, couple.q],
                 "kind": couple.kind.value,
                 "depth": trace.depth(),
-                "steps": [
-                    {
-                        "candidate": s.candidate,
-                        "remainder": s.remainder,
-                        "factors": None
-                        if s.remainder_factorization is None
-                        else _factor_list(s.remainder_factorization),
-                    }
-                    for s in trace.steps
-                ],
+                "steps": _steps_entry(trace.steps),
             }
         )
     footers = [
@@ -274,9 +277,7 @@ def _emit_descent_table(params: dict[str, Any], config: Config) -> Report:
 # --------------------------------------------------------------------------
 # unit-group multiplication grids
 
-def _emit_units_grid(params: dict[str, Any], config: Config) -> Report:
-    opts = _take(params, {"n": ("int", _MISSING)})
-    n = opts["n"]
+def _emit_units_grid(config: Config, /, *, n: int) -> Report:
     table = multiplication_table(n)
     headers = ("", *(str(u) for u in table.units))
     rows = tuple(
@@ -301,17 +302,17 @@ def _emit_units_grid(params: dict[str, Any], config: Config) -> Report:
 # --------------------------------------------------------------------------
 # strong-generator overview across small even moduli
 
-def _emit_ring_table(params: dict[str, Any], config: Config) -> Report:
+def _emit_ring_table(config: Config, /, *, moduli: tuple[int, ...] | None = None) -> Report:
     conv = config.convention
     # 2 = 1 + 1 is a couple only when the unit counts as prime
     include1 = conv is PrimeConvention.INCLUDE1
-    default = RING_MODULI if include1 else tuple(m for m in RING_MODULI if m != 2)
-    opts = _take(params, {"moduli": ("ints", default)})
-    if not include1 and 2 in opts["moduli"]:
+    if moduli is None:
+        moduli = RING_MODULI if include1 else tuple(m for m in RING_MODULI if m != 2)
+    elif not include1 and 2 in moduli:
         raise ReportError("moduli: 2 = 1 + 1 needs the unit counted as prime; use include1")
     rows = []
     payload_rows = []
-    for two_n in opts["moduli"]:
+    for two_n in moduli:
         profile = units_profile(two_n, conv)
         couples = [
             c
@@ -322,11 +323,7 @@ def _emit_ring_table(params: dict[str, Any], config: Config) -> Report:
             f"{_pair(c.p, c.q)}★" if c.canonical else _pair(c.p, c.q) for c in couples
         )
         strong = set(profile.strong)
-        unit_cell = (
-            "{"
-            + ",".join(str(u) if u in strong else f"({u})" for u in profile.units)
-            + "}"
-        )
+        unit_cell = _braced(u if u in strong else f"({u})" for u in profile.units)
         quasi = quasi_couples(two_n, conv)
         quasi_cell = "; ".join(_pair(a, b) for a, b in quasi) if quasi else "-"
         rows.append(
@@ -335,10 +332,7 @@ def _emit_ring_table(params: dict[str, Any], config: Config) -> Report:
         payload_rows.append(
             {
                 "two_n": two_n,
-                "couples": [
-                    {"pair": [c.p, c.q], "kind": c.kind.value, "canonical": c.canonical}
-                    for c in couples
-                ],
+                "couples": [_couple_entry(c) for c in couples],
                 "units": list(profile.units),
                 "composite_units": [u for u in profile.units if u not in strong],
                 "strong": list(profile.strong),
@@ -354,7 +348,7 @@ def _emit_ring_table(params: dict[str, Any], config: Config) -> Report:
         "(♣) Except in the case n=1, trivial Goldbach couples are never identified by units in ℤ₂ₙ.",
         "(♠) Quasi-Goldbach couples that are not Goldbach couples.",
     ]
-    if include1 and 22 in opts["moduli"]:
+    if include1 and 22 in moduli:
         footers.append(
             "Erratum: some transcriptions of the ℤ₂₂ row list 11 among the units "
             "and leave 21 unbracketed; 11 divides 22, and 21=3×7 is composite."
@@ -417,22 +411,22 @@ def _ideal_row(index: int, two_n: int, generator: int, rem: int, rep) -> tuple[s
     return cell, entry
 
 
-def _emit_ideal_table(params: dict[str, Any], config: Config) -> Report:
-    opts = _take(
-        params,
-        {
-            "two_n": ("int", _MISSING),
-            "include_top": ("bool", False),
-            "descent_only": ("bool", False),
-        },
-    )
-    two_n = opts["two_n"]
-    include_top = opts["include_top"]
+def _emit_ideal_table(
+    config: Config, /, *, two_n: int, include_top: bool = False, descent_only: bool = False
+) -> Report:
     conv = config.convention
     rep = goldbach_ideal_analysis(two_n, conv, include_top=include_top)
     alt = goldbach_ideal_analysis(two_n, conv, include_top=not include_top)
+    r, alt_r = rep.r.value(), alt.r.value()
+    # both r values go into the footer and the payload as decimal text
+    limit = sys.get_int_max_str_digits()
+    if limit and max(r, alt_r) >= 10**limit:
+        raise ReportError(
+            f"2N={two_n}: r = l.c.m.(aᵢ) has more than {limit} digits, "
+            "past what Python converts to text"
+        )
 
-    if opts["descent_only"]:
+    if descent_only:
         _, trace = canonical_couple(two_n, conv)
         items = [(s.candidate, s.remainder) for s in trace.steps]
     else:
@@ -444,30 +438,23 @@ def _emit_ideal_table(params: dict[str, Any], config: Config) -> Report:
         rows.append((cell,))
         payload_entries.append(entry)
 
-    r_text = _r_as_prime_powers(rep.r)
-    alt_text = _r_as_prime_powers(alt.r)
+    alt_text = f"{_r_as_prime_powers(alt.r)} = {alt_r}."
     if include_top:
-        alt_note = (
-            f"Without the top unit 2n-1={two_n - 1}, "
-            f"r = {alt_text} = {alt.r.value()}."
-        )
+        alt_note = f"Without the top unit 2n-1={two_n - 1}, r = {alt_text}"
     else:
-        alt_note = (
-            f"Including the top unit 2n-1={two_n - 1} widens r to "
-            f"{alt_text} = {alt.r.value()}."
-        )
+        alt_note = f"Including the top unit 2n-1={two_n - 1} widens r to {alt_text}"
     shown = rep.primes_of_r[:8]
     ideal_list = ", ".join(f"{p}ℤ/rℤ" for p in shown)
     if len(rep.primes_of_r) > len(shown):
         ideal_list += ", ⋯"
     footers = (
-        f"r = l.c.m.(aᵢ) = {r_text} = {rep.r.value()}.",
+        f"r = l.c.m.(aᵢ) = {_r_as_prime_powers(rep.r)} = {r}.",
         alt_note,
         f"{_zx(two_n)} = {{1, aᵢ | 1 < aᵢ < {two_n}={_dot_powers(factorize(two_n))}, "
         f"g.c.d.({two_n}, aᵢ) = 1}}.",
         f"Maximal ideals in ℤᵣ: {{𝔪ᵢ}} = {{{ideal_list}}}.",
     )
-    scope = "the canonical descent" if opts["descent_only"] else "the strong generators"
+    scope = "the canonical descent" if descent_only else "the strong generators"
     return Report(
         kind="ideal-table",
         title=f"Maximal ideals containing the ideals 𝔞ᵢ of {scope} for 2n={two_n}",
@@ -478,9 +465,9 @@ def _emit_ideal_table(params: dict[str, Any], config: Config) -> Report:
             "two_n": two_n,
             "convention": conv.value,
             "include_top": include_top,
-            "descent_only": opts["descent_only"],
-            "r": {"value": rep.r.value(), "factors": _factor_list(rep.r)},
-            "r_alternate": {"value": alt.r.value(), "factors": _factor_list(alt.r)},
+            "descent_only": descent_only,
+            "r": {"value": r, "factors": _factor_list(rep.r)},
+            "r_alternate": {"value": alt_r, "factors": _factor_list(alt.r)},
             "maximal_ideal_primes": list(rep.primes_of_r),
             "entries": payload_entries,
             "maximal_subset": list(rep.maximal_subset),
@@ -494,36 +481,28 @@ def _emit_ideal_table(params: dict[str, Any], config: Config) -> Report:
 # --------------------------------------------------------------------------
 # de Polignac couples in dyadic blocks
 
-def _emit_polignac_table(params: dict[str, Any], config: Config) -> Report:
-    opts = _take(
-        params,
-        {"gaps": ("ints", POLIGNAC_GAPS), "m_max": ("int", 4)},
-    )
+def _emit_polignac_table(
+    config: Config, /, *, gaps: tuple[int, ...] = POLIGNAC_GAPS, m_max: int = 4
+) -> Report:
     conv = config.convention
-    m_max = opts["m_max"]
     if m_max < 1:
         raise ReportError(f"m_max: needs at least 1, got {m_max}")
     rows = []
     payload_rows = []
-    for gap in opts["gaps"]:
+    for gap in gaps:
         blocks = polignac_dyadic_search(gap, m_max, conv)
-        cells = [
-            ", ".join(_pair(c.q, c.p) for c in blocks.get(m, []))
-            for m in range(1, m_max + 1)
-        ]
+        columns = [blocks.get(m, []) for m in range(1, m_max + 1)]
+        cells = (", ".join(_pair(c.q, c.p) for c in col) for col in columns)
         rows.append((str(gap // 2), str(gap), *cells))
         payload_rows.append(
             {
                 "n": gap // 2,
                 "two_n": gap,
-                "blocks": [
-                    [m, [[c.q, c.p] for c in blocks.get(m, [])]]
-                    for m in range(1, m_max + 1)
-                ],
+                "blocks": [[m, [[c.q, c.p] for c in col]] for m, col in enumerate(columns, 1)],
             }
         )
     footers = []
-    if 2 in opts["gaps"]:
+    if 2 in gaps:
         footers.append("The 2n-case with n=1 corresponds to the twin conjecture.")
     footers.append(
         "Infinite 2n-de Polignac couples are obtained since we can take any integer m ≥ 1."
@@ -536,7 +515,7 @@ def _emit_polignac_table(params: dict[str, Any], config: Config) -> Report:
         "Grouping couples by the larger member instead moves some couples one column "
         "to the right; the cells here are complete for the stated rule."
     )
-    if 20 in opts["gaps"] and m_max >= 4:
+    if 20 in gaps and m_max >= 4:
         footers.append(
             "For n=10 the couple (317,337), with 317 ∈ [0,320], appears at m=4 under "
             "the stated rule; grouped by the larger member it falls beyond m=4."
@@ -560,16 +539,13 @@ def _emit_polignac_table(params: dict[str, Any], config: Config) -> Report:
     )
 
 
-def _emit_polignac_pairs(params: dict[str, Any], config: Config) -> Report:
-    opts = _take(
-        params, {"two_n": ("int", _MISSING), "q_max": ("int", _MISSING)}
-    )
+def _emit_polignac_pairs(config: Config, /, *, two_n: int, q_max: int) -> Report:
     conv = config.convention
-    pairs = polignac_pairs(opts["two_n"], opts["q_max"], conv)
+    pairs = polignac_pairs(two_n, q_max, conv)
     rows = tuple((str(c.q), str(c.p), str(c.block)) for c in pairs)
     return Report(
         kind="polignac-pairs",
-        title=f"{opts['two_n']}-de Polignac couples with q ≤ {opts['q_max']}",
+        title=f"{two_n}-de Polignac couples with q ≤ {q_max}",
         headers=("q", "p", "block m"),
         rows=rows,
         footers=(
@@ -577,8 +553,8 @@ def _emit_polignac_pairs(params: dict[str, Any], config: Config) -> Report:
             f"{len(pairs)} couple(s) under {conv.value}.",
         ),
         payload={
-            "two_n": opts["two_n"],
-            "q_max": opts["q_max"],
+            "two_n": two_n,
+            "q_max": q_max,
             "convention": conv.value,
             "pairs": [{"q": c.q, "p": c.p, "block": c.block} for c in pairs],
         },
@@ -588,12 +564,13 @@ def _emit_polignac_pairs(params: dict[str, Any], config: Config) -> Report:
 # --------------------------------------------------------------------------
 # primes in square intervals
 
-def _emit_legendre_table(params: dict[str, Any], config: Config) -> Report:
-    opts = _take(params, {"ns": ("ints", tuple(range(1, 11)))})
+def _emit_legendre_table(
+    config: Config, /, *, ns: tuple[int, ...] = tuple(range(1, 11))
+) -> Report:
     conv = config.convention
     rows = []
     payload_rows = []
-    for n in opts["ns"]:
+    for n in ns:
         primes = legendre_primes(n, conv)
         rows.append(
             (str(n), str(n * n), str((n + 1) * (n + 1)), ", ".join(str(p) for p in primes))
@@ -621,9 +598,7 @@ def _emit_legendre_table(params: dict[str, Any], config: Config) -> Report:
 # --------------------------------------------------------------------------
 # ghost right-triangles (parabolic primes)
 
-def _emit_ghost_table(params: dict[str, Any], config: Config) -> Report:
-    opts = _take(params, {"n_max": ("int", 60)})
-    n_max = opts["n_max"]
+def _emit_ghost_table(config: Config, /, *, n_max: int = 60) -> Report:
     if n_max < 1:
         raise ReportError(f"n_max: needs at least 1, got {n_max}")
     conv = config.convention
@@ -696,9 +671,7 @@ def _emit_ghost_table(params: dict[str, Any], config: Config) -> Report:
 # --------------------------------------------------------------------------
 # zeta estimate over the parabolic primes
 
-def _emit_zeta_table(params: dict[str, Any], config: Config) -> Report:
-    opts = _take(params, {"k_max": ("int", 10)})
-    k_max = opts["k_max"]
+def _emit_zeta_table(config: Config, /, *, k_max: int = 10) -> Report:
     records = parabolic_primes(k_max, config.convention)
     total, _ = zeta_partial(k_max)
     rows = []
@@ -737,41 +710,31 @@ def _emit_zeta_table(params: dict[str, Any], config: Config) -> Report:
 # --------------------------------------------------------------------------
 # single-shot renderings used by the command line
 
-def _emit_couple(params: dict[str, Any], config: Config) -> Report:
-    opts = _take(params, {"two_n": ("int", _MISSING), "trace": ("bool", False)})
+def _emit_couple(config: Config, /, *, two_n: int, trace: bool = False) -> Report:
     conv = config.convention
-    couple, trace = canonical_couple(opts["two_n"], conv)
+    couple, descent = canonical_couple(two_n, conv)
     row = [
-        str(opts["two_n"]),
+        str(two_n),
         str(couple.p),
         str(couple.q),
         couple.kind.value,
-        str(trace.depth()),
+        str(descent.depth()),
     ]
     headers = ["2n", "p", "q", "kind", "depth"]
     payload = {
-        "two_n": opts["two_n"],
+        "two_n": two_n,
         "convention": conv.value,
         "couple": [couple.p, couple.q],
         "kind": couple.kind.value,
-        "depth": trace.depth(),
+        "depth": descent.depth(),
     }
-    if opts["trace"]:
+    if trace:
         headers.append("descent")
-        row.append(_chain_text(opts["two_n"], trace.steps))
-        payload["steps"] = [
-            {
-                "candidate": s.candidate,
-                "remainder": s.remainder,
-                "factors": None
-                if s.remainder_factorization is None
-                else _factor_list(s.remainder_factorization),
-            }
-            for s in trace.steps
-        ]
+        row.append(_chain_text(two_n, descent.steps))
+        payload["steps"] = _steps_entry(descent.steps)
     return Report(
         kind="couple",
-        title=f"Canonical Goldbach couple for {opts['two_n']}",
+        title=f"Canonical Goldbach couple for {two_n}",
         headers=tuple(headers),
         rows=(tuple(row),),
         footers=(),
@@ -779,38 +742,33 @@ def _emit_couple(params: dict[str, Any], config: Config) -> Report:
     )
 
 
-def _emit_couples(params: dict[str, Any], config: Config) -> Report:
-    opts = _take(params, {"two_n": ("int", _MISSING)})
+def _emit_couples(config: Config, /, *, two_n: int) -> Report:
     conv = config.convention
-    couples = enumerate_couples(opts["two_n"], conv)
+    couples = enumerate_couples(two_n, conv)
     rows = tuple(
         (str(c.p), str(c.q), c.kind.value, "★" if c.canonical else "")
         for c in couples
     )
     return Report(
         kind="couples",
-        title=f"Goldbach couples for {opts['two_n']}",
+        title=f"Goldbach couples for {two_n}",
         headers=("p", "q", "kind", "canonical"),
         rows=rows,
         footers=(f"{len(couples)} couple(s) under {conv.value}.",),
         payload={
-            "two_n": opts["two_n"],
+            "two_n": two_n,
             "convention": conv.value,
-            "couples": [
-                {"pair": [c.p, c.q], "kind": c.kind.value, "canonical": c.canonical}
-                for c in couples
-            ],
+            "couples": [_couple_entry(c) for c in couples],
         },
     )
 
 
-def _emit_quasi_couples(params: dict[str, Any], config: Config) -> Report:
-    opts = _take(params, {"two_n": ("int", _MISSING)})
+def _emit_quasi_couples(config: Config, /, *, two_n: int) -> Report:
     conv = config.convention
-    quasi = quasi_couples(opts["two_n"], conv)
+    quasi = quasi_couples(two_n, conv)
     return Report(
         kind="quasi-couples",
-        title=f"Quasi-Goldbach couples for {opts['two_n']}",
+        title=f"Quasi-Goldbach couples for {two_n}",
         headers=("a", "2n-a"),
         rows=tuple((str(a), str(b)) for a, b in quasi),
         footers=(
@@ -818,27 +776,26 @@ def _emit_quasi_couples(params: dict[str, Any], config: Config) -> Report:
             f"{len(quasi)} pair(s) under {conv.value}.",
         ),
         payload={
-            "two_n": opts["two_n"],
+            "two_n": two_n,
             "convention": conv.value,
             "pairs": [[a, b] for a, b in quasi],
         },
     )
 
 
-def _emit_units_profile(params: dict[str, Any], config: Config) -> Report:
-    opts = _take(params, {"n": ("int", _MISSING)})
-    profile = units_profile(opts["n"], config.convention)
+def _emit_units_profile(config: Config, /, *, n: int) -> Report:
+    profile = units_profile(n, config.convention)
     rows = (
         ("modulus", str(profile.modulus)),
-        ("units", "{" + ",".join(str(u) for u in profile.units) + "}"),
+        ("units", _braced(profile.units)),
         ("totient φ", str(profile.totient)),
         ("carmichael λ", str(profile.carmichael)),
         ("cyclic", "yes" if profile.cyclic else "no"),
-        ("strong generators", "{" + ",".join(str(u) for u in profile.strong) + "}"),
+        ("strong generators", _braced(profile.strong)),
     )
     return Report(
         kind="units-profile",
-        title=f"Unit group of {_zn(opts['n'])}",
+        title=f"Unit group of {_zn(n)}",
         headers=("field", "value"),
         rows=rows,
         footers=(f"Strong generators are the units that are prime under {profile.convention.value}.",),
@@ -854,23 +811,16 @@ def _emit_units_profile(params: dict[str, Any], config: Config) -> Report:
     )
 
 
-def _emit_strong_generators(params: dict[str, Any], config: Config) -> Report:
-    opts = _take(params, {"n": ("int", _MISSING)})
-    profile = units_profile(opts["n"], config.convention)
+def _emit_strong_generators(config: Config, /, *, n: int) -> Report:
+    profile = units_profile(n, config.convention)
     return Report(
         kind="strong-generators",
-        title=f"Strong generators in {_zn(opts['n'])}",
+        title=f"Strong generators in {_zn(n)}",
         headers=("n", "strong generators", "count"),
-        rows=(
-            (
-                str(opts["n"]),
-                "{" + ",".join(str(u) for u in profile.strong) + "}",
-                str(len(profile.strong)),
-            ),
-        ),
-        footers=(f"Units of {_zn(opts['n'])} that are prime under {profile.convention.value}.",),
+        rows=((str(n), _braced(profile.strong), str(len(profile.strong))),),
+        footers=(f"Units of {_zn(n)} that are prime under {profile.convention.value}.",),
         payload={
-            "modulus": opts["n"],
+            "modulus": n,
             "convention": profile.convention.value,
             "strong": list(profile.strong),
             "count": len(profile.strong),
@@ -878,10 +828,9 @@ def _emit_strong_generators(params: dict[str, Any], config: Config) -> Report:
     )
 
 
-def _emit_crt(params: dict[str, Any], config: Config) -> Report:
-    opts = _take(params, {"a": ("int", _MISSING), "n": ("int", _MISSING)})
-    components = crt_decompose(opts["a"], opts["n"])
-    fact = factorize(opts["n"])
+def _emit_crt(config: Config, /, *, a: int, n: int) -> Report:
+    components = crt_decompose(a, n)
+    fact = factorize(n)
     rows = tuple(
         (str(r), str(pe), str(p), str(e))
         for (r, pe), (p, e) in zip(components, fact.factors)
@@ -889,21 +838,19 @@ def _emit_crt(params: dict[str, Any], config: Config) -> Report:
     iso = " × ".join(_zn(p**e) for p, e in fact.factors)
     return Report(
         kind="crt",
-        title=f"CRT decomposition of {opts['a']} modulo {opts['n']}",
+        title=f"CRT decomposition of {a} modulo {n}",
         headers=("residue", "modulus", "prime", "exponent"),
         rows=rows,
-        footers=(f"{_zn(opts['n'])} ≅ {iso}.",),
+        footers=(f"{_zn(n)} ≅ {iso}.",),
         payload={
-            "value": opts["a"] % opts["n"],
-            "modulus": opts["n"],
+            "value": a % n,
+            "modulus": n,
             "components": [[r, pe] for r, pe in components],
         },
     )
 
 
-def _emit_radical(params: dict[str, Any], config: Config) -> Report:
-    opts = _take(params, {"m": ("int", _MISSING)})
-    m = opts["m"]
+def _emit_radical(config: Config, /, *, m: int) -> Report:
     if m < 1:
         raise ReportError(f"m: needs a positive integer, got {m}")
     ideal = PrincipalIdeal.of_int(m)
@@ -930,9 +877,7 @@ def _emit_radical(params: dict[str, Any], config: Config) -> Report:
     )
 
 
-def _emit_jacobson(params: dict[str, Any], config: Config) -> Report:
-    opts = _take(params, {"n": ("int", _MISSING)})
-    n = opts["n"]
+def _emit_jacobson(config: Config, /, *, n: int) -> Report:
     ideal = jacobson_radical_zn(n)
     gen = ideal.generator.value()
     return Report(
@@ -951,9 +896,7 @@ def _emit_jacobson(params: dict[str, Any], config: Config) -> Report:
     )
 
 
-def _emit_bezout(params: dict[str, Any], config: Config) -> Report:
-    opts = _take(params, {"a": ("int", _MISSING), "b": ("int", _MISSING)})
-    a, b = opts["a"], opts["b"]
+def _emit_bezout(config: Config, /, *, a: int, b: int) -> Report:
     g, x, y = bezout(a, b)
     identity = f"{a}·({x}) + {b}·({y}) = {g}"
     return Report(
@@ -966,9 +909,7 @@ def _emit_bezout(params: dict[str, Any], config: Config) -> Report:
     )
 
 
-def _emit_triangle(params: dict[str, Any], config: Config) -> Report:
-    opts = _take(params, {"n": ("int", _MISSING)})
-    n = opts["n"]
+def _emit_triangle(config: Config, /, *, n: int) -> Report:
     value = triangle_number(n)
     return Report(
         kind="triangle",
@@ -980,54 +921,37 @@ def _emit_triangle(params: dict[str, Any], config: Config) -> Report:
     )
 
 
-def _emit_square_triangular(params: dict[str, Any], config: Config) -> Report:
-    opts = _take(params, {"k_max": ("int", _MISSING)})
-    k_max = opts["k_max"]
+def _emit_square_triangular(config: Config, /, *, k_max: int) -> Report:
     if not 1 <= k_max <= SQUARE_TRIANGULAR_MAX_K:
         raise ReportError(
             f"K (k_max): needs 1 to {SQUARE_TRIANGULAR_MAX_K}, got {k_max}; "
             "S(k) doubles its digit count each step"
         )
-    rows = []
-    values = []
-    for k in range(1, k_max + 1):
-        s = square_triangular(k)
-        rows.append((str(k), str(s)))
-        values.append(s)
+    values = [square_triangular(k) for k in range(1, k_max + 1)]
     return Report(
         kind="square-triangular",
         title="Numbers that are both square and triangular",
         headers=("k", "S(k)"),
-        rows=tuple(rows),
+        rows=tuple((str(k), str(s)) for k, s in enumerate(values, 1)),
         footers=("S(1) = 1 and S(k+1) = 4·S(k)·(8·S(k) + 1).",),
         payload={"k_max": k_max, "values": values},
     )
 
 
-def _emit_three_triangular(params: dict[str, Any], config: Config) -> Report:
-    opts = _take(params, {"n": ("int", _MISSING)})
-    n = opts["n"]
+def _emit_three_triangular(config: Config, /, *, n: int) -> Report:
     parts = three_triangular(n)
     indices = [triangle_index(p) for p in parts]
     return Report(
         kind="three-triangular",
         title=f"Three-triangular decomposition of {n}",
         headers=("n", "decomposition", "triangle indices"),
-        rows=(
-            (
-                str(n),
-                " + ".join(str(p) for p in parts),
-                ", ".join(str(i) for i in indices),
-            ),
-        ),
+        rows=((str(n), " + ".join(map(str, parts)), ", ".join(map(str, indices))),),
         footers=("Every natural number is a sum of at most three triangular numbers.",),
         payload={"n": n, "parts": list(parts), "indices": indices},
     )
 
 
-def _emit_faulhaber(params: dict[str, Any], config: Config) -> Report:
-    opts = _take(params, {"m": ("int", _MISSING), "n": ("int", _MISSING)})
-    m, n = opts["m"], opts["n"]
+def _emit_faulhaber(config: Config, /, *, m: int, n: int) -> Report:
     value = faulhaber(m, n)
     return Report(
         kind="faulhaber",
@@ -1039,39 +963,37 @@ def _emit_faulhaber(params: dict[str, Any], config: Config) -> Report:
     )
 
 
-def _emit_verify_summary(params: dict[str, Any], config: Config) -> Report:
-    opts = _take(params, {"summary": ("any", _MISSING)})
-    s = opts["summary"]
+def _emit_verify_summary(config: Config, /, *, summary: RunSummary) -> Report:
     rows = [
-        ("task", s.task.value),
-        ("convention", s.convention.value),
-        ("range", f"[{s.lo}, {s.hi}]"),
-        ("verified", str(s.verified)),
-        ("skipped", str(s.skipped)),
-        ("complete", "yes" if s.complete else "no"),
-        ("elapsed (s)", f"{s.elapsed:.3f}"),
+        ("task", summary.task.value),
+        ("convention", summary.convention.value),
+        ("range", f"[{summary.lo}, {summary.hi}]"),
+        ("verified", str(summary.verified)),
+        ("skipped", str(summary.skipped)),
+        ("complete", "yes" if summary.complete else "no"),
+        ("elapsed (s)", f"{summary.elapsed:.3f}"),
     ]
-    for key in sorted(s.stats):
-        rows.append((key, str(s.stats[key])))
-    for witness in s.counterexamples:
+    for key in sorted(summary.stats):
+        rows.append((key, str(summary.stats[key])))
+    for witness in summary.counterexamples:
         rows.append(("counterexample", json.dumps(witness, sort_keys=True)))
     return Report(
         kind="verify-summary",
-        title=f"Verification summary: {s.task.value} on [{s.lo}, {s.hi}]",
+        title=f"Verification summary: {summary.task.value} on [{summary.lo}, {summary.hi}]",
         headers=("field", "value"),
         rows=tuple(rows),
         footers=(),
         payload={
-            "task": s.task.value,
-            "convention": s.convention.value,
-            "lo": s.lo,
-            "hi": s.hi,
-            "verified": s.verified,
-            "skipped": s.skipped,
-            "complete": s.complete,
-            "elapsed": round(s.elapsed, 3),
-            "stats": dict(s.stats),
-            "counterexamples": list(s.counterexamples),
+            "task": summary.task.value,
+            "convention": summary.convention.value,
+            "lo": summary.lo,
+            "hi": summary.hi,
+            "verified": summary.verified,
+            "skipped": summary.skipped,
+            "complete": summary.complete,
+            "elapsed": round(summary.elapsed, 3),
+            "stats": dict(summary.stats),
+            "counterexamples": list(summary.counterexamples),
         },
     )
 
@@ -1122,7 +1044,7 @@ _RENDERERS: dict[str, Callable[[Report, Config], bytes]] = {
     "json": _render_json,
 }
 
-_EMITTERS: dict[str, Callable[[dict[str, Any], Config], Report]] = {
+_EMITTERS: dict[str, Callable[..., Report]] = {
     "descent-table": _emit_descent_table,
     "units-grid": _emit_units_grid,
     "ring-table": _emit_ring_table,
@@ -1149,15 +1071,33 @@ _EMITTERS: dict[str, Callable[[dict[str, Any], Config], Report]] = {
 }
 
 
+# each emitter's keyword-only parameters, read once: their names, annotations
+# and defaults are the one declaration of what a report kind accepts
+_PARAMETERS = {
+    kind: {
+        name: param
+        for name, param in inspect.signature(emitter).parameters.items()
+        if param.kind is inspect.Parameter.KEYWORD_ONLY
+    }
+    for kind, emitter in _EMITTERS.items()
+}
+
+
 def report_kinds() -> tuple[str, ...]:
     return tuple(sorted(_EMITTERS))
+
+
+def report_parameters(kind: str) -> Mapping[str, inspect.Parameter]:
+    """The parameters a report kind accepts, by name, with their defaults."""
+    return _PARAMETERS[kind]
 
 
 def build_report(
     kind: str, params: Mapping[str, Any] | None = None, config: Config | None = None
 ) -> Report:
     """The structured form of :func:`emit_report`, for callers that want the
-    grid and payload without serialization."""
+    grid and payload without serialization.  ``params`` is checked against
+    :func:`report_parameters` before the emitter runs."""
     if config is None:
         config = Config(workers=1)
     try:
@@ -1166,7 +1106,16 @@ def build_report(
         raise ReportError(
             f"unknown report kind {kind!r}; expected one of: {', '.join(report_kinds())}"
         ) from None
-    return emitter(dict(params or {}), config)
+    params = dict(params or {})
+    kwargs = {}
+    for name, param in _PARAMETERS[kind].items():
+        if name in params:
+            kwargs[name] = _coerce(name, params.pop(name), param.annotation)
+        elif param.default is param.empty:
+            raise ReportError(f"{name}: required parameter missing")
+    if params:
+        raise ReportError(f"unknown parameter(s): {', '.join(sorted(params))}")
+    return emitter(config, **kwargs)
 
 
 def emit_report(
@@ -1177,11 +1126,10 @@ def emit_report(
 ) -> bytes:
     if config is None:
         config = Config(workers=1)
-    report = build_report(kind, params, config)
     try:
         renderer = _RENDERERS[fmt]
     except KeyError:
         raise ReportError(
             f"unknown format {fmt!r}; expected one of: {', '.join(sorted(_RENDERERS))}"
         ) from None
-    return renderer(report, config)
+    return renderer(build_report(kind, params, config), config)

@@ -10,6 +10,7 @@ import landau.cli as cli_module
 from landau.cli import main
 from landau.harness import RunSummary, Task
 from landau.primes import PrimeConvention
+from landau.reports import report_kinds, report_parameters
 
 CLEAN_ENV = {
     "LANDAU_CONVENTION": None,
@@ -97,6 +98,20 @@ class TestGrammar:
         out = runner.invoke(main, ["goldbach", "enumerate", "28"]).output
         assert "| 5 | 23 |" in out and "★" in out
 
+    @pytest.mark.parametrize(
+        "row", cli_module.REPORT_LEAVES, ids=lambda row: f"{row[0]} {row[1]}"
+    )
+    def test_report_row_agrees_with_its_emitter(self, row):
+        _, _, kind, _, params = row
+        assert kind in report_kinds()
+        keywords = report_parameters(kind)
+        names = {p.name for p in params}
+        assert names <= set(keywords)
+        assert {name for name, k in keywords.items() if k.default is k.empty} <= names
+        for p in params:
+            if not p.required:
+                assert p.default == keywords[p.name].default, p.name
+
 
 class TestExitCodes:
     def test_usage_error_for_odd_goldbach_target(self, runner):
@@ -171,6 +186,17 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert "K (k_max): needs 1 to 12, got 13" in result.stderr
         assert result.stdout == ""  # no row was printed
+
+    @pytest.mark.parametrize("two_n, code", [(9884, 0), (9886, 2), (10000, 2)])
+    def test_ideal_table_past_the_digit_limit_is_usage_error_naming_2n(
+        self, runner, two_n, code
+    ):
+        # r for 2N = 9886 first has more than the 4,300 digits Python prints
+        result = runner.invoke(main, ["ideals", "analyze", str(two_n)])
+        assert result.exit_code == code
+        if code:
+            assert f"2N={two_n}" in result.stderr
+            assert result.stdout == ""
 
     def test_clean_verify_exits_0(self, runner):
         result = runner.invoke(main, ["goldbach", "verify", "--from", "2", "--to", "100"])

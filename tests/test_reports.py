@@ -18,6 +18,7 @@ from landau.reports import (
     build_report,
     emit_report,
     report_kinds,
+    report_parameters,
 )
 from landau.zn import factorize
 
@@ -31,6 +32,80 @@ EXC = PrimeConvention.EXCLUDE1
 
 GOLDEN = Path(__file__).parent / "golden"
 CFG = Config(workers=1)
+
+# one valid parameter set per report kind but verify-summary, whose summary
+# comes from a verify run
+VALID_PARAMS = {
+    "descent-table": {"targets": (2, 10)},
+    "units-grid": {"n": 10},
+    "ring-table": {"moduli": (2, 10)},
+    "ideal-table": {"two_n": 28},
+    "polignac-table": {"gaps": (2,), "m_max": 2},
+    "polignac-pairs": {"two_n": 20, "q_max": 37},
+    "legendre-table": {"ns": (1, 2)},
+    "ghost-table": {"n_max": 16},
+    "zeta-table": {"k_max": 10},
+    "couple": {"two_n": 220},
+    "couples": {"two_n": 28},
+    "quasi-couples": {"two_n": 10},
+    "units-profile": {"n": 22},
+    "strong-generators": {"n": 22},
+    "crt": {"a": 7, "n": 60},
+    "radical": {"m": 45},
+    "jacobson": {"n": 60},
+    "bezout": {"a": 28, "b": 45},
+    "triangle": {"n": 10},
+    "square-triangular": {"k_max": 4},
+    "three-triangular": {"n": 35},
+    "faulhaber": {"m": 2, "n": 10},
+}
+
+# (kind, parameter, bad value, start of the error after the name) for every
+# int, bool and integer-sequence parameter of every kind
+_BAD = {
+    "int": [("7", "expected an integer"), (True, "expected an integer")],
+    "bool": [(1, "expected a boolean")],
+    "ints": [(7, "expected a sequence of integers"), ((2, "4"), "expected integers")],
+}
+_TYPED = {
+    "descent-table": {"targets": "ints"},
+    "units-grid": {"n": "int"},
+    "ring-table": {"moduli": "ints"},
+    "ideal-table": {"two_n": "int", "include_top": "bool", "descent_only": "bool"},
+    "polignac-table": {"gaps": "ints", "m_max": "int"},
+    "polignac-pairs": {"two_n": "int", "q_max": "int"},
+    "legendre-table": {"ns": "ints"},
+    "ghost-table": {"n_max": "int"},
+    "zeta-table": {"k_max": "int"},
+    "couple": {"two_n": "int", "trace": "bool"},
+    "couples": {"two_n": "int"},
+    "quasi-couples": {"two_n": "int"},
+    "units-profile": {"n": "int"},
+    "strong-generators": {"n": "int"},
+    "crt": {"a": "int", "n": "int"},
+    "radical": {"m": "int"},
+    "jacobson": {"n": "int"},
+    "bezout": {"a": "int", "b": "int"},
+    "triangle": {"n": "int"},
+    "square-triangular": {"k_max": "int"},
+    "three-triangular": {"n": "int"},
+    "faulhaber": {"m": "int", "n": "int"},
+}
+BAD_VALUES = [
+    (kind, name, value, message)
+    for kind, names in _TYPED.items()
+    for name, type_ in names.items()
+    for value, message in _BAD[type_]
+]
+REQUIRED = [
+    ("units-grid", "n"), ("ideal-table", "two_n"), ("polignac-pairs", "two_n"),
+    ("polignac-pairs", "q_max"), ("couple", "two_n"), ("couples", "two_n"),
+    ("quasi-couples", "two_n"), ("units-profile", "n"), ("strong-generators", "n"),
+    ("crt", "a"), ("crt", "n"), ("radical", "m"), ("jacobson", "n"), ("bezout", "a"),
+    ("bezout", "b"), ("triangle", "n"), ("square-triangular", "k_max"),
+    ("three-triangular", "n"), ("faulhaber", "m"), ("faulhaber", "n"),
+    ("verify-summary", "summary"),
+]
 
 GOLDEN_CASES = {
     "descent_table.md": ("descent-table", {}, "md"),
@@ -391,31 +466,7 @@ class TestRenderers:
 
     def test_every_kind_payload_is_json_serializable(self):
         summary = verify_range(Task.GOLDBACH, 2, 200)
-        cases = {
-            "descent-table": {"targets": (2, 10)},
-            "units-grid": {"n": 10},
-            "ring-table": {"moduli": (2, 10)},
-            "ideal-table": {"two_n": 28},
-            "polignac-table": {"gaps": (2,), "m_max": 2},
-            "polignac-pairs": {"two_n": 20, "q_max": 37},
-            "legendre-table": {"ns": (1, 2)},
-            "ghost-table": {"n_max": 16},
-            "zeta-table": {"k_max": 10},
-            "couple": {"two_n": 220},
-            "couples": {"two_n": 28},
-            "quasi-couples": {"two_n": 10},
-            "units-profile": {"n": 22},
-            "strong-generators": {"n": 22},
-            "crt": {"a": 7, "n": 60},
-            "radical": {"m": 45},
-            "jacobson": {"n": 60},
-            "bezout": {"a": 28, "b": 45},
-            "triangle": {"n": 10},
-            "square-triangular": {"k_max": 4},
-            "three-triangular": {"n": 35},
-            "faulhaber": {"m": 2, "n": 10},
-            "verify-summary": {"summary": summary},
-        }
+        cases = {**VALID_PARAMS, "verify-summary": {"summary": summary}}
         assert set(cases) == set(report_kinds())
         for kind, params in cases.items():
             report = build_report(kind, dict(params), CFG)
@@ -463,3 +514,40 @@ class TestErrors:
     def test_library_domain_errors_propagate(self):
         with pytest.raises(ValueError, match="even"):
             emit_report("couple", {"two_n": 7}, "md", CFG)
+
+    def test_unknown_format_is_refused_before_the_report_is_built(self):
+        # building would raise the library's "even" ValueError first
+        with pytest.raises(ReportError, match="unknown format"):
+            emit_report("couple", {"two_n": 7}, "html", CFG)
+
+    @pytest.mark.parametrize("kind, name, value, message", BAD_VALUES)
+    def test_bad_value_names_the_parameter(self, kind, name, value, message):
+        params = {**VALID_PARAMS[kind], name: value}
+        with pytest.raises(ReportError, match=f"^{name}: {message}"):
+            build_report(kind, params, CFG)
+
+    @pytest.mark.parametrize("kind, name", REQUIRED)
+    def test_missing_required_parameter_on_every_kind(self, kind, name):
+        params = {k: v for k, v in VALID_PARAMS.get(kind, {}).items() if k != name}
+        with pytest.raises(ReportError, match=f"^{name}: required parameter missing$"):
+            build_report(kind, params, CFG)
+
+    def test_the_cases_cover_every_parameter(self):
+        params = {
+            (kind, name): p
+            for kind in report_kinds()
+            for name, p in report_parameters(kind).items()
+        }
+        # the verify summary is the harness's own object and is passed through
+        checked = {(kind, name) for kind, name, _, _ in BAD_VALUES}
+        assert set(params) - checked == {("verify-summary", "summary")}
+        assert {key for key, p in params.items() if p.default is p.empty} == set(REQUIRED)
+
+    @pytest.mark.parametrize("two_n", [9886, 10000])
+    def test_ideal_table_refuses_an_r_too_long_to_print(self, two_n):
+        with pytest.raises(ReportError, match=f"^2N={two_n}: r .* more than 4300 digits"):
+            build_report("ideal-table", {"two_n": two_n}, CFG)
+
+    def test_ideal_table_just_below_the_digit_limit_renders(self):
+        report = build_report("ideal-table", {"two_n": 9884}, CFG)
+        assert len(str(report.payload["r_alternate"]["value"])) <= 4300
