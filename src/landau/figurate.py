@@ -73,44 +73,37 @@ class DecompositionCounterexample(Exception):
         super().__init__(f"no triangular decomposition found for {n}")
 
 
-_tris: list[int] = []
-_tri_set: set[int] = set()
-
-
-def _triangulars_to(n: int) -> list[int]:
-    k = len(_tris)
-    while not _tris or _tris[-1] < n:
-        k += 1
-        t = k * (k + 1) // 2
-        _tris.append(t)
-        _tri_set.add(t)
-    return _tris
-
-
 def three_triangular(n: int) -> list[int]:
     """A decomposition of n into at most three triangular numbers, parts
     descending; among all decompositions the one whose ascending part list
     is lexicographically smallest."""
     if n < 1:
         raise ValueError(f"needs n >= 1, got {n}")
-    tris = _triangulars_to(n)
-    for a in tris:
-        if a > n:
-            break
+    i, a = 1, 1  # the smallest part a = T_i, rising
+    while a <= n:
         rest = n - a
         if rest == 0:
             return [a]
-        if rest < a:
-            continue
-        for b in tris:
-            if b < a:
-                continue
-            if b > rest // 2:
-                break
-            if rest - b in _tri_set:
-                return [rest - b, b, a]
-        if rest in _tri_set:
-            return [rest, a]
+        if rest >= a:
+            # b = T_j rises from a while c = T_k falls from the largest
+            # triangular number <= rest - a; a pair is passed over only when
+            # no partner of b or of c is left, so the first hit has the least b
+            j, b = i, a
+            k = (math.isqrt(8 * (rest - a) + 1) - 1) // 2
+            c = k * (k + 1) // 2
+            while b <= c:
+                if b + c == rest:
+                    return [c, b, a]
+                if b + c < rest:
+                    j += 1
+                    b += j
+                else:
+                    c -= k
+                    k -= 1
+            if is_triangular(rest):
+                return [rest, a]
+        i += 1
+        a += i
     raise DecompositionCounterexample(n)
 
 
@@ -242,8 +235,13 @@ def zeta_partial(k_max: int) -> tuple[Fraction, float]:
     for k in range(1, k_max + 1):
         if is_prime(k * k + 1, PrimeConvention.EXCLUDE1):
             total += Fraction(1, k * k)
+    _check_zeta_bounds(total, k_max)
+    return total, math.pi * math.pi / 6
+
+
+def _check_zeta_bounds(total: Fraction, k_max: int) -> None:
+    """Raise unless the parabolic sum up to k_max keeps zeta_partial's bounds."""
     if total >= _ZETA2_FLOOR:
         raise RuntimeError(f"series estimate {total} escaped its ceiling")
     if k_max >= 2 and total <= 1:
         raise RuntimeError(f"series estimate {total} fell under 1")
-    return total, math.pi * math.pi / 6

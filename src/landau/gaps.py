@@ -45,9 +45,6 @@ class PolignacPair:
         if self.block != _block_index(self.q, self.gap):
             raise ValueError(f"wrong block {self.block} for q={self.q}, gap={self.gap}")
 
-    def pair(self) -> tuple[int, int]:
-        return (self.q, self.p)
-
 
 class LegendreCounterexample(Exception):
     """An interval [n^2, (n+1)^2] without a prime; never observed."""

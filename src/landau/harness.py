@@ -10,15 +10,15 @@ whose primality from is_prime, so the two verdicts stay independent.
 Progress lives in a line-delimited JSON checkpoint, one record per contiguous
 verified subrange.  The file is only ever replaced whole (write a sibling
 temp file, fsync, rename), so a killed run leaves the previous parseable
-state behind.  Work is split into fixed-size chunks whose results come back
-in ascending order from one stream (a worker pool's ordered imap, or a plain
-map with one worker) and are folded into records in that order, which keeps
-the checkpoint content independent of the worker count.  A chunk is a pure
-function of its task, convention and span: it sieves only the window it
-reads, its span plus a reach that grows only when a search runs off it (the
-parabolic sieve walks its primes up to the span's top in windows of fixed
-width), so a run holds no table that grows with the range and memory is
-O(chunk + reach) at any height.
+state behind.  Work is split into fixed-size chunks, made as the stream of
+results asks for them, whose results come back in ascending order (a worker
+pool's ordered imap, or a plain map with one worker) and are folded into
+records in that order, which keeps the checkpoint content independent of the
+worker count.  A chunk is a pure function of its task, convention and span:
+it sieves only the window it reads, its span plus a reach that grows only
+when a search runs off it (the parabolic sieve walks its primes up to the
+span's top in windows of fixed width), so a run holds no list and no table
+that grows with the range and memory is O(chunk + reach) at any height.
 
 The two even tasks are certified by one bitset scan rather than a loop per
 instance: the window's odd prime flags are packed into one Python int, each
@@ -233,21 +233,16 @@ def instance_count(task: Task, lo: int, hi: int) -> int:
 
 def _uncovered(lo: int, hi: int, covered: list[tuple[int, int]], step: int) -> list[tuple[int, int]]:
     """Maximal aligned subranges of [lo, hi] not touched by covered ranges."""
-
-    def up(v: int) -> int:
-        return v + v % 2 if step == 2 else v
-
-    def down(v: int) -> int:
-        return v - v % 2 if step == 2 else v
-
     out = []
     cur = lo
     for c_lo, c_hi in sorted(covered):
         if c_hi < cur or c_lo > hi:
             continue
         if c_lo > cur:
-            out.append((cur, down(min(c_lo - 1, hi))))
-        cur = max(cur, up(c_hi + 1))
+            v = min(c_lo - 1, hi)
+            out.append((cur, v - v % step))
+        v = c_hi + 1
+        cur = max(cur, v + v % step)
         if cur > hi:
             break
     if cur <= hi:
@@ -255,9 +250,11 @@ def _uncovered(lo: int, hi: int, covered: list[tuple[int, int]], step: int) -> l
     return [(a, b) for a, b in out if a <= b]
 
 
-def _merge_stats(task: Task, acc: dict[str, int] | None, new: dict[str, int]) -> dict[str, int]:
-    if acc is None:
-        return dict(new)
+def _merge_stats(task: Task, acc: dict[str, int], new: dict[str, int]) -> None:
+    """Fold new into acc in place; an empty acc takes new as it is."""
+    if not acc:
+        acc.update(new)
+        return
     acc["instances"] += new["instances"]
     for kind, key, at_key in _STAT_MERGE[task]:
         if kind == "sum":
@@ -266,7 +263,6 @@ def _merge_stats(task: Task, acc: dict[str, int] | None, new: dict[str, int]) ->
             acc[key] = new[key]
             if at_key is not None:
                 acc[at_key] = new[at_key]
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -495,10 +491,11 @@ _CHECKERS = {
 }
 
 
-def _run_chunk(item: tuple[Task, PrimeConvention, int, int]) -> dict[str, Any]:
+def _run_chunk(item: tuple[Task, PrimeConvention, int, int]) -> tuple[int, int, dict[str, Any]]:
+    """The chunk's span with its checker's stats and witness."""
     # looked up here, in the worker, so a replaced checker reaches forked workers
     task, conv, lo, hi = item
-    return _CHECKERS[task](conv, lo, hi)
+    return lo, hi, _CHECKERS[task](conv, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -560,80 +557,53 @@ def verify_range(
         raise ValueError(f"worker_count must be positive, got {worker_count}")
     start = time.perf_counter()
     step = _step(task)
-    if step == 2:
-        lo += lo % 2
-        hi -= hi % 2
+    lo, hi = lo + lo % step, hi - hi % step
     floor = _domain_lo(task, conv)
     if lo < floor:
         raise ValueError(
             f"{task.value} instances start at {floor} under {conv.value}, got {lo}"
         )
 
-    def summary(verified: int, skipped: int, cx: tuple[dict[str, Any], ...],
-                stats: dict[str, int], complete: bool) -> RunSummary:
-        return RunSummary(
-            task=task,
-            convention=conv,
-            lo=lo,
-            hi=hi,
-            verified=verified,
-            skipped=skipped,
-            counterexamples=cx,
-            stats=stats,
-            complete=complete,
-            elapsed=time.perf_counter() - start,
-        )
-
-    if hi < lo:  # range held no instance of the right parity
-        return summary(0, 0, (), {}, True)
-
     path = None if checkpoint_path is None else os.fspath(checkpoint_path)
-    with _locked_history(path) as existing:
+    run_stats: dict[str, int] = {}
+    witness = None
+    # a range with no instance of the right parity reads no checkpoint
+    with _locked_history(path if lo <= hi else None) as existing:
         mine = [cp for cp in existing if cp.task is task and cp.convention is conv]
+        # a recorded counterexample has already falsified the claim here
         terminal = tuple(cp.witness for cp in mine if cp.status == "counterexample")
-        if terminal:
-            # the claim is already falsified for this task+convention
-            return summary(0, 0, terminal, {}, False)
-        gaps = _uncovered(lo, hi, [(cp.lo, cp.hi) for cp in mine], step)
-        skipped = instance_count(task, lo, hi) - sum(instance_count(task, a, b) for a, b in gaps)
-        if not gaps:
-            return summary(0, skipped, (), {}, True)
-        spans = [
-            (a + i * step, min(a + (i + CHUNK_SIZE - 1) * step, b))
-            for a, b in gaps
-            for i in range(0, instance_count(task, a, b), CHUNK_SIZE)
-        ]
-        gap_starts = {a for a, _ in gaps}
-
-        ts = _now()
-        # the history plus this run's records; while a gap is being filled,
-        # its growing record is the last entry
-        records = list(existing)
-        run_stats: dict[str, int] | None = None
-        verified = 0
-        witness = None
-        items = [(task, conv, a, b) for a, b in spans]
+        gaps = [] if terminal else _uncovered(lo, hi, [(cp.lo, cp.hi) for cp in mine], step)
+        skipped = 0 if terminal else (
+            instance_count(task, lo, hi) - sum(instance_count(task, a, b) for a, b in gaps))
+        stride = CHUNK_SIZE * step
+        # chunks are made as the stream asks for them; a pool's task pipe
+        # fills and pushes back, so only a few chunks are ever in flight
+        items = ((task, conv, c_lo, min(c_lo + stride - step, b))
+                 for a, b in gaps for c_lo in range(a, b + 1, stride))
+        chunks = sum(len(range(a, b + 1, stride)) for a, b in gaps)
         # workers beyond the chunks or the host's cores only add forks; results
         # do not depend on the count
-        pool_size = min(worker_count, len(items), os.cpu_count() or 1)
-        parallel = pool_size > 1
+        pool_size = min(worker_count, chunks, os.cpu_count() or 1)
+        # the history plus this run's records; this run's last record stays
+        # open, growing while the chunks that follow continue its gap
+        records = list(existing)
+        ts = _now()
         # leaving the pool's block stops any workers still busy
-        with (get_context("fork").Pool(pool_size) if parallel
+        with (get_context("fork").Pool(pool_size) if pool_size > 1
               else nullcontext()) as pool:
-            results = pool.imap(_run_chunk, items) if parallel else map(_run_chunk, items)
-            for folded, ((c_lo, c_hi), res) in enumerate(zip(spans, results), start=1):
+            results = pool.imap(_run_chunk, items) if pool else map(_run_chunk, items)
+            for folded, (c_lo, c_hi, res) in enumerate(results, start=1):
                 stats, witness = res["stats"], res["witness"]
-                run_stats = _merge_stats(task, run_stats, stats)
-                verified += stats["instances"]
+                _merge_stats(task, run_stats, stats)
                 if stats["instances"] > 0:
                     if witness is not None:
                         c_hi = witness["instance"] - step
-                    if c_lo in gap_starts:
-                        records.append(Checkpoint(task, conv, c_lo, c_hi, "verified",
-                                                  dict(stats), ts))
-                    else:
+                    if len(records) > len(existing) and records[-1].hi == c_lo - step:
                         _merge_stats(task, records[-1].stats, stats)
                         records[-1] = replace(records[-1], hi=c_hi)
+                    else:
+                        records.append(Checkpoint(task, conv, c_lo, c_hi, "verified",
+                                                  dict(stats), ts))
                 if witness is not None:
                     bad = witness["instance"]
                     records.append(Checkpoint(task, conv, bad, bad, "counterexample",
@@ -641,7 +611,18 @@ def verify_range(
                     break
                 if path is not None and folded % FLUSH_EVERY == 0:
                     _write_checkpoints(path, records)
-        if path is not None:
+        if path is not None and gaps:
             _write_checkpoints(path, records)
-    cx = () if witness is None else (witness,)
-    return summary(verified, skipped, cx, run_stats or {}, witness is None)
+    counterexamples = terminal if witness is None else (witness,)
+    return RunSummary(
+        task=task,
+        convention=conv,
+        lo=lo,
+        hi=hi,
+        verified=run_stats.get("instances", 0),
+        skipped=skipped,
+        counterexamples=counterexamples,
+        stats=run_stats,
+        complete=not counterexamples,
+        elapsed=time.perf_counter() - start,
+    )

@@ -135,6 +135,11 @@ def _wheel_steps() -> bytes:
     return bytes(steps[:_WHEEL])
 
 
+# the primes up to 17, where the wheel walks take over, with the unit, which
+# counts under include1 only
+_SMALL_PRIMES = (1, 2, 3, 5, 7, 11, 13, 17)
+
+
 def prev_prime(n: int, conv: PrimeConvention = DEFAULT_CONVENTION) -> int | None:
     """Largest prime strictly below n, or None when none exists."""
     if n > 17:
@@ -144,17 +149,7 @@ def prev_prime(n: int, conv: PrimeConvention = DEFAULT_CONVENTION) -> int | None
         while not is_prime(k, conv):
             k -= steps[-k % _WHEEL]
         return k
-    if n > 3:
-        k = n - 1 if n % 2 == 0 else n - 2
-        while k >= 3:
-            if is_prime(k, conv):
-                return k
-            k -= 2
-    if n > 2:
-        return 2
-    if n > 1 and conv is PrimeConvention.INCLUDE1:
-        return 1
-    return None
+    return max((p for p in _SMALL_PRIMES if p < n and is_prime(p, conv)), default=None)
 
 
 def next_prime(n: int, conv: PrimeConvention = DEFAULT_CONVENTION) -> int:
@@ -166,16 +161,7 @@ def next_prime(n: int, conv: PrimeConvention = DEFAULT_CONVENTION) -> int:
         while not is_prime(k, conv):
             k += steps[k % _WHEEL]
         return k
-    if n < 1:
-        return 1 if conv is PrimeConvention.INCLUDE1 else 2
-    if n < 2:
-        return 2
-    k = n + 1 if n % 2 == 0 else n + 2
-    if n == 2:
-        return 3
-    while not is_prime(k, conv):
-        k += 2
-    return k
+    return next(p for p in _SMALL_PRIMES if p > n and is_prime(p, conv))
 
 
 # --- segmented sieve ---------------------------------------------------------

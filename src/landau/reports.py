@@ -32,13 +32,13 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping
 from .config import Config
 from .figurate import (
     SQUARE_TRIANGULAR_MAX_K,
+    _check_zeta_bounds,
     faulhaber,
     parabolic_primes,
     square_triangular,
     three_triangular,
     triangle_index,
     triangle_number,
-    zeta_partial,
 )
 from .gaps import legendre_primes, polignac_dyadic_search, polignac_pairs
 from .goldbach import CoupleKind, canonical_couple, enumerate_couples, quasi_couples
@@ -673,7 +673,6 @@ def _emit_ghost_table(config: Config, /, *, n_max: int = 60) -> Report:
 
 def _emit_zeta_table(config: Config, /, *, k_max: int = 10) -> Report:
     records = parabolic_primes(k_max, config.convention)
-    total, _ = zeta_partial(k_max)
     rows = []
     terms = []
     running = Fraction(0)
@@ -686,8 +685,7 @@ def _emit_zeta_table(config: Config, /, *, k_max: int = 10) -> Report:
         terms.append(
             {"k": rec.k, "p": rec.p, "term": _frac(term), "partial": _frac(running)}
         )
-    if running != total:
-        raise RuntimeError(f"partial sums diverged: {running} != {total}")
+    _check_zeta_bounds(running, k_max)
     return Report(
         kind="zeta-table",
         title="Euler-Riemann zeta estimate for the parabolic primes",
@@ -695,13 +693,13 @@ def _emit_zeta_table(config: Config, /, *, k_max: int = 10) -> Report:
         rows=tuple(rows),
         footers=(
             "The full series over parabolic primes satisfies 1 < Σ 1/(p-1) ≤ ζ(2) = π²/6.",
-            f"With k ≤ {k_max} the partial sum is {_frac(total)}.",
+            f"With k ≤ {k_max} the partial sum is {_frac(running)}.",
             "All entries are exact rationals.",
         ),
         payload={
             "k_max": k_max,
             "terms": terms,
-            "partial_sum": _frac(total),
+            "partial_sum": _frac(running),
             "upper_bound": "pi^2/6",
         },
     )

@@ -1,5 +1,6 @@
 """The public surface carries no dead weight: every name in a landau module's
-__all__ is used by the package itself or by a script under scripts/.
+__all__, and every public method of an exported class, is used by the package
+itself or by a script under scripts/.
 
 A use is a name or attribute in the code.  The name's own definition, the
 __all__ lists and the re-exports in landau/__init__.py do not count, so a
@@ -41,20 +42,32 @@ def _uses(nodes: list[ast.stmt]) -> set[str]:
     return out
 
 
-def test_every_exported_name_has_a_use_outside_the_tests():
+def _attributes(nodes: list[ast.stmt]) -> set[str]:
+    """The attribute names read in nodes: a method is only ever used as one."""
+    return {node.attr for top in nodes for node in ast.walk(top) if isinstance(node, ast.Attribute)}
+
+
+def _parse() -> tuple[dict[str, ast.Module], list[ast.stmt]]:
+    """The package's modules by stem, and the statements of the scripts."""
     modules = {
         path.stem: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "__init__.py"
     }
     scripts = [
-        ast.parse(path.read_text(encoding="utf-8"))
+        node
         for path in sorted((ROOT / "scripts").glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
     ]
     assert modules and scripts
+    return modules, scripts
+
+
+def test_every_exported_name_has_a_use_outside_the_tests():
+    modules, scripts = _parse()
     elsewhere = {
         stem: _uses([n for other, t in modules.items() if other != stem for n in t.body])
-        | _uses([n for t in scripts for n in t.body])
+        | _uses(scripts)
         for stem in modules
     }
     unused = []
@@ -64,3 +77,22 @@ def test_every_exported_name_has_a_use_outside_the_tests():
             if name not in own | elsewhere[stem]:
                 unused.append(f"{stem}.{name}")
     assert unused == [], f"exported but used only by tests: {unused}"
+
+
+def test_every_public_method_of_an_exported_class_has_a_use_outside_the_tests():
+    modules, scripts = _parse()
+    unused = []
+    for stem, tree in modules.items():
+        exported = set(_exports(tree))
+        elsewhere = _attributes([n for other, t in modules.items() if other != stem for n in t.body])
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name not in exported:
+                continue
+            for method in cls.body:
+                if not isinstance(method, ast.FunctionDef) or method.name.startswith("_"):
+                    continue
+                rest = [n for n in tree.body if n is not cls]
+                rest += [n for n in cls.body if n is not method]
+                if method.name not in _attributes(rest + scripts) | elsewhere:
+                    unused.append(f"{stem}.{cls.name}.{method.name}")
+    assert unused == [], f"public methods used only by tests: {unused}"

@@ -155,6 +155,9 @@ class TestThreeTriangular:
         for n in range(1, 401):
             assert tuple(reversed(three_triangular(n))) == brute_three(n)
 
+    def test_large_target(self):
+        assert three_triangular(10**12) == [925556994846, 74443005153, 1]
+
     def test_every_target_is_decomposable(self):
         # vectorized reachability of 1..10^5 by sums of <= 3 triangulars
         limit = 100_000

@@ -105,21 +105,21 @@ LEGENDRE_ROWS = {
 
 class TestPolignacPairs:
     def test_twin_search_includes_unit_pair(self):
-        got = [p.pair() for p in polignac_pairs(2, 4, INC)]
+        got = [(p.q, p.p) for p in polignac_pairs(2, 4, INC)]
         assert got == [(1, 3), (3, 5)]
 
     def test_gap_four_exact(self):
-        got = [p.pair() for p in polignac_pairs(4, 28, EXC)]
+        got = [(p.q, p.p) for p in polignac_pairs(4, 28, EXC)]
         assert got == [(3, 7), (7, 11), (13, 17), (19, 23)]
 
     def test_gap_twenty_complete(self):
         # (23, 43) qualifies like the other three and must not be dropped
-        got = [p.pair() for p in polignac_pairs(20, 37, EXC)]
+        got = [(p.q, p.p) for p in polignac_pairs(20, 37, EXC)]
         assert got == [(3, 23), (11, 31), (17, 37), (23, 43)]
 
     def test_published_pairs_are_found(self):
         for gap, printed in PUBLISHED_PAIRS.items():
-            found = {p.pair() for p in polignac_pairs(gap, 32 * gap, INC)}
+            found = {(p.q, p.p) for p in polignac_pairs(gap, 32 * gap, INC)}
             missing = set(printed) - found
             assert not missing, (gap, missing)
 
@@ -132,7 +132,7 @@ class TestPolignacPairs:
     def test_complete_against_trial_division(self):
         for gap in (2, 4, 6, 8, 10, 20):
             for conv, inc1 in ((INC, True), (EXC, False)):
-                got = [p.pair() for p in polignac_pairs(gap, 300, conv)]
+                got = [(p.q, p.p) for p in polignac_pairs(gap, 300, conv)]
                 want = [
                     (q, q + gap)
                     for q in range(1, 301)
@@ -142,8 +142,8 @@ class TestPolignacPairs:
                 assert got == want, (gap, conv)
 
     def test_convention_moves_only_the_unit(self):
-        inc = {p.pair() for p in polignac_pairs(6, 100, INC)}
-        exc = {p.pair() for p in polignac_pairs(6, 100, EXC)}
+        inc = {(p.q, p.p) for p in polignac_pairs(6, 100, INC)}
+        exc = {(p.q, p.p) for p in polignac_pairs(6, 100, EXC)}
         assert inc - exc == {(1, 7)}
 
     def test_rejects_bad_input(self):
@@ -178,7 +178,7 @@ class TestDyadicBlocks:
             assert sorted(blocks) == [1, 2, 3, 4, 5]
             merged = [p for j in sorted(blocks) for p in blocks[j]]
             flat = polignac_pairs(gap, gap << 5, INC)
-            assert sorted(p.pair() for p in merged) == [p.pair() for p in flat]
+            assert sorted((p.q, p.p) for p in merged) == [(p.q, p.p) for p in flat]
             for j, ps in blocks.items():
                 for p in ps:
                     assert p.block == j
@@ -188,10 +188,10 @@ class TestDyadicBlocks:
 
     def test_documented_memberships(self):
         twin_blocks = polignac_dyadic_search(2, 4, INC)
-        everything = {p.pair() for ps in twin_blocks.values() for p in ps}
+        everything = {(p.q, p.p) for ps in twin_blocks.values() for p in ps}
         assert {(11, 13), (17, 19), (29, 31)} <= everything
         six = polignac_dyadic_search(6, 4, INC)
-        assert {(1, 7), (5, 11)} <= {p.pair() for ps in six.values() for p in ps}
+        assert {(1, 7), (5, 11)} <= {(p.q, p.p) for ps in six.values() for p in ps}
 
     def test_zero_blocks_rejected(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,8 @@ import sys
 import threading
 import time
 import tracemalloc
+from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -212,18 +214,19 @@ def _break_goldbach_at_76(monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_checker_failure_writes_prefix_and_counterexample(tmp_path, monkeypatch, workers):
     _break_goldbach_at_76(monkeypatch)
-    monkeypatch.setattr(harness, "CHUNK_SIZE", 8)
-    cp = tmp_path / "cx.jsonl"
-    s = verify_range(Task.GOLDBACH, 2, 1000, INC, checkpoint_path=cp, worker_count=workers)
-    assert s.counterexamples and s.counterexamples[0]["instance"] == 76
-    assert not s.complete
-    assert s.verified == instance_count(Task.GOLDBACH, 2, 74)
-    recs = load_checkpoints(str(cp))
-    assert [(r.lo, r.hi, r.status) for r in recs] == [
-        (2, 74, "verified"), (76, 76, "counterexample")]
-    # and the counterexample now blocks reruns
-    s2 = verify_range(Task.GOLDBACH, 2, 1000, INC, checkpoint_path=cp)
-    assert s2.verified == 0 and not s2.complete
+    for size in (1, 8, 4096):
+        monkeypatch.setattr(harness, "CHUNK_SIZE", size)
+        cp = tmp_path / f"cx{size}.jsonl"
+        s = verify_range(Task.GOLDBACH, 2, 1000, INC, checkpoint_path=cp, worker_count=workers)
+        assert s.counterexamples and s.counterexamples[0]["instance"] == 76
+        assert not s.complete
+        assert s.verified == instance_count(Task.GOLDBACH, 2, 74)
+        recs = load_checkpoints(str(cp))
+        assert [(r.lo, r.hi, r.status) for r in recs] == [
+            (2, 74, "verified"), (76, 76, "counterexample")]
+        # and the counterexample now blocks reruns
+        s2 = verify_range(Task.GOLDBACH, 2, 1000, INC, checkpoint_path=cp)
+        assert s2.verified == 0 and not s2.complete
 
 
 @pytest.mark.parametrize("task,hi", [(Task.GOLDBACH, 3000), (Task.PRE_POLIGNAC, 1200)])
@@ -253,6 +256,29 @@ def test_even_task_memory_does_not_grow_with_height(task):
         tracemalloc.stop()
     assert s.complete
     assert peak < 4 * 2**20, peak
+
+
+def _fail_at_first_instance(conv, lo, hi):
+    stats = {"instances": 0, "max_depth": 0, "max_depth_at": 0}
+    return {"stats": stats, "witness": {"instance": lo, "reason": "synthetic"}}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_run_holds_nothing_that_grows_with_its_range(monkeypatch, workers):
+    # chunks are made as the fold asks for them, so a run that stops in its
+    # first chunk returns at once however far its range reaches
+    monkeypatch.setitem(harness._CHECKERS, Task.GOLDBACH, _fail_at_first_instance)
+    verify_range(Task.GOLDBACH, 4, 10**5, worker_count=workers)  # imports the pool's modules
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        s = verify_range(Task.GOLDBACH, 4, 10**13, worker_count=workers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - t0 < 1.0
+    assert s.counterexamples == ({"instance": 4, "reason": "synthetic"},)
+    assert peak < 2**20, peak
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +493,48 @@ def test_pool_is_bounded_by_cores_and_chunks(monkeypatch, workers, cores, size):
     assert fake.sizes == ([] if size is None else [size])
     assert verify_range(Task.LEGENDRE, 1, 128, INC, worker_count=workers).verified == 128
     assert fake.sizes[1:] == ([] if size is None else [2])
+
+
+@st.composite
+def run_plans(draw):
+    """A task, convention and range of up to 300 instances, with a subrange
+    that a resumed run finds already recorded."""
+    task = draw(st.sampled_from(list(Task)))
+    conv = draw(st.sampled_from([INC, EXC]))
+    step = 2 if task in (Task.GOLDBACH, Task.PRE_POLIGNAC) else 1
+    lo = step * draw(st.integers(harness._domain_lo(task, conv) // step, 2000))
+    hi = lo + step * draw(st.integers(0, 299))
+    # a history that starts the range ends where this run's first record starts
+    seed_lo = lo + step * draw(st.just(0) | st.integers(0, (hi - lo) // step))
+    seed_hi = seed_lo + step * draw(st.integers(0, (hi - seed_lo) // step))
+    return task, conv, lo, hi, (seed_lo, seed_hi)
+
+
+@given(plan=run_plans())
+@settings(max_examples=20, deadline=None)
+def test_chunk_size_changes_no_record_and_no_summary(tmp_path_factory, plan):
+    task, conv, lo, hi, (seed_lo, seed_hi) = plan
+    tmp = tmp_path_factory.mktemp("sizes")
+    history = tmp / "seed.jsonl"
+    verify_range(task, seed_lo, seed_hi, conv, checkpoint_path=history)
+    seeded = history.read_text()
+    for resumed in (False, True):
+        outcomes = set()
+        for size in (1, 7, 512, 4096):
+            for workers in (1, 2):
+                cp = tmp / f"{resumed}-{size}-{workers}.jsonl"
+                if resumed:
+                    cp.write_text(seeded)
+                with mock.patch.object(harness, "CHUNK_SIZE", size):
+                    s = verify_range(task, lo, hi, conv, checkpoint_path=cp,
+                                     worker_count=workers)
+                text = cp.read_text()
+                # the records tile the range, and this run's never absorb the history's
+                recs = load_checkpoints(str(cp))
+                assert sum(instance_count(task, r.lo, r.hi) for r in recs) == s.skipped + s.verified
+                assert not resumed or set(seeded.splitlines()) <= set(text.splitlines())
+                outcomes.add((strip_timestamps(text), repr(replace(s, elapsed=0.0))))
+        assert len(outcomes) == 1, outcomes
 
 
 def test_parallel_summary_matches_serial(monkeypatch):

@@ -146,6 +146,12 @@ class TestPrevNextPrime:
             j = bisect_left(primes, n)
             assert prev_prime(n, conv) == (primes[j - 1] if j else None), n
 
+    @pytest.mark.parametrize("conv", [INC, EXC])
+    def test_below_zero(self, conv):
+        for n in range(-10, 0):
+            assert prev_prime(n, conv) is None
+            assert next_prime(n, conv) == (1 if conv is INC else 2)
+
     def test_next_prime_small(self):
         assert next_prime(0, INC) == 1
         assert next_prime(0, EXC) == 2

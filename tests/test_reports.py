@@ -3,11 +3,16 @@ constants of the sibling suites, renderer determinism, and error paths."""
 
 import json
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from landau import figurate
 from landau.config import Config
+from landau.figurate import zeta_partial
 from landau.harness import Task, verify_range
 from landau.primes import PrimeConvention
 from landau.reports import (
@@ -441,6 +446,19 @@ class TestZetaTable:
             "1/36",
             "1/100",
         ]
+
+    @given(k_max=st.integers(1, 2000))
+    @settings(max_examples=25, deadline=None)
+    def test_table_sum_is_zeta_partial(self, k_max):
+        report = build_report("zeta-table", {"k_max": k_max}, CFG)
+        assert Fraction(report.payload["partial_sum"]) == zeta_partial(k_max)[0]
+
+    def test_each_candidate_is_tested_once(self, monkeypatch):
+        tested = []
+        real = figurate.is_prime
+        monkeypatch.setattr(figurate, "is_prime", lambda n, conv: tested.append(n) or real(n, conv))
+        build_report("zeta-table", {"k_max": 2000}, CFG)
+        assert sorted(tested) == [k * k + 1 for k in range(1, 2001)]
 
 
 class TestRenderers:
