@@ -14,6 +14,7 @@ __all__ = [
     "ParabolicRecord",
     "DecompositionCounterexample",
     "SQUARE_TRIANGULAR_MAX_K",
+    "THREE_TRIANGULAR_MAX_N",
     "triangle_number",
     "is_triangular",
     "triangle_index",
@@ -50,6 +51,10 @@ def triangle_index(x: int) -> int:
 # 6,270, past the 4,300 digits CPython will convert to text
 SQUARE_TRIANGULAR_MAX_K = 12
 
+# each smallest part that three_triangular tries costs one walk of up to
+# sqrt(2n) steps, and some n need dozens of parts (7,497,790,074 needs 78)
+THREE_TRIANGULAR_MAX_N = 10**10
+
 
 def square_triangular(k: int) -> int:
     """k-th member of the chain S(1) = 1, S(k+1) = 4 S(k) (8 S(k) + 1);
@@ -77,8 +82,8 @@ def three_triangular(n: int) -> list[int]:
     """A decomposition of n into at most three triangular numbers, parts
     descending; among all decompositions the one whose ascending part list
     is lexicographically smallest."""
-    if n < 1:
-        raise ValueError(f"needs n >= 1, got {n}")
+    if not 1 <= n <= THREE_TRIANGULAR_MAX_N:
+        raise ValueError(f"needs 1 <= n <= {THREE_TRIANGULAR_MAX_N}, got n = {n}")
     i, a = 1, 1  # the smallest part a = T_i, rising
     while a <= n:
         rest = n - a

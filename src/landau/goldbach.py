@@ -99,7 +99,7 @@ def _validate_even(two_n: int, conv: PrimeConvention) -> None:
         raise ValueError("2 = 1 + 1 needs the unit counted as prime; use include1")
 
 
-def _classify(p: int, q: int, two_n: int) -> CoupleKind:
+def _classify(p: int, q: int) -> CoupleKind:
     if p == 1:  # at two_n = 2 the pair (1,1) is also trivial; this kind wins
         return CoupleKind.NOETHER
     if p == q:
@@ -121,7 +121,7 @@ def canonical_couple(
             steps.append(DescentStep(cand, rem, None))
             trace = DescentTrace(two_n, tuple(steps))
             p, q = min(cand, rem), max(cand, rem)
-            return GoldbachCouple(p, q, two_n, _classify(p, q, two_n), True), trace
+            return GoldbachCouple(p, q, two_n, _classify(p, q), True), trace
         steps.append(DescentStep(cand, rem, factorize(rem)))
         cand = prev_prime(cand, conv)
     raise GoldbachCounterexample(two_n, conv, tuple(steps))
@@ -141,7 +141,7 @@ def enumerate_couples(
     # the descent stops at the largest candidate whose remainder is prime, so
     # the canonical couple is the one with the smallest smaller member
     return [
-        GoldbachCouple(p, q, two_n, _classify(p, q, two_n), i == 0)
+        GoldbachCouple(p, q, two_n, _classify(p, q), i == 0)
         for i, (p, q) in enumerate(pairs)
     ]
 

@@ -40,11 +40,6 @@ class PrincipalIdeal:
     def of_int(m: int) -> "PrincipalIdeal":
         return PrincipalIdeal(factorize(m))
 
-    def __str__(self) -> str:
-        if self.modulus is None:
-            return f"({self.generator})Z"
-        return f"({self.generator})Z/({self.modulus})Z"
-
 
 def radical(a: PrincipalIdeal) -> PrincipalIdeal:
     """Squarefree kernel of the generator; idempotent."""
@@ -118,17 +113,6 @@ class GoldbachIdealReport:
     @cached_property
     def primes_of_r(self) -> tuple[int, ...]:
         return self.r.primes()
-
-    @cached_property
-    def _rank_in_r(self) -> dict[int, int]:
-        return {p: k for k, p in enumerate(self.primes_of_r, start=1)}
-
-    def maximal_index(self, p: int) -> int:
-        """1-based position of pZ/rZ in the ascending maximal ideals of Z_r."""
-        try:
-            return self._rank_in_r[p]
-        except KeyError:
-            raise ValueError(f"{p} is not a prime of r") from None
 
 
 def goldbach_ideal_analysis(

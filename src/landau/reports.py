@@ -9,9 +9,10 @@ three formats:
 * ``json`` — ``{"kind", "title", "config", "footnotes", "report"}`` with
   sorted keys and stable indentation.
 
-Each emitter is a plain function ``(config, /, *, name: type = default, ...)``
-whose signature is the one declaration of its report's parameters;
-:func:`build_report` checks a params mapping against it.
+Each emitter is a plain function ``(conv, /, *, name: type = default, ...)``
+of the prime convention and its keywords; the signature is the one declaration
+of a report's parameters, checked by :func:`build_report`.  A kind is named
+only by its ``_EMITTERS`` key, which the JSON renderer is handed.
 
 All three formats are deterministic byte-for-byte for a fixed config, so they
 can be frozen as golden files.  Tables never carry floating-point cells; exact
@@ -25,7 +26,7 @@ import inspect
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
@@ -49,7 +50,7 @@ from .ideals import (
     jacobson_radical_zn,
     radical,
 )
-from .primes import PrimeConvention, primes_in_range
+from .primes import DEFAULT_CONVENTION, PrimeConvention, primes_in_range
 from .zn import Factorization, crt_decompose, factorize, multiplication_table, units_profile
 
 if TYPE_CHECKING:
@@ -77,7 +78,6 @@ class Report:
     """One table ready for rendering: cells are final strings, the payload
     mirrors the table as plain JSON-able data."""
 
-    kind: str
     title: str
     headers: tuple[str, ...]
     rows: tuple[tuple[str, ...], ...]
@@ -223,9 +223,8 @@ def _chain_text(two_n: int, steps) -> str:
 
 
 def _emit_descent_table(
-    config: Config, /, *, targets: tuple[int, ...] = DESCENT_TARGETS
+    conv: PrimeConvention, /, *, targets: tuple[int, ...] = DESCENT_TARGETS
 ) -> Report:
-    conv = config.convention
     rows = []
     payload_rows = []
     errata_notes = []
@@ -257,7 +256,6 @@ def _emit_descent_table(
         *errata_notes,
     ]
     return Report(
-        kind="descent-table",
         title=(
             "Criterion to find a solution to the Goldbach conjecture: "
             "2n=p₁⁽ˢ⁾+p₂⁽ˢ⁾ with p₁⁽ˢ⁾, p₂⁽ˢ⁾ ∈ P"
@@ -277,7 +275,7 @@ def _emit_descent_table(
 # --------------------------------------------------------------------------
 # unit-group multiplication grids
 
-def _emit_units_grid(config: Config, /, *, n: int) -> Report:
+def _emit_units_grid(conv: PrimeConvention, /, *, n: int) -> Report:
     table = multiplication_table(n)
     headers = ("", *(str(u) for u in table.units))
     rows = tuple(
@@ -285,7 +283,6 @@ def _emit_units_grid(config: Config, /, *, n: int) -> Report:
     )
     caption = "; ".join(f"{u}⁻¹={v}" for u, v in table.inverses) + "."
     return Report(
-        kind="units-grid",
         title=f"Multiplication table in {_zx(n)}",
         headers=headers,
         rows=rows,
@@ -302,8 +299,7 @@ def _emit_units_grid(config: Config, /, *, n: int) -> Report:
 # --------------------------------------------------------------------------
 # strong-generator overview across small even moduli
 
-def _emit_ring_table(config: Config, /, *, moduli: tuple[int, ...] | None = None) -> Report:
-    conv = config.convention
+def _emit_ring_table(conv: PrimeConvention, /, *, moduli: tuple[int, ...] | None = None) -> Report:
     # 2 = 1 + 1 is a couple only when the unit counts as prime
     include1 = conv is PrimeConvention.INCLUDE1
     if moduli is None:
@@ -354,7 +350,6 @@ def _emit_ring_table(config: Config, /, *, moduli: tuple[int, ...] | None = None
             "and leave 21 unbracketed; 11 divides 22, and 21=3×7 is composite."
         )
     return Report(
-        kind="ring-table",
         title="Examples of strong generators in ℤ₂ₙ",
         headers=(
             "ℤ₂ₙ",
@@ -379,17 +374,18 @@ def _r_as_prime_powers(fact: Factorization) -> str:
     return "·".join(str(v) for v in values)
 
 
-def _ideal_row(index: int, two_n: int, generator: int, rem: int, rep) -> tuple[str, dict]:
+def _ideal_row(index: int, two_n: int, generator: int, rem: int, maximal) -> tuple[str, dict]:
     """The rendered cell and the payload entry of the ideal (2n - b)Z/rZ,
-    both read off one factorization of its remainder."""
+    both read off one factorization of its remainder; ``maximal`` numbers
+    the maximal ideals pZ/rZ of Z_r by their primes p."""
     fact = factorize(rem)
-    missing = [p for p in fact.primes() if p not in rep.primes_of_r]
+    missing = [p for p in fact.primes() if p not in maximal]
     if missing:
         raise ReportError(
             f"remainder {rem} is not a unit ideal modulo {two_n}: "
             f"prime(s) {missing} do not divide r"
         )
-    indices = [rep.maximal_index(p) for p in fact.primes()]
+    indices = [maximal[p] for p in fact.primes()]
     squarefree = all(e == 1 for _, e in fact.factors)
     a_i = f"𝔞{_sub(index)}"
     lhs = f"{a_i}=({two_n}-{generator})ℤ/rℤ"
@@ -412,11 +408,11 @@ def _ideal_row(index: int, two_n: int, generator: int, rem: int, rep) -> tuple[s
 
 
 def _emit_ideal_table(
-    config: Config, /, *, two_n: int, include_top: bool = False, descent_only: bool = False
+    conv: PrimeConvention, /, *, two_n: int, include_top: bool = False, descent_only: bool = False
 ) -> Report:
-    conv = config.convention
     rep = goldbach_ideal_analysis(two_n, conv, include_top=include_top)
-    alt = goldbach_ideal_analysis(two_n, conv, include_top=not include_top)
+    # only r depends on include_top
+    alt = replace(rep, include_top=not include_top)
     r, alt_r = rep.r.value(), alt.r.value()
     # both r values go into the footer and the payload as decimal text
     limit = sys.get_int_max_str_digits()
@@ -431,10 +427,11 @@ def _emit_ideal_table(
         items = [(s.candidate, s.remainder) for s in trace.steps]
     else:
         items = zip(rep.generators, rep.remainders)
+    maximal = {p: i for i, p in enumerate(rep.primes_of_r, start=1)}
     rows = []
     payload_entries = []
     for index, (generator, rem) in enumerate(items, start=1):
-        cell, entry = _ideal_row(index, two_n, generator, rem, rep)
+        cell, entry = _ideal_row(index, two_n, generator, rem, maximal)
         rows.append((cell,))
         payload_entries.append(entry)
 
@@ -456,7 +453,6 @@ def _emit_ideal_table(
     )
     scope = "the canonical descent" if descent_only else "the strong generators"
     return Report(
-        kind="ideal-table",
         title=f"Maximal ideals containing the ideals 𝔞ᵢ of {scope} for 2n={two_n}",
         headers=("ideals 𝔞ᵢ and their radicals in ℤᵣ",),
         rows=tuple(rows),
@@ -482,9 +478,8 @@ def _emit_ideal_table(
 # de Polignac couples in dyadic blocks
 
 def _emit_polignac_table(
-    config: Config, /, *, gaps: tuple[int, ...] = POLIGNAC_GAPS, m_max: int = 4
+    conv: PrimeConvention, /, *, gaps: tuple[int, ...] = POLIGNAC_GAPS, m_max: int = 4
 ) -> Report:
-    conv = config.convention
     if m_max < 1:
         raise ReportError(f"m_max: needs at least 1, got {m_max}")
     rows = []
@@ -527,7 +522,6 @@ def _emit_polignac_table(
     else:
         footers.append("Here 1 is not counted as prime.")
     return Report(
-        kind="polignac-table",
         title=(
             f"Examples of 2n-de Polignac couples (q,p) with q ∈ [0, 2n·2^m], "
             f"1 ≤ m ≤ {m_max}"
@@ -539,12 +533,10 @@ def _emit_polignac_table(
     )
 
 
-def _emit_polignac_pairs(config: Config, /, *, two_n: int, q_max: int) -> Report:
-    conv = config.convention
+def _emit_polignac_pairs(conv: PrimeConvention, /, *, two_n: int, q_max: int) -> Report:
     pairs = polignac_pairs(two_n, q_max, conv)
     rows = tuple((str(c.q), str(c.p), str(c.block)) for c in pairs)
     return Report(
-        kind="polignac-pairs",
         title=f"{two_n}-de Polignac couples with q ≤ {q_max}",
         headers=("q", "p", "block m"),
         rows=rows,
@@ -565,9 +557,8 @@ def _emit_polignac_pairs(config: Config, /, *, two_n: int, q_max: int) -> Report
 # primes in square intervals
 
 def _emit_legendre_table(
-    config: Config, /, *, ns: tuple[int, ...] = tuple(range(1, 11))
+    conv: PrimeConvention, /, *, ns: tuple[int, ...] = tuple(range(1, 11))
 ) -> Report:
-    conv = config.convention
     rows = []
     payload_rows = []
     for n in ns:
@@ -583,7 +574,6 @@ def _emit_legendre_table(
     else:
         conv_note = "Here 1 is not counted as prime; the row n=1 starts at 2."
     return Report(
-        kind="legendre-table",
         title="Examples of primes p ∈ [n², (n+1)²]",
         headers=("n", "n²", "(n+1)²", "prime p ∈ [n², (n+1)²]"),
         rows=tuple(rows),
@@ -598,10 +588,9 @@ def _emit_legendre_table(
 # --------------------------------------------------------------------------
 # ghost right-triangles (parabolic primes)
 
-def _emit_ghost_table(config: Config, /, *, n_max: int = 60) -> Report:
+def _emit_ghost_table(conv: PrimeConvention, /, *, n_max: int = 60) -> Report:
     if n_max < 1:
         raise ReportError(f"n_max: needs at least 1, got {n_max}")
-    conv = config.convention
     records = {r.k: r for r in parabolic_primes(n_max, conv)}
     limit = min(n_max, 40)
     ks = list(range(1, limit + 1)) + [k for k in range(42, n_max + 1, 2)]
@@ -645,7 +634,6 @@ def _emit_ghost_table(config: Config, /, *, n_max: int = 60) -> Report:
             "Erratum: some transcriptions print 739 twice in the n=27 run; it appears once here."
         )
     return Report(
-        kind="ghost-table",
         title=f"n-ghost-right-triangles: 1 ≤ n ≤ {n_max}, n²+1 = p ∈ P",
         headers=(
             "n",
@@ -671,8 +659,8 @@ def _emit_ghost_table(config: Config, /, *, n_max: int = 60) -> Report:
 # --------------------------------------------------------------------------
 # zeta estimate over the parabolic primes
 
-def _emit_zeta_table(config: Config, /, *, k_max: int = 10) -> Report:
-    records = parabolic_primes(k_max, config.convention)
+def _emit_zeta_table(conv: PrimeConvention, /, *, k_max: int = 10) -> Report:
+    records = parabolic_primes(k_max, conv)
     rows = []
     terms = []
     running = Fraction(0)
@@ -687,7 +675,6 @@ def _emit_zeta_table(config: Config, /, *, k_max: int = 10) -> Report:
         )
     _check_zeta_bounds(running, k_max)
     return Report(
-        kind="zeta-table",
         title="Euler-Riemann zeta estimate for the parabolic primes",
         headers=("k", "p=k²+1", "1/(p-1)", "partial sum"),
         rows=tuple(rows),
@@ -708,8 +695,7 @@ def _emit_zeta_table(config: Config, /, *, k_max: int = 10) -> Report:
 # --------------------------------------------------------------------------
 # single-shot renderings used by the command line
 
-def _emit_couple(config: Config, /, *, two_n: int, trace: bool = False) -> Report:
-    conv = config.convention
+def _emit_couple(conv: PrimeConvention, /, *, two_n: int, trace: bool = False) -> Report:
     couple, descent = canonical_couple(two_n, conv)
     row = [
         str(two_n),
@@ -731,7 +717,6 @@ def _emit_couple(config: Config, /, *, two_n: int, trace: bool = False) -> Repor
         row.append(_chain_text(two_n, descent.steps))
         payload["steps"] = _steps_entry(descent.steps)
     return Report(
-        kind="couple",
         title=f"Canonical Goldbach couple for {two_n}",
         headers=tuple(headers),
         rows=(tuple(row),),
@@ -740,15 +725,13 @@ def _emit_couple(config: Config, /, *, two_n: int, trace: bool = False) -> Repor
     )
 
 
-def _emit_couples(config: Config, /, *, two_n: int) -> Report:
-    conv = config.convention
+def _emit_couples(conv: PrimeConvention, /, *, two_n: int) -> Report:
     couples = enumerate_couples(two_n, conv)
     rows = tuple(
         (str(c.p), str(c.q), c.kind.value, "★" if c.canonical else "")
         for c in couples
     )
     return Report(
-        kind="couples",
         title=f"Goldbach couples for {two_n}",
         headers=("p", "q", "kind", "canonical"),
         rows=rows,
@@ -761,11 +744,9 @@ def _emit_couples(config: Config, /, *, two_n: int) -> Report:
     )
 
 
-def _emit_quasi_couples(config: Config, /, *, two_n: int) -> Report:
-    conv = config.convention
+def _emit_quasi_couples(conv: PrimeConvention, /, *, two_n: int) -> Report:
     quasi = quasi_couples(two_n, conv)
     return Report(
-        kind="quasi-couples",
         title=f"Quasi-Goldbach couples for {two_n}",
         headers=("a", "2n-a"),
         rows=tuple((str(a), str(b)) for a, b in quasi),
@@ -781,8 +762,8 @@ def _emit_quasi_couples(config: Config, /, *, two_n: int) -> Report:
     )
 
 
-def _emit_units_profile(config: Config, /, *, n: int) -> Report:
-    profile = units_profile(n, config.convention)
+def _emit_units_profile(conv: PrimeConvention, /, *, n: int) -> Report:
+    profile = units_profile(n, conv)
     rows = (
         ("modulus", str(profile.modulus)),
         ("units", _braced(profile.units)),
@@ -792,7 +773,6 @@ def _emit_units_profile(config: Config, /, *, n: int) -> Report:
         ("strong generators", _braced(profile.strong)),
     )
     return Report(
-        kind="units-profile",
         title=f"Unit group of {_zn(n)}",
         headers=("field", "value"),
         rows=rows,
@@ -809,10 +789,9 @@ def _emit_units_profile(config: Config, /, *, n: int) -> Report:
     )
 
 
-def _emit_strong_generators(config: Config, /, *, n: int) -> Report:
-    profile = units_profile(n, config.convention)
+def _emit_strong_generators(conv: PrimeConvention, /, *, n: int) -> Report:
+    profile = units_profile(n, conv)
     return Report(
-        kind="strong-generators",
         title=f"Strong generators in {_zn(n)}",
         headers=("n", "strong generators", "count"),
         rows=((str(n), _braced(profile.strong), str(len(profile.strong))),),
@@ -826,7 +805,7 @@ def _emit_strong_generators(config: Config, /, *, n: int) -> Report:
     )
 
 
-def _emit_crt(config: Config, /, *, a: int, n: int) -> Report:
+def _emit_crt(conv: PrimeConvention, /, *, a: int, n: int) -> Report:
     components = crt_decompose(a, n)
     fact = factorize(n)
     rows = tuple(
@@ -835,7 +814,6 @@ def _emit_crt(config: Config, /, *, a: int, n: int) -> Report:
     )
     iso = " × ".join(_zn(p**e) for p, e in fact.factors)
     return Report(
-        kind="crt",
         title=f"CRT decomposition of {a} modulo {n}",
         headers=("residue", "modulus", "prime", "exponent"),
         rows=rows,
@@ -848,13 +826,12 @@ def _emit_crt(config: Config, /, *, a: int, n: int) -> Report:
     )
 
 
-def _emit_radical(config: Config, /, *, m: int) -> Report:
+def _emit_radical(conv: PrimeConvention, /, *, m: int) -> Report:
     if m < 1:
         raise ReportError(f"m: needs a positive integer, got {m}")
     ideal = PrincipalIdeal.of_int(m)
     rad = radical(ideal)
     return Report(
-        kind="radical",
         title=f"Radical of the ideal {m}ℤ",
         headers=("ideal", "factorization", "radical", "radical factorization"),
         rows=(
@@ -875,11 +852,10 @@ def _emit_radical(config: Config, /, *, m: int) -> Report:
     )
 
 
-def _emit_jacobson(config: Config, /, *, n: int) -> Report:
+def _emit_jacobson(conv: PrimeConvention, /, *, n: int) -> Report:
     ideal = jacobson_radical_zn(n)
     gen = ideal.generator.value()
     return Report(
-        kind="jacobson",
         title=f"Jacobson radical of {_zn(n)}",
         headers=("ring", "jacobson radical", "generator"),
         rows=((_zn(n), f"{gen}ℤ/{n}ℤ", str(gen)),),
@@ -894,11 +870,10 @@ def _emit_jacobson(config: Config, /, *, n: int) -> Report:
     )
 
 
-def _emit_bezout(config: Config, /, *, a: int, b: int) -> Report:
+def _emit_bezout(conv: PrimeConvention, /, *, a: int, b: int) -> Report:
     g, x, y = bezout(a, b)
     identity = f"{a}·({x}) + {b}·({y}) = {g}"
     return Report(
-        kind="bezout",
         title=f"Bezout identity for ({a}, {b})",
         headers=("a", "b", "gcd", "x", "y", "identity"),
         rows=((str(a), str(b), str(g), str(x), str(y), identity),),
@@ -907,10 +882,9 @@ def _emit_bezout(config: Config, /, *, a: int, b: int) -> Report:
     )
 
 
-def _emit_triangle(config: Config, /, *, n: int) -> Report:
+def _emit_triangle(conv: PrimeConvention, /, *, n: int) -> Report:
     value = triangle_number(n)
     return Report(
-        kind="triangle",
         title=f"Triangular number T({n})",
         headers=("n", "T(n)"),
         rows=((str(n), str(value)),),
@@ -919,7 +893,7 @@ def _emit_triangle(config: Config, /, *, n: int) -> Report:
     )
 
 
-def _emit_square_triangular(config: Config, /, *, k_max: int) -> Report:
+def _emit_square_triangular(conv: PrimeConvention, /, *, k_max: int) -> Report:
     if not 1 <= k_max <= SQUARE_TRIANGULAR_MAX_K:
         raise ReportError(
             f"K (k_max): needs 1 to {SQUARE_TRIANGULAR_MAX_K}, got {k_max}; "
@@ -927,7 +901,6 @@ def _emit_square_triangular(config: Config, /, *, k_max: int) -> Report:
         )
     values = [square_triangular(k) for k in range(1, k_max + 1)]
     return Report(
-        kind="square-triangular",
         title="Numbers that are both square and triangular",
         headers=("k", "S(k)"),
         rows=tuple((str(k), str(s)) for k, s in enumerate(values, 1)),
@@ -936,11 +909,10 @@ def _emit_square_triangular(config: Config, /, *, k_max: int) -> Report:
     )
 
 
-def _emit_three_triangular(config: Config, /, *, n: int) -> Report:
+def _emit_three_triangular(conv: PrimeConvention, /, *, n: int) -> Report:
     parts = three_triangular(n)
     indices = [triangle_index(p) for p in parts]
     return Report(
-        kind="three-triangular",
         title=f"Three-triangular decomposition of {n}",
         headers=("n", "decomposition", "triangle indices"),
         rows=((str(n), " + ".join(map(str, parts)), ", ".join(map(str, indices))),),
@@ -949,10 +921,9 @@ def _emit_three_triangular(config: Config, /, *, n: int) -> Report:
     )
 
 
-def _emit_faulhaber(config: Config, /, *, m: int, n: int) -> Report:
+def _emit_faulhaber(conv: PrimeConvention, /, *, m: int, n: int) -> Report:
     value = faulhaber(m, n)
     return Report(
-        kind="faulhaber",
         title=f"Power sum Σ k^{m} for k = 1..{n}",
         headers=("m", "n", "sum"),
         rows=((str(m), str(n), str(value)),),
@@ -961,7 +932,7 @@ def _emit_faulhaber(config: Config, /, *, m: int, n: int) -> Report:
     )
 
 
-def _emit_verify_summary(config: Config, /, *, summary: RunSummary) -> Report:
+def _emit_verify_summary(conv: PrimeConvention, /, *, summary: RunSummary) -> Report:
     rows = [
         ("task", summary.task.value),
         ("convention", summary.convention.value),
@@ -976,7 +947,6 @@ def _emit_verify_summary(config: Config, /, *, summary: RunSummary) -> Report:
     for witness in summary.counterexamples:
         rows.append(("counterexample", json.dumps(witness, sort_keys=True)))
     return Report(
-        kind="verify-summary",
         title=f"Verification summary: {summary.task.value} on [{summary.lo}, {summary.hi}]",
         headers=("field", "value"),
         rows=tuple(rows),
@@ -999,7 +969,7 @@ def _emit_verify_summary(config: Config, /, *, summary: RunSummary) -> Report:
 # --------------------------------------------------------------------------
 # renderers
 
-def _render_md(report: Report, config: Config) -> bytes:
+def _render_md(report: Report, config: Config, kind: str) -> bytes:
     def esc(cell: str) -> str:
         return cell.replace("|", "\\|")
 
@@ -1014,7 +984,7 @@ def _render_md(report: Report, config: Config) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _render_csv(report: Report, config: Config) -> bytes:
+def _render_csv(report: Report, config: Config, kind: str) -> bytes:
     buf = io.StringIO()
     buf.write(f"# config: {config.echo()}\r\n")
     writer = csv.writer(buf)
@@ -1023,9 +993,9 @@ def _render_csv(report: Report, config: Config) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
-def _render_json(report: Report, config: Config) -> bytes:
+def _render_json(report: Report, config: Config, kind: str) -> bytes:
     doc = {
-        "kind": report.kind,
+        "kind": kind,
         "title": report.title,
         "config": config.as_dict(),
         "footnotes": list(report.footers),
@@ -1036,7 +1006,7 @@ def _render_json(report: Report, config: Config) -> bytes:
     )
 
 
-_RENDERERS: dict[str, Callable[[Report, Config], bytes]] = {
+_RENDERERS: dict[str, Callable[[Report, Config, str], bytes]] = {
     "md": _render_md,
     "csv": _render_csv,
     "json": _render_json,
@@ -1096,8 +1066,6 @@ def build_report(
     """The structured form of :func:`emit_report`, for callers that want the
     grid and payload without serialization.  ``params`` is checked against
     :func:`report_parameters` before the emitter runs."""
-    if config is None:
-        config = Config(workers=1)
     try:
         emitter = _EMITTERS[kind]
     except KeyError:
@@ -1113,7 +1081,7 @@ def build_report(
             raise ReportError(f"{name}: required parameter missing")
     if params:
         raise ReportError(f"unknown parameter(s): {', '.join(sorted(params))}")
-    return emitter(config, **kwargs)
+    return emitter(DEFAULT_CONVENTION if config is None else config.convention, **kwargs)
 
 
 def emit_report(
@@ -1130,4 +1098,4 @@ def emit_report(
         raise ReportError(
             f"unknown format {fmt!r}; expected one of: {', '.join(sorted(_RENDERERS))}"
         ) from None
-    return renderer(build_report(kind, params, config), config)
+    return renderer(build_report(kind, params, config), config, kind)

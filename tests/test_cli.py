@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 import landau.cli as cli_module
 from landau.cli import main
+from landau.figurate import THREE_TRIANGULAR_MAX_N
 from landau.harness import RunSummary, Task
 from landau.primes import PrimeConvention
 from landau.reports import report_kinds, report_parameters
@@ -186,6 +187,24 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert "K (k_max): needs 1 to 12, got 13" in result.stderr
         assert result.stdout == ""  # no row was printed
+
+    def test_three_triangular_past_the_bound_is_usage_error_naming_n(self, runner):
+        n = THREE_TRIANGULAR_MAX_N + 1
+        result = runner.invoke(main, ["triangle", "three", str(n)])
+        assert result.exit_code == 2
+        assert f"needs 1 <= n <= {THREE_TRIANGULAR_MAX_N}, got n = {n}" in result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("two_n, code", [(4, 2), (6, 2), (8, 0)])
+    def test_descent_ending_at_the_trivial_couple_is_usage_error(self, runner, two_n, code):
+        # under exclude1 the descents of 4 and 6 end at (n, n), and nZ/rZ is
+        # no unit ideal: n is prime and divides 2n, so it is no prime of r
+        argv = ["--convention", "exclude1", "ideals", "analyze", str(two_n), "--descent-only"]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == code
+        if code:
+            assert f"remainder {two_n // 2} is not a unit ideal modulo {two_n}" in result.stderr
+            assert result.stdout == ""
 
     @pytest.mark.parametrize("two_n, code", [(9884, 0), (9886, 2), (10000, 2)])
     def test_ideal_table_past_the_digit_limit_is_usage_error_naming_2n(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 import landau.figurate as figurate
 from landau.figurate import (
     SQUARE_TRIANGULAR_MAX_K,
+    THREE_TRIANGULAR_MAX_N,
     DecompositionCounterexample,
     ParabolicRecord,
     faulhaber,
@@ -156,7 +158,10 @@ class TestThreeTriangular:
             assert tuple(reversed(three_triangular(n))) == brute_three(n)
 
     def test_large_target(self):
-        assert three_triangular(10**12) == [925556994846, 74443005153, 1]
+        # below the bound, yet the walk runs for 78 smallest parts
+        start = time.perf_counter()
+        assert three_triangular(7_497_790_074) == [6766392615, 731397381, 78]
+        assert time.perf_counter() - start < 1.0
 
     def test_every_target_is_decomposable(self):
         # vectorized reachability of 1..10^5 by sums of <= 3 triangulars
@@ -178,6 +183,10 @@ class TestThreeTriangular:
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             three_triangular(0)
+        assert three_triangular(THREE_TRIANGULAR_MAX_N)
+        for n in (THREE_TRIANGULAR_MAX_N + 1, 10**12):
+            with pytest.raises(ValueError, match=f"n <= {THREE_TRIANGULAR_MAX_N}, got n = {n}"):
+                three_triangular(n)
 
     def test_counterexample_type_exists(self):
         exc = DecompositionCounterexample(7)

@@ -151,6 +151,7 @@ def test_missing_checkpoint_file_is_empty_history(tmp_path):
     ([record(status="maybe")], 1, "unknown status"),
     ([record(status="counterexample")], 1, "witness"),
     ([record(lo="2")], 1, "lo/hi must be integers"),
+    ([record().replace('"stats":{}', '"stats":[]')], 1, "stats must be an object"),
 ])
 def test_corrupt_line_names_path_and_line(tmp_path, lines, line_no, fragment):
     cp = tmp_path / "bad.jsonl"

@@ -478,8 +478,8 @@ class TestRenderers:
     def test_md_escapes_pipes(self):
         from landau.reports import Report, _render_md
 
-        report = Report("x", "t", ("a|b",), (("c|d",),), (), {})
-        text = _render_md(report, CFG).decode()
+        report = Report("t", ("a|b",), (("c|d",),), (), {})
+        text = _render_md(report, CFG, "x").decode()
         assert "a\\|b" in text and "c\\|d" in text
 
     def test_every_kind_payload_is_json_serializable(self):
