@@ -32,7 +32,6 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from .config import Config
 from .figurate import (
-    SQUARE_TRIANGULAR_MAX_K,
     _check_zeta_bounds,
     faulhaber,
     parabolic_primes,
@@ -894,12 +893,8 @@ def _emit_triangle(conv: PrimeConvention, /, *, n: int) -> Report:
 
 
 def _emit_square_triangular(conv: PrimeConvention, /, *, k_max: int) -> Report:
-    if not 1 <= k_max <= SQUARE_TRIANGULAR_MAX_K:
-        raise ReportError(
-            f"K (k_max): needs 1 to {SQUARE_TRIANGULAR_MAX_K}, got {k_max}; "
-            "S(k) doubles its digit count each step"
-        )
-    values = [square_triangular(k) for k in range(1, k_max + 1)]
+    last = square_triangular(k_max)  # refuses k_max = 0 too, not an empty table
+    values = [square_triangular(k) for k in range(1, k_max)] + [last]
     return Report(
         title="Numbers that are both square and triangular",
         headers=("k", "S(k)"),

@@ -183,10 +183,11 @@ class TestExitCodes:
         assert f * report["x"] + f_prev * report["y"] == 1
 
     def test_square_seq_past_the_bound_is_usage_error_naming_k(self, runner):
-        result = runner.invoke(main, ["triangle", "square-seq", "13"])
-        assert result.exit_code == 2
-        assert "K (k_max): needs 1 to 12, got 13" in result.stderr
-        assert result.stdout == ""  # no row was printed
+        for k in (0, 13):
+            result = runner.invoke(main, ["triangle", "square-seq", str(k)])
+            assert result.exit_code == 2
+            assert f"needs 1 <= k <= 12, got k = {k}" in result.stderr
+            assert result.stdout == ""  # no row was printed, not even an empty table
 
     def test_three_triangular_past_the_bound_is_usage_error_naming_n(self, runner):
         n = THREE_TRIANGULAR_MAX_N + 1

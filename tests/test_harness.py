@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import fcntl
+import functools
 import json
 import os
 import re
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import landau.figurate as figurate
 import landau.harness as harness
 import landau.primes as primes
 import oracles
@@ -199,6 +201,11 @@ def test_counterexample_only_blocks_its_own_convention(tmp_path):
     assert s.verified == 499 and s.complete
 
 
+def _fixed_chunks(monkeypatch, size):
+    """Make every chunk of every task `size` instances wide."""
+    monkeypatch.setattr(harness, "_chunk_size", lambda task, hi: size)
+
+
 def _break_goldbach_at_76(monkeypatch):
     def broken(conv, lo, hi):
         stats = {"instances": 0, "max_depth": 0, "max_depth_at": 0}
@@ -216,7 +223,7 @@ def _break_goldbach_at_76(monkeypatch):
 def test_checker_failure_writes_prefix_and_counterexample(tmp_path, monkeypatch, workers):
     _break_goldbach_at_76(monkeypatch)
     for size in (1, 8, 4096):
-        monkeypatch.setattr(harness, "CHUNK_SIZE", size)
+        _fixed_chunks(monkeypatch, size)
         cp = tmp_path / f"cx{size}.jsonl"
         s = verify_range(Task.GOLDBACH, 2, 1000, INC, checkpoint_path=cp, worker_count=workers)
         assert s.counterexamples and s.counterexamples[0]["instance"] == 76
@@ -236,7 +243,7 @@ def test_checker_failure_writes_prefix_and_counterexample(tmp_path, monkeypatch,
 def test_widening_from_the_smallest_reach_changes_nothing(tmp_path, monkeypatch, task, hi,
                                                           conv, workers):
     lo = 2 if conv is INC else 4
-    monkeypatch.setattr(harness, "CHUNK_SIZE", 16)
+    _fixed_chunks(monkeypatch, 16)
     texts = []
     for reach in (harness._REACH, 1):
         monkeypatch.setattr(harness, "_REACH", reach)
@@ -247,15 +254,46 @@ def test_widening_from_the_smallest_reach_changes_nothing(tmp_path, monkeypatch,
     assert texts[0] == texts[1]
 
 
-@pytest.mark.parametrize("task", [Task.GOLDBACH, Task.PRE_POLIGNAC])
-def test_even_task_memory_does_not_grow_with_height(task):
+def _chunks_from(task, lo, chunks):
+    """The top of `chunks` full chunks of the rule's size from lo."""
+    size = harness._chunk_size(task, lo)
+    hi = lo + harness._step(task) * (chunks * size - 1)
+    assert harness._chunk_size(task, hi) == size  # the gap's top sets the same size
+    return hi
+
+
+def _traced_peak(task, lo, hi):
+    # the base primes up to sqrt(hi) are sieved once per process and kept:
+    # an untraced run first leaves them built, so the peak is the chunks' own
+    verify_range(task, lo, hi, INC)
     tracemalloc.start()
     try:
-        s = verify_range(task, 10**7, 10**7 + 2 * 10**4, INC)
+        s = verify_range(task, lo, hi, INC)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert s.complete
+    return peak
+
+
+@pytest.mark.parametrize("task", [Task.GOLDBACH, Task.PRE_POLIGNAC])
+def test_even_task_memory_does_not_grow_with_height(task):
+    for lo in (10**7, 10**12):
+        peak = _traced_peak(task, lo, _chunks_from(task, lo, 2))
+        assert peak < 4 * 2**20, (lo, peak)
+
+
+def test_parabolic_memory_at_the_widest_chunk(monkeypatch):
+    # the roots of -1 (pow) and is_prime allocate many small ints that no call
+    # keeps, and tracing each of them nearly triples the traced run; caches
+    # that the untraced run fills answer them there, with the same peak
+    monkeypatch.setattr(figurate, "pow", functools.cache(pow), raising=False)
+    monkeypatch.setattr(harness, "is_prime", functools.cache(is_prime))
+    lo = 2**20
+    hi = _chunks_from(Task.PARABOLIC, lo, 1)
+    # past 2^20 the rule has reached its ceiling: chunks grow no wider
+    assert harness._chunk_size(Task.PARABOLIC, hi) == harness._chunk_size(Task.PARABOLIC, 10**15)
+    peak = _traced_peak(Task.PARABOLIC, lo, hi)
     assert peak < 4 * 2**20, peak
 
 
@@ -297,7 +335,7 @@ def even_spans(draw):
     floor = 2 if conv is INC else 4
     top = 10 ** draw(st.integers(1, 12))
     lo = 2 * draw(st.integers(floor // 2, top // 2))
-    width = draw(st.integers(1, 3 * harness.CHUNK_SIZE))
+    width = draw(st.integers(1, 3 * 4096))
     return conv, lo, lo + 2 * (width - 1)
 
 
@@ -383,7 +421,7 @@ def parabolic_spans(draw):
     conv = draw(st.sampled_from([INC, EXC]))
     top = min(10 ** draw(st.integers(1, 7)), 3 * 10**6)
     lo = draw(st.integers(1, top))
-    width = draw(st.integers(1, harness.CHUNK_SIZE))
+    width = draw(st.integers(1, 4096))
     return conv, lo, lo + width - 1
 
 
@@ -449,7 +487,7 @@ def test_benchmark_range_statistics(task, lo, hi, convs, stats, workers):
 
 
 def test_worker_count_does_not_change_checkpoint_bytes(tmp_path, monkeypatch):
-    monkeypatch.setattr(harness, "CHUNK_SIZE", 512)
+    _fixed_chunks(monkeypatch, 512)
     texts = {}
     for workers in (1, 3):
         cp = tmp_path / f"w{workers}.jsonl"
@@ -484,7 +522,7 @@ class _FakeContext:
     "workers, cores, size", [(100_000, 4, 4), (3, 4, 3), (100_000, None, None)]
 )
 def test_pool_is_bounded_by_cores_and_chunks(monkeypatch, workers, cores, size):
-    monkeypatch.setattr(harness, "CHUNK_SIZE", 64)
+    _fixed_chunks(monkeypatch, 64)
     fake = _FakeContext()
     monkeypatch.setattr(harness, "get_context", lambda method: fake)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cores)
@@ -511,22 +549,19 @@ def run_plans(draw):
     return task, conv, lo, hi, (seed_lo, seed_hi)
 
 
-@given(plan=run_plans())
-@settings(max_examples=20, deadline=None)
-def test_chunk_size_changes_no_record_and_no_summary(tmp_path_factory, plan):
-    task, conv, lo, hi, (seed_lo, seed_hi) = plan
-    tmp = tmp_path_factory.mktemp("sizes")
-    history = tmp / "seed.jsonl"
-    verify_range(task, seed_lo, seed_hi, conv, checkpoint_path=history)
-    seeded = history.read_text()
+def _sizes_agree(tmp, task, conv, lo, hi, seeded, sizes):
+    """Run [lo, hi] fresh and resumed from the seeded history, at each chunk
+    size (None is the rule's own) and at 1 and 2 workers; every run must
+    leave the same records and summary.  Returns the last summary."""
     for resumed in (False, True):
         outcomes = set()
-        for size in (1, 7, 512, 4096):
+        for size in sizes:
+            rule = harness._chunk_size if size is None else lambda task, hi, size=size: size
             for workers in (1, 2):
                 cp = tmp / f"{resumed}-{size}-{workers}.jsonl"
                 if resumed:
                     cp.write_text(seeded)
-                with mock.patch.object(harness, "CHUNK_SIZE", size):
+                with mock.patch.object(harness, "_chunk_size", rule):
                     s = verify_range(task, lo, hi, conv, checkpoint_path=cp,
                                      worker_count=workers)
                 text = cp.read_text()
@@ -536,10 +571,44 @@ def test_chunk_size_changes_no_record_and_no_summary(tmp_path_factory, plan):
                 assert not resumed or set(seeded.splitlines()) <= set(text.splitlines())
                 outcomes.add((strip_timestamps(text), repr(replace(s, elapsed=0.0))))
         assert len(outcomes) == 1, outcomes
+    return s
+
+
+@given(plan=run_plans())
+@settings(max_examples=20, deadline=None)
+def test_chunk_size_changes_no_record_and_no_summary(tmp_path_factory, plan):
+    task, conv, lo, hi, (seed_lo, seed_hi) = plan
+    tmp = tmp_path_factory.mktemp("sizes")
+    history = tmp / "seed.jsonl"
+    verify_range(task, seed_lo, seed_hi, conv, checkpoint_path=history)
+    _sizes_agree(tmp, task, conv, lo, hi, history.read_text(), (1, 7, 512, 4096))
+
+
+# ranges of at least three chunks of the rule's size (parabolic chunks there
+# are wider than 4096), with a seeded record in the middle for resumed runs
+_RULE_RANGES = {
+    Task.GOLDBACH: (4, 400_000),
+    Task.PRE_POLIGNAC: (4, 400_000),
+    Task.LEGENDRE: (1, 12_300),
+    Task.PARABOLIC: (126_800, 140_000),
+}
+
+
+@pytest.mark.parametrize("conv", [INC, EXC], ids=lambda c: c.value)
+@pytest.mark.parametrize("task", list(Task), ids=lambda t: t.value)
+def test_rule_sized_chunks_change_no_record_and_no_summary(tmp_path, task, conv):
+    lo, hi = _RULE_RANGES[task]
+    count = instance_count(task, lo, hi)
+    assert count >= 3 * harness._chunk_size(task, hi)
+    history = tmp_path / "seed.jsonl"
+    mid = lo + harness._step(task) * (count // 3)
+    verify_range(task, mid, mid + harness._step(task) * 999, conv, checkpoint_path=history)
+    s = _sizes_agree(tmp_path, task, conv, lo, hi, history.read_text(), (512, 4096, None))
+    assert s.complete
 
 
 def test_parallel_summary_matches_serial(monkeypatch):
-    monkeypatch.setattr(harness, "CHUNK_SIZE", 128)
+    _fixed_chunks(monkeypatch, 128)
     serial = verify_range(Task.LEGENDRE, 1, 3000, INC)
     parallel = verify_range(Task.LEGENDRE, 1, 3000, INC, worker_count=3)
     assert serial.verified == parallel.verified == 3000
@@ -547,12 +616,31 @@ def test_parallel_summary_matches_serial(monkeypatch):
 
 
 def test_flush_leaves_no_temp_file(tmp_path, monkeypatch):
-    monkeypatch.setattr(harness, "CHUNK_SIZE", 64)
-    monkeypatch.setattr(harness, "FLUSH_EVERY", 1)
+    _fixed_chunks(monkeypatch, 64)
+    monkeypatch.setattr(harness, "FLUSH_SECONDS", 0)
     cp = tmp_path / "g.jsonl"
     verify_range(Task.GOLDBACH, 2, 5000, INC, checkpoint_path=cp)
     assert not (tmp_path / "g.jsonl.tmp").exists()
     assert load_checkpoints(str(cp))[0].hi == 5000
+
+
+def test_a_chunk_slower_than_the_flush_interval_is_on_disk_before_the_next(tmp_path,
+                                                                         monkeypatch):
+    cp = tmp_path / "g.jsonl"
+    on_disk = []
+
+    def slow(conv, lo, hi):
+        # what a kill before this chunk would leave behind
+        on_disk.append([(r.lo, r.hi) for r in load_checkpoints(str(cp))])
+        time.sleep(0.02)
+        return harness._check_goldbach(conv, lo, hi)
+
+    monkeypatch.setitem(harness._CHECKERS, Task.GOLDBACH, slow)
+    monkeypatch.setattr(harness, "FLUSH_SECONDS", 0.01)
+    _fixed_chunks(monkeypatch, 64)
+    verify_range(Task.GOLDBACH, 2, 640, INC, checkpoint_path=cp)
+    assert on_disk == [[], [(2, 128)], [(2, 256)], [(2, 384)], [(2, 512)]]
+    assert [(r.lo, r.hi) for r in load_checkpoints(str(cp))] == [(2, 640)]
 
 
 def test_checkpoint_lock_excludes_concurrent_writers(tmp_path):
@@ -583,7 +671,7 @@ def test_kill_and_resume(tmp_path):
     cp = tmp_path / "kill.jsonl"
     child = (
         "from landau import harness\n"
-        "harness.CHUNK_SIZE, harness.FLUSH_EVERY = 512, 1\n"
+        "harness._chunk_size, harness.FLUSH_SECONDS = lambda task, hi: 512, 0\n"
         f"harness.verify_range(harness.Task.GOLDBACH, 2, 2000000, checkpoint_path={str(cp)!r})\n"
     )
     proc = subprocess.Popen([sys.executable, "-c", child])
@@ -660,7 +748,7 @@ def test_parabolic_counts_match_direct_enumeration():
 def test_record_stats_merge_like_a_single_run(tmp_path, monkeypatch):
     cp = tmp_path / "g.jsonl"
     whole = verify_range(Task.GOLDBACH, 2, 500, INC)
-    monkeypatch.setattr(harness, "CHUNK_SIZE", 7)
+    _fixed_chunks(monkeypatch, 7)
     verify_range(Task.GOLDBACH, 2, 500, INC, checkpoint_path=cp)
     rec = load_checkpoints(str(cp))[0]
     assert rec.stats == whole.stats
