@@ -3,7 +3,8 @@ and quasi-couples.
 
 The canonical couple comes from one fixed criterion: walk candidate primes
 down from prev_prime(2n) and stop at the first whose remainder 2n - p is
-prime. Enumeration is an independent half-range scan whose first pair is
+prime. Enumeration is independent of the descent: it ANDs the prime flags of
+the odd values below 2n with their own mirror image, and its first pair is
 that couple; the tests check it against the descent and against the
 ideal-theoretic route of the ring analysis.
 """
@@ -13,13 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
 
-from .primes import (
-    DEFAULT_CONVENTION,
-    PrimeConvention,
-    is_prime,
-    prev_prime,
-    prime_flags,
-)
+from .primes import DEFAULT_CONVENTION, PrimeConvention, _odd_flags, is_prime, prev_prime
 from .zn import Factorization, factorize, units
 
 __all__ = [
@@ -31,6 +26,8 @@ __all__ = [
     "canonical_couple",
     "enumerate_couples",
     "quasi_couples",
+    "ENUMERATE_MAX_TWO_N",
+    "QUASI_MAX_TWO_N",
 ]
 
 
@@ -57,6 +54,14 @@ class GoldbachCouple:
             raise ValueError(f"({self.p}, {self.q}) cannot be a top couple")
         if self.kind is CoupleKind.TRIVIAL and self.p != self.q:
             raise ValueError(f"({self.p}, {self.q}) cannot be a middle couple")
+
+    @classmethod
+    def _of_pair(cls, p: int, q: int, two_n: int, canonical: bool) -> "GoldbachCouple":
+        """Build a couple that a prime scan already found, without checking
+        it again."""
+        out = object.__new__(cls)
+        out.__dict__.update(p=p, q=q, two_n=two_n, kind=_classify(p, q), canonical=canonical)
+        return out
 
 
 @dataclass(frozen=True)
@@ -127,22 +132,53 @@ def canonical_couple(
     raise GoldbachCounterexample(two_n, conv, tuple(steps))
 
 
+# Bounds on 2n from one memory budget of 64 MiB per call.  The tracemalloc
+# peaks they rest on (CPython 3.11, x86-64): enumerate_couples holds the odd
+# flags of [1, 2n), read as two ints and ANDed (about 2.1 bytes per unit of
+# 2n), then one couple object per couple: 2.0 MiB at 10^6, 20.0 MiB at 10^7,
+# and 44.5 MiB at 9,699,690 = 2·3·5·7·11·13·17·19, the 2n below the bound
+# with the most couples (81.3 MiB at twice that).  quasi_couples also builds
+# the units of 2n and returns about phi(2n)/2 pairs, so it peaks at 2n = 2p:
+# 42.1 MiB at 999,958.
+ENUMERATE_MAX_TWO_N = 10**7
+QUASI_MAX_TWO_N = 10**6
+
+
+def _check_bound(two_n: int, limit: int, name: str) -> None:
+    if two_n > limit:
+        raise ValueError(f"{name} needs two_n <= {limit}, got two_n = {two_n}")
+
+
+def _both_prime(two_n: int, conv: PrimeConvention) -> bytes:
+    """Byte i is 1 iff 2i + 1 and 2n - 2i - 1 are both prime under conv, for
+    each odd value 2i + 1 < 2n: the odd flags of [1, 2n - 1] ANDed, as one
+    int, with their own reversal (the same bytes read little-endian)."""
+    _, flags = _odd_flags(1, two_n - 1)
+    flags[0] = is_prime(1, conv)
+    both = int.from_bytes(flags, "big") & int.from_bytes(flags, "little")
+    return both.to_bytes(len(flags), "big")
+
+
+def _couple_pairs(two_n: int, conv: PrimeConvention) -> list[tuple[int, int]]:
+    """Every couple (p, 2n - p) of 2n as a pair, ascending by p."""
+    _check_bound(two_n, ENUMERATE_MAX_TWO_N, "enumerate_couples")
+    _validate_even(two_n, conv)
+    n = two_n // 2
+    pairs = [(p, two_n - p) for p in compress(range(1, n + 1, 2), _both_prime(two_n, conv))]
+    if two_n == 4:  # the one couple with an even member
+        pairs.append((2, 2))
+    return pairs
+
+
 def enumerate_couples(
     two_n: int, conv: PrimeConvention = DEFAULT_CONVENTION
 ) -> list[GoldbachCouple]:
     """All couples for 2n, ascending by smaller member, canonical one marked."""
-    _validate_even(two_n, conv)
-    n = two_n // 2
-    flags = prime_flags(two_n, conv)
-    pairs: list[tuple[int, int]] = []
-    for p in compress(range(n + 1), flags[: n + 1]):
-        if flags[two_n - p]:
-            pairs.append((p, two_n - p))
     # the descent stops at the largest candidate whose remainder is prime, so
     # the canonical couple is the one with the smallest smaller member
     return [
-        GoldbachCouple(p, q, two_n, _classify(p, q), i == 0)
-        for i, (p, q) in enumerate(pairs)
+        GoldbachCouple._of_pair(p, q, two_n, i == 0)
+        for i, (p, q) in enumerate(_couple_pairs(two_n, conv))
     ]
 
 
@@ -151,10 +187,8 @@ def quasi_couples(
 ) -> list[tuple[int, int]]:
     """Unit pairs (a, 2n-a) with a composite member: sums that stay inside
     the unit group but fail to be couples."""
+    _check_bound(two_n, QUASI_MAX_TWO_N, "quasi_couples")
     _validate_even(two_n, conv)
-    flags = prime_flags(two_n, conv)
-    return [
-        (a, two_n - a)
-        for a in units(two_n)
-        if a <= two_n - a and not (flags[a] and flags[two_n - a])
-    ]
+    both = _both_prime(two_n, conv)
+    # the units of 2n are odd, and both[a >> 1] reads the pair (a, 2n - a)
+    return [(a, two_n - a) for a in units(two_n) if a <= two_n - a and not both[a >> 1]]

@@ -1,13 +1,13 @@
 """Publication-shaped reports over the library's routines.
 
 Every emitter builds a :class:`Report` — a titled grid of pre-rendered cells
-plus a JSON-shaped payload — and :func:`emit_report` serializes it to one of
-three formats:
+plus a JSON-shaped payload, each built on first read — and :func:`emit_report`
+serializes it to one of three formats, building only the part it shows:
 
 * ``md``   — a config echo line, the title, a pipe table, then footnotes;
 * ``csv``  — a leading ``# config:`` comment and RFC-4180 rows (no footnotes);
-* ``json`` — ``{"kind", "title", "config", "footnotes", "report"}`` with
-  sorted keys and stable indentation.
+* ``json`` — ``{"kind", "title", "config", "footnotes", "report"}``, byte for
+  byte as ``json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)``.
 
 Each emitter is a plain function ``(conv, /, *, name: type = default, ...)``
 of the prime convention and its keywords; the signature is the one declaration
@@ -28,6 +28,7 @@ import json
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from .config import Config
@@ -41,7 +42,8 @@ from .figurate import (
     triangle_number,
 )
 from .gaps import legendre_primes, polignac_dyadic_search, polignac_pairs
-from .goldbach import CoupleKind, canonical_couple, enumerate_couples, quasi_couples
+from .goldbach import CoupleKind, _classify, _couple_pairs, canonical_couple
+from .goldbach import enumerate_couples, quasi_couples
 from .ideals import (
     PrincipalIdeal,
     bezout,
@@ -75,13 +77,21 @@ class ReportError(ValueError):
 @dataclass(frozen=True)
 class Report:
     """One table ready for rendering: cells are final strings, the payload
-    mirrors the table as plain JSON-able data."""
+    mirrors them as plain JSON-able data, and each is built on first read."""
 
     title: str
     headers: tuple[str, ...]
-    rows: tuple[tuple[str, ...], ...]
+    build_rows: Callable[[], tuple[tuple[str, ...], ...]]
     footers: tuple[str, ...]
-    payload: dict[str, Any]
+    build_payload: Callable[[], dict[str, Any]]
+
+    @cached_property
+    def rows(self) -> tuple[tuple[str, ...], ...]:
+        return self.build_rows()
+
+    @cached_property
+    def payload(self) -> dict[str, Any]:
+        return self.build_payload()
 
 
 # the even numbers whose canonical descents the criterion table prints
@@ -166,8 +176,8 @@ def _steps_entry(steps) -> list[dict[str, Any]]:
     ]
 
 
-def _couple_entry(c) -> dict[str, Any]:
-    return {"pair": [c.p, c.q], "kind": c.kind.value, "canonical": c.canonical}
+def _couple_entry(p: int, q: int, kind: str, canonical: bool) -> dict[str, Any]:
+    return {"pair": [p, q], "kind": kind, "canonical": canonical}
 
 
 # --------------------------------------------------------------------------
@@ -224,35 +234,15 @@ def _chain_text(two_n: int, steps) -> str:
 def _emit_descent_table(
     conv: PrimeConvention, /, *, targets: tuple[int, ...] = DESCENT_TARGETS
 ) -> Report:
-    rows = []
-    payload_rows = []
-    errata_notes = []
-    for two_n in targets:
-        couple, trace = canonical_couple(two_n, conv)
-        chain = _chain_text(two_n, trace.steps)
-        n_cell = str(two_n // 2)
-        if conv is PrimeConvention.INCLUDE1 and two_n in _DESCENT_ERRATA:
-            mark, note = _DESCENT_ERRATA[two_n]
-            chain += f" {mark}"
-            errata_notes.append(note)
-        rows.append((n_cell, str(two_n), str(trace.steps[0].candidate), chain))
-        payload_rows.append(
-            {
-                "n": two_n // 2,
-                "two_n": two_n,
-                "first_candidate": trace.steps[0].candidate,
-                "couple": [couple.p, couple.q],
-                "kind": couple.kind.value,
-                "depth": trace.depth(),
-                "steps": _steps_entry(trace.steps),
-            }
-        )
+    descents = [(two_n, *canonical_couple(two_n, conv)) for two_n in targets]
+    errata = _DESCENT_ERRATA if conv is PrimeConvention.INCLUDE1 else {}
+
     footers = [
         "p₁ is the highest prime such that p₁ < 2n.",
         "p₁⁽ⁱ⁾ is the highest prime such that p₁⁽ⁱ⁾ < p₁⁽ⁱ⁻¹⁾, i ≥ 1, p₁⁽⁰⁾ = p₁.",
         "p₂⁽ˢ⁾ is the first number in the sequence i, i ≥ 1, such that p₂⁽ˢ⁾ ∈ P.",
         "P ⊂ ℕ is the set of prime numbers of ℕ.",
-        *errata_notes,
+        *(errata[two_n][1] for two_n in targets if two_n in errata),
     ]
     return Report(
         title=(
@@ -265,9 +255,32 @@ def _emit_descent_table(
             "p₁∈P",
             "2n-p₁=p₂ ⇒ 2n-p₁⁽¹⁾=p₂⁽¹⁾ ⇒ ⋯ 2n-p₁⁽ˢ⁾=p₂⁽ˢ⁾",
         ),
-        rows=tuple(rows),
+        build_rows=lambda: tuple(
+            (
+                str(two_n // 2),
+                str(two_n),
+                str(trace.steps[0].candidate),
+                _chain_text(two_n, trace.steps)
+                + (f" {errata[two_n][0]}" if two_n in errata else ""),
+            )
+            for two_n, _, trace in descents
+        ),
         footers=tuple(footers),
-        payload={"convention": conv.value, "rows": payload_rows},
+        build_payload=lambda: {
+            "convention": conv.value,
+            "rows": [
+                {
+                    "n": two_n // 2,
+                    "two_n": two_n,
+                    "first_candidate": trace.steps[0].candidate,
+                    "couple": [couple.p, couple.q],
+                    "kind": couple.kind.value,
+                    "depth": trace.depth(),
+                    "steps": _steps_entry(trace.steps),
+                }
+                for two_n, couple, trace in descents
+            ],
+        },
     )
 
 
@@ -276,17 +289,15 @@ def _emit_descent_table(
 
 def _emit_units_grid(conv: PrimeConvention, /, *, n: int) -> Report:
     table = multiplication_table(n)
-    headers = ("", *(str(u) for u in table.units))
-    rows = tuple(
-        (str(u), *(str(v) for v in row)) for u, row in zip(table.units, table.rows)
-    )
     caption = "; ".join(f"{u}⁻¹={v}" for u, v in table.inverses) + "."
     return Report(
         title=f"Multiplication table in {_zx(n)}",
-        headers=headers,
-        rows=rows,
+        headers=("", *(str(u) for u in table.units)),
+        build_rows=lambda: tuple(
+            (str(u), *map(str, row)) for u, row in zip(table.units, table.rows)
+        ),
         footers=(caption,),
-        payload={
+        build_payload=lambda: {
             "modulus": n,
             "units": list(table.units),
             "grid": [list(row) for row in table.rows],
@@ -305,36 +316,16 @@ def _emit_ring_table(conv: PrimeConvention, /, *, moduli: tuple[int, ...] | None
         moduli = RING_MODULI if include1 else tuple(m for m in RING_MODULI if m != 2)
     elif not include1 and 2 in moduli:
         raise ReportError("moduli: 2 = 1 + 1 needs the unit counted as prime; use include1")
-    rows = []
-    payload_rows = []
+    rings = []
     for two_n in moduli:
         profile = units_profile(two_n, conv)
         couples = [
-            c
+            (c.p, c.q, c.kind.value, c.canonical)
             for c in enumerate_couples(two_n, conv)
             if c.kind is not CoupleKind.TRIVIAL or two_n == 2
         ]
-        couple_cell = "; ".join(
-            f"{_pair(c.p, c.q)}★" if c.canonical else _pair(c.p, c.q) for c in couples
-        )
-        strong = set(profile.strong)
-        unit_cell = _braced(u if u in strong else f"({u})" for u in profile.units)
-        quasi = quasi_couples(two_n, conv)
-        quasi_cell = "; ".join(_pair(a, b) for a, b in quasi) if quasi else "-"
-        rows.append(
-            (_zn(two_n), couple_cell, unit_cell, str(profile.totient), quasi_cell)
-        )
-        payload_rows.append(
-            {
-                "two_n": two_n,
-                "couples": [_couple_entry(c) for c in couples],
-                "units": list(profile.units),
-                "composite_units": [u for u in profile.units if u not in strong],
-                "strong": list(profile.strong),
-                "totient": profile.totient,
-                "quasi": [[a, b] for a, b in quasi],
-            }
-        )
+        rings.append((two_n, couples, profile, set(profile.strong), quasi_couples(two_n, conv)))
+
     footers = [
         "The Goldbach couples marked by ()★ are the ones obtained by the canonical descent criterion.",
         "The set of strong generators is obtained from the group of units by forgetting the numbers between brackets ().",
@@ -357,9 +348,32 @@ def _emit_ring_table(conv: PrimeConvention, /, *, moduli: tuple[int, ...] | None
             "φ(2n)",
             "Quasi-Goldbach couples (♠)",
         ),
-        rows=tuple(rows),
+        build_rows=lambda: tuple(
+            (
+                _zn(two_n),
+                "; ".join(_pair(p, q) + ("★" if star else "") for p, q, _, star in couples),
+                _braced(u if u in strong else f"({u})" for u in profile.units),
+                str(profile.totient),
+                "; ".join(_pair(a, b) for a, b in quasi) if quasi else "-",
+            )
+            for two_n, couples, profile, strong, quasi in rings
+        ),
         footers=tuple(footers),
-        payload={"convention": conv.value, "rows": payload_rows},
+        build_payload=lambda: {
+            "convention": conv.value,
+            "rows": [
+                {
+                    "two_n": two_n,
+                    "couples": [_couple_entry(*c) for c in couples],
+                    "units": list(profile.units),
+                    "composite_units": [u for u in profile.units if u not in strong],
+                    "strong": list(profile.strong),
+                    "totient": profile.totient,
+                    "quasi": [[a, b] for a, b in quasi],
+                }
+                for two_n, couples, profile, strong, quasi in rings
+            ],
+        },
     )
 
 
@@ -373,10 +387,10 @@ def _r_as_prime_powers(fact: Factorization) -> str:
     return "·".join(str(v) for v in values)
 
 
-def _ideal_row(index: int, two_n: int, generator: int, rem: int, maximal) -> tuple[str, dict]:
-    """The rendered cell and the payload entry of the ideal (2n - b)Z/rZ,
-    both read off one factorization of its remainder; ``maximal`` numbers
-    the maximal ideals pZ/rZ of Z_r by their primes p."""
+def _ideal(two_n: int, generator: int, rem: int, maximal) -> tuple:
+    """The ideal (2n - b)Z/rZ as (generator, remainder, factorization, the
+    indices of the maximal ideals over it), from one factorization of its
+    remainder; ``maximal`` numbers the maximal ideals pZ/rZ of Z_r by p."""
     fact = factorize(rem)
     missing = [p for p in fact.primes() if p not in maximal]
     if missing:
@@ -384,26 +398,29 @@ def _ideal_row(index: int, two_n: int, generator: int, rem: int, maximal) -> tup
             f"remainder {rem} is not a unit ideal modulo {two_n}: "
             f"prime(s) {missing} do not divide r"
         )
-    indices = [maximal[p] for p in fact.primes()]
-    squarefree = all(e == 1 for _, e in fact.factors)
+    return generator, rem, fact, [maximal[p] for p in fact.primes()]
+
+
+def _ideal_cell(index: int, two_n: int, generator: int, rem: int, fact, indices) -> tuple[str]:
     a_i = f"𝔞{_sub(index)}"
     lhs = f"{a_i}=({two_n}-{generator})ℤ/rℤ"
     if rem == 1:
-        cell = f"{lhs}=ℤᵣ"
-    else:
-        maximals = "∩".join(f"𝔪{_sub(i)}" for i in indices)
-        relation = "=" if squarefree else "⊂"
-        cell = f"{lhs}={_dot_powers(fact)}ℤ/rℤ{relation}{maximals}=𝔯({a_i})"
-    entry = {
+        return (f"{lhs}=ℤᵣ",)
+    maximals = "∩".join(f"𝔪{_sub(i)}" for i in indices)
+    relation = "=" if all(e == 1 for _, e in fact.factors) else "⊂"
+    return (f"{lhs}={_dot_powers(fact)}ℤ/rℤ{relation}{maximals}=𝔯({a_i})",)
+
+
+def _ideal_entry(index: int, generator: int, rem: int, fact, indices) -> dict[str, Any]:
+    return {
         "index": index,
         "generator_unit": generator,
         "remainder": rem,
         "factors": _factor_list(fact),
         "maximal": fact.factors == ((rem, 1),),
         "maximal_indices": indices,
-        "squarefree": squarefree,
+        "squarefree": all(e == 1 for _, e in fact.factors),
     }
-    return cell, entry
 
 
 def _emit_ideal_table(
@@ -427,12 +444,7 @@ def _emit_ideal_table(
     else:
         items = zip(rep.generators, rep.remainders)
     maximal = {p: i for i, p in enumerate(rep.primes_of_r, start=1)}
-    rows = []
-    payload_entries = []
-    for index, (generator, rem) in enumerate(items, start=1):
-        cell, entry = _ideal_row(index, two_n, generator, rem, maximal)
-        rows.append((cell,))
-        payload_entries.append(entry)
+    ideals = [_ideal(two_n, generator, rem, maximal) for generator, rem in items]
 
     alt_text = f"{_r_as_prime_powers(alt.r)} = {alt_r}."
     if include_top:
@@ -454,9 +466,11 @@ def _emit_ideal_table(
     return Report(
         title=f"Maximal ideals containing the ideals 𝔞ᵢ of {scope} for 2n={two_n}",
         headers=("ideals 𝔞ᵢ and their radicals in ℤᵣ",),
-        rows=tuple(rows),
+        build_rows=lambda: tuple(
+            _ideal_cell(index, two_n, *ideal) for index, ideal in enumerate(ideals, start=1)
+        ),
         footers=footers,
-        payload={
+        build_payload=lambda: {
             "two_n": two_n,
             "convention": conv.value,
             "include_top": include_top,
@@ -464,7 +478,9 @@ def _emit_ideal_table(
             "r": {"value": r, "factors": _factor_list(rep.r)},
             "r_alternate": {"value": alt_r, "factors": _factor_list(alt.r)},
             "maximal_ideal_primes": list(rep.primes_of_r),
-            "entries": payload_entries,
+            "entries": [
+                _ideal_entry(index, *ideal) for index, ideal in enumerate(ideals, start=1)
+            ],
             "maximal_subset": list(rep.maximal_subset),
             "couples": [[p, q] for p, q in rep.couples],
             "noether": list(rep.noether) if rep.noether else None,
@@ -481,20 +497,11 @@ def _emit_polignac_table(
 ) -> Report:
     if m_max < 1:
         raise ReportError(f"m_max: needs at least 1, got {m_max}")
-    rows = []
-    payload_rows = []
+    columns = []
     for gap in gaps:
         blocks = polignac_dyadic_search(gap, m_max, conv)
-        columns = [blocks.get(m, []) for m in range(1, m_max + 1)]
-        cells = (", ".join(_pair(c.q, c.p) for c in col) for col in columns)
-        rows.append((str(gap // 2), str(gap), *cells))
-        payload_rows.append(
-            {
-                "n": gap // 2,
-                "two_n": gap,
-                "blocks": [[m, [[c.q, c.p] for c in col]] for m, col in enumerate(columns, 1)],
-            }
-        )
+        columns.append((gap, [blocks.get(m, []) for m in range(1, m_max + 1)]))
+
     footers = []
     if 2 in gaps:
         footers.append("The 2n-case with n=1 corresponds to the twin conjecture.")
@@ -526,24 +533,37 @@ def _emit_polignac_table(
             f"1 ≤ m ≤ {m_max}"
         ),
         headers=("n", "2n", *(f"m={m}" for m in range(1, m_max + 1))),
-        rows=tuple(rows),
+        build_rows=lambda: tuple(
+            (str(gap // 2), str(gap), *(", ".join(_pair(c.q, c.p) for c in col) for col in cols))
+            for gap, cols in columns
+        ),
         footers=tuple(footers),
-        payload={"convention": conv.value, "m_max": m_max, "rows": payload_rows},
+        build_payload=lambda: {
+            "convention": conv.value,
+            "m_max": m_max,
+            "rows": [
+                {
+                    "n": gap // 2,
+                    "two_n": gap,
+                    "blocks": [[m, [[c.q, c.p] for c in col]] for m, col in enumerate(cols, 1)],
+                }
+                for gap, cols in columns
+            ],
+        },
     )
 
 
 def _emit_polignac_pairs(conv: PrimeConvention, /, *, two_n: int, q_max: int) -> Report:
     pairs = polignac_pairs(two_n, q_max, conv)
-    rows = tuple((str(c.q), str(c.p), str(c.block)) for c in pairs)
     return Report(
         title=f"{two_n}-de Polignac couples with q ≤ {q_max}",
         headers=("q", "p", "block m"),
-        rows=rows,
+        build_rows=lambda: tuple((str(c.q), str(c.p), str(c.block)) for c in pairs),
         footers=(
             "block m is the smallest m ≥ 1 with q ≤ 2n·2^m.",
             f"{len(pairs)} couple(s) under {conv.value}.",
         ),
-        payload={
+        build_payload=lambda: {
             "two_n": two_n,
             "q_max": q_max,
             "convention": conv.value,
@@ -558,16 +578,7 @@ def _emit_polignac_pairs(conv: PrimeConvention, /, *, two_n: int, q_max: int) ->
 def _emit_legendre_table(
     conv: PrimeConvention, /, *, ns: tuple[int, ...] = tuple(range(1, 11))
 ) -> Report:
-    rows = []
-    payload_rows = []
-    for n in ns:
-        primes = legendre_primes(n, conv)
-        rows.append(
-            (str(n), str(n * n), str((n + 1) * (n + 1)), ", ".join(str(p) for p in primes))
-        )
-        payload_rows.append(
-            {"n": n, "lo": n * n, "hi": (n + 1) * (n + 1), "primes": list(primes)}
-        )
+    intervals = [(n, legendre_primes(n, conv)) for n in ns]
     if conv is PrimeConvention.INCLUDE1:
         conv_note = "Here 1 counts as prime."
     else:
@@ -575,12 +586,21 @@ def _emit_legendre_table(
     return Report(
         title="Examples of primes p ∈ [n², (n+1)²]",
         headers=("n", "n²", "(n+1)²", "prime p ∈ [n², (n+1)²]"),
-        rows=tuple(rows),
+        build_rows=lambda: tuple(
+            (str(n), str(n * n), str((n + 1) * (n + 1)), ", ".join(map(str, primes)))
+            for n, primes in intervals
+        ),
         footers=(
             conv_note,
             "The certificate works equally well taking 2 as the first prime.",
         ),
-        payload={"convention": conv.value, "rows": payload_rows},
+        build_payload=lambda: {
+            "convention": conv.value,
+            "rows": [
+                {"n": n, "lo": n * n, "hi": (n + 1) * (n + 1), "primes": list(primes)}
+                for n, primes in intervals
+            ],
+        },
     )
 
 
@@ -595,26 +615,23 @@ def _emit_ghost_table(conv: PrimeConvention, /, *, n_max: int = 60) -> Report:
     ks = list(range(1, limit + 1)) + [k for k in range(42, n_max + 1, 2)]
     marks = [k for k in range(1, limit + 1) if records[k].is_parabolic]
 
-    first_row_lists: dict[int, list[int]] = {}
-    own_row_lists: dict[int, list[int]] = {}
-    runs = []
-    for a, b in zip(marks, marks[1:]):
-        between = primes_in_range(a * a + 2, b * b, PrimeConvention.EXCLUDE1)
-        runs.append({"after": a, "before": b, "primes": list(between)})
-        if b - a == 1:
-            own_row_lists[a] = list(between)
-        else:
-            first_row_lists[a + 1] = list(between)
+    runs = [
+        (a, b, primes_in_range(a * a + 2, b * b, PrimeConvention.EXCLUDE1))
+        for a, b in zip(marks, marks[1:])
+    ]
 
-    rows = []
-    for k in ks:
-        rec = records[k]
-        p_cell = f"p={k * k}+1={rec.p}"
-        mark_cell = "(□)" if rec.is_parabolic else ""
-        between_cell = ", ".join(str(p) for p in first_row_lists.get(k, []))
-        rows.append((str(k), p_cell, mark_cell, between_cell))
-        if k in own_row_lists:
-            rows.append(("", "", "", ", ".join(str(p) for p in own_row_lists[k])))
+    def rows() -> tuple[tuple[str, ...], ...]:
+        # a run's primes go on the first row after it starts, or on a row of
+        # their own when the two parabolic values are adjacent
+        first_row = {a + 1: between for a, b, between in runs if b - a > 1}
+        own_row = {a: between for a, b, between in runs if b - a == 1}
+        out = []
+        for k in ks:
+            rec, between = records[k], ", ".join(map(str, first_row.get(k, [])))
+            out.append((str(k), f"p={k * k}+1={rec.p}", "(□)" if rec.is_parabolic else "", between))
+            if k in own_row:
+                out.append(("", "", "", ", ".join(map(str, own_row[k]))))
+        return tuple(out)
 
     footers = [
         "For n ≥ 40 only even n = 2m are reported: for odd n > 1 the number n²+1 is even, hence composite.",
@@ -640,9 +657,9 @@ def _emit_ghost_table(conv: PrimeConvention, /, *, n_max: int = 60) -> Report:
             "(□)=ghost right-triangle",
             "primes between two consecutive (□)",
         ),
-        rows=tuple(rows),
+        build_rows=rows,
         footers=tuple(footers),
-        payload={
+        build_payload=lambda: {
             "n_max": n_max,
             "convention": conv.value,
             "rows": [
@@ -650,7 +667,7 @@ def _emit_ghost_table(conv: PrimeConvention, /, *, n_max: int = 60) -> Report:
                 for k in ks
             ],
             "marks": marks,
-            "between": runs,
+            "between": [{"after": a, "before": b, "primes": between} for a, b, between in runs],
         },
     )
 
@@ -659,32 +676,29 @@ def _emit_ghost_table(conv: PrimeConvention, /, *, n_max: int = 60) -> Report:
 # zeta estimate over the parabolic primes
 
 def _emit_zeta_table(conv: PrimeConvention, /, *, k_max: int = 10) -> Report:
-    records = parabolic_primes(k_max, conv)
-    rows = []
-    terms = []
+    terms = []  # (k, p, 1/(p-1), partial sum), the fractions as text
     running = Fraction(0)
-    for rec in records:
-        if not rec.is_parabolic:
-            continue
-        term = Fraction(1, rec.p - 1)
-        running += term
-        rows.append((str(rec.k), str(rec.p), _frac(term), _frac(running)))
-        terms.append(
-            {"k": rec.k, "p": rec.p, "term": _frac(term), "partial": _frac(running)}
-        )
+    for rec in parabolic_primes(k_max, conv):
+        if rec.is_parabolic:
+            term = Fraction(1, rec.p - 1)
+            running += term
+            terms.append((rec.k, rec.p, _frac(term), _frac(running)))
     _check_zeta_bounds(running, k_max)
     return Report(
         title="Euler-Riemann zeta estimate for the parabolic primes",
         headers=("k", "p=k²+1", "1/(p-1)", "partial sum"),
-        rows=tuple(rows),
+        build_rows=lambda: tuple((str(k), str(p), term, partial) for k, p, term, partial in terms),
         footers=(
             "The full series over parabolic primes satisfies 1 < Σ 1/(p-1) ≤ ζ(2) = π²/6.",
             f"With k ≤ {k_max} the partial sum is {_frac(running)}.",
             "All entries are exact rationals.",
         ),
-        payload={
+        build_payload=lambda: {
             "k_max": k_max,
-            "terms": terms,
+            "terms": [
+                {"k": k, "p": p, "term": term, "partial": partial}
+                for k, p, term, partial in terms
+            ],
             "partial_sum": _frac(running),
             "upper_bound": "pi^2/6",
         },
@@ -696,49 +710,45 @@ def _emit_zeta_table(conv: PrimeConvention, /, *, k_max: int = 10) -> Report:
 
 def _emit_couple(conv: PrimeConvention, /, *, two_n: int, trace: bool = False) -> Report:
     couple, descent = canonical_couple(two_n, conv)
-    row = [
-        str(two_n),
-        str(couple.p),
-        str(couple.q),
-        couple.kind.value,
-        str(descent.depth()),
-    ]
-    headers = ["2n", "p", "q", "kind", "depth"]
-    payload = {
-        "two_n": two_n,
-        "convention": conv.value,
-        "couple": [couple.p, couple.q],
-        "kind": couple.kind.value,
-        "depth": descent.depth(),
-    }
-    if trace:
-        headers.append("descent")
-        row.append(_chain_text(two_n, descent.steps))
-        payload["steps"] = _steps_entry(descent.steps)
     return Report(
         title=f"Canonical Goldbach couple for {two_n}",
-        headers=tuple(headers),
-        rows=(tuple(row),),
+        headers=("2n", "p", "q", "kind", "depth", *(("descent",) if trace else ())),
+        build_rows=lambda: (
+            (
+                *map(str, (two_n, couple.p, couple.q)),
+                couple.kind.value,
+                str(descent.depth()),
+                *((_chain_text(two_n, descent.steps),) if trace else ()),
+            ),
+        ),
         footers=(),
-        payload=payload,
+        build_payload=lambda: {
+            "two_n": two_n,
+            "convention": conv.value,
+            "couple": [couple.p, couple.q],
+            "kind": couple.kind.value,
+            "depth": descent.depth(),
+            **({"steps": _steps_entry(descent.steps)} if trace else {}),
+        },
     )
 
 
 def _emit_couples(conv: PrimeConvention, /, *, two_n: int) -> Report:
-    couples = enumerate_couples(two_n, conv)
-    rows = tuple(
-        (str(c.p), str(c.q), c.kind.value, "★" if c.canonical else "")
-        for c in couples
-    )
+    # (p, q, kind, canonical): the descent stops at the largest candidate whose
+    # remainder is prime, so the first couple is the canonical one
+    pairs = _couple_pairs(two_n, conv)
+    couples = [(p, q, _classify(p, q).value, i == 0) for i, (p, q) in enumerate(pairs)]
     return Report(
         title=f"Goldbach couples for {two_n}",
         headers=("p", "q", "kind", "canonical"),
-        rows=rows,
+        build_rows=lambda: tuple(
+            (str(p), str(q), kind, "★" if canonical else "") for p, q, kind, canonical in couples
+        ),
         footers=(f"{len(couples)} couple(s) under {conv.value}.",),
-        payload={
+        build_payload=lambda: {
             "two_n": two_n,
             "convention": conv.value,
-            "couples": [_couple_entry(c) for c in couples],
+            "couples": [_couple_entry(*c) for c in couples],
         },
     )
 
@@ -748,12 +758,12 @@ def _emit_quasi_couples(conv: PrimeConvention, /, *, two_n: int) -> Report:
     return Report(
         title=f"Quasi-Goldbach couples for {two_n}",
         headers=("a", "2n-a"),
-        rows=tuple((str(a), str(b)) for a, b in quasi),
+        build_rows=lambda: tuple((str(a), str(b)) for a, b in quasi),
         footers=(
             "Unit pairs (a, 2n-a) with at least one composite member.",
             f"{len(quasi)} pair(s) under {conv.value}.",
         ),
-        payload={
+        build_payload=lambda: {
             "two_n": two_n,
             "convention": conv.value,
             "pairs": [[a, b] for a, b in quasi],
@@ -763,20 +773,19 @@ def _emit_quasi_couples(conv: PrimeConvention, /, *, two_n: int) -> Report:
 
 def _emit_units_profile(conv: PrimeConvention, /, *, n: int) -> Report:
     profile = units_profile(n, conv)
-    rows = (
-        ("modulus", str(profile.modulus)),
-        ("units", _braced(profile.units)),
-        ("totient φ", str(profile.totient)),
-        ("carmichael λ", str(profile.carmichael)),
-        ("cyclic", "yes" if profile.cyclic else "no"),
-        ("strong generators", _braced(profile.strong)),
-    )
     return Report(
         title=f"Unit group of {_zn(n)}",
         headers=("field", "value"),
-        rows=rows,
+        build_rows=lambda: (
+            ("modulus", str(profile.modulus)),
+            ("units", _braced(profile.units)),
+            ("totient φ", str(profile.totient)),
+            ("carmichael λ", str(profile.carmichael)),
+            ("cyclic", "yes" if profile.cyclic else "no"),
+            ("strong generators", _braced(profile.strong)),
+        ),
         footers=(f"Strong generators are the units that are prime under {profile.convention.value}.",),
-        payload={
+        build_payload=lambda: {
             "modulus": profile.modulus,
             "convention": profile.convention.value,
             "units": list(profile.units),
@@ -793,9 +802,9 @@ def _emit_strong_generators(conv: PrimeConvention, /, *, n: int) -> Report:
     return Report(
         title=f"Strong generators in {_zn(n)}",
         headers=("n", "strong generators", "count"),
-        rows=((str(n), _braced(profile.strong), str(len(profile.strong))),),
+        build_rows=lambda: ((str(n), _braced(profile.strong), str(len(profile.strong))),),
         footers=(f"Units of {_zn(n)} that are prime under {profile.convention.value}.",),
-        payload={
+        build_payload=lambda: {
             "modulus": n,
             "convention": profile.convention.value,
             "strong": list(profile.strong),
@@ -807,17 +816,16 @@ def _emit_strong_generators(conv: PrimeConvention, /, *, n: int) -> Report:
 def _emit_crt(conv: PrimeConvention, /, *, a: int, n: int) -> Report:
     components = crt_decompose(a, n)
     fact = factorize(n)
-    rows = tuple(
-        (str(r), str(pe), str(p), str(e))
-        for (r, pe), (p, e) in zip(components, fact.factors)
-    )
     iso = " × ".join(_zn(p**e) for p, e in fact.factors)
     return Report(
         title=f"CRT decomposition of {a} modulo {n}",
         headers=("residue", "modulus", "prime", "exponent"),
-        rows=rows,
+        build_rows=lambda: tuple(
+            (str(r), str(pe), str(p), str(e))
+            for (r, pe), (p, e) in zip(components, fact.factors)
+        ),
         footers=(f"{_zn(n)} ≅ {iso}.",),
-        payload={
+        build_payload=lambda: {
             "value": a % n,
             "modulus": n,
             "components": [[r, pe] for r, pe in components],
@@ -833,7 +841,7 @@ def _emit_radical(conv: PrimeConvention, /, *, m: int) -> Report:
     return Report(
         title=f"Radical of the ideal {m}ℤ",
         headers=("ideal", "factorization", "radical", "radical factorization"),
-        rows=(
+        build_rows=lambda: (
             (
                 f"{m}ℤ",
                 _dot_powers(ideal.generator) or "1",
@@ -842,7 +850,7 @@ def _emit_radical(conv: PrimeConvention, /, *, m: int) -> Report:
             ),
         ),
         footers=("The radical keeps each prime once: 𝔯(mℤ) = (∏ p | m) ℤ.",),
-        payload={
+        build_payload=lambda: {
             "m": m,
             "factors": _factor_list(ideal.generator),
             "radical": rad.generator.value(),
@@ -857,11 +865,11 @@ def _emit_jacobson(conv: PrimeConvention, /, *, n: int) -> Report:
     return Report(
         title=f"Jacobson radical of {_zn(n)}",
         headers=("ring", "jacobson radical", "generator"),
-        rows=((_zn(n), f"{gen}ℤ/{n}ℤ", str(gen)),),
+        build_rows=lambda: ((_zn(n), f"{gen}ℤ/{n}ℤ", str(gen)),),
         footers=(
             "The Jacobson radical of ℤₙ is generated by the product of the primes dividing n.",
         ),
-        payload={
+        build_payload=lambda: {
             "modulus": n,
             "generator": gen,
             "generator_factors": _factor_list(ideal.generator),
@@ -875,9 +883,9 @@ def _emit_bezout(conv: PrimeConvention, /, *, a: int, b: int) -> Report:
     return Report(
         title=f"Bezout identity for ({a}, {b})",
         headers=("a", "b", "gcd", "x", "y", "identity"),
-        rows=((str(a), str(b), str(g), str(x), str(y), identity),),
+        build_rows=lambda: ((str(a), str(b), str(g), str(x), str(y), identity),),
         footers=(),
-        payload={"a": a, "b": b, "gcd": g, "x": x, "y": y},
+        build_payload=lambda: {"a": a, "b": b, "gcd": g, "x": x, "y": y},
     )
 
 
@@ -886,9 +894,9 @@ def _emit_triangle(conv: PrimeConvention, /, *, n: int) -> Report:
     return Report(
         title=f"Triangular number T({n})",
         headers=("n", "T(n)"),
-        rows=((str(n), str(value)),),
+        build_rows=lambda: ((str(n), str(value)),),
         footers=("T(n) = n(n+1)/2.",),
-        payload={"n": n, "value": value},
+        build_payload=lambda: {"n": n, "value": value},
     )
 
 
@@ -898,9 +906,9 @@ def _emit_square_triangular(conv: PrimeConvention, /, *, k_max: int) -> Report:
     return Report(
         title="Numbers that are both square and triangular",
         headers=("k", "S(k)"),
-        rows=tuple((str(k), str(s)) for k, s in enumerate(values, 1)),
+        build_rows=lambda: tuple((str(k), str(s)) for k, s in enumerate(values, 1)),
         footers=("S(1) = 1 and S(k+1) = 4·S(k)·(8·S(k) + 1).",),
-        payload={"k_max": k_max, "values": values},
+        build_payload=lambda: {"k_max": k_max, "values": values},
     )
 
 
@@ -910,9 +918,9 @@ def _emit_three_triangular(conv: PrimeConvention, /, *, n: int) -> Report:
     return Report(
         title=f"Three-triangular decomposition of {n}",
         headers=("n", "decomposition", "triangle indices"),
-        rows=((str(n), " + ".join(map(str, parts)), ", ".join(map(str, indices))),),
+        build_rows=lambda: ((str(n), " + ".join(map(str, parts)), ", ".join(map(str, indices))),),
         footers=("Every natural number is a sum of at most three triangular numbers.",),
-        payload={"n": n, "parts": list(parts), "indices": indices},
+        build_payload=lambda: {"n": n, "parts": list(parts), "indices": indices},
     )
 
 
@@ -921,32 +929,29 @@ def _emit_faulhaber(conv: PrimeConvention, /, *, m: int, n: int) -> Report:
     return Report(
         title=f"Power sum Σ k^{m} for k = 1..{n}",
         headers=("m", "n", "sum"),
-        rows=((str(m), str(n), str(value)),),
+        build_rows=lambda: ((str(m), str(n), str(value)),),
         footers=(),
-        payload={"m": m, "n": n, "value": value},
+        build_payload=lambda: {"m": m, "n": n, "value": value},
     )
 
 
 def _emit_verify_summary(conv: PrimeConvention, /, *, summary: RunSummary) -> Report:
-    rows = [
-        ("task", summary.task.value),
-        ("convention", summary.convention.value),
-        ("range", f"[{summary.lo}, {summary.hi}]"),
-        ("verified", str(summary.verified)),
-        ("skipped", str(summary.skipped)),
-        ("complete", "yes" if summary.complete else "no"),
-        ("elapsed (s)", f"{summary.elapsed:.3f}"),
-    ]
-    for key in sorted(summary.stats):
-        rows.append((key, str(summary.stats[key])))
-    for witness in summary.counterexamples:
-        rows.append(("counterexample", json.dumps(witness, sort_keys=True)))
     return Report(
         title=f"Verification summary: {summary.task.value} on [{summary.lo}, {summary.hi}]",
         headers=("field", "value"),
-        rows=tuple(rows),
+        build_rows=lambda: (
+            ("task", summary.task.value),
+            ("convention", summary.convention.value),
+            ("range", f"[{summary.lo}, {summary.hi}]"),
+            ("verified", str(summary.verified)),
+            ("skipped", str(summary.skipped)),
+            ("complete", "yes" if summary.complete else "no"),
+            ("elapsed (s)", f"{summary.elapsed:.3f}"),
+            *((key, str(summary.stats[key])) for key in sorted(summary.stats)),
+            *(("counterexample", json.dumps(w, sort_keys=True)) for w in summary.counterexamples),
+        ),
         footers=(),
-        payload={
+        build_payload=lambda: {
             "task": summary.task.value,
             "convention": summary.convention.value,
             "lo": summary.lo,
@@ -965,14 +970,12 @@ def _emit_verify_summary(conv: PrimeConvention, /, *, summary: RunSummary) -> Re
 # renderers
 
 def _render_md(report: Report, config: Config, kind: str) -> bytes:
-    def esc(cell: str) -> str:
-        return cell.replace("|", "\\|")
+    def line(cells: tuple[str, ...]) -> str:
+        return "| " + " | ".join([c.replace("|", "\\|") for c in cells]) + " |"
 
-    lines = [f"config: {config.echo()}", "", f"### {report.title}", ""]
-    lines.append("| " + " | ".join(esc(h) for h in report.headers) + " |")
+    lines = [f"config: {config.echo()}", "", f"### {report.title}", "", line(report.headers)]
     lines.append("|" + "|".join(" --- " for _ in report.headers) + "|")
-    for row in report.rows:
-        lines.append("| " + " | ".join(esc(c) for c in row) + " |")
+    lines.extend(map(line, report.rows))
     if report.footers:
         lines.append("")
         lines.extend(report.footers)
@@ -988,6 +991,38 @@ def _render_csv(report: Report, config: Config, kind: str) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
+_json_str = json.encoder.encode_basestring  # the escaping of ensure_ascii=False
+
+
+def _json(value: Any, indent: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False)``,
+    byte for byte, for data whose dict keys are strings.  CPython serves an
+    indented dump only from its pure-Python encoder; here a list of plain ints
+    is written with one join at C speed."""
+    if type(value) is str:
+        return _json_str(value)
+    if type(value) is int:
+        return str(value)
+    inner = indent + "  "
+    sep = "," + inner
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = sep.join([f"{_json_str(k)}: {_json(v, inner)}" for k, v in sorted(value.items())])
+        return f"{{{inner}{body}{indent}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if set(map(type, value)) == {int}:  # no bools, no int subclasses
+            body = sep.join(map(str, value))
+        else:
+            body = sep.join([_json(x, inner) for x in value])
+        return f"[{inner}{body}{indent}]"
+    if value is None or type(value) is bool:
+        return "null" if value is None else "true" if value else "false"
+    return json.dumps(value, ensure_ascii=False)  # floats, and subclasses of str or int
+
+
 def _render_json(report: Report, config: Config, kind: str) -> bytes:
     doc = {
         "kind": kind,
@@ -996,9 +1031,7 @@ def _render_json(report: Report, config: Config, kind: str) -> bytes:
         "footnotes": list(report.footers),
         "report": report.payload,
     }
-    return (json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n").encode(
-        "utf-8"
-    )
+    return (_json(doc) + "\n").encode("utf-8")
 
 
 _RENDERERS: dict[str, Callable[[Report, Config, str], bytes]] = {

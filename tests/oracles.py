@@ -78,6 +78,16 @@ def brute_couples(two_n: int, include1: bool = True) -> list[tuple[int, int]]:
     return out
 
 
+def brute_quasi(two_n: int, include1: bool = True) -> list[tuple[int, int]]:
+    """Unit pairs (a, 2n - a), a <= 2n - a, whose members are not both prime."""
+    return [
+        (a, two_n - a)
+        for a in range(1, two_n // 2 + 1)
+        if math.gcd(a, two_n) == 1
+        and not (trial_division_prime(a, include1) and trial_division_prime(two_n - a, include1))
+    ]
+
+
 def egcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, x, y) with x*a + y*b = g = gcd(a, b), textbook recursion."""
     if b == 0:

@@ -9,6 +9,7 @@ from click.testing import CliRunner
 import landau.cli as cli_module
 from landau.cli import main
 from landau.figurate import THREE_TRIANGULAR_MAX_N
+from landau.goldbach import ENUMERATE_MAX_TWO_N, QUASI_MAX_TWO_N
 from landau.harness import RunSummary, Task
 from landau.primes import PrimeConvention
 from landau.reports import report_kinds, report_parameters
@@ -195,6 +196,25 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert f"needs 1 <= n <= {THREE_TRIANGULAR_MAX_N}, got n = {n}" in result.stderr
         assert result.stdout == ""
+
+    @pytest.mark.parametrize(
+        "leaf, name, bound",
+        [("enumerate", "enumerate_couples", ENUMERATE_MAX_TWO_N),
+         ("quasi", "quasi_couples", QUASI_MAX_TWO_N)],
+    )
+    @pytest.mark.parametrize("at", ["bound", "bound + 1", "10^11"])
+    def test_couple_lists_past_their_bound_are_usage_errors_naming_2n(
+        self, runner, leaf, name, bound, at
+    ):
+        two_n = {"bound": bound, "bound + 1": bound + 1, "10^11": 10**11}[at]
+        result = runner.invoke(main, ["--format", "csv", "goldbach", leaf, str(two_n)])
+        if two_n == bound:
+            assert result.exit_code == 0, result.output
+            assert result.stdout.count("\n") > 1000
+        else:
+            assert result.exit_code == 2
+            assert f"{name} needs two_n <= {bound}, got two_n = {two_n}" in result.stderr
+            assert result.stdout == ""
 
     @pytest.mark.parametrize("two_n, code", [(4, 2), (6, 2), (8, 0)])
     def test_descent_ending_at_the_trivial_couple_is_usage_error(self, runner, two_n, code):

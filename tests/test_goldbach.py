@@ -26,7 +26,7 @@ from landau.ideals import bezout, goldbach_ideal_analysis
 from landau.primes import PrimeConvention, is_prime, prev_prime
 from landau.zn import totient, units_profile
 
-from oracles import brute_couples, numpy_goldbach_pairs, numpy_sieve
+from oracles import brute_couples, brute_quasi, numpy_goldbach_pairs, numpy_sieve
 
 INC = PrimeConvention.INCLUDE1
 EXC = PrimeConvention.EXCLUDE1
@@ -318,6 +318,29 @@ class TestEnumerate:
             assert inc == top + expected, two_n
             assert exc == expected, two_n
 
+    def test_smallest_targets_and_their_edge_couples(self):
+        # (1, 1) and (1, 3) need the unit; (2, 2) is the one couple with an
+        # even member, so the mirrored odd flags alone cannot find it
+        expected = {
+            (2, INC): [(1, 1)],
+            (4, INC): [(1, 3), (2, 2)],
+            (4, EXC): [(2, 2)],
+            (6, INC): [(1, 5), (3, 3)],
+            (6, EXC): [(3, 3)],
+        }
+        for (two_n, conv), pairs in expected.items():
+            couples = enumerate_couples(two_n, conv)
+            assert [PQ(c) for c in couples] == pairs
+            assert pairs == brute_couples(two_n, include1=conv is INC)
+            assert [c.canonical for c in couples] == [True] + [False] * (len(pairs) - 1)
+        kinds = [c.kind for c in enumerate_couples(4)]
+        assert kinds == [CoupleKind.NOETHER, CoupleKind.TRIVIAL]
+        assert enumerate_couples(2)[0].kind is CoupleKind.NOETHER
+
+    def test_unchecked_couples_equal_checked_ones(self):
+        for c in enumerate_couples(220) + enumerate_couples(4):
+            assert c == GoldbachCouple(c.p, c.q, c.two_n, c.kind, c.canonical)
+
     def test_complete_against_trial_division(self):
         for two_n in range(2, 301, 2):
             assert [(c.p, c.q) for c in enumerate_couples(two_n, INC)] == brute_couples(
@@ -425,6 +448,12 @@ class TestQuasiCouples:
             assert exc - inc <= {(1, two_n - 1)}
             if is_prime(two_n - 1, EXC):
                 assert (1, two_n - 1) in exc
+
+    def test_matches_the_brute_oracle(self):
+        for two_n in range(2, 3_001, 2):
+            assert quasi_couples(two_n, INC) == brute_quasi(two_n, include1=True), two_n
+            if two_n > 2:
+                assert quasi_couples(two_n, EXC) == brute_quasi(two_n, include1=False), two_n
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):

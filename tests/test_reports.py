@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from landau import figurate
@@ -16,9 +16,11 @@ from landau.figurate import zeta_partial
 from landau.harness import Task, verify_range
 from landau.primes import PrimeConvention
 from landau.reports import (
+    _RENDERERS,
     DESCENT_TARGETS,
     POLIGNAC_GAPS,
     RING_MODULI,
+    Report,
     ReportError,
     build_report,
     emit_report,
@@ -476,10 +478,8 @@ class TestRenderers:
         ).encode("utf-8")
 
     def test_md_escapes_pipes(self):
-        from landau.reports import Report, _render_md
-
-        report = Report("t", ("a|b",), (("c|d",),), (), {})
-        text = _render_md(report, CFG, "x").decode()
+        report = Report("t", ("a|b",), lambda: (("c|d",),), (), dict)
+        text = _RENDERERS["md"](report, CFG, "x").decode()
         assert "a\\|b" in text and "c\\|d" in text
 
     def test_every_kind_payload_is_json_serializable(self):
@@ -498,6 +498,95 @@ class TestRenderers:
         assert "| verified | 500 |" in text
         assert "| complete | yes |" in text
         assert "| max_depth | 6 |" in text
+
+
+def _dumps(doc) -> bytes:
+    """The JSON renderer's byte contract, written with the standard library."""
+    return (json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+
+
+def _params_under(kind: str, conv: PrimeConvention) -> dict:
+    """VALID_PARAMS for kind, without the 2 = 1 + 1 rows exclude1 refuses;
+    the verify summary comes from a short run."""
+    if kind == "verify-summary":
+        return {"summary": verify_range(Task.GOLDBACH, 4, 200, conv)}
+    params = dict(VALID_PARAMS[kind])
+    for key in ("targets", "moduli"):
+        if conv is EXC and key in params:
+            params[key] = tuple(m for m in params[key] if m != 2)
+    return params
+
+
+def _never() -> None:
+    raise AssertionError("this builder must not run")
+
+
+_TEXT = st.text() | st.sampled_from(["", "\u2028\u2029", "\x00\x1f\x7f\"\\/\t", "ℤ₂ₙ ★ é 𝔞₁"])
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64)
+    | st.integers(max_value=-1)
+    | st.floats()
+    | _TEXT
+)
+_JSON = st.recursive(
+    _LEAVES,
+    lambda inner: (
+        st.lists(inner, max_size=6)
+        | st.lists(st.integers() | st.booleans(), max_size=6)
+        | st.dictionaries(_TEXT, inner, max_size=6)
+    ),
+    max_leaves=40,
+)
+
+
+class TestJsonEncoder:
+    @pytest.mark.parametrize("conv", [INC, EXC])
+    @pytest.mark.parametrize("kind", report_kinds())
+    def test_every_kind_renders_as_json_dumps_would(self, kind, conv):
+        config = Config(convention=conv, workers=1)
+        params = _params_under(kind, conv)
+        report = build_report(kind, params, config)
+        doc = {
+            "kind": kind,
+            "title": report.title,
+            "config": config.as_dict(),
+            "footnotes": list(report.footers),
+            "report": report.payload,
+        }
+        assert emit_report(kind, params, "json", config) == _dumps(doc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON)
+    @example([[], {}, {"a": []}, [[[]], {"b": {}}]])
+    @example([1, True, 0, False, 2**64, -(2**70)])
+    @example({"elapsed": 0.123, "nan": float("nan"), "inf": float("-inf")})
+    def test_nested_values_render_as_json_dumps_would(self, value):
+        report = Report("t", ("h",), _never, ("f",), lambda: value)
+        doc = {"kind": "x", "title": "t", "config": CFG.as_dict(), "footnotes": ["f"], "report": value}
+        assert _RENDERERS["json"](report, CFG, "x") == _dumps(doc)
+
+
+class TestLaziness:
+    @pytest.mark.parametrize("fmt", ["md", "csv"])
+    def test_table_formats_never_build_the_payload(self, fmt):
+        report = Report("t", ("h",), lambda: (("cell",),), ("f",), _never)
+        assert b"cell" in _RENDERERS[fmt](report, CFG, "x")
+
+    def test_json_never_builds_the_rows(self):
+        report = Report("t", ("h",), _never, ("f",), lambda: {"k": [1]})
+        assert json.loads(_RENDERERS["json"](report, CFG, "x"))["report"] == {"k": [1]}
+
+    @pytest.mark.parametrize("kind", report_kinds())
+    def test_every_emitter_builds_only_what_its_format_shows(self, kind):
+        params = _params_under(kind, INC)
+        for fmt, unbuilt in (("md", "payload"), ("csv", "payload"), ("json", "rows")):
+            report = build_report(kind, params, CFG)
+            assert not vars(report).keys() & {"rows", "payload"}, kind
+            _RENDERERS[fmt](report, CFG, kind)
+            assert unbuilt not in vars(report), (kind, fmt)
 
 
 class TestErrors:
