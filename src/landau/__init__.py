@@ -6,6 +6,8 @@ k^2 + 1 — each with exact small-case tables, range certificates, and the
 supporting modular/ideal arithmetic.
 """
 
+from types import ModuleType as _Module
+
 from .config import Config, ConfigError, load_config
 from .figurate import (
     ParabolicRecord,
@@ -68,60 +70,7 @@ from .zn import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Config",
-    "ConfigError",
-    "CoupleKind",
-    "DEFAULT_CONVENTION",
-    "DescentTrace",
-    "Factorization",
-    "GoldbachCouple",
-    "GoldbachCounterexample",
-    "GoldbachIdealReport",
-    "LegendreCounterexample",
-    "MultiplicationTable",
-    "ParabolicRecord",
-    "PolignacPair",
-    "PrimeConvention",
-    "PrincipalIdeal",
-    "Report",
-    "ReportError",
-    "RunSummary",
-    "Task",
-    "TwinStats",
-    "UnitsProfile",
-    "bezout",
-    "build_report",
-    "canonical_couple",
-    "carmichael",
-    "crt_decompose",
-    "emit_report",
-    "enumerate_couples",
-    "factorize",
-    "faulhaber",
-    "goldbach_ideal_analysis",
-    "is_prime",
-    "jacobson_radical_zn",
-    "legendre_primes",
-    "load_config",
-    "multiplication_table",
-    "next_prime",
-    "parabolic_primes",
-    "polignac_dyadic_search",
-    "polignac_pairs",
-    "prev_prime",
-    "primes_in_range",
-    "quasi_couples",
-    "radical",
-    "report_kinds",
-    "square_triangular",
-    "three_triangular",
-    "totient",
-    "triangle_index",
-    "triangle_number",
-    "twin_stats",
-    "unit_inverse",
-    "units_profile",
-    "verify_range",
-    "zeta_partial",
-]
+# every name imported above, but not the submodules that importing them binds
+__all__ = sorted(
+    k for k, v in globals().items() if not k.startswith("_") and not isinstance(v, _Module)
+)

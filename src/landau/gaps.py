@@ -8,10 +8,12 @@ block j >= 2 covers (2n * 2^(j-1), 2n * 2^j].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .primes import (
     DEFAULT_CONVENTION,
     PrimeConvention,
+    _odd_flags,
     is_prime,
     primes_in_range,
 )
@@ -22,14 +24,13 @@ __all__ = [
     "polignac_pairs",
     "polignac_dyadic_search",
     "legendre_primes",
+    "POLIGNAC_MAX_WINDOW",
 ]
 
 
 def _block_index(q: int, gap: int) -> int:
-    m = 1
-    while q > gap << m:
-        m += 1
-    return m
+    # q <= gap * 2^m iff (q - 1) // gap < 2^m
+    return max(1, ((q - 1) // gap).bit_length())
 
 
 @dataclass(frozen=True)
@@ -62,19 +63,44 @@ def _validate_gap(two_n: int) -> None:
         raise ValueError(f"needs an even gap >= 2, got {two_n}")
 
 
+# Bound on the flag window q_max + 2n from one memory budget of 64 MiB per
+# call, as for the couple lists in goldbach.py: a call holds about 1.6 bytes
+# per unit of the window (the odd flags, their int, its shift and the AND)
+# and 170 per pair, and gaps with many small odd prime factors have the most
+# pairs.  Tracemalloc peaks in MiB (CPython 3.11, x86-64), q_max = window - 2n:
+#   window  2n = 2     6     30   2310  30030  510510
+#   10^6        2.8   4.2    5.2    6.3    6.6     4.2
+#   10^7       24.6  34.4   40.9   49.8   52.7    52.9
+POLIGNAC_MAX_WINDOW = 10**7
+
+
+def _check_window(window: int, name: str, value: int) -> None:
+    if window > POLIGNAC_MAX_WINDOW:
+        raise ValueError(
+            f"needs a flag window q_max + 2n <= {POLIGNAC_MAX_WINDOW}, "
+            f"got {window} from {name} = {value}"
+        )
+
+
 def polignac_pairs(
     two_n: int, q_max: int, conv: PrimeConvention = DEFAULT_CONVENTION
 ) -> list[PolignacPair]:
     """All pairs (q, q + 2n) with q <= q_max and both members prime,
-    ascending by q."""
+    ascending by q: the odd prime flags of [1, q_max + 2n], read as one int,
+    ANDed with themselves shifted down by n slots."""
     _validate_gap(two_n)
     if q_max < 1:
         raise ValueError(f"needs a positive search bound, got {q_max}")
-    out = []
-    for q in primes_in_range(1, q_max, conv):
-        if is_prime(q + two_n, conv):
-            out.append(PolignacPair(q, q + two_n, two_n, _block_index(q, two_n)))
-    return out
+    _check_window(q_max + two_n, "q_max", q_max)
+    _, flags = _odd_flags(1, q_max + two_n)
+    flags[0] = is_prime(1, conv)
+    # byte i flags 2i + 1, so q + 2n sits n bytes above q
+    bits = int.from_bytes(flags, "little")
+    both = (bits & bits >> 4 * two_n).to_bytes(len(flags), "little")
+    return [
+        PolignacPair(q, q + two_n, two_n, _block_index(q, two_n))
+        for q in compress(range(1, q_max + 1, 2), both)
+    ]
 
 
 def polignac_dyadic_search(
@@ -84,6 +110,7 @@ def polignac_dyadic_search(
     _validate_gap(two_n)
     if m_max < 1:
         raise ValueError(f"needs at least one dyadic block, got m_max={m_max}")
+    _check_window((two_n << m_max) + two_n, "m_max", m_max)
     blocks: dict[int, list[PolignacPair]] = {j: [] for j in range(1, m_max + 1)}
     for pair in polignac_pairs(two_n, two_n << m_max, conv):
         blocks[pair.block].append(pair)

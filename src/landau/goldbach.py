@@ -15,7 +15,7 @@ from enum import Enum
 from itertools import compress
 
 from .primes import DEFAULT_CONVENTION, PrimeConvention, _odd_flags, is_prime, prev_prime
-from .zn import Factorization, factorize, units
+from .zn import Factorization, factorize
 
 __all__ = [
     "CoupleKind",
@@ -137,9 +137,10 @@ def canonical_couple(
 # flags of [1, 2n), read as two ints and ANDed (about 2.1 bytes per unit of
 # 2n), then one couple object per couple: 2.0 MiB at 10^6, 20.0 MiB at 10^7,
 # and 44.5 MiB at 9,699,690 = 2·3·5·7·11·13·17·19, the 2n below the bound
-# with the most couples (81.3 MiB at twice that).  quasi_couples also builds
-# the units of 2n and returns about phi(2n)/2 pairs, so it peaks at 2n = 2p:
-# 42.1 MiB at 999,958.
+# with the most couples (81.3 MiB at twice that).  quasi_couples also holds
+# a byte per odd a <= n and returns about phi(2n)/2 pairs, so it peaks at
+# 2n = 2p: 31.0 MiB at 999,958 (and 62.2 MiB at 1,999,966, too close to the
+# budget to double the bound); 977,702 takes 0.05 s.
 ENUMERATE_MAX_TWO_N = 10**7
 QUASI_MAX_TWO_N = 10**6
 
@@ -189,6 +190,14 @@ def quasi_couples(
     the unit group but fail to be couples."""
     _check_bound(two_n, QUASI_MAX_TWO_N, "quasi_couples")
     _validate_even(two_n, conv)
-    both = _both_prime(two_n, conv)
-    # the units of 2n are odd, and both[a >> 1] reads the pair (a, 2n - a)
-    return [(a, two_n - a) for a in units(two_n) if a <= two_n - a and not both[a >> 1]]
+    n = two_n // 2
+    # byte i says whether 2i + 1 <= n is a unit of 2n: struck out for each
+    # odd prime factor p at its odd multiples, p bytes apart
+    odd_units = bytearray([1]) * ((n + 1) // 2)
+    for p in factorize(two_n).primes()[1:]:
+        odd_units[p >> 1 :: p] = bytes(len(range(p >> 1, len(odd_units), p)))
+    # a unit whose byte in _both_prime is 0 pairs with a composite
+    units_int = int.from_bytes(odd_units, "big")
+    both = int.from_bytes(_both_prime(two_n, conv)[: len(odd_units)], "big")
+    quasi = (units_int & ~both).to_bytes(len(odd_units), "big")
+    return [(a, two_n - a) for a in compress(range(1, n + 1, 2), quasi)]

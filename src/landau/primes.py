@@ -293,10 +293,9 @@ class TwinStats:
 def twin_stats(n_max: int, conv: PrimeConvention = DEFAULT_CONVENTION) -> TwinStats:
     if n_max < 2:
         raise ValueError(f"twin_stats needs n_max >= 2, got {n_max}")
-    lower = 1 if conv is PrimeConvention.INCLUDE1 else 2
-    primes = primes_in_range(lower, n_max, conv)
-    in_set = set(primes)
-    pairs = tuple((p, p + 2) for p in primes if p + 2 <= n_max and p + 2 in in_set)
+    from .gaps import polignac_pairs  # gaps builds on this module
+
+    pairs = tuple((c.q, c.p) for c in polignac_pairs(2, n_max - 2, conv)) if n_max > 2 else ()
     acc = Fraction(0)
     for p, q in pairs:
         acc += Fraction(1, p) + Fraction(1, q)

@@ -969,17 +969,26 @@ def _emit_verify_summary(conv: PrimeConvention, /, *, summary: RunSummary) -> Re
 # --------------------------------------------------------------------------
 # renderers
 
-def _render_md(report: Report, config: Config, kind: str) -> bytes:
-    def line(cells: tuple[str, ...]) -> str:
-        return "| " + " | ".join([c.replace("|", "\\|") for c in cells]) + " |"
+def _md_cells(rows: tuple[tuple[str, ...], ...]) -> str:
+    """The rows as Markdown table lines without their outer pipes, each | in
+    a cell escaped as \\|: one join for the whole table, and a second that
+    escapes cell by cell only when some cell holds a |."""
+    body = " |\n| ".join(map(" | ".join, rows))
+    # the separators alone hold one | per cell boundary and two per row boundary
+    if body.count("|") > sum(map(len, rows)) + len(rows) - 2:
+        body = " |\n| ".join([" | ".join([c.replace("|", "\\|") for c in r]) for r in rows])
+    return body
 
-    lines = [f"config: {config.echo()}", "", f"### {report.title}", "", line(report.headers)]
-    lines.append("|" + "|".join(" --- " for _ in report.headers) + "|")
-    lines.extend(map(line, report.rows))
+
+def _render_md(report: Report, config: Config, kind: str) -> bytes:
+    rule = "|".join(" --- " for _ in report.headers)
+    out = [f"config: {config.echo()}\n\n### {report.title}\n\n| ", _md_cells((report.headers,))]
+    out.append(f" |\n|{rule}|\n")
+    if report.rows:
+        out += ["| ", _md_cells(report.rows), " |\n"]
     if report.footers:
-        lines.append("")
-        lines.extend(report.footers)
-    return ("\n".join(lines) + "\n").encode("utf-8")
+        out.append("\n".join(("", *report.footers, "")))
+    return "".join(out).encode("utf-8")
 
 
 def _render_csv(report: Report, config: Config, kind: str) -> bytes:

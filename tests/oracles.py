@@ -247,3 +247,38 @@ def check_parabolic(conv: PrimeConvention, lo: int, hi: int) -> dict[str, Any]:
             stats["parabolic"] += 1
             stats["largest_parabolic_k"] = k
     return {"stats": stats, "witness": None}
+
+
+# Fixed-gap pairs one is_prime call per value, and the dyadic block by the
+# loop that the closed form in landau.gaps replaced.
+
+
+def gap_pairs_by_is_prime(
+    two_n: int, q_max: int, conv: PrimeConvention
+) -> list[tuple[int, int, int]]:
+    """(q, q + 2n, block) for every q <= q_max with q and q + 2n prime."""
+    out = []
+    for q in range(1, q_max + 1):
+        if is_prime(q, conv) and is_prime(q + two_n, conv):
+            m = 1
+            while q > two_n << m:
+                m += 1
+            out.append((q, q + two_n, m))
+    return out
+
+
+# The Markdown renderer that landau.reports replaced: it escapes each cell
+# on its own and joins each row in turn.
+
+
+def render_md_per_cell(report, config) -> bytes:
+    def line(cells: tuple[str, ...]) -> str:
+        return "| " + " | ".join([c.replace("|", "\\|") for c in cells]) + " |"
+
+    lines = [f"config: {config.echo()}", "", f"### {report.title}", "", line(report.headers)]
+    lines.append("|" + "|".join(" --- " for _ in report.headers) + "|")
+    lines.extend(map(line, report.rows))
+    if report.footers:
+        lines.append("")
+        lines.extend(report.footers)
+    return ("\n".join(lines) + "\n").encode("utf-8")

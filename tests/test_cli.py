@@ -1,14 +1,21 @@
 """Command-line interface: grammar, exit codes, config precedence, formats."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import landau
 import landau.cli as cli_module
 from landau.cli import main
 from landau.figurate import THREE_TRIANGULAR_MAX_N
+from landau.gaps import POLIGNAC_MAX_WINDOW
 from landau.goldbach import ENUMERATE_MAX_TWO_N, QUASI_MAX_TWO_N
 from landau.harness import RunSummary, Task
 from landau.primes import PrimeConvention
@@ -215,6 +222,31 @@ class TestExitCodes:
             assert result.exit_code == 2
             assert f"{name} needs two_n <= {bound}, got two_n = {two_n}" in result.stderr
             assert result.stdout == ""
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [(["polignac", "pairs", "2", "--max-q", str(10**12)], "q_max = 1000000000000"),
+         (["polignac", "dyadic", "2", "--m", "60"], "m_max = 60")],
+    )
+    def test_oversize_polignac_window_is_refused_under_a_memory_limit(self, argv, name):
+        # a refusal that came after the allocation would die of MemoryError
+        # (exit 1) under this limit instead
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+        src = str(Path(landau.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if not k.startswith("LANDAU_")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "landau", *argv],
+            capture_output=True, text=True, env=env, preexec_fn=limit_memory, timeout=30,
+        )
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 2, proc.stderr
+        assert f"q_max + 2n <= {POLIGNAC_MAX_WINDOW}" in proc.stderr and name in proc.stderr
+        assert proc.stdout == ""
+        assert elapsed < 1.0
 
     @pytest.mark.parametrize("two_n, code", [(4, 2), (6, 2), (8, 0)])
     def test_descent_ending_at_the_trivial_couple_is_usage_error(self, runner, two_n, code):

@@ -2,9 +2,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from landau.figurate import triangle_number
 from landau.gaps import (
+    POLIGNAC_MAX_WINDOW,
     LegendreCounterexample,
     PolignacPair,
     legendre_primes,
@@ -12,9 +15,9 @@ from landau.gaps import (
     polignac_pairs,
 )
 from landau.harness import Task, verify_range
-from landau.primes import PrimeConvention, is_prime
+from landau.primes import PrimeConvention, is_prime, twin_stats
 
-from oracles import trial_division_prime
+from oracles import gap_pairs_by_is_prime, trial_division_prime
 
 INC = PrimeConvention.INCLUDE1
 EXC = PrimeConvention.EXCLUDE1
@@ -159,6 +162,51 @@ class TestPolignacPairs:
             PolignacPair(3, 7, 2, 1)
         with pytest.raises(ValueError, match="block"):
             PolignacPair(3, 5, 2, 2)
+
+
+class TestAgainstIsPrime:
+    """The shifted AND of the prime flags against one is_prime call per value."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        half_gap=st.integers(1, 256),
+        q_max=st.integers(1, 5 * 10**4),
+        conv=st.sampled_from(PrimeConvention),
+    )
+    @example(half_gap=256, q_max=5 * 10**4, conv=INC)
+    @example(half_gap=1, q_max=5 * 10**4, conv=EXC)
+    def test_polignac_pairs(self, half_gap, q_max, conv):
+        two_n = 2 * half_gap
+        got = [(c.q, c.p, c.block) for c in polignac_pairs(two_n, q_max, conv)]
+        assert got == gap_pairs_by_is_prime(two_n, q_max, conv)
+
+    @settings(max_examples=20, deadline=None)
+    @given(n_max=st.integers(2, 5 * 10**4), conv=st.sampled_from(PrimeConvention))
+    @example(n_max=5 * 10**4, conv=INC)
+    def test_twin_stats(self, n_max, conv):
+        want = [(q, p) for q, p, _ in gap_pairs_by_is_prime(2, n_max - 2, conv)]
+        s = twin_stats(n_max, conv)
+        assert list(s.pairs) == want and s.count == len(want)
+
+
+class TestWindowBound:
+    """Both searches refuse a flag window q_max + 2n above the bound before
+    they allocate it, naming the parameter that set it."""
+
+    def test_pairs_at_and_past_the_bound(self):
+        gap = POLIGNAC_MAX_WINDOW - 2
+        assert polignac_pairs(gap, 2, EXC) == []  # no odd q <= 2 is prime
+        with pytest.raises(ValueError, match=f"<= {POLIGNAC_MAX_WINDOW}, .* from q_max = 3$"):
+            polignac_pairs(gap, 3, INC)
+        with pytest.raises(ValueError, match="from q_max = 10"):
+            polignac_pairs(2, 10**12)
+
+    def test_dyadic_at_and_past_the_bound(self):
+        # 2 * (2^22 + 1) fits the window; 2 * (2^23 + 1) does not
+        assert polignac_dyadic_search(2, 22, INC)[22]
+        for m in (23, 60):
+            with pytest.raises(ValueError, match=f"<= {POLIGNAC_MAX_WINDOW}, .* from m_max = {m}$"):
+                polignac_dyadic_search(2, m, INC)
 
 
 class TestDyadicBlocks:

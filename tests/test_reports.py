@@ -29,6 +29,7 @@ from landau.reports import (
 )
 from landau.zn import factorize
 
+from oracles import render_md_per_cell
 from test_figurate import PARABOLIC_K, PARABOLIC_P
 from test_gaps import LEGENDRE_ROWS, PUBLISHED_PAIRS
 from test_goldbach import DESCENT_CHAINS, DESCENT_CHAINS_SMALL, RING_ROWS
@@ -481,6 +482,23 @@ class TestRenderers:
         report = Report("t", ("a|b",), lambda: (("c|d",),), (), dict)
         text = _RENDERERS["md"](report, CFG, "x").decode()
         assert "a\\|b" in text and "c\\|d" in text
+
+    @given(
+        headers=st.lists(st.text(max_size=6), min_size=1, max_size=4),
+        rows=st.lists(st.lists(st.text(max_size=8), min_size=4, max_size=4), max_size=6),
+        footers=st.lists(st.text(max_size=8), max_size=2),
+    )
+    @example(headers=["a|b", "é"], rows=[], footers=[])
+    @example(
+        headers=["x"] * 4,
+        rows=[["", "|", "\\|", "₂ₙ ∈ ℤ"], ["||", " | ", "\\", ""]],
+        footers=["f | g"],
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_md_matches_the_per_cell_renderer(self, headers, rows, footers):
+        rows = tuple(tuple(r[: len(headers)]) for r in rows)
+        report = Report("t", tuple(headers), lambda: rows, tuple(footers), dict)
+        assert _RENDERERS["md"](report, CFG, "x") == render_md_per_cell(report, CFG)
 
     def test_every_kind_payload_is_json_serializable(self):
         summary = verify_range(Task.GOLDBACH, 2, 200)
