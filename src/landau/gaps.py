@@ -14,7 +14,6 @@ from .primes import (
     DEFAULT_CONVENTION,
     PrimeConvention,
     _odd_flags,
-    is_prime,
     primes_in_range,
 )
 
@@ -92,8 +91,7 @@ def polignac_pairs(
     if q_max < 1:
         raise ValueError(f"needs a positive search bound, got {q_max}")
     _check_window(q_max + two_n, "q_max", q_max)
-    _, flags = _odd_flags(1, q_max + two_n)
-    flags[0] = is_prime(1, conv)
+    _, flags = _odd_flags(1, q_max + two_n, conv)
     # byte i flags 2i + 1, so q + 2n sits n bytes above q
     bits = int.from_bytes(flags, "little")
     both = (bits & bits >> 4 * two_n).to_bytes(len(flags), "little")

@@ -154,8 +154,7 @@ def _both_prime(two_n: int, conv: PrimeConvention) -> bytes:
     """Byte i is 1 iff 2i + 1 and 2n - 2i - 1 are both prime under conv, for
     each odd value 2i + 1 < 2n: the odd flags of [1, 2n - 1] ANDed, as one
     int, with their own reversal (the same bytes read little-endian)."""
-    _, flags = _odd_flags(1, two_n - 1)
-    flags[0] = is_prime(1, conv)
+    _, flags = _odd_flags(1, two_n - 1, conv)
     both = int.from_bytes(flags, "big") & int.from_bytes(flags, "little")
     return both.to_bytes(len(flags), "big")
 

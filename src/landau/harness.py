@@ -21,8 +21,9 @@ records in that order, which keeps the checkpoint content independent of the
 worker count.  A chunk is a pure function of its task, convention and span:
 it sieves only the window it reads, its span plus a reach that grows only
 when a search runs off it (the parabolic sieve walks its primes up to the
-span's top in windows of fixed width), so a run holds no list and no table
-that grows with the range and memory is O(chunk + reach) at any height.
+span's top in windows of fixed width), so a run holds no list that grows with
+the range: memory is O(chunk + reach + pi(B)) at any height, B the cap on the
+base primes, and a range that would read past 2**64 is refused at once.
 
 The two even tasks are certified by one bitset scan rather than a loop per
 instance: the window's odd prime flags are packed into one Python int, each
@@ -75,9 +76,10 @@ _EVEN_TASKS = frozenset({Task.GOLDBACH, Task.PRE_POLIGNAC})
 
 
 # Instances per chunk, sized to amortize what every chunk pays whatever its
-# width: an even-task chunk sieves with the base primes up to sqrt(hi) and
-# makes one pool trip, and a parabolic chunk finds a root of -1 for each of
-# the pi(hi)/2 primes p = 1 (mod 4) up to its top.  Legendre pays neither.
+# width: an even-task chunk sieves with the base primes up to sqrt(hi) (from
+# 1.1e13 on, to 3.3e6, then tests the survivors) and makes one pool trip, and a
+# parabolic chunk finds a root of -1 for each of the pi(hi)/2 primes
+# p = 1 (mod 4) up to its top.  Legendre pays neither.
 # One run each, in process with one worker, CPython 3.11 on a 2-core x86-64
 # Xeon; rates in instances per second, peaks the tracemalloc peak of one
 # chunk:
@@ -306,8 +308,8 @@ def _merge_stats(task: Task, acc: dict[str, int], new: dict[str, int]) -> None:
 # Each checker is a pure function of its span: it takes (conv, lo, hi), sieves
 # only the window it reads under the run's own convention (so the unit is
 # already in every table under include1), and returns the span's stats and
-# the first counterexample, if any.  Memory is O(chunk + reach) at any height,
-# and nothing outlives the chunk.
+# the first counterexample, if any.  Memory is O(chunk + reach) at any height
+# beside the capped base primes, and nothing outlives the chunk.
 #
 # The even tasks share one scan (the minimal-partition check of Oliveira e
 # Silva, Herzog and Pardi, Math. Comp. 83 (2014) 2033-2060, on Python ints).
@@ -394,9 +396,7 @@ def _check_goldbach(conv: PrimeConvention, lo: int, hi: int) -> dict[str, Any]:
     count = (hi - lo) // 2 + 1
     while True:
         base = max(lo - reach, 0)
-        first, flags = _odd_flags(base, hi)  # the candidates p and remainders q
-        if first == 1:
-            flags[0] = is_prime(1, conv)
+        first, flags = _odd_flags(base, hi, conv)  # the candidates p and remainders q
         P = _as_int(flags)
         # 2 is a candidate or a remainder only in 4 = 2 + 2
         four = 1 << (4 - lo) // 2 if lo <= 4 and base <= 2 else 0
@@ -449,7 +449,7 @@ def _check_pre_polignac(conv: PrimeConvention, lo: int, hi: int) -> dict[str, An
     reach = _REACH
     count = (hi - lo) // 2 + 1
     while True:
-        first, flags = _odd_flags(lo, hi + reach)  # the partners 2n + q
+        first, flags = _odd_flags(lo, hi + reach, conv)  # the partners 2n + q
         P = _as_int(flags)
 
         def shifted(q: int) -> int:
@@ -598,6 +598,11 @@ def verify_range(
         raise ValueError(
             f"{task.value} instances start at {floor} under {conv.value}, got {lo}"
         )
+    top = {Task.GOLDBACH: hi, Task.PRE_POLIGNAC: hi + _REACH,
+           Task.LEGENDRE: (hi + 1) ** 2, Task.PARABOLIC: hi * hi + 1}[task]
+    if top >> 64:
+        raise ValueError(f"{task.value} to {hi} reads primality up to {top}, "
+                         "beyond the supported 64-bit range (below 2**64)")
 
     path = None if checkpoint_path is None else os.fspath(checkpoint_path)
     run_stats: dict[str, int] = {}

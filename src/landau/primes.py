@@ -166,6 +166,29 @@ def next_prime(n: int, conv: PrimeConvention = DEFAULT_CONVENTION) -> int:
 
 # --- segmented sieve ---------------------------------------------------------
 
+# _odd_flags strikes the odd multiples of the base primes up to
+# L = min(sqrt(hi), _BASE_LIMIT, r ln(r + 2)), r = _TEST_COST * count, then
+# tests the flags still set with is_prime only when L < sqrt(hi) (Bays and
+# Hudson, BIT 17 (1977) 121-127).  An is_prime call costs about _TEST_COST base
+# primes' share of the sieve (building them plus their slice pass), and r ln r
+# bounds about r base primes, as costly as testing every candidate: without
+# that width term, a 10-wide window at 10^12 would take 24 ms, not 0.01.
+# B = _BASE_LIMIT must pass the width term of a 2^16-instance chunk, 3.3e6, or
+# the heights near 10^13 that such a chunk sieves whole would test their
+# primes instead.  Milliseconds per window of 2^16 odd slots, CPython 3.11 on
+# a 2-core x86-64 Xeon, min of 3:
+#
+#   height             10^12   10^13   3*10^13   10^14   10^15   10^18
+#   every one tested     283     564       429     537     635     689
+#   B = 2^20              34     356       335     389     440     562
+#   B = 2^21              35     348       428     424     518     551
+#   B = 2^22              39      84       413     450     592     598
+#
+# The table to 2^22 holds 295,947 primes, 11.5 MB traced, built in 80-100 ms;
+# it grows only as far as a window needs, to 2^11 for a run to 4*10^6.
+_TEST_COST = 4
+_BASE_LIMIT = 1 << 22
+
 # The seed list covers [2, 36]: the smallest growth, to 2^10, sieves with
 # primes up to 32, and _odd_flags must find those here without growing again.
 _base_primes: list[int] = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
@@ -173,39 +196,36 @@ _base_limit = 36
 
 
 def _ensure_base_primes(limit: int) -> list[int]:
-    """Grow the cached base-prime list to cover [2, limit]."""
+    """The cached base primes, grown on demand to cover [2, limit] but never
+    past _BASE_LIMIT."""
     global _base_primes, _base_limit
+    limit = min(limit, _BASE_LIMIT)
     if limit <= _base_limit:
         return _base_primes
-    limit = max(limit, 2 * _base_limit, 1 << 10)
-    first, flags = _odd_flags(3, limit)
+    limit = min(max(limit, 2 * _base_limit, 1 << 10), _BASE_LIMIT)
+    first, flags = _odd_flags(3, limit, DEFAULT_CONVENTION)
     _base_primes = [2, *compress(range(first, limit + 1, 2), flags)]
     _base_limit = limit
     return _base_primes
 
 
-def _odd_flags(lo: int, hi: int) -> tuple[int, bytearray]:
-    """Flags for odd values in [lo, hi]: returns (first_odd, flags).
-
-    flags[i] == 1 iff first_odd + 2i is prime (in the n >= 3 sense; the caller
-    deals with 1 and 2).  The window is sieved in one piece when its odd
-    candidates outnumber the base primes up to sqrt(hi) that the sieve needs,
-    each candidate weighted by what one is_prime call costs against one base
-    prime's share of the sieve; otherwise each odd candidate is tested with
-    is_prime.  So a narrow window at a large height is tested and a wide one
-    is sieved.
-    """
-    first = lo if lo % 2 == 1 else lo + 1
+def _odd_flags(lo: int, hi: int, conv: PrimeConvention) -> tuple[int, bytearray]:
+    """Flags for odd values in [lo, hi]: returns (first_odd, flags), where
+    flags[i] == 1 iff first_odd + 2i is prime under conv.  Refuses hi >= 2**64,
+    past the range of is_prime, with ValueError before it allocates."""
+    if hi >> 64:
+        raise ValueError(f"{hi} is beyond the supported 64-bit range")
+    first = lo | 1
     if first > hi:
         return first, bytearray()
-    if not _sieves(first, hi):
-        return first, bytearray(map(is_prime, range(first, hi + 1, 2)))
     count = (hi - first) // 2 + 1
     flags = bytearray([1]) * count
     zeros = memoryview(bytes(count // 3 + 1))
     root = math.isqrt(hi)
-    for p in islice(_ensure_base_primes(root), 1, None):
-        if p > root:
+    r = _TEST_COST * count
+    limit = min(root, _BASE_LIMIT, int(r * math.log(r + 2)))
+    for p in islice(_ensure_base_primes(limit), 1, None):
+        if p > limit:
             break
         # slot of the first odd multiple of p from max(p*p, first) on; the
         # odd multiples of p are p slots apart
@@ -217,65 +237,41 @@ def _odd_flags(lo: int, hi: int) -> tuple[int, bytearray]:
             flags[j::p] = zeros[: (count - 1 - j) // p + 1]
         elif j < count:
             flags[j] = 0
+    if limit < root:
+        odd = range(first, hi + 1, 2)
+        for j in compress(range(count), flags):
+            flags[j] = is_prime(odd[j])
     if first == 1:
-        flags[0] = 0
+        flags[0] = conv is PrimeConvention.INCLUDE1
     return first, flags
-
-
-# One is_prime call on an odd candidate costs about as much as four base
-# primes' share of a sieve (building them plus their slice pass): 0.9-1.4 us
-# at 10^6, 1.4-1.9 us at 10^8 and 3.4-8.5 us from 10^10 to 10^14, against
-# 0.4-0.8 us per base prime, a ratio from about 2 at 10^6 to 12 at 10^14;
-# measured with CPython 3.11 on a 2-core x86-64 host.  Unlike a wheel walk,
-# this path also tests the multiples of 3, 5, 7, ..., which the one gcd
-# rejects no faster than a loop that stops at their first factor.
-_TEST_COST = 4
-
-
-def _sieves(lo: int, hi: int) -> bool:
-    """Whether _odd_flags sieves [lo, hi] rather than testing each odd
-    candidate; root / ln(root) estimates the base primes the sieve needs."""
-    root = math.isqrt(hi)
-    if root < 3:
-        return True
-    return ((hi - lo) // 2 + 1) * _TEST_COST > root / math.log(root)
 
 
 def primes_in_range(
     lo: int, hi: int, conv: PrimeConvention = DEFAULT_CONVENTION
 ) -> list[int]:
     """Ascending primes in the inclusive range [lo, hi] under conv, read off
-    _odd_flags (which sieves or tests the window by its width and height)."""
+    _odd_flags with 2 put in its place."""
     if lo < 0 or lo > hi:
         raise ValueError(f"invalid range [{lo}, {hi}]: need 0 <= lo <= hi")
-    out: list[int] = []
-    if lo <= 1 <= hi and conv is PrimeConvention.INCLUDE1:
-        out.append(1)
-    if hi < 2:
-        return out
-    if lo <= 2:
+    first, flags = _odd_flags(lo, hi, conv)
+    odd = compress(range(first, hi + 1, 2), flags)
+    # the unit, when the window holds it and conv counts it, comes before 2
+    out = [next(odd)] if lo <= 1 <= hi and flags[0] else []
+    if lo <= 2 <= hi:
         out.append(2)
-    first, flags = _odd_flags(max(lo, 3), hi)
-    out.extend(compress(range(first, hi + 1, 2), flags))
+    out.extend(odd)
     return out
 
 
 def prime_flags(hi: int, conv: PrimeConvention = DEFAULT_CONVENTION) -> bytearray:
-    """One byte per value in [0, hi]; 1 marks a prime under conv.
-
-    The bulk primitive behind range sweeps: built with slice assignments so a
-    10^6-wide table costs well under a second.
-    """
+    """One byte per value in [0, hi]; 1 marks a prime under conv: the odd
+    values' flags from _odd_flags, laid in by one slice assignment, and 2."""
     if hi < 0:
         raise ValueError("hi must be nonnegative")
     out = bytearray(hi + 1)
-    if hi >= 3:
-        first, flags = _odd_flags(3, hi)
-        out[first::2] = flags
+    out[1::2] = _odd_flags(1, hi, conv)[1]
     if hi >= 2:
         out[2] = 1
-    if hi >= 1 and conv is PrimeConvention.INCLUDE1:
-        out[1] = 1
     return out
 
 

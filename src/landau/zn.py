@@ -35,8 +35,8 @@ __all__ = [
     "crt_decompose",
 ]
 
-# factorize divides by the cached base primes up to here; a cofactor below its
-# square is then prime, and rho splits each composite cofactor above it
+# factorize divides by the primes up to here, read off the sieve's capped base
+# table; a cofactor below its square is then prime, and rho splits the others
 _TRIAL_BOUND = 1 << 10
 # differences x - y multiplied together before each gcd in _rho
 _RHO_BATCH = 128

@@ -270,6 +270,24 @@ class TestExitCodes:
             assert f"2N={two_n}" in result.stderr
             assert result.stdout == ""
 
+    @pytest.mark.parametrize(
+        "group, to",
+        [("goldbach", 2**64 + 100),  # hi itself
+         ("polignac", 2**64 - 1000),  # hi plus the witness search's reach
+         ("legendre", 2**32 - 1),  # (hi + 1)^2
+         ("parabolic", 2**32)],  # hi^2 + 1
+    )
+    def test_verify_past_64_bits_is_refused_before_any_chunk(self, runner, tmp_path,
+                                                             group, to):
+        path = tmp_path / "run.jsonl"
+        start = time.perf_counter()
+        result = runner.invoke(main, [group, "verify", "--from", "4", "--to", str(to),
+                                      "--checkpoint", str(path)])
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 2
+        assert "beyond the supported 64-bit range (below 2**64)" in result.stderr
+        assert list(tmp_path.iterdir()) == []  # neither the checkpoint nor its lock
+
     def test_clean_verify_exits_0(self, runner):
         result = runner.invoke(main, ["goldbach", "verify", "--from", "2", "--to", "100"])
         assert result.exit_code == 0

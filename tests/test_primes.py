@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from landau import primes
 from landau.primes import (
     _MR_TIERS,
     _WHEEL,
     PrimeConvention,
-    _sieves,
+    _odd_flags,
     is_prime,
     next_prime,
     prev_prime,
@@ -101,8 +102,6 @@ class TestIsPrime:
     @settings(max_examples=25, deadline=None)
     def test_agrees_with_sieved_windows(self, lo, width):
         hi = lo + width
-        # a narrow window would be tested with is_prime, not sieved
-        assert _sieves(lo, hi)
         got = primes_in_range(lo, hi, EXC)
         assert got == [k for k in range(lo, hi + 1) if is_prime(k, EXC)]
 
@@ -191,16 +190,33 @@ class TestPrimesInRange:
         right = primes_in_range(17390, 30000, EXC)
         assert left + right == whole
 
+    # sqrt(hi) below the cap on the base primes (up to 10^13) and above it,
+    # where what survives the capped sieve is tested
+    @pytest.mark.parametrize("width", [1000, 1 << 17], ids=["narrow", "wide"])
     @pytest.mark.parametrize(
-        "lo,width,sieved",
-        [(10**12, 10**3, False), (10**9, 10**5, True)],
-        ids=["narrow-high-tested", "wide-sieved"],
+        "hi", [10**9, 10**12, 10**13, 3 * 10**13, 10**15, 10**18, 2**64 - 2**13]
     )
-    def test_sieve_or_test_rule(self, lo, width, sieved):
-        hi = lo + width
-        assert _sieves(lo, hi) is sieved
+    def test_windows_match_is_prime_on_both_sides_of_the_cap(self, hi, width):
+        lo = hi - width
         got = primes_in_range(lo, hi, EXC)
         assert got == [k for k in range(lo, hi + 1) if is_prime(k, EXC)]
+
+    def test_base_table_grows_on_demand_and_never_past_its_cap(self, monkeypatch):
+        # start from the seed table, which covers [2, 36]
+        monkeypatch.setattr(primes, "_base_primes", primes._base_primes[:11])
+        monkeypatch.setattr(primes, "_base_limit", 36)
+        _odd_flags(3, 4 * 10**6, EXC)  # a sweep to 4e6 needs the primes to 2,000
+        assert primes._base_limit < 1 << 12
+        # 2^17 odd slots: the window's width term, about 6.9e6, passes the cap
+        _odd_flags(10**18, 10**18 + (1 << 18), EXC)
+        assert primes._base_primes[-1] <= primes._BASE_LIMIT == primes._base_limit
+
+    def test_window_past_64_bits_is_refused_before_it_allocates(self):
+        # 2^40 slots would be a MemoryError, were the window allocated
+        with pytest.raises(ValueError, match="beyond the supported 64-bit range"):
+            _odd_flags(2**64 - 2**13, 2**64 + 2**41, EXC)
+        with pytest.raises(ValueError, match="beyond the supported 64-bit range"):
+            primes_in_range(2**64, 2**64 + 10**12, EXC)
 
     def test_prime_flags_consistent(self):
         for conv in (INC, EXC):
