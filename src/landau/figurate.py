@@ -1,6 +1,7 @@
 """Triangular numbers and their identities, the square-triangular chain,
 three-part triangular decompositions, exact power sums, and parabolic primes
-k^2 + 1 with their zeta-style estimate.
+k^2 + 1 with their zeta-style estimate; whether the units of Z_{k^2+1} number
+k^2 is decided per k by an N - 1 certificate, apart from is_prime.
 """
 from __future__ import annotations
 
@@ -8,7 +9,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .primes import DEFAULT_CONVENTION, PrimeConvention, is_prime, next_prime, primes_in_range
+from .primes import DEFAULT_CONVENTION, PrimeConvention, _TRIAL_PRIMES, _TRIAL_PRODUCT, is_prime
+from .zn import factorize
 
 __all__ = [
     "ParabolicRecord",
@@ -21,7 +23,7 @@ __all__ = [
     "square_triangular",
     "three_triangular",
     "faulhaber",
-    "parabolic_totients",
+    "totient_is_k_squared",
     "parabolic_primes",
     "zeta_partial",
 ]
@@ -166,61 +168,45 @@ class ParabolicRecord:
             )
 
 
-# width of the prime windows parabolic_totients walks
-_ROOT_WINDOW = 1 << 16
+def totient_is_k_squared(k: int) -> bool:
+    """Whether phi(k^2 + 1) = k^2, that is, whether the unit group of
+    Z_{k^2+1} has order k^2, decided without a primality test of N = k^2 + 1.
 
-
-def parabolic_totients(lo: int, hi: int) -> list[int]:
-    """Euler's totient of k^2 + 1 for k = lo..hi, by sieving the polynomial
-    over the window (the n^2 + a sieve of Shanks, Math. Comp. 14 (1960)
-    321-332) rather than factoring each value.
-
-    An odd prime p divides k^2 + 1 exactly when p = 1 (mod 4) and k = +-r
-    (mod p), r a square root of -1 mod p; 2 divides it exactly once for odd
-    k.  Once every such p <= hi is divided out, each k is left with a
-    cofactor whose primes exceed k; two of them would exceed k^2 + 1, so the
-    cofactor is 1 or prime and the totient is exact.  The primes are walked
-    in windows of fixed width, so memory is O(hi - lo + window) at any
-    height.
+    N - 1 = k^2 is fully factored once k is, so Pocklington's N - 1 test
+    decides it (Brillhart, Lehmer and Selfridge, Math. Comp. 29 (1975)
+    620-647, Theorem 1): N is prime iff for each prime q | k some a gives
+    x = a^(k^2/q) != 1 (mod N) with x^q = 1 and gcd(x - 1, N) = 1.  A factor
+    shared with the primes up to 257 (every odd k > 1) or a base-2 Fermat
+    witness settles it first.  Bases a = 2, 3, ... are tried in turn, which
+    ends at a q-th power non-residue of a prime N, or at the latest at the
+    smallest prime factor of a composite one.
     """
-    if lo < 0:
-        raise ValueError(f"needs lo >= 0, got {lo}")
-    n = hi - lo + 1
-    rem = [k * k + 1 for k in range(lo, hi + 1)]
-    phi = [1] * n
-    odd = (lo + 1) % 2  # index of the first odd k
-    rem[odd::2] = [v >> 1 for v in rem[odd::2]]
-    for start in range(5, hi + 1, _ROOT_WINDOW):
-        for p in primes_in_range(start, min(start + _ROOT_WINDOW - 1, hi)):
-            if p % 4 != 1:
-                continue
-            # c^((p-1)/4) squares to the Legendre symbol of c, so it is a
-            # root of -1 at the least non-residue c, which is prime; 2 is one
-            # exactly when p = 5 (mod 8)
-            c = 2 if p & 4 else 3
-            while (r := pow(c, p >> 2, p)) * r % p != p - 1:
-                c = next_prime(c, PrimeConvention.EXCLUDE1)
-            for root in (r, p - r):
-                for j in range((root - lo) % p, n, p):
-                    v, e = rem[j] // p, 1
-                    while v % p == 0:  # p^2 | k^2 + 1 happens, e.g. 5^3 | 57^2 + 1
-                        v //= p
-                        e += 1
-                    rem[j] = v
-                    phi[j] *= p ** (e - 1) * (p - 1)
-    return [f * (v - 1) if v > 1 else f for f, v in zip(phi, rem)]
+    if k < 0:
+        raise ValueError(f"needs k >= 0, got {k}")
+    n, order = k * k + 1, k * k
+    if math.gcd(n, _TRIAL_PRODUCT) != 1:
+        return n in _TRIAL_PRIMES
+    if pow(2, order, n) != 1:
+        return False
+    for q in factorize(k).primes():
+        a = 2
+        while (x := pow(a, order // q, n)) == 1:
+            a += 1
+        if pow(x, q, n) != 1 or math.gcd(x - 1, n) != 1:
+            return False
+    return True
 
 
 def parabolic_primes(
     k_max: int, conv: PrimeConvention = DEFAULT_CONVENTION
 ) -> list[ParabolicRecord]:
-    """Records for k = 1..k_max, the totients from one sieve over the whole
-    range; construction re-verifies the totient equivalence on every row."""
+    """Records for k = 1..k_max, each with is_prime's verdict and the unit
+    count's; construction re-verifies that they agree on every row."""
     if k_max < 1:
         raise ValueError(f"needs k_max >= 1, got {k_max}")
     return [
-        ParabolicRecord(k, k * k + 1, is_prime(k * k + 1, conv), phi == k * k)
-        for k, phi in zip(range(1, k_max + 1), parabolic_totients(1, k_max))
+        ParabolicRecord(k, k * k + 1, is_prime(k * k + 1, conv), totient_is_k_squared(k))
+        for k in range(1, k_max + 1)
     ]
 
 

@@ -3,9 +3,9 @@
 Each task turns a headline claim into a range certificate: descent success
 for every even number (couple search), a small-prime witness for every even
 gap, a prime inside every square interval, and totient/primality agreement
-for every parabolic candidate k^2 + 1, whose totients come from one sieve of
-the polynomial over the chunk's k-window (figurate.parabolic_totients) and
-whose primality from is_prime, so the two verdicts stay independent.
+for every parabolic candidate k^2 + 1, whose unit count comes from an N - 1
+certificate per k (figurate.totient_is_k_squared) and whose primality from
+is_prime, so the two verdicts stay independent.
 
 Progress lives in a line-delimited JSON checkpoint, one record per contiguous
 verified subrange.  The file is only ever replaced whole (write a sibling
@@ -13,17 +13,17 @@ temp file, fsync, rename), so a killed run leaves the previous parseable
 state behind; it is rewritten once FLUSH_SECONDS have passed since the last
 write and once at the end, so a kill loses at most that much folded work
 plus the chunks in flight.  Work is split into chunks whose width each task
-takes from its own rule (_chunk_size: wide enough to amortize what a chunk
-pays whatever its width, small enough for a 4 MB peak), made as the stream
-of results asks for them, whose results come back in ascending order (a worker
-pool's ordered imap, or a plain map with one worker) and are folded into
-records in that order, which keeps the checkpoint content independent of the
-worker count.  A chunk is a pure function of its task, convention and span:
-it sieves only the window it reads, its span plus a reach that grows only
-when a search runs off it (the parabolic sieve walks its primes up to the
-span's top in windows of fixed width), so a run holds no list that grows with
-the range: memory is O(chunk + reach + pi(B)) at any height, B the cap on the
-base primes, and a range that would read past 2**64 is refused at once.
+takes from one rule (_chunk_size: the even tasks' chunks wide enough to
+amortize the sieve and pool trip each pays whatever its width, every chunk
+small enough for a 4 MB peak), made as the stream of results asks for them,
+whose results come back in ascending order (a worker pool's ordered imap, or
+a plain map with one worker) and are folded into records in that order,
+which keeps the checkpoint content independent of the worker count.  A chunk
+is a pure function of its task, convention and span: it sieves only the
+window it reads, its span plus a reach that grows only when a search runs
+off it, so a run holds no list that grows with the range: memory is
+O(chunk + reach + pi(B)) at any height, B the cap on the base primes, and a
+range that would read past 2**64 is refused at once.
 
 The two even tasks are certified by one bitset scan rather than a loop per
 instance: the window's odd prime flags are packed into one Python int, each
@@ -50,7 +50,7 @@ from multiprocessing import get_context
 from operator import sub
 from typing import Any, Callable, Iterable, Iterator
 
-from .figurate import parabolic_totients
+from .figurate import totient_is_k_squared
 from .primes import (
     DEFAULT_CONVENTION,
     PrimeConvention,
@@ -77,9 +77,8 @@ _EVEN_TASKS = frozenset({Task.GOLDBACH, Task.PRE_POLIGNAC})
 
 # Instances per chunk, sized to amortize what every chunk pays whatever its
 # width: an even-task chunk sieves with the base primes up to sqrt(hi) (from
-# 1.1e13 on, to 3.3e6, then tests the survivors) and makes one pool trip, and a
-# parabolic chunk finds a root of -1 for each of the pi(hi)/2 primes
-# p = 1 (mod 4) up to its top.  Legendre pays neither.
+# 1.1e13 on, to 3.3e6, then tests the survivors) and makes one pool trip.
+# Legendre and parabolic chunks pay neither: their work is per instance.
 # One run each, in process with one worker, CPython 3.11 on a 2-core x86-64
 # Xeon; rates in instances per second, peaks the tracemalloc peak of one
 # chunk:
@@ -90,21 +89,14 @@ _EVEN_TASKS = frozenset({Task.GOLDBACH, Task.PRE_POLIGNAC})
 #   Goldbach [1e12, +2e6]       0.18 M/s            1.53 M/s
 #   Goldbach peak at 1e12                           1.8 MB    3.7 MB    7.7 MB
 #   pre-Polignac peak at 1e12                       2.4 MB    5.3 MB    10.9 MB
-#   parabolic [1e6, 1.1e6]      5.96 s    1.38 s
-#   parabolic [1e7, 1e7+2^16)             4.46 s
-#   parabolic peak at 1e7                 3.1 MB    6.2 MB
+#   parabolic [1e7, 1e7+2^16)   0.56 s    0.54 s
 #   Legendre [1, 3e4]           0.44 s    0.39 s
 #
-# So the even tasks take 2^16 and parabolic grows with its top up to 2^15,
-# each under a 4 MB peak per chunk; a parabolic chunk below k = 131,072
-# keeps 4096, as Legendre does.
-def _chunk_size(task: Task, hi: int) -> int:
-    """Instances per chunk of task in a gap whose top is hi."""
-    if task in _EVEN_TASKS:
-        return 1 << 16
-    if task is Task.PARABOLIC:
-        return min(1 << 15, max(4096, hi // 32))
-    return 4096
+# So the even tasks take 2^16, under a 4 MB peak per chunk, and the others
+# 4096 (a parabolic chunk of 4096 at 1e7 peaks at 0.006 MB).
+def _chunk_size(task: Task) -> int:
+    """Instances per chunk of task."""
+    return 1 << 16 if task in _EVEN_TASKS else 4096
 
 
 # how record statistics combine when subranges are concatenated
@@ -500,9 +492,9 @@ def _check_legendre(conv: PrimeConvention, lo: int, hi: int) -> dict[str, Any]:
 
 def _check_parabolic(conv: PrimeConvention, lo: int, hi: int) -> dict[str, Any]:
     stats = {"instances": 0, "parabolic": 0, "largest_parabolic_k": 0}
-    for k, phi in zip(range(lo, hi + 1), parabolic_totients(lo, hi)):
+    for k in range(lo, hi + 1):
         prime = is_prime(k * k + 1, conv)
-        tot_match = phi == k * k
+        tot_match = totient_is_k_squared(k)
         if prime != tot_match:
             witness = {
                 "instance": k,
@@ -615,12 +607,12 @@ def verify_range(
         gaps = [] if terminal else _uncovered(lo, hi, [(cp.lo, cp.hi) for cp in mine], step)
         skipped = 0 if terminal else (
             instance_count(task, lo, hi) - sum(instance_count(task, a, b) for a, b in gaps))
-        strides = [(a, b, _chunk_size(task, b) * step) for a, b in gaps]
+        stride = _chunk_size(task) * step
         # chunks are made as the stream asks for them; a pool's task pipe
         # fills and pushes back, so only a few chunks are ever in flight
         items = ((task, conv, c_lo, min(c_lo + stride - step, b))
-                 for a, b, stride in strides for c_lo in range(a, b + 1, stride))
-        chunks = sum(len(range(a, b + 1, stride)) for a, b, stride in strides)
+                 for a, b in gaps for c_lo in range(a, b + 1, stride))
+        chunks = sum(len(range(a, b + 1, stride)) for a, b in gaps)
         # workers beyond the chunks or the host's cores only add forks; results
         # do not depend on the count
         pool_size = min(worker_count, chunks, os.cpu_count() or 1)

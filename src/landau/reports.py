@@ -59,6 +59,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "DESCENT_TARGETS",
+    "GHOST_TABLE_MAX_N",
     "POLIGNAC_GAPS",
     "Report",
     "ReportError",
@@ -67,6 +68,7 @@ __all__ = [
     "emit_report",
     "report_kinds",
     "report_parameters",
+    "ZETA_TABLE_MAX_K",
 ]
 
 
@@ -607,9 +609,17 @@ def _emit_legendre_table(
 # --------------------------------------------------------------------------
 # ghost right-triangles (parabolic primes)
 
+# Bound on n_max from the 64 MiB budget per call that bounds the couple lists
+# in goldbach.py: the table holds a record for every k <= n_max and a row for
+# every even one, about 0.55 KiB per k.  Tracemalloc peaks (CPython 3.11,
+# x86-64) at 10^5: 47.7 MiB for md, 53.6 for json and 41.5 for csv, in about
+# 1 s; json takes 107.6 MiB at 2 * 10^5.
+GHOST_TABLE_MAX_N = 10**5
+
+
 def _emit_ghost_table(conv: PrimeConvention, /, *, n_max: int = 60) -> Report:
-    if n_max < 1:
-        raise ReportError(f"n_max: needs at least 1, got {n_max}")
+    if not 1 <= n_max <= GHOST_TABLE_MAX_N:
+        raise ReportError(f"n_max: needs 1 <= n_max <= {GHOST_TABLE_MAX_N}, got {n_max}")
     records = {r.k: r for r in parabolic_primes(n_max, conv)}
     limit = min(n_max, 40)
     ks = list(range(1, limit + 1)) + [k for k in range(42, n_max + 1, 2)]
@@ -675,7 +685,16 @@ def _emit_ghost_table(conv: PrimeConvention, /, *, n_max: int = 60) -> Report:
 # --------------------------------------------------------------------------
 # zeta estimate over the parabolic primes
 
+# The exact partial sum, printed on every row, first has more than the 4,300
+# digits CPython converts to text at k = 32,386, the first parabolic k past
+# this bound.  At the bound md peaks at 68.7 MiB traced and json at 60.0, in
+# under a second.
+ZETA_TABLE_MAX_K = 32_385
+
+
 def _emit_zeta_table(conv: PrimeConvention, /, *, k_max: int = 10) -> Report:
+    if k_max > ZETA_TABLE_MAX_K:
+        raise ReportError(f"k_max: needs k_max <= {ZETA_TABLE_MAX_K}, got {k_max}")
     terms = []  # (k, p, 1/(p-1), partial sum), the fractions as text
     running = Fraction(0)
     for rec in parabolic_primes(k_max, conv):

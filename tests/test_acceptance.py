@@ -292,7 +292,7 @@ def test_c10_harness_idempotent_worker_invariant_kill_resume(tmp_path):
     cp = tmp_path / "kill.jsonl"
     child = (
         "from landau import harness\n"
-        "harness._chunk_size, harness.FLUSH_SECONDS = lambda task, hi: 512, 0\n"
+        "harness._chunk_size, harness.FLUSH_SECONDS = lambda task: 512, 0\n"
         f"harness.verify_range(harness.Task.GOLDBACH, 2, 1000000, checkpoint_path={str(cp)!r})\n"
     )
     proc = subprocess.Popen([sys.executable, "-c", child])

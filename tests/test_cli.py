@@ -19,7 +19,7 @@ from landau.gaps import POLIGNAC_MAX_WINDOW
 from landau.goldbach import ENUMERATE_MAX_TWO_N, QUASI_MAX_TWO_N
 from landau.harness import RunSummary, Task
 from landau.primes import PrimeConvention
-from landau.reports import report_kinds, report_parameters
+from landau.reports import GHOST_TABLE_MAX_N, ZETA_TABLE_MAX_K, report_kinds, report_parameters
 
 CLEAN_ENV = {
     "LANDAU_CONVENTION": None,
@@ -64,6 +64,27 @@ SMOKE = [
     ["triangle", "three", "35"],
     ["triangle", "faulhaber", "2", "10"],
 ]
+
+
+def _run_under_memory_limit(
+    argv: list[str], timeout: float = 30
+) -> tuple[subprocess.CompletedProcess, float]:
+    """Run the CLI in a child process under a 1.5 GB address-space limit,
+    where a refusal that came after the allocation would die of MemoryError
+    (exit 1); returns the process and its wall time."""
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+    src = str(Path(landau.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if not k.startswith("LANDAU_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "landau", *argv],
+        capture_output=True, text=True, env=env, preexec_fn=limit_memory, timeout=timeout,
+    )
+    return proc, time.perf_counter() - start
 
 
 class TestGrammar:
@@ -229,24 +250,31 @@ class TestExitCodes:
          (["polignac", "dyadic", "2", "--m", "60"], "m_max = 60")],
     )
     def test_oversize_polignac_window_is_refused_under_a_memory_limit(self, argv, name):
-        # a refusal that came after the allocation would die of MemoryError
-        # (exit 1) under this limit instead
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
-
-        src = str(Path(landau.__file__).resolve().parents[1])
-        env = {k: v for k, v in os.environ.items() if not k.startswith("LANDAU_")}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        start = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-m", "landau", *argv],
-            capture_output=True, text=True, env=env, preexec_fn=limit_memory, timeout=30,
-        )
-        elapsed = time.perf_counter() - start
+        proc, elapsed = _run_under_memory_limit(argv)
         assert proc.returncode == 2, proc.stderr
         assert f"q_max + 2n <= {POLIGNAC_MAX_WINDOW}" in proc.stderr and name in proc.stderr
         assert proc.stdout == ""
         assert elapsed < 1.0
+
+    @pytest.mark.parametrize(
+        "leaf, name, bound",
+        [("list", "n_max", GHOST_TABLE_MAX_N), ("zeta", "k_max", ZETA_TABLE_MAX_K)],
+    )
+    @pytest.mark.parametrize("at", ["bound", "bound + 1", "10^12"])
+    def test_parabolic_tables_past_their_bound_are_refused_under_a_memory_limit(
+        self, leaf, name, bound, at
+    ):
+        value = {"bound": bound, "bound + 1": bound + 1, "10^12": 10**12}[at]
+        argv = ["--format", "csv", "parabolic", leaf, "--max-k", str(value)]
+        proc, elapsed = _run_under_memory_limit(argv)
+        if value == bound:
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.count("\n") > 1000
+        else:
+            assert proc.returncode == 2, proc.stderr
+            assert f"{name}: needs" in proc.stderr and f"{bound}, got {value}" in proc.stderr
+            assert proc.stdout == ""
+            assert elapsed < 1.0
 
     @pytest.mark.parametrize("two_n, code", [(4, 2), (6, 2), (8, 0)])
     def test_descent_ending_at_the_trivial_couple_is_usage_error(self, runner, two_n, code):
@@ -287,6 +315,14 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert "beyond the supported 64-bit range (below 2**64)" in result.stderr
         assert list(tmp_path.iterdir()) == []  # neither the checkpoint nor its lock
+
+    def test_parabolic_verify_just_below_2_to_the_32_finishes(self, tmp_path):
+        # k^2 + 1 is decided per k, so a chunk pays nothing that grows with k
+        argv = ["parabolic", "verify", "--from", "4294963200", "--to", "4294967295",
+                "--jobs", "1", "--checkpoint", str(tmp_path / "run.jsonl")]
+        proc, _ = _run_under_memory_limit(argv, timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        assert "| verified | 4096 |" in proc.stdout and "| parabolic | 119 |" in proc.stdout
 
     def test_clean_verify_exits_0(self, runner):
         result = runner.invoke(main, ["goldbach", "verify", "--from", "2", "--to", "100"])

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import landau.figurate as figurate
 from landau.figurate import (
     SQUARE_TRIANGULAR_MAX_K,
     THREE_TRIANGULAR_MAX_N,
@@ -21,14 +20,14 @@ from landau.figurate import (
     faulhaber,
     is_triangular,
     parabolic_primes,
-    parabolic_totients,
     square_triangular,
     three_triangular,
+    totient_is_k_squared,
     triangle_index,
     triangle_number,
     zeta_partial,
 )
-from landau.primes import PrimeConvention, is_prime
+from landau.primes import _TRIAL_PRODUCT, PrimeConvention, is_prime
 from landau.zn import totient
 
 EXC = PrimeConvention.EXCLUDE1
@@ -248,22 +247,27 @@ class TestParabolicPrimes:
     @pytest.mark.parametrize(
         "lo,hi",
         [(1, 1), (1, 2), (2, 2), (1, 400), (2, 401), (7, 7), (38, 38), (57, 57), (70, 70),
-         (0, 70), (10**6, 10**6 + 300), (3 * 10**6 - 200, 3 * 10**6)],
+         (0, 70), (5000, 8000), (10**6, 10**6 + 300), (3 * 10**6 - 200, 3 * 10**6)],
     )
-    def test_sieve_equals_totient_per_k(self, lo, hi):
-        assert parabolic_totients(lo, hi) == [totient(k * k + 1) for k in range(lo, hi + 1)]
+    def test_certificate_equals_totient_per_k(self, lo, hi):
+        assert [totient_is_k_squared(k) for k in range(lo, hi + 1)] == [
+            totient(k * k + 1) == k * k for k in range(lo, hi + 1)]
 
     @given(lo=st.integers(0, 2 * 10**5), width=st.integers(1, 600))
     @settings(max_examples=30, deadline=None)
-    def test_sieve_equals_totient_on_random_windows(self, lo, width):
-        hi = lo + width - 1
-        assert parabolic_totients(lo, hi) == [totient(k * k + 1) for k in range(lo, hi + 1)]
+    def test_certificate_equals_totient_on_random_windows(self, lo, width):
+        ks = range(lo, lo + width)
+        assert [totient_is_k_squared(k) for k in ks] == [totient(k * k + 1) == k * k for k in ks]
 
-    @pytest.mark.parametrize("window", [1, 7, 1 << 10])
-    def test_sieve_does_not_depend_on_the_prime_window(self, monkeypatch, window):
-        want = parabolic_totients(5000, 8000)
-        monkeypatch.setattr(figurate, "_ROOT_WINDOW", window)
-        assert parabolic_totients(5000, 8000) == want
+    # k^2 + 1 shares no factor with the primes up to 257 and passes the
+    # base-2 Fermat test, yet is composite: 641 * 761 * 1801, F5 = 641 *
+    # 6700417, 54001 * 148501, 829 * 4969 * 165601 and 272449 * 3987649
+    @pytest.mark.parametrize("k", [29640, 65536, 89550, 825930, 1042320])
+    def test_certificate_rejects_base_2_pseudoprimes(self, k):
+        n = k * k + 1
+        assert math.gcd(n, _TRIAL_PRODUCT) == 1 and pow(2, k * k, n) == 1
+        assert totient(n) < k * k
+        assert not totient_is_k_squared(k)
 
     def test_odd_k_beyond_one_never_qualifies(self):
         for k in range(3, 100_001, 2):
@@ -279,7 +283,7 @@ class TestParabolicPrimes:
         with pytest.raises(ValueError):
             parabolic_primes(0)
         with pytest.raises(ValueError):
-            parabolic_totients(-1, 5)
+            totient_is_k_squared(-1)
 
 
 class TestZetaEstimate:

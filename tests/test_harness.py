@@ -203,7 +203,7 @@ def test_counterexample_only_blocks_its_own_convention(tmp_path):
 
 def _fixed_chunks(monkeypatch, size):
     """Make every chunk of every task `size` instances wide."""
-    monkeypatch.setattr(harness, "_chunk_size", lambda task, hi: size)
+    monkeypatch.setattr(harness, "_chunk_size", lambda task: size)
 
 
 def _break_goldbach_at_76(monkeypatch):
@@ -256,10 +256,7 @@ def test_widening_from_the_smallest_reach_changes_nothing(tmp_path, monkeypatch,
 
 def _chunks_from(task, lo, chunks):
     """The top of `chunks` full chunks of the rule's size from lo."""
-    size = harness._chunk_size(task, lo)
-    hi = lo + harness._step(task) * (chunks * size - 1)
-    assert harness._chunk_size(task, hi) == size  # the gap's top sets the same size
-    return hi
+    return lo + harness._step(task) * (chunks * harness._chunk_size(task) - 1)
 
 
 def _traced_peak(task, lo, hi):
@@ -290,17 +287,15 @@ def test_even_task_memory_does_not_grow_with_height(monkeypatch, task):
 
 
 def test_parabolic_memory_at_the_widest_chunk(monkeypatch):
-    # the roots of -1 (pow) and is_prime allocate many small ints that no call
-    # keeps, and tracing each of them nearly triples the traced run; caches
-    # that the untraced run fills answer them there, with the same peak
+    # the certificate's pow and is_prime allocate many small ints that no
+    # call keeps, and tracing each of them makes the traced run 4x slower;
+    # caches that the untraced run fills answer them there, with the same peak
     monkeypatch.setattr(figurate, "pow", functools.cache(pow), raising=False)
     monkeypatch.setattr(harness, "is_prime", functools.cache(is_prime))
-    lo = 2**20
-    hi = _chunks_from(Task.PARABOLIC, lo, 1)
-    # past 2^20 the rule has reached its ceiling: chunks grow no wider
-    assert harness._chunk_size(Task.PARABOLIC, hi) == harness._chunk_size(Task.PARABOLIC, 10**15)
-    peak = _traced_peak(Task.PARABOLIC, lo, hi)
-    assert peak < 4 * 2**20, peak
+    # a chunk of the rule's size at k = 2^20 and the last one below 2^32
+    for lo in (2**20, 2**32 - harness._chunk_size(Task.PARABOLIC)):
+        peak = _traced_peak(Task.PARABOLIC, lo, _chunks_from(Task.PARABOLIC, lo, 1))
+        assert peak < 4 * 2**20, (lo, peak)
 
 
 def _fail_at_first_instance(conv, lo, hi):
@@ -419,21 +414,20 @@ def test_counterexample_branch_matches_per_instance_checkers(monkeypatch, which,
 
 
 # ---------------------------------------------------------------------------
-# the k^2 + 1 sieve against the per-k checker it replaced
+# the N - 1 certificate against the per-k checker that factors k^2 + 1
 
 
 @st.composite
 def parabolic_spans(draw):
     conv = draw(st.sampled_from([INC, EXC]))
-    top = min(10 ** draw(st.integers(1, 7)), 3 * 10**6)
-    lo = draw(st.integers(1, top))
-    width = draw(st.integers(1, 4096))
-    return conv, lo, lo + width - 1
+    hi = draw(st.integers(1, 2 ** draw(st.integers(4, 32)) - 1))
+    width = draw(st.integers(1, min(hi, 4096)))
+    return conv, hi - width + 1, hi
 
 
 @given(span=parabolic_spans())
 @settings(max_examples=25, deadline=None)
-def test_parabolic_sieve_equals_per_k_checker(span):
+def test_parabolic_certificate_equals_per_k_checker(span):
     conv, lo, hi = span
     assert harness._check_parabolic(conv, lo, hi) == oracles.check_parabolic(conv, lo, hi)
 
@@ -562,7 +556,7 @@ def _sizes_agree(tmp, task, conv, lo, hi, seeded, sizes):
     for resumed in (False, True):
         outcomes = set()
         for size in sizes:
-            rule = harness._chunk_size if size is None else lambda task, hi, size=size: size
+            rule = harness._chunk_size if size is None else lambda task, size=size: size
             for workers in (1, 2):
                 cp = tmp / f"{resumed}-{size}-{workers}.jsonl"
                 if resumed:
@@ -590,8 +584,8 @@ def test_chunk_size_changes_no_record_and_no_summary(tmp_path_factory, plan):
     _sizes_agree(tmp, task, conv, lo, hi, history.read_text(), (1, 7, 512, 4096))
 
 
-# ranges of at least three chunks of the rule's size (parabolic chunks there
-# are wider than 4096), with a seeded record in the middle for resumed runs
+# ranges of at least three chunks of the rule's size, with a seeded record in
+# the middle for resumed runs
 _RULE_RANGES = {
     Task.GOLDBACH: (4, 400_000),
     Task.PRE_POLIGNAC: (4, 400_000),
@@ -605,7 +599,7 @@ _RULE_RANGES = {
 def test_rule_sized_chunks_change_no_record_and_no_summary(tmp_path, task, conv):
     lo, hi = _RULE_RANGES[task]
     count = instance_count(task, lo, hi)
-    assert count >= 3 * harness._chunk_size(task, hi)
+    assert count >= 3 * harness._chunk_size(task)
     history = tmp_path / "seed.jsonl"
     mid = lo + harness._step(task) * (count // 3)
     verify_range(task, mid, mid + harness._step(task) * 999, conv, checkpoint_path=history)
@@ -677,7 +671,7 @@ def test_kill_and_resume(tmp_path):
     cp = tmp_path / "kill.jsonl"
     child = (
         "from landau import harness\n"
-        "harness._chunk_size, harness.FLUSH_SECONDS = lambda task, hi: 512, 0\n"
+        "harness._chunk_size, harness.FLUSH_SECONDS = lambda task: 512, 0\n"
         f"harness.verify_range(harness.Task.GOLDBACH, 2, 2000000, checkpoint_path={str(cp)!r})\n"
     )
     proc = subprocess.Popen([sys.executable, "-c", child])
