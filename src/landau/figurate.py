@@ -204,10 +204,11 @@ def parabolic_primes(
     count's; construction re-verifies that they agree on every row."""
     if k_max < 1:
         raise ValueError(f"needs k_max >= 1, got {k_max}")
-    return [
-        ParabolicRecord(k, k * k + 1, is_prime(k * k + 1, conv), totient_is_k_squared(k))
-        for k in range(1, k_max + 1)
-    ]
+    return [_parabolic_record(k, conv) for k in range(1, k_max + 1)]
+
+
+def _parabolic_record(k: int, conv: PrimeConvention) -> ParabolicRecord:
+    return ParabolicRecord(k, k * k + 1, is_prime(k * k + 1, conv), totient_is_k_squared(k))
 
 
 # strict lower bound of pi^2/6 by a partial sum; far above any value the

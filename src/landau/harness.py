@@ -32,8 +32,10 @@ ascending order one shift, AND and XOR take out every instance whose
 smallest prime remainder (Goldbach) or witness (pre-Polignac) is q.  The
 scan leaves a few levels (q, instances); a gap's largest witness is read off
 the top level, and the largest descent depth is counted exactly on the top
-levels only, down to the first level too short to beat the best depth so
-far.
+levels only, down to the first level whose windows are too short to reach
+the best depth so far.  That bound comes from the window's prime counts per
+block of 8 odd values, summed over m consecutive blocks at once by one
+big-int multiply with a repunit.
 """
 
 from __future__ import annotations
@@ -45,9 +47,7 @@ import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import accumulate
 from multiprocessing import get_context
-from operator import sub
 from typing import Any, Callable, Iterable, Iterator
 
 from .figurate import totient_is_k_squared
@@ -79,21 +79,25 @@ _EVEN_TASKS = frozenset({Task.GOLDBACH, Task.PRE_POLIGNAC})
 # width: an even-task chunk sieves with the base primes up to sqrt(hi) (from
 # 1.1e13 on, to 3.3e6, then tests the survivors) and makes one pool trip.
 # Legendre and parabolic chunks pay neither: their work is per instance.
-# One run each, in process with one worker, CPython 3.11 on a 2-core x86-64
-# Xeon; rates in instances per second, peaks the tracemalloc peak of one
-# chunk:
+# In process with one worker, CPython 3.11 on a shared 2-core x86-64 Xeon, a
+# fresh process per cell, one warm-up run, then the median of three (the
+# Goldbach rates: the median of three such sweeps, which spread by up to a
+# third); rates in instances per second, peaks the tracemalloc peak of one
+# chunk after one at the same height has grown the base primes:
 #
 #   task and range              4096      2^15      2^16      2^17      2^18
-#   Goldbach [4, 4e6]           7.4 M/s   13.5 M/s  16.9 M/s  15.0 M/s  11.2 M/s
-#   pre-Polignac [4, 4e6]       13.7 M/s            58.8 M/s
-#   Goldbach [1e12, +2e6]       0.18 M/s            1.53 M/s
-#   Goldbach peak at 1e12                           1.8 MB    3.7 MB    7.7 MB
-#   pre-Polignac peak at 1e12                       2.4 MB    5.3 MB    10.9 MB
-#   parabolic [1e7, 1e7+2^16)   0.56 s    0.54 s
-#   Legendre [1, 3e4]           0.44 s    0.39 s
+#   Goldbach [4, 4e6]           8.2 M/s   31.8 M/s  41.3 M/s  29.7 M/s  26.2 M/s
+#   pre-Polignac [4, 4e6]       10.4 M/s            44.2 M/s
+#   Goldbach [1e12, +2e6]       0.20 M/s  1.05 M/s  1.73 M/s  2.80 M/s  4.18 M/s
+#   Goldbach peak at 1e12                           1.4 MB    3.0 MB    6.3 MB
+#   pre-Polignac peak at 1e12                       2.5 MB    5.5 MB    11.4 MB
+#   parabolic [1e7, 1e7+2^16)   0.72 s    0.74 s
+#   Legendre [1, 3e4]           0.40 s    0.46 s
 #
 # So the even tasks take 2^16, under a 4 MB peak per chunk, and the others
-# 4096 (a parabolic chunk of 4096 at 1e7 peaks at 0.006 MB).
+# 4096 (a parabolic chunk of 4096 at 1e7 peaks at 0.013 MB).  Goldbach alone
+# would run faster at 1e12 with 2^17, but pre-Polignac shares the rule and
+# its 2^17 chunk passes 4 MB.
 def _chunk_size(task: Task) -> int:
     """Instances per chunk of task."""
     return 1 << 16 if task in _EVEN_TASKS else 4096
@@ -317,9 +321,19 @@ def _merge_stats(task: Task, acc: dict[str, int], new: dict[str, int]) -> None:
 # The Goldbach window reaches _REACH below the span (the descent's
 # candidates), the pre-Polignac window _REACH above it (the partners q + 2n);
 # a chunk whose search runs off its window is redone with four times the reach.
+#
+# The largest Goldbach descent depth is counted from the top level down, and
+# the count stops at the first level that cannot reach the best depth so far.
+# The bound is coarse but cheap: a byte of P, 8 odd values, is a block; the
+# int of the blocks' prime counts times the repunit sum_{i<m} 256^i has, in
+# each digit, the primes of m consecutive blocks, and one translate of the
+# product's bytes tells whether any digit reaches a given count.
 
 _REACH = 1 << 10
 _BITS = bytes.maketrans(b"\0\1", b"01")
+_POPCOUNT = bytes(b.bit_count() for b in range(256))
+_NONZERO = b"\0" + b"\1" * 255
+_BIT_POSITIONS = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
 
 
 def _as_int(flags: bytearray) -> int:
@@ -332,12 +346,15 @@ def _lowest(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
-def _bit_indices(x: int) -> Iterator[int]:
-    """Positions of the set bits of x, ascending."""
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
+def _set_bits(x: int) -> Iterator[int]:
+    """Positions of the set bits of x >= 0, ascending, read byte by byte."""
+    data = x.to_bytes((x.bit_length() + 7) // 8, "little")
+    marks = data.translate(_NONZERO)
+    j = marks.find(1)
+    while j >= 0:
+        for b in _BIT_POSITIONS[data[j]]:
+            yield 8 * j + b
+        j = marks.find(1, j + 1)
 
 
 def _ascending_primes(limit: int, conv: PrimeConvention) -> Iterator[int]:
@@ -366,21 +383,39 @@ def _scan(
     return levels, remaining
 
 
-def _fewest_slots(flags: bytearray) -> Callable[[int], int]:
-    """d -> the fewest consecutive odd values of the window that hold d of
-    its primes (set flags), or more than the window holds when none do."""
-    # the k-th set flag sits at slot gaps[k] + k, gaps[k] counting the zeros
-    # before it
-    gaps = list(accumulate(map(len, flags.split(b"\1"))))[:-1]
+def _block_test(P: int, slots: int) -> Callable[[int, int], bool]:
+    """(m, need) -> whether some m consecutive blocks of 8 slots hold need
+    primes or more, in a window of `slots` slots whose flags are the bits of P."""
+    counts = P.to_bytes((slots + 7) // 8, "little").translate(_POPCOUNT)
+    spread: dict[int, int] = {}  # digit width -> the counts, one digit each
 
-    def slots(d: int) -> int:
-        if d < 1:
-            return 0
-        if d > len(gaps):
-            return len(flags) + 1
-        return min(map(sub, gaps[d - 1:], gaps)) + d
+    def holds(m: int, need: int) -> bool:
+        if need <= 0:
+            return True
+        if need > 8 * m:
+            return False
+        # digits of `width` bytes hold a sum of m counts, at most 8m, plus
+        # the lift t below without a carry
+        width, unit = 1, 1
+        while 8 * m > 255 * unit:
+            width, unit = width + 1, unit << 8
+        if width not in spread:
+            wide = bytearray(width * len(counts))
+            wide[::width] = counts
+            spread[width] = int.from_bytes(wide, "little")
+        one = b"\1" + bytes(width - 1)
+        digits = len(counts) + m - 1
+        # times the repunit, digit k is the sum of the m counts ending at k;
+        # lifted by t, it reaches need exactly when its top byte reaches h
+        t = -need % unit
+        h = (need + t) // unit
+        sums = spread[width] * int.from_bytes(one * m, "little")
+        if t:
+            sums += t * int.from_bytes(one * digits, "little")
+        top = sums.to_bytes(width * digits, "little")[width - 1::width]
+        return 1 in top.translate(bytes(h) + b"\1" * (256 - h))
 
-    return slots
+    return holds
 
 
 def _check_goldbach(conv: PrimeConvention, lo: int, hi: int) -> dict[str, Any]:
@@ -405,23 +440,26 @@ def _check_goldbach(conv: PrimeConvention, lo: int, hi: int) -> dict[str, Any]:
             continue
         n_ok = _lowest(remaining) if remaining else count
         # The depth of 2n at level q counts the candidates in [2n - q, 2n):
-        # the primes among its (q + 1) // 2 odd values, and 2 when the window
-        # holds it.  Depths are read exactly on the top levels only, down to
-        # the first level too short to hold as many primes as the best so far
-        # anywhere in the window.
+        # the primes among its w = (q + 1) // 2 odd values, and 2 when the
+        # window holds it.  Depths are counted exactly, level by level from
+        # the top, down to the first level whose windows, which touch at most
+        # (w + 6) // 8 + 1 blocks of 8 odd values, fit in `stop` blocks: no
+        # `stop` consecutive blocks of the window hold enough primes to reach
+        # the best depth so far.
         with_two = base <= 2
-        slots = _fewest_slots(flags)
+        holds = _block_test(P, len(flags))
         prefix = (1 << n_ok) - 1
         best = best_at = 0
-        need = 0  # the fewest odd values an interval of depth >= best spans
+        stop = 0
         for q, hit in reversed(levels):
             hit &= prefix
             if not hit:
                 continue
-            if (q + 1) // 2 < need:
+            blocks = ((q + 1) // 2 + 6) // 8 + 1
+            if blocks <= stop:
                 break
             before = best
-            for i in _bit_indices(hit):
+            for i in _set_bits(hit):
                 two_n = lo + 2 * i
                 a = two_n - q
                 depth = (flags.count(1, (a - first + 1) // 2, (two_n - first + 1) // 2)
@@ -429,7 +467,17 @@ def _check_goldbach(conv: PrimeConvention, lo: int, hi: int) -> dict[str, Any]:
                 if depth > best or depth == best and two_n < best_at:
                     best, best_at = depth, two_n
             if best > before:
-                need = slots(best - with_two)
+                # the most blocks that cannot reach the best depth, bisected
+                # between the last such count (the depth has only grown) and
+                # this level's
+                low, high = stop, blocks
+                while high - low > 1:
+                    mid = (low + high) // 2
+                    if holds(mid, best - with_two):
+                        high = mid
+                    else:
+                        low = mid
+                stop = low
         stats = {"instances": n_ok, "max_depth": best, "max_depth_at": best_at}
         witness = None
         if n_ok < count:

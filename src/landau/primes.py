@@ -292,8 +292,10 @@ def twin_stats(n_max: int, conv: PrimeConvention = DEFAULT_CONVENTION) -> TwinSt
     from .gaps import polignac_pairs  # gaps builds on this module
 
     pairs = tuple((c.q, c.p) for c in polignac_pairs(2, n_max - 2, conv)) if n_max > 2 else ()
-    acc = Fraction(0)
-    for p, q in pairs:
-        acc += Fraction(1, p) + Fraction(1, q)
+    # summed pairwise in a balanced tree, so that each addition meets two
+    # denominators of like size rather than one huge and one small
+    terms = [Fraction(p + q, p * q) for p, q in pairs] or [Fraction(0)]
+    while len(terms) > 1:
+        terms = [a + b for a, b in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1:]
     bound = n_max / math.log(n_max) ** 2
-    return TwinStats(n_max, len(pairs), pairs, acc, bound)
+    return TwinStats(n_max, len(pairs), pairs, terms[0], bound)

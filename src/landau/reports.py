@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping
 from .config import Config
 from .figurate import (
     _check_zeta_bounds,
+    _parabolic_record,
     faulhaber,
     parabolic_primes,
     square_triangular,
@@ -610,19 +611,18 @@ def _emit_legendre_table(
 # ghost right-triangles (parabolic primes)
 
 # Bound on n_max from the 64 MiB budget per call that bounds the couple lists
-# in goldbach.py: the table holds a record for every k <= n_max and a row for
-# every even one, about 0.55 KiB per k.  Tracemalloc peaks (CPython 3.11,
-# x86-64) at 10^5: 47.7 MiB for md, 53.6 for json and 41.5 for csv, in about
-# 1 s; json takes 107.6 MiB at 2 * 10^5.
+# in goldbach.py: the table holds a record and a row for every k <= 40 and
+# every even k past it.  Tracemalloc peaks (CPython 3.11, x86-64) at 10^5:
+# 35.4 MiB for md, 41.3 for json and 29.2 for csv, in about 1 s.
 GHOST_TABLE_MAX_N = 10**5
 
 
 def _emit_ghost_table(conv: PrimeConvention, /, *, n_max: int = 60) -> Report:
     if not 1 <= n_max <= GHOST_TABLE_MAX_N:
         raise ReportError(f"n_max: needs 1 <= n_max <= {GHOST_TABLE_MAX_N}, got {n_max}")
-    records = {r.k: r for r in parabolic_primes(n_max, conv)}
     limit = min(n_max, 40)
     ks = list(range(1, limit + 1)) + [k for k in range(42, n_max + 1, 2)]
+    records = {k: _parabolic_record(k, conv) for k in ks}  # only the k that rows print
     marks = [k for k in range(1, limit + 1) if records[k].is_parabolic]
 
     runs = [
@@ -685,11 +685,13 @@ def _emit_ghost_table(conv: PrimeConvention, /, *, n_max: int = 60) -> Report:
 # --------------------------------------------------------------------------
 # zeta estimate over the parabolic primes
 
-# The exact partial sum, printed on every row, first has more than the 4,300
-# digits CPython converts to text at k = 32,386, the first parabolic k past
-# this bound.  At the bound md peaks at 68.7 MiB traced and json at 60.0, in
-# under a second.
-ZETA_TABLE_MAX_K = 32_385
+# Bound on k_max from the 64 MiB budget per call: the exact partial sum is
+# printed on every row, so the text grows with the square of the rows.
+# Tracemalloc peaks (CPython 3.11, x86-64) at 31,199: 63.97 MiB for md, 55.9
+# for json and 37.0 for csv, in under a second untraced; the next parabolic
+# k, 31,200, takes md to 64.03 MiB.  (The partial sum first has more than the
+# 4,300 digits CPython converts to text at k = 32,386.)
+ZETA_TABLE_MAX_K = 31_199
 
 
 def _emit_zeta_table(conv: PrimeConvention, /, *, k_max: int = 10) -> Report:

@@ -3,8 +3,11 @@ from __future__ import annotations
 
 import fcntl
 import functools
+import itertools
 import json
+import operator
 import os
+import random
 import re
 import signal
 import subprocess
@@ -349,6 +352,65 @@ def test_bitset_scan_equals_per_instance_checkers(reach, span):
         mp.setattr(harness, "_REACH", reach)
         for checker, oracle in _EVEN_CHECKERS:
             assert checker(conv, lo, hi) == oracle(conv, lo, hi)
+
+
+def _goldbach_chunks(conv):
+    """Full chunks at 10^6 and 10^9, then every chunk of a run over [2, 4e6]."""
+    stride = 2 * harness._chunk_size(Task.GOLDBACH)
+    yield from ((h, h + stride - 2) for h in (10**6, 10**9))
+    floor = 2 if conv is INC else 4
+    yield from ((c, min(c + stride - 2, 4 * 10**6)) for c in range(floor, 4 * 10**6, stride))
+
+
+@pytest.mark.parametrize("conv", [INC, EXC])
+def test_goldbach_full_chunks_equal_per_instance_checker(conv):
+    # the depth pruning decides which instances are counted; a bound a block
+    # too tight already moves max_depth_at in one chunk of [4, 4e6] under
+    # exclude1
+    for lo, hi in _goldbach_chunks(conv):
+        assert harness._check_goldbach(conv, lo, hi) == oracles.check_goldbach(conv, lo, hi)
+
+
+def _most_in_blocks(flags, m):
+    """Brute force: the most set flags in any m consecutive 8-flag blocks."""
+    counts = [sum(flags[j:j + 8]) for j in range(0, len(flags), 8)]
+    return max(sum(counts[s:s + m]) for s in range(max(len(counts) - m, 0) + 1))
+
+
+@st.composite
+def flag_windows(draw):
+    """0/1 bytes, a run of set flags up front driving the block sums past
+    one byte, then random flags."""
+    size = draw(st.integers(0, 720))
+    ones = draw(st.integers(0, size))
+    rest = draw(st.binary(min_size=size - ones, max_size=size - ones))
+    return bytearray([1] * ones) + bytearray(b & 1 for b in rest)
+
+
+@given(flags=flag_windows())
+@settings(max_examples=60, deadline=None)
+def test_block_test_is_the_most_primes_in_m_blocks(flags):
+    holds = harness._block_test(harness._as_int(flags), len(flags))
+    prefix = list(itertools.accumulate(flags, initial=0))
+    for m in range(1, 100):
+        most = _most_in_blocks(flags, m)
+        assert holds(m, most) and not holds(m, most + 1)
+        # every window of w odd values that the pruning maps to m blocks
+        for w in range(max(8 * m - 14, 1), min(8 * m - 7, len(flags)) + 1):
+            assert (w + 6) // 8 + 1 == m
+            assert max(map(operator.sub, prefix[w:], prefix)) <= most
+
+
+@pytest.mark.parametrize("m", [1, 31, 32, 8160, 8161, 9000])
+@pytest.mark.parametrize("density", [1, 2])
+def test_block_test_at_every_digit_width(m, density):
+    # 1-, 2- and 3-byte digits, on a window just wider than m blocks, all
+    # set or half set
+    rng = random.Random(m)
+    flags = bytearray(rng.getrandbits(1) | (density == 1) for _ in range(8 * m + 100))
+    holds = harness._block_test(harness._as_int(flags), len(flags))
+    most = _most_in_blocks(flags, m)
+    assert holds(m, most) and not holds(m, most + 1)
 
 
 def _doctor_primes(monkeypatch, keep):

@@ -260,6 +260,15 @@ class TestTwinStats:
         )
         assert s.brun_sum == expected
 
+    @pytest.mark.parametrize("n_max", [3, 5, 7, 100, 2_003, 30_000])
+    @pytest.mark.parametrize("conv", [INC, EXC])
+    def test_brun_sum_equals_the_sequential_sum(self, n_max, conv):
+        s = twin_stats(n_max, conv)
+        acc = Fraction(0)
+        for p, q in s.pairs:
+            acc += Fraction(1, p) + Fraction(1, q)
+        assert s.brun_sum == acc
+
     def test_brun_sums_nondecreasing(self):
         prev = Fraction(0)
         for n in range(2, 400):
