@@ -1,3 +1,3 @@
 from .cli import main
 
-main()
+main(prog_name="landau")

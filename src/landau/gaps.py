@@ -45,6 +45,14 @@ class PolignacPair:
         if self.block != _block_index(self.q, self.gap):
             raise ValueError(f"wrong block {self.block} for q={self.q}, gap={self.gap}")
 
+    @classmethod
+    def _of_pair(cls, q: int, gap: int) -> "PolignacPair":
+        """Build a pair that a flag scan already found, without checking it
+        again."""
+        out = object.__new__(cls)
+        out.__dict__.update(q=q, p=q + gap, gap=gap, block=_block_index(q, gap))
+        return out
+
 
 class LegendreCounterexample(Exception):
     """An interval [n^2, (n+1)^2] without a prime; never observed."""
@@ -96,7 +104,7 @@ def polignac_pairs(
     bits = int.from_bytes(flags, "little")
     both = (bits & bits >> 4 * two_n).to_bytes(len(flags), "little")
     return [
-        PolignacPair(q, q + two_n, two_n, _block_index(q, two_n))
+        PolignacPair._of_pair(q, two_n)
         for q in compress(range(1, q_max + 1, 2), both)
     ]
 

@@ -346,8 +346,22 @@ def _lowest(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
+# Up to this many set bits, peeling off the top bit beats reading all of x
+# byte by byte: on 2^16-bit ints, 1.2 against 7.1 us at 1 bit, 11 against 28
+# at 16, about even from 100 (CPython 3.11, x86-64); near 60 on 2^18 bits.
+_SPARSE_BITS = 64
+
+
 def _set_bits(x: int) -> Iterator[int]:
-    """Positions of the set bits of x >= 0, ascending, read byte by byte."""
+    """Positions of the set bits of x >= 0, ascending."""
+    if x.bit_count() <= _SPARSE_BITS:
+        top = []
+        while x:
+            b = x.bit_length() - 1
+            top.append(b)
+            x ^= 1 << b
+        yield from reversed(top)
+        return
     data = x.to_bytes((x.bit_length() + 7) // 8, "little")
     marks = data.translate(_NONZERO)
     j = marks.find(1)

@@ -29,6 +29,7 @@ import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from math import log10
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from .config import Config
@@ -426,20 +427,44 @@ def _ideal_entry(index: int, generator: int, rem: int, fact, indices) -> dict[st
     }
 
 
+def _log10_r_from_small_primes(two_n: int) -> float:
+    """log10 of the part of the wider r (the one with the top unit) made of
+    primes up to 2^16: a lower bound on log10 r, cheap whatever 2N is."""
+    top = two_n - 1
+    total = 0.0
+    # 2 always divides 2n, so the range may start at 2 even when top < 2
+    for p in primes_in_range(2, max(min(top, 1 << 16), 2)):
+        if two_n % p:
+            power, e = p, 1
+            while power * p <= top:
+                power *= p
+                e += 1
+            total += e * log10(p)
+    return total
+
+
+def _long_r(two_n: int, limit: int) -> ReportError:
+    return ReportError(
+        f"2N={two_n}: r = l.c.m.(aᵢ) has more than {limit} digits, "
+        "past what Python converts to text"
+    )
+
+
 def _emit_ideal_table(
     conv: PrimeConvention, /, *, two_n: int, include_top: bool = False, descent_only: bool = False
 ) -> Report:
+    # both r values go into the footer and the payload as decimal text; a 2N
+    # whose r is sure to be too long for that is refused before the analysis
+    # and r, which grow with 2N, are built (an odd 2N is the analysis' to refuse)
+    limit = sys.get_int_max_str_digits()
+    if limit and two_n % 2 == 0 and _log10_r_from_small_primes(two_n) > limit + 1e-6:
+        raise _long_r(two_n, limit)
     rep = goldbach_ideal_analysis(two_n, conv, include_top=include_top)
     # only r depends on include_top
     alt = replace(rep, include_top=not include_top)
     r, alt_r = rep.r.value(), alt.r.value()
-    # both r values go into the footer and the payload as decimal text
-    limit = sys.get_int_max_str_digits()
     if limit and max(r, alt_r) >= 10**limit:
-        raise ReportError(
-            f"2N={two_n}: r = l.c.m.(aᵢ) has more than {limit} digits, "
-            "past what Python converts to text"
-        )
+        raise _long_r(two_n, limit)
 
     if descent_only:
         _, trace = canonical_couple(two_n, conv)

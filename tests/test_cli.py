@@ -20,6 +20,7 @@ from landau.goldbach import ENUMERATE_MAX_TWO_N, QUASI_MAX_TWO_N
 from landau.harness import RunSummary, Task
 from landau.primes import PrimeConvention
 from landau.reports import GHOST_TABLE_MAX_N, ZETA_TABLE_MAX_K, report_kinds, report_parameters
+from landau.zn import MULTIPLICATION_TABLE_MAX_PHI
 
 CLEAN_ENV = {
     "LANDAU_CONVENTION": None,
@@ -76,15 +77,21 @@ def _run_under_memory_limit(
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
 
-    src = str(Path(landau.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if not k.startswith("LANDAU_")}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "landau", *argv],
-        capture_output=True, text=True, env=env, preexec_fn=limit_memory, timeout=timeout,
+        capture_output=True, text=True, env=_child_env(), preexec_fn=limit_memory, timeout=timeout,
     )
     return proc, time.perf_counter() - start
+
+
+def _child_env() -> dict[str, str]:
+    """This environment without LANDAU_* settings or COLUMNS, with this
+    checkout's landau first on the path."""
+    src = str(Path(landau.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if not k.startswith("LANDAU_") and k != "COLUMNS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 class TestGrammar:
@@ -95,7 +102,7 @@ class TestGrammar:
         assert result.output.startswith("config: convention=")
 
     def test_top_level_groups(self):
-        assert set(main.commands) == {
+        assert set(cli_module.ROOT.commands) == {
             "goldbach",
             "zn",
             "ideals",
@@ -116,7 +123,7 @@ class TestGrammar:
             "triangle": {"value", "square-seq", "three", "faulhaber"},
         }
         for group, leaves in expected.items():
-            assert set(main.commands[group].commands) == leaves
+            assert set(cli_module.ROOT.commands[group].commands) == leaves
 
     def test_trace_flag_adds_descent_column(self, runner):
         bare = runner.invoke(main, ["goldbach", "canonical", "220"]).output
@@ -276,6 +283,19 @@ class TestExitCodes:
             assert proc.stdout == ""
             assert elapsed < 1.0
 
+    @pytest.mark.parametrize("n, code", [(2640, 0), (643, 2), (10**4, 2), (10**12, 2)])
+    def test_units_table_past_its_bound_is_refused_under_a_memory_limit(self, n, code):
+        # phi(2640) = 640 is the bound, phi(643) = 642 the first past it
+        proc, elapsed = _run_under_memory_limit(["--format", "csv", "zn", "table", str(n)])
+        assert proc.returncode == code, proc.stderr
+        if code:
+            assert f"needs phi(n) <= {MULTIPLICATION_TABLE_MAX_PHI}" in proc.stderr
+            assert f"for n = {n}" in proc.stderr
+            assert proc.stdout == ""
+            assert elapsed < 1.0
+        else:
+            assert proc.stdout.count("\n") > 640
+
     @pytest.mark.parametrize("two_n, code", [(4, 2), (6, 2), (8, 0)])
     def test_descent_ending_at_the_trivial_couple_is_usage_error(self, runner, two_n, code):
         # under exclude1 the descents of 4 and 6 end at (n, n), and nZ/rZ is
@@ -287,7 +307,7 @@ class TestExitCodes:
             assert f"remainder {two_n // 2} is not a unit ideal modulo {two_n}" in result.stderr
             assert result.stdout == ""
 
-    @pytest.mark.parametrize("two_n, code", [(9884, 0), (9886, 2), (10000, 2)])
+    @pytest.mark.parametrize("two_n, code", [(2, 0), (9884, 0), (9886, 2), (10000, 2)])
     def test_ideal_table_past_the_digit_limit_is_usage_error_naming_2n(
         self, runner, two_n, code
     ):
@@ -297,6 +317,15 @@ class TestExitCodes:
         if code:
             assert f"2N={two_n}" in result.stderr
             assert result.stdout == ""
+
+    @pytest.mark.parametrize("two_n", [10**6, 10**12])
+    def test_ideal_table_far_past_the_digit_limit_is_refused_at_once(self, runner, two_n):
+        start = time.perf_counter()
+        result = runner.invoke(main, ["ideals", "analyze", str(two_n)])
+        assert time.perf_counter() - start < 0.5
+        assert result.exit_code == 2
+        assert f"2N={two_n}" in result.stderr
+        assert result.stdout == ""
 
     @pytest.mark.parametrize(
         "group, to",
@@ -470,9 +499,9 @@ def _help_transcript() -> str:
     """`--help` of the root, every group and every leaf, then a few usage
     errors, each with its exit code and both streams."""
     argvs = [["--help"]]
-    for group in sorted(main.commands):
+    for group in sorted(cli_module.ROOT.commands):
         argvs.append([group, "--help"])
-        for leaf in sorted(main.commands[group].commands):
+        for leaf in sorted(cli_module.ROOT.commands[group].commands):
             argvs.append([group, leaf, "--help"])
     argvs += USAGE_ERRORS
     runner = CliRunner(env=dict(CLEAN_ENV))
@@ -486,6 +515,19 @@ def _help_transcript() -> str:
             f"--- stderr\n{result.stderr}"
         )
     return "".join(parts)
+
+
+def test_cold_start_imports_no_click_and_prints_the_root_help():
+    probe = "import sys, landau.cli; print('click' in sys.modules)"
+    imported = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=_child_env(), timeout=30)
+    assert imported.stdout == "False\n", imported.stderr
+    # stdout is a pipe, not a terminal, so help wraps at the default 78 columns
+    proc = subprocess.run([sys.executable, "-m", "landau", "--help"], capture_output=True,
+                          text=True, env=_child_env(), timeout=30)
+    assert proc.returncode == 0 and proc.stderr == ""
+    root_page = GOLDEN_HELP.read_text().split("--- stdout\n", 1)[1].split("--- stderr\n", 1)[0]
+    assert proc.stdout == root_page
 
 
 def test_help_is_unchanged():

@@ -131,6 +131,7 @@ class TestPolignacPairs:
             for pr in polignac_pairs(gap, 500, INC):
                 assert pr.p - pr.q == gap
                 assert is_prime(pr.q, INC) and is_prime(pr.p, INC)
+                assert pr == PolignacPair(pr.q, pr.p, gap, pr.block)  # passes the checks
 
     def test_complete_against_trial_division(self):
         for gap in (2, 4, 6, 8, 10, 20):

@@ -401,6 +401,16 @@ def test_block_test_is_the_most_primes_in_m_blocks(flags):
             assert max(map(operator.sub, prefix[w:], prefix)) <= most
 
 
+@pytest.mark.parametrize("set_bits", [0, 1, 2, 9, 63, 64, 65, 100, 4096])
+@pytest.mark.parametrize("width", [1, 64, 1 << 16])
+def test_set_bits_equals_bin_on_sparse_and_dense_ints(set_bits, width):
+    rng = random.Random(set_bits * width)
+    positions = rng.sample(range(width), min(set_bits, width))
+    x = sum(1 << b for b in positions)
+    expected = [i for i, bit in enumerate(reversed(bin(x)[2:])) if bit == "1"]
+    assert list(harness._set_bits(x)) == expected == sorted(positions)
+
+
 @pytest.mark.parametrize("m", [1, 31, 32, 8160, 8161, 9000])
 @pytest.mark.parametrize("density", [1, 2])
 def test_block_test_at_every_digit_width(m, density):
