@@ -18,7 +18,6 @@ from functools import partial
 from typing import Any, Callable, NoReturn, Sequence
 
 from .config import Config, ConfigError, load_config
-from .harness import Task, verify_range
 from .reports import emit_report, report_parameters
 
 
@@ -173,15 +172,16 @@ REPORT_LEAVES = [
      [_arg("m"), _arg("n")]),
 ]
 
-# (group, task, help); every verify leaf takes --from/--to/--checkpoint/--jobs
+# (group, task, help), the task named by its harness.Task value; every verify
+# leaf takes --from/--to/--checkpoint/--jobs
 VERIFY_LEAVES = [
-    ("goldbach", Task.GOLDBACH,
+    ("goldbach", "goldbach",
      "Certify a couple exists for every even number in [FROM, TO]."),
-    ("polignac", Task.PRE_POLIGNAC,
+    ("polignac", "pre-polignac",
      "Certify the gap certificate for every even number in [FROM, TO]."),
-    ("legendre", Task.LEGENDRE,
+    ("legendre", "legendre",
      "Certify a prime exists in every square interval for N in [FROM, TO]."),
-    ("parabolic", Task.PARABOLIC,
+    ("parabolic", "parabolic",
      "Certify totient and primality agree on k^2 + 1 for K in [FROM, TO]."),
 ]
 
@@ -209,7 +209,9 @@ def _emit(kind: str, cfg: Config, fmt: str, params: dict[str, Any]) -> int:
     return 0
 
 
-def _verify(task: Task, cfg: Config, fmt: str, params: dict[str, Any]) -> int:
+def _verify(task: str, cfg: Config, fmt: str, params: dict[str, Any]) -> int:
+    from . import harness  # loaded on the first verify, not at start
+
     checkpoint, jobs = params["checkpoint"], params["jobs"]
     if jobs is not None and jobs < 1:
         raise UsageError(f"Invalid value for --jobs: must be positive, got {jobs}")
@@ -221,8 +223,8 @@ def _verify(task: Task, cfg: Config, fmt: str, params: dict[str, Any]) -> int:
             else os.path.join(cfg.checkpoint_dir, checkpoint)
         )
     try:
-        summary = verify_range(
-            task,
+        summary = harness.verify_range(
+            harness.Task(task),
             params["lo"],
             params["hi"],
             cfg.convention,

@@ -7,10 +7,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cache
+from typing import TYPE_CHECKING
 
 from .primes import DEFAULT_CONVENTION, PrimeConvention, _TRIAL_PRIMES, _TRIAL_PRODUCT, is_prime
 from .zn import factorize
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "ParabolicRecord",
@@ -119,7 +123,10 @@ def three_triangular(n: int) -> list[int]:
 _MAX_POWER = 12
 
 
+@cache
 def _bernoulli_plus() -> list[Fraction]:
+    from fractions import Fraction
+
     bern = [Fraction(1)]
     for m in range(1, _MAX_POWER + 1):
         acc = Fraction(0)
@@ -130,18 +137,18 @@ def _bernoulli_plus() -> list[Fraction]:
     return bern
 
 
-_BERNOULLI = _bernoulli_plus()
-
-
 def faulhaber(m: int, n: int) -> int:
     """Sum of k^m for k = 1..n, through the exact Bernoulli expansion."""
     if not 0 <= m <= _MAX_POWER:
         raise ValueError(f"exponent must lie in [0, {_MAX_POWER}], got {m}")
     if n < 0:
         raise ValueError(f"needs n >= 0, got {n}")
+    from fractions import Fraction
+
+    bern = _bernoulli_plus()
     total = Fraction(0)
     for j in range(m + 1):
-        total += math.comb(m + 1, j) * _BERNOULLI[j] * n ** (m + 1 - j)
+        total += math.comb(m + 1, j) * bern[j] * n ** (m + 1 - j)
     total /= m + 1
     if total.denominator != 1:
         raise RuntimeError(f"power sum came out fractional: {total}")
@@ -211,9 +218,13 @@ def _parabolic_record(k: int, conv: PrimeConvention) -> ParabolicRecord:
     return ParabolicRecord(k, k * k + 1, is_prime(k * k + 1, conv), totient_is_k_squared(k))
 
 
-# strict lower bound of pi^2/6 by a partial sum; far above any value the
-# parabolic series can reach (1 + sum over even k of 1/k^2 < 1.42)
-_ZETA2_FLOOR = sum((Fraction(1, j * j) for j in range(1, 33)), Fraction(0))
+@cache
+def _zeta2_floor() -> Fraction:
+    """A strict lower bound of pi^2/6 by a partial sum; far above any value
+    the parabolic series can reach (1 + sum over even k of 1/k^2 < 1.42)."""
+    from fractions import Fraction
+
+    return sum((Fraction(1, j * j) for j in range(1, 33)), Fraction(0))
 
 
 def zeta_partial(k_max: int) -> tuple[Fraction, float]:
@@ -223,6 +234,8 @@ def zeta_partial(k_max: int) -> tuple[Fraction, float]:
     of pi^2/6 and, from k_max = 2 on, strictly above 1."""
     if k_max < 1:
         raise ValueError(f"needs k_max >= 1, got {k_max}")
+    from fractions import Fraction
+
     total = Fraction(0)
     for k in range(1, k_max + 1):
         if is_prime(k * k + 1, PrimeConvention.EXCLUDE1):
@@ -233,7 +246,7 @@ def zeta_partial(k_max: int) -> tuple[Fraction, float]:
 
 def _check_zeta_bounds(total: Fraction, k_max: int) -> None:
     """Raise unless the parabolic sum up to k_max keeps zeta_partial's bounds."""
-    if total >= _ZETA2_FLOOR:
+    if total >= _zeta2_floor():
         raise RuntimeError(f"series estimate {total} escaped its ceiling")
     if k_max >= 2 and total <= 1:
         raise RuntimeError(f"series estimate {total} fell under 1")

@@ -16,14 +16,15 @@ plus the chunks in flight.  Work is split into chunks whose width each task
 takes from one rule (_chunk_size: the even tasks' chunks wide enough to
 amortize the sieve and pool trip each pays whatever its width, every chunk
 small enough for a 4 MB peak), made as the stream of results asks for them,
-whose results come back in ascending order (a worker pool's ordered imap, or
-a plain map with one worker) and are folded into records in that order,
-which keeps the checkpoint content independent of the worker count.  A chunk
-is a pure function of its task, convention and span: it sieves only the
-window it reads, its span plus a reach that grows only when a search runs
-off it, so a run holds no list that grows with the range: memory is
-O(chunk + reach + pi(B)) at any height, B the cap on the base primes, and a
-range that would read past 2**64 is refused at once.
+whose results come back in ascending order (a forked worker pool's ordered
+imap, or a plain map with one worker, which never imports multiprocessing)
+and are folded into records in that order, which keeps the checkpoint
+content independent of the worker count.  A chunk is a pure function of its
+task, convention and span: it sieves only the window it reads, its span plus
+a reach that grows only when a search runs off it, so a run holds no list
+that grows with the range: memory is O(chunk + reach + pi(B)) at any height,
+B the cap on the base primes, and a range that would read past 2**64 is
+refused at once.
 
 The two even tasks are certified by one bitset scan rather than a loop per
 instance: the window's odd prime flags are packed into one Python int, each
@@ -47,7 +48,6 @@ import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from multiprocessing import get_context
 from typing import Any, Callable, Iterable, Iterator
 
 from .figurate import totient_is_k_squared
@@ -77,7 +77,8 @@ _EVEN_TASKS = frozenset({Task.GOLDBACH, Task.PRE_POLIGNAC})
 
 # Instances per chunk, sized to amortize what every chunk pays whatever its
 # width: an even-task chunk sieves with the base primes up to sqrt(hi) (from
-# 1.1e13 on, to 3.3e6, then tests the survivors) and makes one pool trip.
+# 1.1e13 on, only to 4 times its odd slots, then tests the survivors) and
+# makes one pool trip.
 # Legendre and parabolic chunks pay neither: their work is per instance.
 # In process with one worker, CPython 3.11 on a shared 2-core x86-64 Xeon, a
 # fresh process per cell, one warm-up run, then the median of three (the
@@ -625,6 +626,16 @@ def _locked_history(path: str | None) -> Iterator[list[Checkpoint]]:
         os.close(lock_fd)
 
 
+def _fork_pool(size: int):
+    """A pool of size forked workers, or a null context (pool None) for at
+    most one; multiprocessing is imported only when a run forks."""
+    if size <= 1:
+        return nullcontext()
+    from multiprocessing import get_context
+
+    return get_context("fork").Pool(size)
+
+
 def verify_range(
     task: Task,
     lo: int,
@@ -684,8 +695,7 @@ def verify_range(
         ts = _now()
         flushed = time.perf_counter()
         # leaving the pool's block stops any workers still busy
-        with (get_context("fork").Pool(pool_size) if pool_size > 1
-              else nullcontext()) as pool:
+        with _fork_pool(pool_size) as pool:
             results = pool.imap(_run_chunk, items) if pool else map(_run_chunk, items)
             for c_lo, c_hi, res in results:
                 stats, witness = res["stats"], res["witness"]

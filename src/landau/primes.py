@@ -10,8 +10,11 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from itertools import compress, islice
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "PrimeConvention",
@@ -166,17 +169,18 @@ def next_prime(n: int, conv: PrimeConvention = DEFAULT_CONVENTION) -> int:
 
 # --- segmented sieve ---------------------------------------------------------
 
-# _odd_flags strikes the odd multiples of the base primes up to
-# L = min(sqrt(hi), _BASE_LIMIT, r ln(r + 2)), r = _TEST_COST * count, then
-# tests the flags still set with is_prime only when L < sqrt(hi) (Bays and
-# Hudson, BIT 17 (1977) 121-127).  An is_prime call costs about _TEST_COST base
-# primes' share of the sieve (building them plus their slice pass), and r ln r
-# bounds about r base primes, as costly as testing every candidate: without
-# that width term, a 10-wide window at 10^12 would take 24 ms, not 0.01.
-# B = _BASE_LIMIT must pass the width term of a 2^16-instance chunk, 3.3e6, or
-# the heights near 10^13 that such a chunk sieves whole would test their
-# primes instead.  Milliseconds per window of 2^16 odd slots, CPython 3.11 on
-# a 2-core x86-64 Xeon, min of 3:
+# _odd_flags sieves a window whole, striking the odd multiples of the base
+# primes up to sqrt(hi), when sqrt(hi) is within both caps: _BASE_LIMIT and
+# the width term r ln(r + 2), r = _TEST_COST * count.  Otherwise it strikes
+# the base primes only up to min(r, _BASE_LIMIT) and tests the flags still
+# set with is_prime (Bays and Hudson, BIT 17 (1977) 121-127).  An is_prime
+# call costs about _TEST_COST base primes' share of the sieve (building them
+# plus their slice pass), and r ln r bounds about r base primes, as costly as
+# testing every candidate: without that width term, a 10-wide window at 10^12
+# would take 24 ms, not 0.01.  B = _BASE_LIMIT must pass the width term of a
+# 2^16-instance chunk, 3.3e6, or the heights near 10^13 that such a chunk
+# sieves whole would test their primes instead.  Milliseconds per window of
+# 2^16 odd slots, CPython 3.11 on a 2-core x86-64 Xeon, min of 3:
 #
 #   height             10^12   10^13   3*10^13   10^14   10^15   10^18
 #   every one tested     283     564       429     537     635     689
@@ -186,6 +190,27 @@ def next_prime(n: int, conv: PrimeConvention = DEFAULT_CONVENTION) -> int:
 #
 # The table to 2^22 holds 295,947 primes, 11.5 MB traced, built in 80-100 ms;
 # it grows only as far as a window needs, to 2^11 for a run to 4*10^6.
+#
+# When the survivors are tested anyway, a struck prime p saves about
+# count / (p ln p) tests, so the sieve pays only up to a reach proportional
+# to count.  Time per window whose survivors are tested, by the reach L in
+# odd slots (count), against the width term that bounded it before, min of
+# 7 windows (3 for 2^16 slots), same host:
+#
+#   slots, height      L = count/4   count   4*count   16*count   64*count   width
+#   5, 10^12 (us)           3.5        3.1      3.5        5.5       12.6      4.9
+#   5, 10^18 (us)          12.9       12.9     12.3       16.8       23.1     14.6
+#   64, 10^14 (us)          145        149      146        151        199      164
+#   64, 10^18 (us)          114        111      118        104        171      121
+#   512, 10^12 (us)        1330       1268     1184       1307       1664     1298
+#   512, 10^18 (us)        2528       2433     2327       2592       2897     2411
+#   4096, 10^12 (ms)        9.5        8.8      8.5        9.3       12.3     10.4
+#   4096, 10^18 (ms)       21.3       20.5     20.0       20.1       22.6     21.5
+#   2^16, 10^14 (ms)        237        232      235        239        291      282
+#   2^16, 10^18 (ms)        327        316      318        354        362      360
+#
+# So the reach is r = _TEST_COST * count itself: at most 15 % off a row's
+# best, and 3-18 % faster than the width term from 512 slots up.
 _TEST_COST = 4
 _BASE_LIMIT = 1 << 22
 
@@ -224,6 +249,8 @@ def _odd_flags(lo: int, hi: int, conv: PrimeConvention) -> tuple[int, bytearray]
     root = math.isqrt(hi)
     r = _TEST_COST * count
     limit = min(root, _BASE_LIMIT, int(r * math.log(r + 2)))
+    if limit < root:  # is_prime tests what the sieve leaves: strike only to r
+        limit = min(limit, r)
     for p in islice(_ensure_base_primes(limit), 1, None):
         if p > limit:
             break
@@ -289,6 +316,8 @@ class TwinStats:
 def twin_stats(n_max: int, conv: PrimeConvention = DEFAULT_CONVENTION) -> TwinStats:
     if n_max < 2:
         raise ValueError(f"twin_stats needs n_max >= 2, got {n_max}")
+    from fractions import Fraction
+
     from .gaps import polignac_pairs  # gaps builds on this module
 
     pairs = tuple((c.q, c.p) for c in polignac_pairs(2, n_max - 2, conv)) if n_max > 2 else ()

@@ -27,37 +27,20 @@ import io
 import json
 import sys
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import cached_property
 from math import log10
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from .config import Config
-from .figurate import (
-    _check_zeta_bounds,
-    _parabolic_record,
-    faulhaber,
-    parabolic_primes,
-    square_triangular,
-    three_triangular,
-    triangle_index,
-    triangle_number,
-)
-from .gaps import legendre_primes, polignac_dyadic_search, polignac_pairs
-from .goldbach import CoupleKind, _classify, _couple_pairs, canonical_couple
-from .goldbach import enumerate_couples, quasi_couples
-from .ideals import (
-    PrincipalIdeal,
-    bezout,
-    goldbach_ideal_analysis,
-    jacobson_radical_zn,
-    radical,
-)
 from .primes import DEFAULT_CONVENTION, PrimeConvention, primes_in_range
-from .zn import Factorization, crt_decompose, factorize, multiplication_table, units_profile
 
+# each emitter imports the library functions it calls, so a library module
+# runs only when a report first needs it
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .harness import RunSummary
+    from .zn import Factorization
 
 __all__ = [
     "DESCENT_TARGETS",
@@ -238,6 +221,8 @@ def _chain_text(two_n: int, steps) -> str:
 def _emit_descent_table(
     conv: PrimeConvention, /, *, targets: tuple[int, ...] = DESCENT_TARGETS
 ) -> Report:
+    from .goldbach import canonical_couple
+
     descents = [(two_n, *canonical_couple(two_n, conv)) for two_n in targets]
     errata = _DESCENT_ERRATA if conv is PrimeConvention.INCLUDE1 else {}
 
@@ -292,6 +277,8 @@ def _emit_descent_table(
 # unit-group multiplication grids
 
 def _emit_units_grid(conv: PrimeConvention, /, *, n: int) -> Report:
+    from .zn import multiplication_table
+
     table = multiplication_table(n)
     caption = "; ".join(f"{u}⁻¹={v}" for u, v in table.inverses) + "."
     return Report(
@@ -314,6 +301,9 @@ def _emit_units_grid(conv: PrimeConvention, /, *, n: int) -> Report:
 # strong-generator overview across small even moduli
 
 def _emit_ring_table(conv: PrimeConvention, /, *, moduli: tuple[int, ...] | None = None) -> Report:
+    from .goldbach import CoupleKind, enumerate_couples, quasi_couples
+    from .zn import units_profile
+
     # 2 = 1 + 1 is a couple only when the unit counts as prime
     include1 = conv is PrimeConvention.INCLUDE1
     if moduli is None:
@@ -391,11 +381,10 @@ def _r_as_prime_powers(fact: Factorization) -> str:
     return "·".join(str(v) for v in values)
 
 
-def _ideal(two_n: int, generator: int, rem: int, maximal) -> tuple:
+def _ideal(two_n: int, generator: int, rem: int, fact: Factorization, maximal) -> tuple:
     """The ideal (2n - b)Z/rZ as (generator, remainder, factorization, the
-    indices of the maximal ideals over it), from one factorization of its
-    remainder; ``maximal`` numbers the maximal ideals pZ/rZ of Z_r by p."""
-    fact = factorize(rem)
+    indices of the maximal ideals over it), given fact, the factorization of
+    its remainder; ``maximal`` numbers the maximal ideals pZ/rZ of Z_r by p."""
     missing = [p for p in fact.primes() if p not in maximal]
     if missing:
         raise ReportError(
@@ -453,6 +442,10 @@ def _long_r(two_n: int, limit: int) -> ReportError:
 def _emit_ideal_table(
     conv: PrimeConvention, /, *, two_n: int, include_top: bool = False, descent_only: bool = False
 ) -> Report:
+    from .goldbach import canonical_couple
+    from .ideals import goldbach_ideal_analysis
+    from .zn import factorize
+
     # both r values go into the footer and the payload as decimal text; a 2N
     # whose r is sure to be too long for that is refused before the analysis
     # and r, which grow with 2N, are built (an odd 2N is the analysis' to refuse)
@@ -472,7 +465,7 @@ def _emit_ideal_table(
     else:
         items = zip(rep.generators, rep.remainders)
     maximal = {p: i for i, p in enumerate(rep.primes_of_r, start=1)}
-    ideals = [_ideal(two_n, generator, rem, maximal) for generator, rem in items]
+    ideals = [_ideal(two_n, generator, rem, factorize(rem), maximal) for generator, rem in items]
 
     alt_text = f"{_r_as_prime_powers(alt.r)} = {alt_r}."
     if include_top:
@@ -523,6 +516,8 @@ def _emit_ideal_table(
 def _emit_polignac_table(
     conv: PrimeConvention, /, *, gaps: tuple[int, ...] = POLIGNAC_GAPS, m_max: int = 4
 ) -> Report:
+    from .gaps import polignac_dyadic_search
+
     if m_max < 1:
         raise ReportError(f"m_max: needs at least 1, got {m_max}")
     columns = []
@@ -582,6 +577,8 @@ def _emit_polignac_table(
 
 
 def _emit_polignac_pairs(conv: PrimeConvention, /, *, two_n: int, q_max: int) -> Report:
+    from .gaps import polignac_pairs
+
     pairs = polignac_pairs(two_n, q_max, conv)
     return Report(
         title=f"{two_n}-de Polignac couples with q ≤ {q_max}",
@@ -606,6 +603,8 @@ def _emit_polignac_pairs(conv: PrimeConvention, /, *, two_n: int, q_max: int) ->
 def _emit_legendre_table(
     conv: PrimeConvention, /, *, ns: tuple[int, ...] = tuple(range(1, 11))
 ) -> Report:
+    from .gaps import legendre_primes
+
     intervals = [(n, legendre_primes(n, conv)) for n in ns]
     if conv is PrimeConvention.INCLUDE1:
         conv_note = "Here 1 counts as prime."
@@ -643,6 +642,8 @@ GHOST_TABLE_MAX_N = 10**5
 
 
 def _emit_ghost_table(conv: PrimeConvention, /, *, n_max: int = 60) -> Report:
+    from .figurate import _parabolic_record
+
     if not 1 <= n_max <= GHOST_TABLE_MAX_N:
         raise ReportError(f"n_max: needs 1 <= n_max <= {GHOST_TABLE_MAX_N}, got {n_max}")
     limit = min(n_max, 40)
@@ -720,6 +721,10 @@ ZETA_TABLE_MAX_K = 31_199
 
 
 def _emit_zeta_table(conv: PrimeConvention, /, *, k_max: int = 10) -> Report:
+    from fractions import Fraction
+
+    from .figurate import _check_zeta_bounds, parabolic_primes
+
     if k_max > ZETA_TABLE_MAX_K:
         raise ReportError(f"k_max: needs k_max <= {ZETA_TABLE_MAX_K}, got {k_max}")
     terms = []  # (k, p, 1/(p-1), partial sum), the fractions as text
@@ -755,6 +760,8 @@ def _emit_zeta_table(conv: PrimeConvention, /, *, k_max: int = 10) -> Report:
 # single-shot renderings used by the command line
 
 def _emit_couple(conv: PrimeConvention, /, *, two_n: int, trace: bool = False) -> Report:
+    from .goldbach import canonical_couple
+
     couple, descent = canonical_couple(two_n, conv)
     return Report(
         title=f"Canonical Goldbach couple for {two_n}",
@@ -780,6 +787,8 @@ def _emit_couple(conv: PrimeConvention, /, *, two_n: int, trace: bool = False) -
 
 
 def _emit_couples(conv: PrimeConvention, /, *, two_n: int) -> Report:
+    from .goldbach import _classify, _couple_pairs
+
     # (p, q, kind, canonical): the descent stops at the largest candidate whose
     # remainder is prime, so the first couple is the canonical one
     pairs = _couple_pairs(two_n, conv)
@@ -800,6 +809,8 @@ def _emit_couples(conv: PrimeConvention, /, *, two_n: int) -> Report:
 
 
 def _emit_quasi_couples(conv: PrimeConvention, /, *, two_n: int) -> Report:
+    from .goldbach import quasi_couples
+
     quasi = quasi_couples(two_n, conv)
     return Report(
         title=f"Quasi-Goldbach couples for {two_n}",
@@ -818,6 +829,8 @@ def _emit_quasi_couples(conv: PrimeConvention, /, *, two_n: int) -> Report:
 
 
 def _emit_units_profile(conv: PrimeConvention, /, *, n: int) -> Report:
+    from .zn import units_profile
+
     profile = units_profile(n, conv)
     return Report(
         title=f"Unit group of {_zn(n)}",
@@ -844,6 +857,8 @@ def _emit_units_profile(conv: PrimeConvention, /, *, n: int) -> Report:
 
 
 def _emit_strong_generators(conv: PrimeConvention, /, *, n: int) -> Report:
+    from .zn import units_profile
+
     profile = units_profile(n, conv)
     return Report(
         title=f"Strong generators in {_zn(n)}",
@@ -860,6 +875,8 @@ def _emit_strong_generators(conv: PrimeConvention, /, *, n: int) -> Report:
 
 
 def _emit_crt(conv: PrimeConvention, /, *, a: int, n: int) -> Report:
+    from .zn import crt_decompose, factorize
+
     components = crt_decompose(a, n)
     fact = factorize(n)
     iso = " × ".join(_zn(p**e) for p, e in fact.factors)
@@ -880,6 +897,8 @@ def _emit_crt(conv: PrimeConvention, /, *, a: int, n: int) -> Report:
 
 
 def _emit_radical(conv: PrimeConvention, /, *, m: int) -> Report:
+    from .ideals import PrincipalIdeal, radical
+
     if m < 1:
         raise ReportError(f"m: needs a positive integer, got {m}")
     ideal = PrincipalIdeal.of_int(m)
@@ -906,6 +925,8 @@ def _emit_radical(conv: PrimeConvention, /, *, m: int) -> Report:
 
 
 def _emit_jacobson(conv: PrimeConvention, /, *, n: int) -> Report:
+    from .ideals import jacobson_radical_zn
+
     ideal = jacobson_radical_zn(n)
     gen = ideal.generator.value()
     return Report(
@@ -924,6 +945,8 @@ def _emit_jacobson(conv: PrimeConvention, /, *, n: int) -> Report:
 
 
 def _emit_bezout(conv: PrimeConvention, /, *, a: int, b: int) -> Report:
+    from .ideals import bezout
+
     g, x, y = bezout(a, b)
     identity = f"{a}·({x}) + {b}·({y}) = {g}"
     return Report(
@@ -936,6 +959,8 @@ def _emit_bezout(conv: PrimeConvention, /, *, a: int, b: int) -> Report:
 
 
 def _emit_triangle(conv: PrimeConvention, /, *, n: int) -> Report:
+    from .figurate import triangle_number
+
     value = triangle_number(n)
     return Report(
         title=f"Triangular number T({n})",
@@ -947,6 +972,8 @@ def _emit_triangle(conv: PrimeConvention, /, *, n: int) -> Report:
 
 
 def _emit_square_triangular(conv: PrimeConvention, /, *, k_max: int) -> Report:
+    from .figurate import square_triangular
+
     last = square_triangular(k_max)  # refuses k_max = 0 too, not an empty table
     values = [square_triangular(k) for k in range(1, k_max)] + [last]
     return Report(
@@ -959,6 +986,8 @@ def _emit_square_triangular(conv: PrimeConvention, /, *, k_max: int) -> Report:
 
 
 def _emit_three_triangular(conv: PrimeConvention, /, *, n: int) -> Report:
+    from .figurate import three_triangular, triangle_index
+
     parts = three_triangular(n)
     indices = [triangle_index(p) for p in parts]
     return Report(
@@ -971,6 +1000,8 @@ def _emit_three_triangular(conv: PrimeConvention, /, *, n: int) -> Report:
 
 
 def _emit_faulhaber(conv: PrimeConvention, /, *, m: int, n: int) -> Report:
+    from .figurate import faulhaber
+
     value = faulhaber(m, n)
     return Report(
         title=f"Power sum Σ k^{m} for k = 1..{n}",

@@ -34,6 +34,7 @@ __all__ = [
     "multiplication_table",
     "crt_decompose",
     "MULTIPLICATION_TABLE_MAX_PHI",
+    "UNITS_PROFILE_MAX_N",
 ]
 
 # factorize divides by the primes up to here, read off the sieve's capped base
@@ -217,9 +218,22 @@ def units(n: int) -> tuple[int, ...]:
     return tuple(compress(range(n), mask))
 
 
+# Bound on n from the 64 MiB budget per call that bounds the couple lists in
+# goldbach.py: the profile holds every unit, phi(n) of them, plus a prime flag
+# per value below n, and its report about 121 bytes a unit at worst, when n is
+# prime.  Tracemalloc peaks of the report (CPython 3.11, x86-64) at n =
+# 499,979: 52.7 MiB for md, 53.4 for csv and 60.7 for json; n = 524,999 takes
+# json to 64.1 MiB.  The strong-generator report of the same n peaks lower.
+UNITS_PROFILE_MAX_N = 5 * 10**5
+
+
 def units_profile(n: int, conv: PrimeConvention = DEFAULT_CONVENTION) -> UnitsProfile:
     if n < 2:
         raise ValueError(f"units_profile needs n >= 2, got {n}")
+    if n > UNITS_PROFILE_MAX_N:
+        raise ValueError(
+            f"units_profile needs n <= {UNITS_PROFILE_MAX_N} for its list of units, got n = {n}"
+        )
     unit_list = units(n)
     phi = totient(n)
     lam = carmichael(n)

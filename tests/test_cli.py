@@ -20,7 +20,7 @@ from landau.goldbach import ENUMERATE_MAX_TWO_N, QUASI_MAX_TWO_N
 from landau.harness import RunSummary, Task
 from landau.primes import PrimeConvention
 from landau.reports import GHOST_TABLE_MAX_N, ZETA_TABLE_MAX_K, report_kinds, report_parameters
-from landau.zn import MULTIPLICATION_TABLE_MAX_PHI
+from landau.zn import MULTIPLICATION_TABLE_MAX_PHI, UNITS_PROFILE_MAX_N
 
 CLEAN_ENV = {
     "LANDAU_CONVENTION": None,
@@ -178,7 +178,7 @@ class TestExitCodes:
             complete=False,
             elapsed=0.01,
         )
-        monkeypatch.setattr(cli_module, "verify_range", lambda *a, **k: fake)
+        monkeypatch.setattr(landau.harness, "verify_range", lambda *a, **k: fake)
         result = runner.invoke(main, ["goldbach", "verify", "--from", "2", "--to", "100"])
         assert result.exit_code == 1
         payload = json.loads(result.stderr.strip())
@@ -295,6 +295,20 @@ class TestExitCodes:
             assert elapsed < 1.0
         else:
             assert proc.stdout.count("\n") > 640
+
+    @pytest.mark.parametrize("leaf", ["profile", "strong"])
+    @pytest.mark.parametrize("n, code", [(499_979, 0), (500_001, 2), (10**8, 2), (10**12, 2)])
+    def test_units_profile_past_its_bound_is_refused_under_a_memory_limit(self, leaf, n, code):
+        # 499,979 is the largest prime within the bound, where every value below n is a unit
+        proc, elapsed = _run_under_memory_limit(["--format", "csv", "zn", leaf, str(n)])
+        assert proc.returncode == code, proc.stderr
+        if code:
+            assert f"needs n <= {UNITS_PROFILE_MAX_N}" in proc.stderr
+            assert f"got n = {n}" in proc.stderr
+            assert proc.stdout == ""
+            assert elapsed < 1.0
+        else:
+            assert proc.stderr == "" and str(n) in proc.stdout
 
     @pytest.mark.parametrize("two_n, code", [(4, 2), (6, 2), (8, 0)])
     def test_descent_ending_at_the_trivial_couple_is_usage_error(self, runner, two_n, code):

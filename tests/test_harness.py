@@ -5,6 +5,7 @@ import fcntl
 import functools
 import itertools
 import json
+import multiprocessing
 import operator
 import os
 import random
@@ -596,7 +597,7 @@ class _FakeContext:
 def test_pool_is_bounded_by_cores_and_chunks(monkeypatch, workers, cores, size):
     _fixed_chunks(monkeypatch, 64)
     fake = _FakeContext()
-    monkeypatch.setattr(harness, "get_context", lambda method: fake)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: fake)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cores)
     s = verify_range(Task.LEGENDRE, 1, 640, INC, worker_count=workers)
     assert s.verified == 640

@@ -192,12 +192,12 @@ class TestPrimesInRange:
 
     # sqrt(hi) below the cap on the base primes (up to 10^13) and above it,
     # where what survives the capped sieve is tested
-    @pytest.mark.parametrize("width", [1000, 1 << 17], ids=["narrow", "wide"])
+    @pytest.mark.parametrize("width", [10, 1000, 1 << 17], ids=["tiny", "narrow", "wide"])
     @pytest.mark.parametrize(
-        "hi", [10**9, 10**12, 10**13, 3 * 10**13, 10**15, 10**18, 2**64 - 2**13]
+        "hi", [10**3, 10**6, 10**9, 10**12, 10**13, 3 * 10**13, 10**15, 10**18, 2**64 - 2**13]
     )
     def test_windows_match_is_prime_on_both_sides_of_the_cap(self, hi, width):
-        lo = hi - width
+        lo = max(hi - width, 0)
         got = primes_in_range(lo, hi, EXC)
         assert got == [k for k in range(lo, hi + 1) if is_prime(k, EXC)]
 
@@ -207,8 +207,12 @@ class TestPrimesInRange:
         monkeypatch.setattr(primes, "_base_limit", 36)
         _odd_flags(3, 4 * 10**6, EXC)  # a sweep to 4e6 needs the primes to 2,000
         assert primes._base_limit < 1 << 12
-        # 2^17 odd slots: the window's width term, about 6.9e6, passes the cap
+        # 2^17 odd slots at 10^18: their width term, about 6.9e6, passes the
+        # cap, but is_prime tests what the sieve leaves, so it strikes to r only
         _odd_flags(10**18, 10**18 + (1 << 18), EXC)
+        assert primes._base_limit == primes._TEST_COST * (1 << 17)
+        # the same width below 2^44, whose square root is the cap: sieved whole
+        _odd_flags(2**44 - (1 << 18), 2**44, EXC)
         assert primes._base_primes[-1] <= primes._BASE_LIMIT == primes._base_limit
 
     def test_window_past_64_bits_is_refused_before_it_allocates(self):

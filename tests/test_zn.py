@@ -20,6 +20,7 @@ from landau.zn import (
     unit_inverse,
     multiplication_table,
     crt_decompose,
+    UNITS_PROFILE_MAX_N,
 )
 from oracles import brute_carmichael, brute_totient, crt_reconstruct, naive_factorize
 
@@ -278,8 +279,10 @@ class TestUnitsProfile:
         rng = random.Random(13)
         for n in rng.sample(range(4001, 10**4 + 1), 300):
             assert len(units_profile(n).units) == phi[n], n
-        # 2 * 3 * 166667, above the factorize trial-division limit
-        assert len(units_profile(1_000_002).units) == 333_332
+        # 2 * 3 * 83311, above the factorize trial-division limit
+        assert len(units_profile(499_866).units) == 166_620
+        with pytest.raises(ValueError, match=f"n <= {UNITS_PROFILE_MAX_N} .* got n = 1000002"):
+            units_profile(1_000_002)
 
     def test_euler_theorem(self):
         # every unit raised to phi(n) is 1, for all n up to 2000
