@@ -482,11 +482,5 @@ def main(
     sys.exit(code)
 
 
-# click.testing.CliRunner takes a command object: it calls cli.main(...) and
-# names the program after cli.name
-main.main = main  # type: ignore[attr-defined]
-main.name = "landau"  # type: ignore[attr-defined]
-
-
 if __name__ == "__main__":
     main(prog_name="landau")

@@ -16,22 +16,6 @@ from .zn import factorize
 if TYPE_CHECKING:
     from fractions import Fraction
 
-__all__ = [
-    "ParabolicRecord",
-    "DecompositionCounterexample",
-    "SQUARE_TRIANGULAR_MAX_K",
-    "THREE_TRIANGULAR_MAX_N",
-    "triangle_number",
-    "is_triangular",
-    "triangle_index",
-    "square_triangular",
-    "three_triangular",
-    "faulhaber",
-    "totient_is_k_squared",
-    "parabolic_primes",
-    "zeta_partial",
-]
-
 
 def triangle_number(n: int) -> int:
     if n < 0:

@@ -17,19 +17,6 @@ from itertools import compress
 from .primes import DEFAULT_CONVENTION, PrimeConvention, _odd_flags, is_prime, prev_prime
 from .zn import Factorization, factorize
 
-__all__ = [
-    "CoupleKind",
-    "GoldbachCouple",
-    "DescentStep",
-    "DescentTrace",
-    "GoldbachCounterexample",
-    "canonical_couple",
-    "enumerate_couples",
-    "quasi_couples",
-    "ENUMERATE_MAX_TWO_N",
-    "QUASI_MAX_TWO_N",
-]
-
 
 class CoupleKind(Enum):
     TRIVIAL = "trivial"  # (n, n) with n prime
@@ -54,14 +41,6 @@ class GoldbachCouple:
             raise ValueError(f"({self.p}, {self.q}) cannot be a top couple")
         if self.kind is CoupleKind.TRIVIAL and self.p != self.q:
             raise ValueError(f"({self.p}, {self.q}) cannot be a middle couple")
-
-    @classmethod
-    def _of_pair(cls, p: int, q: int, two_n: int, canonical: bool) -> "GoldbachCouple":
-        """Build a couple that a prime scan already found, without checking
-        it again."""
-        out = object.__new__(cls)
-        out.__dict__.update(p=p, q=q, two_n=two_n, kind=_classify(p, q), canonical=canonical)
-        return out
 
 
 @dataclass(frozen=True)
@@ -159,26 +138,28 @@ def _both_prime(two_n: int, conv: PrimeConvention) -> bytes:
     return both.to_bytes(len(flags), "big")
 
 
-def _couple_pairs(two_n: int, conv: PrimeConvention) -> list[tuple[int, int]]:
-    """Every couple (p, 2n - p) of 2n as a pair, ascending by p."""
+def _couple_pairs(
+    two_n: int, conv: PrimeConvention
+) -> list[tuple[int, int, CoupleKind, bool]]:
+    """Every couple (p, 2n - p) of 2n as (p, q, kind, canonical), ascending
+    by p."""
     _check_bound(two_n, ENUMERATE_MAX_TWO_N, "enumerate_couples")
     _validate_even(two_n, conv)
-    n = two_n // 2
-    pairs = [(p, two_n - p) for p in compress(range(1, n + 1, 2), _both_prime(two_n, conv))]
+    smaller = list(compress(range(1, two_n // 2 + 1, 2), _both_prime(two_n, conv)))
     if two_n == 4:  # the one couple with an even member
-        pairs.append((2, 2))
-    return pairs
+        smaller.append(2)
+    # the descent stops at the largest candidate whose remainder is prime, so
+    # the canonical couple is the one with the smallest smaller member
+    return [(p, two_n - p, _classify(p, two_n - p), i == 0) for i, p in enumerate(smaller)]
 
 
 def enumerate_couples(
     two_n: int, conv: PrimeConvention = DEFAULT_CONVENTION
 ) -> list[GoldbachCouple]:
     """All couples for 2n, ascending by smaller member, canonical one marked."""
-    # the descent stops at the largest candidate whose remainder is prime, so
-    # the canonical couple is the one with the smallest smaller member
     return [
-        GoldbachCouple._of_pair(p, q, two_n, i == 0)
-        for i, (p, q) in enumerate(_couple_pairs(two_n, conv))
+        GoldbachCouple(p, q, two_n, kind, canonical)
+        for p, q, kind, canonical in _couple_pairs(two_n, conv)
     ]
 
 

@@ -331,10 +331,9 @@ def _merge_stats(task: Task, acc: dict[str, int], new: dict[str, int]) -> None:
 # product's bytes tells whether any digit reaches a given count.
 
 _REACH = 1 << 10
+_LAST = (1 << 64) - 1  # the last value is_prime decides
 _BITS = bytes.maketrans(b"\0\1", b"01")
 _POPCOUNT = bytes(b.bit_count() for b in range(256))
-_NONZERO = b"\0" + b"\1" * 255
-_BIT_POSITIONS = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
 
 
 def _as_int(flags: bytearray) -> int:
@@ -347,29 +346,14 @@ def _lowest(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
-# Up to this many set bits, peeling off the top bit beats reading all of x
-# byte by byte: on 2^16-bit ints, 1.2 against 7.1 us at 1 bit, 11 against 28
-# at 16, about even from 100 (CPython 3.11, x86-64); near 60 on 2^18 bits.
-_SPARSE_BITS = 64
-
-
-def _set_bits(x: int) -> Iterator[int]:
-    """Positions of the set bits of x >= 0, ascending."""
-    if x.bit_count() <= _SPARSE_BITS:
-        top = []
-        while x:
-            b = x.bit_length() - 1
-            top.append(b)
-            x ^= 1 << b
-        yield from reversed(top)
-        return
-    data = x.to_bytes((x.bit_length() + 7) // 8, "little")
-    marks = data.translate(_NONZERO)
-    j = marks.find(1)
-    while j >= 0:
-        for b in _BIT_POSITIONS[data[j]]:
-            yield 8 * j + b
-        j = marks.find(1, j + 1)
+def _set_bits(x: int) -> list[int]:
+    """Positions of the set bits of x >= 0, ascending, peeled off the top."""
+    top = []
+    while x:
+        b = x.bit_length() - 1
+        top.append(b)
+        x ^= 1 << b
+    return top[::-1]
 
 
 def _ascending_primes(limit: int, conv: PrimeConvention) -> Iterator[int]:
@@ -506,20 +490,31 @@ def _check_pre_polignac(conv: PrimeConvention, lo: int, hi: int) -> dict[str, An
     while True:
         first, flags = _odd_flags(lo, hi + reach, conv)  # the partners 2n + q
         P = _as_int(flags)
+        # a window that ends at 2**64 - 1 can grow no further, so every
+        # instance tries each q whose partner the window holds
+        last = hi + reach == _LAST
 
         def shifted(q: int) -> int:
             # an even gap plus 2 is even, never a prime partner
             return 0 if q == 2 else P >> (lo + q - first) // 2
 
-        levels, failed = _scan(count, _ascending_primes(min(reach, hi), conv), shifted)
+        qs = _ascending_primes(min(_LAST - lo if last else reach, hi), conv)
+        levels, failed = _scan(count, qs, shifted)
         # the certificate needs q < gap: a gap first met by some q >= gap has
         # no witness below it, like one that no q met
         for q, hit in levels:
             if q >= lo:
                 failed |= hit & ((2 << (q - lo) // 2) - 1)
         n_ok = _lowest(failed) if failed else count
-        if n_ok < count and reach < lo + 2 * n_ok:
-            reach *= 4  # a witness may lie above the reach: widen it
+        bad = lo + 2 * n_ok
+        if n_ok < count and (_LAST - bad if last else reach) < bad:
+            # the search stopped at the window's end, below the gap
+            if last:
+                raise ValueError(
+                    f"{Task.PRE_POLIGNAC.value} instance {bad} has no witness whose partner "
+                    "is below 2**64: its search runs beyond the supported 64-bit range "
+                    "(below 2**64)")
+            reach = min(4 * reach, _LAST - hi)  # a witness may lie above the reach
             continue
         prefix = (1 << n_ok) - 1
         stats = {"instances": n_ok, "max_witness": 0, "max_witness_at": 0}
@@ -531,7 +526,7 @@ def _check_pre_polignac(conv: PrimeConvention, lo: int, hi: int) -> dict[str, An
                 break
         witness = None
         if n_ok < count:
-            witness = {"instance": lo + 2 * n_ok, "reason": "no prime witness below the gap"}
+            witness = {"instance": bad, "reason": "no prime witness below the gap"}
         return {"stats": stats, "witness": witness}
 
 

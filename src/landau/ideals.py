@@ -9,18 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 from .primes import DEFAULT_CONVENTION, PrimeConvention, prime_flags, primes_in_range
 from .zn import Factorization, factorize, units
-
-__all__ = [
-    "PrincipalIdeal",
-    "GoldbachIdealReport",
-    "radical",
-    "jacobson_radical_zn",
-    "bezout",
-    "goldbach_ideal_analysis",
-]
 
 
 @dataclass(frozen=True)
@@ -76,6 +68,20 @@ def bezout(a: int, b: int) -> tuple[int, int, int]:
     return d, (-x if a < 0 else x), (-y if b < 0 else y)
 
 
+def _r_prime_powers(two_n: int, top: int, cap: int | None = None) -> Iterator[tuple[int, int]]:
+    """(p, e) for each prime p not dividing 2n, up to top (and cap, when
+    given), with p^e the largest power of p at or below top: the prime powers
+    of the lcm of the units of Z_2n up to top."""
+    # 2 always divides 2n, so the range may start at 2 even when top < 2
+    for p in primes_in_range(2, max(top if cap is None else min(top, cap), 2)):
+        if two_n % p:
+            power, e = p, 1
+            while power * p <= top:
+                power *= p
+                e += 1
+            yield p, e
+
+
 @dataclass(frozen=True)
 class GoldbachIdealReport:
     """Ring-theoretic picture of one even number 2n: the working modulus r,
@@ -98,17 +104,8 @@ class GoldbachIdealReport:
         top unit 2n-1 when include_top is set: each prime p not dividing 2n
         to its largest power at or below that top."""
         top = self.two_n - 1 if self.include_top else self.two_n - 2
-        factors = []
-        # 2 always divides 2n, so the range may start at 2 even when top < 2
-        for p in primes_in_range(2, max(top, 2)):
-            if self.two_n % p:
-                power, e = p, 1
-                while power * p <= top:
-                    power *= p
-                    e += 1
-                factors.append((p, e))
-        # primes_in_range yields primes, so they are not tested again
-        return Factorization._of_primes(tuple(factors))
+        # the factors are primes from the sieve, so they are not tested again
+        return Factorization._of_primes(tuple(_r_prime_powers(self.two_n, top)))
 
     @cached_property
     def primes_of_r(self) -> tuple[int, ...]:

@@ -16,18 +16,6 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from fractions import Fraction
 
-__all__ = [
-    "PrimeConvention",
-    "DEFAULT_CONVENTION",
-    "TwinStats",
-    "is_prime",
-    "prev_prime",
-    "next_prime",
-    "primes_in_range",
-    "prime_flags",
-    "twin_stats",
-]
-
 
 class PrimeConvention(Enum):
     """Whether the number 1 counts as prime.

@@ -39,22 +39,9 @@ from .primes import DEFAULT_CONVENTION, PrimeConvention, primes_in_range
 if TYPE_CHECKING:
     from fractions import Fraction
 
+    from .goldbach import CoupleKind
     from .harness import RunSummary
     from .zn import Factorization
-
-__all__ = [
-    "DESCENT_TARGETS",
-    "GHOST_TABLE_MAX_N",
-    "POLIGNAC_GAPS",
-    "Report",
-    "ReportError",
-    "RING_MODULI",
-    "build_report",
-    "emit_report",
-    "report_kinds",
-    "report_parameters",
-    "ZETA_TABLE_MAX_K",
-]
 
 
 class ReportError(ValueError):
@@ -163,8 +150,8 @@ def _steps_entry(steps) -> list[dict[str, Any]]:
     ]
 
 
-def _couple_entry(p: int, q: int, kind: str, canonical: bool) -> dict[str, Any]:
-    return {"pair": [p, q], "kind": kind, "canonical": canonical}
+def _couple_entry(p: int, q: int, kind: CoupleKind, canonical: bool) -> dict[str, Any]:
+    return {"pair": [p, q], "kind": kind.value, "canonical": canonical}
 
 
 # --------------------------------------------------------------------------
@@ -314,7 +301,7 @@ def _emit_ring_table(conv: PrimeConvention, /, *, moduli: tuple[int, ...] | None
     for two_n in moduli:
         profile = units_profile(two_n, conv)
         couples = [
-            (c.p, c.q, c.kind.value, c.canonical)
+            (c.p, c.q, c.kind, c.canonical)
             for c in enumerate_couples(two_n, conv)
             if c.kind is not CoupleKind.TRIVIAL or two_n == 2
         ]
@@ -416,22 +403,6 @@ def _ideal_entry(index: int, generator: int, rem: int, fact, indices) -> dict[st
     }
 
 
-def _log10_r_from_small_primes(two_n: int) -> float:
-    """log10 of the part of the wider r (the one with the top unit) made of
-    primes up to 2^16: a lower bound on log10 r, cheap whatever 2N is."""
-    top = two_n - 1
-    total = 0.0
-    # 2 always divides 2n, so the range may start at 2 even when top < 2
-    for p in primes_in_range(2, max(min(top, 1 << 16), 2)):
-        if two_n % p:
-            power, e = p, 1
-            while power * p <= top:
-                power *= p
-                e += 1
-            total += e * log10(p)
-    return total
-
-
 def _long_r(two_n: int, limit: int) -> ReportError:
     return ReportError(
         f"2N={two_n}: r = l.c.m.(aᵢ) has more than {limit} digits, "
@@ -443,15 +414,19 @@ def _emit_ideal_table(
     conv: PrimeConvention, /, *, two_n: int, include_top: bool = False, descent_only: bool = False
 ) -> Report:
     from .goldbach import canonical_couple
-    from .ideals import goldbach_ideal_analysis
+    from .ideals import _r_prime_powers, goldbach_ideal_analysis
     from .zn import factorize
 
     # both r values go into the footer and the payload as decimal text; a 2N
     # whose r is sure to be too long for that is refused before the analysis
-    # and r, which grow with 2N, are built (an odd 2N is the analysis' to refuse)
+    # and r, which grow with 2N, are built (an odd 2N is the analysis' to
+    # refuse): the digits of the wider r's primes up to 2^16, cheap whatever
+    # 2N is, already bound its length from below
     limit = sys.get_int_max_str_digits()
-    if limit and two_n % 2 == 0 and _log10_r_from_small_primes(two_n) > limit + 1e-6:
-        raise _long_r(two_n, limit)
+    if limit and two_n % 2 == 0:
+        digits = sum(e * log10(p) for p, e in _r_prime_powers(two_n, two_n - 1, 1 << 16))
+        if digits > limit + 1e-6:
+            raise _long_r(two_n, limit)
     rep = goldbach_ideal_analysis(two_n, conv, include_top=include_top)
     # only r depends on include_top
     alt = replace(rep, include_top=not include_top)
@@ -787,17 +762,15 @@ def _emit_couple(conv: PrimeConvention, /, *, two_n: int, trace: bool = False) -
 
 
 def _emit_couples(conv: PrimeConvention, /, *, two_n: int) -> Report:
-    from .goldbach import _classify, _couple_pairs
+    from .goldbach import _couple_pairs
 
-    # (p, q, kind, canonical): the descent stops at the largest candidate whose
-    # remainder is prime, so the first couple is the canonical one
-    pairs = _couple_pairs(two_n, conv)
-    couples = [(p, q, _classify(p, q).value, i == 0) for i, (p, q) in enumerate(pairs)]
+    couples = _couple_pairs(two_n, conv)
     return Report(
         title=f"Goldbach couples for {two_n}",
         headers=("p", "q", "kind", "canonical"),
         build_rows=lambda: tuple(
-            (str(p), str(q), kind, "★" if canonical else "") for p, q, kind, canonical in couples
+            (str(p), str(q), kind.value, "★" if canonical else "")
+            for p, q, kind, canonical in couples
         ),
         footers=(f"{len(couples)} couple(s) under {conv.value}.",),
         build_payload=lambda: {

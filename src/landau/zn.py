@@ -21,22 +21,6 @@ from .primes import (
     prime_flags,
 )
 
-__all__ = [
-    "Factorization",
-    "UnitsProfile",
-    "MultiplicationTable",
-    "factorize",
-    "totient",
-    "carmichael",
-    "units",
-    "units_profile",
-    "unit_inverse",
-    "multiplication_table",
-    "crt_decompose",
-    "MULTIPLICATION_TABLE_MAX_PHI",
-    "UNITS_PROFILE_MAX_N",
-]
-
 # factorize divides by the primes up to here, read off the sieve's capped base
 # table; a cofactor below its square is then prime, and rho splits the others
 _TRIAL_BOUND = 1 << 10

@@ -1,10 +1,12 @@
-"""The public surface carries no dead weight: every name in a landau module's
-__all__, and every public method of an exported class, is used by the package
-itself or by a script under scripts/.
+"""The public surface carries no dead weight: every public name a landau
+module defines, and every public method of every public class, is used by the
+package itself or by a script under scripts/.
 
-A use is a name or attribute in the code.  The name's own definition, the
-__all__ lists and the re-exports in landau/__init__.py do not count, so a
-symbol that only tests call fails here until it is deleted or put to use.
+A public name is one without a leading underscore that a module binds at its
+top level by def, class or assignment; what it imports does not count.  A use
+is a name or attribute in the code.  The name's own definition and the
+re-exports in landau/__init__.py do not count, so a symbol that only tests
+call fails here until it is deleted or put to use.
 """
 from __future__ import annotations
 
@@ -15,20 +17,30 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "landau"
 
 
-def _exports(tree: ast.Module) -> list[str]:
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            return [elt.value for elt in node.value.elts]
+def _names(target: ast.expr) -> list[str]:
+    """The names an assignment target binds; `f.x = ...` binds none."""
+    if isinstance(target, ast.Name):
+        return [target.id]
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [name for elt in target.elts for name in _names(elt)]
+    if isinstance(target, ast.Starred):
+        return _names(target.value)
     return []
 
 
-def _defines(node: ast.stmt, name: str) -> bool:
+def _bound(node: ast.stmt) -> list[str]:
+    """The names a top-level statement binds by def, class or assignment."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-        return node.name == name
-    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
-    return any(isinstance(t, ast.Name) and t.id == name for t in targets)
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [name for target in node.targets for name in _names(target)]
+    if isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+        return _names(node.target)
+    return []
+
+
+def _public(tree: ast.Module) -> list[str]:
+    return [name for node in tree.body for name in _bound(node) if not name.startswith("_")]
 
 
 def _uses(nodes: list[ast.stmt]) -> set[str]:
@@ -63,30 +75,34 @@ def _parse() -> tuple[dict[str, ast.Module], list[ast.stmt]]:
     return modules, scripts
 
 
-def test_every_exported_name_has_a_use_outside_the_tests():
+def test_the_scan_finds_the_public_names_of_every_kind():
+    modules, _ = _parse()
+    # a function, a class, a constant and a module-level table
+    assert {"is_prime", "PrimeConvention", "DEFAULT_CONVENTION"} <= set(_public(modules["primes"]))
+    assert {"main", "Command", "ROOT"} <= set(_public(modules["cli"]))
+    assert not any(name.startswith("_") for tree in modules.values() for name in _public(tree))
+
+
+def test_every_public_name_has_a_use_outside_the_tests():
     modules, scripts = _parse()
-    elsewhere = {
-        stem: _uses([n for other, t in modules.items() if other != stem for n in t.body])
-        | _uses(scripts)
-        for stem in modules
-    }
     unused = []
     for stem, tree in modules.items():
-        for name in _exports(tree):
-            own = _uses([n for n in tree.body if not _defines(n, name)])
-            if name not in own | elsewhere[stem]:
+        elsewhere = _uses([n for other, t in modules.items() if other != stem for n in t.body])
+        elsewhere |= _uses(scripts)
+        for name in _public(tree):
+            own = _uses([n for n in tree.body if name not in _bound(n)])
+            if name not in own | elsewhere:
                 unused.append(f"{stem}.{name}")
-    assert unused == [], f"exported but used only by tests: {unused}"
+    assert unused == [], f"public but used only by tests: {unused}"
 
 
-def test_every_public_method_of_an_exported_class_has_a_use_outside_the_tests():
+def test_every_public_method_of_a_public_class_has_a_use_outside_the_tests():
     modules, scripts = _parse()
     unused = []
     for stem, tree in modules.items():
-        exported = set(_exports(tree))
         elsewhere = _attributes([n for other, t in modules.items() if other != stem for n in t.body])
         for cls in tree.body:
-            if not isinstance(cls, ast.ClassDef) or cls.name not in exported:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
                 continue
             for method in cls.body:
                 if not isinstance(method, ast.FunctionDef) or method.name.startswith("_"):

@@ -9,32 +9,17 @@ import time
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import landau
 import landau.cli as cli_module
 from landau.cli import main
 from landau.figurate import THREE_TRIANGULAR_MAX_N
-from landau.gaps import POLIGNAC_MAX_WINDOW
+from landau.gaps import LEGENDRE_MAX_N, POLIGNAC_MAX_WINDOW
 from landau.goldbach import ENUMERATE_MAX_TWO_N, QUASI_MAX_TWO_N
 from landau.harness import RunSummary, Task
 from landau.primes import PrimeConvention
 from landau.reports import GHOST_TABLE_MAX_N, ZETA_TABLE_MAX_K, report_kinds, report_parameters
 from landau.zn import MULTIPLICATION_TABLE_MAX_PHI, UNITS_PROFILE_MAX_N
-
-CLEAN_ENV = {
-    "LANDAU_CONVENTION": None,
-    "LANDAU_WORKERS": None,
-    "LANDAU_CHECKPOINT_DIR": None,
-    "LANDAU_CONFIG": None,
-    "LANDAU_FORMAT": None,
-}
-
-
-@pytest.fixture
-def runner():
-    return CliRunner(env=dict(CLEAN_ENV))
-
 
 SMOKE = [
     ["goldbach", "canonical", "220"],
@@ -310,6 +295,19 @@ class TestExitCodes:
         else:
             assert proc.stderr == "" and str(n) in proc.stdout
 
+    @pytest.mark.parametrize("n, code", [(LEGENDRE_MAX_N, 0), (LEGENDRE_MAX_N + 1, 2),
+                                         (10**8, 2), (10**9, 2)])
+    def test_square_interval_past_its_bound_is_refused_under_a_memory_limit(self, n, code):
+        # n + 1 = 2^22, the cap on the base primes, is the last root sieved whole
+        proc, elapsed = _run_under_memory_limit(["--format", "csv", "legendre", "primes", str(n)])
+        assert proc.returncode == code, proc.stderr
+        if code:
+            assert f"legendre_primes needs n <= {LEGENDRE_MAX_N}, got n = {n}" in proc.stderr
+            assert proc.stdout == ""
+            assert elapsed < 1.0
+        else:
+            assert proc.stderr == "" and f"{n},{n * n}," in proc.stdout
+
     @pytest.mark.parametrize("two_n, code", [(4, 2), (6, 2), (8, 0)])
     def test_descent_ending_at_the_trivial_couple_is_usage_error(self, runner, two_n, code):
         # under exclude1 the descents of 4 and 6 end at (n, n), and nZ/rZ is
@@ -358,6 +356,27 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert "beyond the supported 64-bit range (below 2**64)" in result.stderr
         assert list(tmp_path.iterdir()) == []  # neither the checkpoint nor its lock
+
+    def test_pre_polignac_instance_without_a_witness_below_the_top_is_usage_error(
+        self, runner, tmp_path, monkeypatch
+    ):
+        # the least witness of x = 2^64 - 7772 is 1097; with the last value
+        # the harness may read moved down to x + 1024, x has no witness whose
+        # partner it may read
+        x = 2**64 - 7772
+        monkeypatch.setattr(landau.harness, "_LAST", x + 1024)
+        path = tmp_path / "run.jsonl"
+        argv = ["polignac", "verify", "--from", str(x - 1000), "--checkpoint", str(path),
+                "--jobs", "1", "--to"]
+        assert runner.invoke(main, [*argv, str(x - 2)]).exit_code == 0
+        result = runner.invoke(main, [*argv, str(x)])
+        assert result.exit_code == 2
+        assert result.stderr.endswith(
+            f"Error: pre-polignac instance {x} has no witness whose partner is below 2**64: "
+            "its search runs beyond the supported 64-bit range (below 2**64)\n")
+        assert "Traceback" not in result.output and result.stdout == ""
+        records = landau.harness.load_checkpoints(str(path))
+        assert [(r.lo, r.hi, r.status) for r in records] == [(x - 1000, x - 2, "verified")]
 
     def test_parabolic_verify_just_below_2_to_the_32_finishes(self, tmp_path):
         # k^2 + 1 is decided per k, so a chunk pays nothing that grows with k
@@ -509,7 +528,7 @@ USAGE_ERRORS = [
 ]
 
 
-def _help_transcript() -> str:
+def _help_transcript(runner) -> str:
     """`--help` of the root, every group and every leaf, then a few usage
     errors, each with its exit code and both streams."""
     argvs = [["--help"]]
@@ -518,7 +537,6 @@ def _help_transcript() -> str:
         for leaf in sorted(cli_module.ROOT.commands[group].commands):
             argvs.append([group, leaf, "--help"])
     argvs += USAGE_ERRORS
-    runner = CliRunner(env=dict(CLEAN_ENV))
     parts = []
     for argv in argvs:
         result = runner.invoke(main, argv, prog_name="landau", terminal_width=80)
@@ -544,7 +562,7 @@ def test_cold_start_imports_no_click_and_prints_the_root_help():
     assert proc.stdout == root_page
 
 
-def test_help_is_unchanged():
-    # regenerate with GOLDEN_HELP.write_text(_help_transcript()) only when
-    # the command surface is meant to change
-    assert _help_transcript() == GOLDEN_HELP.read_text()
+def test_help_is_unchanged(runner):
+    # regenerate with GOLDEN_HELP.write_text(_help_transcript(runner)) only
+    # when the command surface is meant to change
+    assert _help_transcript(runner) == GOLDEN_HELP.read_text()

@@ -12,6 +12,7 @@ from operator import attrgetter
 import numpy as np
 import pytest
 
+from landau.config import Config
 from landau.goldbach import (
     CoupleKind,
     DescentStep,
@@ -24,6 +25,7 @@ from landau.goldbach import (
 )
 from landau.ideals import bezout, goldbach_ideal_analysis
 from landau.primes import PrimeConvention, is_prime, prev_prime
+from landau.reports import build_report
 from landau.zn import totient, units_profile
 
 from oracles import brute_couples, brute_quasi, numpy_goldbach_pairs, numpy_sieve
@@ -337,9 +339,21 @@ class TestEnumerate:
         assert kinds == [CoupleKind.NOETHER, CoupleKind.TRIVIAL]
         assert enumerate_couples(2)[0].kind is CoupleKind.NOETHER
 
-    def test_unchecked_couples_equal_checked_ones(self):
-        for c in enumerate_couples(220) + enumerate_couples(4):
-            assert c == GoldbachCouple(c.p, c.q, c.two_n, c.kind, c.canonical)
+    def test_couples_report_rows_equal_the_enumeration(self):
+        # the report reads _couple_pairs directly and builds no couple object
+        for conv, start in ((INC, 2), (EXC, 4)):
+            config = Config(convention=conv, workers=1)
+            for two_n in range(start, 2_001, 2):
+                report = build_report("couples", {"two_n": two_n}, config)
+                couples = enumerate_couples(two_n, conv)
+                assert report.rows == tuple(
+                    (str(c.p), str(c.q), c.kind.value, "★" if c.canonical else "")
+                    for c in couples
+                ), (two_n, conv)
+                assert report.payload["couples"] == [
+                    {"pair": [c.p, c.q], "kind": c.kind.value, "canonical": c.canonical}
+                    for c in couples
+                ], (two_n, conv)
 
     def test_complete_against_trial_division(self):
         for two_n in range(2, 301, 2):

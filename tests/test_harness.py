@@ -258,6 +258,23 @@ def test_widening_from_the_smallest_reach_changes_nothing(tmp_path, monkeypatch,
     assert texts[0] == texts[1]
 
 
+def test_pre_polignac_window_at_the_64_bit_top_reads_every_partner_below_it():
+    # hi + 1024 is the highest window the range check lets through; the
+    # witness of 2^64 - 7772 is 1097, past the reach, so the widened window
+    # stops at 2^64 - 1 and each instance still tries every partner in it
+    hi = 2**64 - 1026
+    x = 2**64 - 7772
+    assert [q for q in primes.primes_in_range(1, 1097) if is_prime(x + q)] == [1097]
+    for conv in (INC, EXC):
+        s = verify_range(Task.PRE_POLIGNAC, hi - 8000, hi, conv)
+        assert s.complete and s.verified == 4001
+        assert (s.stats["max_witness"], s.stats["max_witness_at"]) == (1097, x)
+    # the last 501 instances, whose partners the window cuts off, by trial
+    qs = primes.primes_in_range(2, 1097)
+    for gap in range(hi - 1000, hi + 1, 2):
+        assert any(gap + q < 2**64 and is_prime(gap + q) for q in qs), gap
+
+
 def _chunks_from(task, lo, chunks):
     """The top of `chunks` full chunks of the rule's size from lo."""
     return lo + harness._step(task) * (chunks * harness._chunk_size(task) - 1)
