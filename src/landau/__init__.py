@@ -12,8 +12,8 @@ is read or it is imported: by ``from .zn import factorize``, by ``from landau
 import harness``, or by reading a public name such as ``landau.is_prime``,
 which the module __getattr__ (PEP 562) fetches from the module that defines
 it.  So a ``landau`` command runs only the command line, its config, the
-prime layer and the report table at start, and each command group loads what
-it calls on first use.
+prime layer and the report renderers at start, and each command group loads
+its report module and what that calls on first use.
 """
 
 import importlib as _importlib

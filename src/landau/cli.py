@@ -10,11 +10,10 @@ click's layout and wording.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Any, Callable, NoReturn, Sequence
 
 from .config import Config, ConfigError, load_config
@@ -53,9 +52,14 @@ class Param:
     metavar: str = "INTEGER"  # an argument's name in usage lines, an option's value in help
     convert: Callable[[str], Any] | None = _integer  # None for a flag
     required: bool = False
-    default: Any = None
+    fallback: Any = None  # the value when omitted, or a function of no arguments giving it
     show_default: bool = False
     envvar: str | None = None
+
+    @cached_property
+    def default(self) -> Any:
+        """The value when omitted, asked of `fallback` only when first needed."""
+        return self.fallback() if callable(self.fallback) else self.fallback
 
 
 @dataclass(frozen=True)
@@ -96,12 +100,14 @@ def _arg(name: str, metavar: str | None = None, convert: Callable[[str], Any] = 
 
 
 def _flag(opt: str, help: str) -> Param:
-    return Param(opt[2:].replace("-", "_"), opt, help, convert=None, default=False)
+    return Param(opt[2:].replace("-", "_"), opt, help, convert=None, fallback=False)
 
 
 def _max_k(kind: str, name: str, help: str) -> Param:
-    default = report_parameters(kind)[name].default  # the emitter's own default
-    return Param(name, "--max-k", help, default=default, show_default=True)
+    # the emitter's own default, read when help shows it or the option is
+    # omitted, so that a start runs no report module
+    return Param(name, "--max-k", help, fallback=lambda: report_parameters(kind)[name].default,
+                 show_default=True)
 
 
 ROOT_HELP = (
@@ -235,6 +241,8 @@ def _verify(task: str, cfg: Config, fmt: str, params: dict[str, Any]) -> int:
         raise UsageError(str(exc)) from exc
     _write(emit_report("verify-summary", {"summary": summary}, fmt, cfg))
     if summary.counterexamples:
+        import json
+
         print(json.dumps(summary.counterexamples[0], sort_keys=True), file=sys.stderr)
         return 1
     return 0

@@ -3,7 +3,6 @@ variables, and command-line overrides, merged in fixed precedence order."""
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field, fields
 from typing import Any, Mapping
@@ -79,6 +78,8 @@ _PARSERS = {
 
 
 def _read_config_file(path: str) -> dict[str, Any]:
+    import json  # only a config file needs it
+
     try:
         with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)

@@ -120,8 +120,9 @@ def polignac_dyadic_search(
 # primes._BASE_LIMIT = 2^22.  Past it, _odd_flags tests every odd value the
 # capped sieve leaves (about 7 %) with is_prime: n = 4,194,304 took 16.2 s
 # and 10^8 did not finish in 60 s.  At the bound a `legendre primes` report
-# takes about 0.55 s, with tracemalloc peaks (CPython 3.11, x86-64) of
-# 51.5 MiB for md, 64.2 for csv and 58.3 for json.
+# takes about 0.55 s, within the 64 MiB budget per call of the other bounds:
+# tracemalloc peaks (CPython 3.11, x86-64) of 51.5 MiB for md, 51.6 for csv
+# and 58.3 for json.
 LEGENDRE_MAX_N = _BASE_LIMIT - 1
 
 

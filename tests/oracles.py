@@ -162,6 +162,7 @@ def numpy_goldbach_pairs(two_n: int, mask, primes) -> list[tuple[int, int]]:
 # "witness"} contract, and the same widening from their own reach.
 
 _REACH = 1 << 10
+_LAST = (1 << 64) - 1  # the last value is_prime decides
 
 
 def check_goldbach(conv: PrimeConvention, lo: int, hi: int) -> dict[str, Any]:
@@ -197,7 +198,10 @@ def check_goldbach(conv: PrimeConvention, lo: int, hi: int) -> dict[str, Any]:
 def check_pre_polignac(conv: PrimeConvention, lo: int, hi: int) -> dict[str, Any]:
     reach = _REACH
     while True:
-        witnesses = primes_in_range(0, min(reach, hi), conv)
+        # a window that ends at 2**64 - 1 can grow no further, so each gap
+        # tries every q whose partner the window holds
+        last = hi + reach == _LAST
+        witnesses = primes_in_range(0, min(_LAST - lo if last else reach, hi), conv)
         partners = bytearray(hi + reach - lo + 1)  # partners[v - lo]: is v prime
         for p in primes_in_range(lo, hi + reach, conv):
             partners[p - lo] = 1
@@ -207,11 +211,16 @@ def check_pre_polignac(conv: PrimeConvention, lo: int, hi: int) -> dict[str, Any
             off = gap - lo
             w = gap
             for q in witnesses:
+                if q + off >= len(partners):
+                    break  # past 2**64 - 1
                 if partners[q + off]:
                     w = q
                     break
             if w >= gap:
-                if reach < gap:
+                if (_LAST - gap if last else reach) < gap:
+                    if last:
+                        raise ValueError(f"pre-polignac instance {gap} has no witness whose "
+                                         "partner is below 2**64")
                     break  # a witness may lie above the reach: widen it
                 witness = {"instance": gap, "reason": "no prime witness below the gap"}
                 return {"stats": stats, "witness": witness}
@@ -221,7 +230,7 @@ def check_pre_polignac(conv: PrimeConvention, lo: int, hi: int) -> dict[str, Any
                 stats["max_witness_at"] = gap
         else:
             return {"stats": stats, "witness": None}
-        reach *= 4
+        reach = min(4 * reach, _LAST - hi)
 
 
 # The per-k parabolic checker that the k^2 + 1 sieve in landau.harness

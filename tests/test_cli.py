@@ -18,7 +18,8 @@ from landau.gaps import LEGENDRE_MAX_N, POLIGNAC_MAX_WINDOW
 from landau.goldbach import ENUMERATE_MAX_TWO_N, QUASI_MAX_TWO_N
 from landau.harness import RunSummary, Task
 from landau.primes import PrimeConvention
-from landau.reports import GHOST_TABLE_MAX_N, ZETA_TABLE_MAX_K, report_kinds, report_parameters
+from landau.reports import report_kinds, report_parameters
+from landau.reports_figurate import GHOST_TABLE_MAX_N, ZETA_TABLE_MAX_K
 from landau.zn import MULTIPLICATION_TABLE_MAX_PHI, UNITS_PROFILE_MAX_N
 
 SMOKE = [

@@ -275,6 +275,15 @@ def test_pre_polignac_window_at_the_64_bit_top_reads_every_partner_below_it():
         assert any(gap + q < 2**64 and is_prime(gap + q) for q in qs), gap
 
 
+@pytest.mark.parametrize("conv", [INC, EXC], ids=lambda c: c.value)
+def test_pre_polignac_at_the_64_bit_top_equals_the_per_instance_checker(conv):
+    # the span of the test above, whose widened window stops at 2^64 - 1
+    hi = 2**64 - 1026
+    got = harness._check_pre_polignac(conv, hi - 8000, hi)
+    assert got == oracles.check_pre_polignac(conv, hi - 8000, hi)
+    assert got["stats"] == {"instances": 4001, "max_witness": 1097, "max_witness_at": 2**64 - 7772}
+
+
 def _chunks_from(task, lo, chunks):
     """The top of `chunks` full chunks of the rule's size from lo."""
     return lo + harness._step(task) * (chunks * harness._chunk_size(task) - 1)

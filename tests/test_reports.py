@@ -4,6 +4,7 @@ constants of the sibling suites, renderer determinism, and error paths."""
 import json
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,13 +15,11 @@ from hypothesis import strategies as st
 from landau import figurate
 from landau.config import Config
 from landau.figurate import zeta_partial
+from landau.gaps import LEGENDRE_MAX_N
 from landau.harness import Task, verify_range
 from landau.primes import PrimeConvention
 from landau.reports import (
     _RENDERERS,
-    DESCENT_TARGETS,
-    POLIGNAC_GAPS,
-    RING_MODULI,
     Report,
     ReportError,
     build_report,
@@ -28,6 +27,8 @@ from landau.reports import (
     report_kinds,
     report_parameters,
 )
+from landau.reports_gaps import POLIGNAC_GAPS
+from landau.reports_goldbach import DESCENT_TARGETS, RING_MODULI
 from landau.zn import factorize
 
 from oracles import render_md_per_cell
@@ -347,7 +348,7 @@ class TestIdealTable:
 
         def counting_factorize(n):
             # the emitter's own calls; zn's helpers call factorize too
-            if sys._getframe(1).f_globals["__name__"] == "landau.reports":
+            if sys._getframe(1).f_globals["__name__"] == "landau.reports_ideals":
                 seen.append(n)
             return factorize(n)
 
@@ -401,6 +402,19 @@ class TestLegendreTable:
         cfg = Config(convention=EXC, workers=1)
         report = build_report("legendre-table", {"ns": (1,)}, cfg)
         assert report.payload["rows"][0]["primes"] == [2, 3]
+
+    @pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+    def test_the_widest_interval_renders_within_the_call_budget(self, fmt):
+        # about 15 s a format: tracing the sieve's 295k base primes is slow
+        emit_report("legendre-table", {"ns": (1,)}, fmt, CFG)  # loads what it calls
+        tracemalloc.start()
+        try:
+            out = emit_report("legendre-table", {"ns": (LEGENDRE_MAX_N,)}, fmt, CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) > 4 * 10**6
+        assert peak < 64 * 2**20, peak / 2**20
 
 
 class TestGhostTable:

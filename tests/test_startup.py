@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import landau
 from test_cli import _child_env
 
@@ -19,7 +21,12 @@ ROOT = Path(__file__).resolve().parents[1]
 # the landau modules that have run: a lazy module not yet run keeps the
 # class importlib.util.LazyLoader gave it until its first attribute read
 RAN = """
-import json, sys, types
+import sys, types
+class json:  # prints as json does, but imports json only then
+    @staticmethod
+    def dumps(value):
+        import json
+        return json.dumps(value)
 def ran():
     return sorted(n for n, m in sys.modules.items()
                   if n.partition(".")[0] == "landau" and type(m) is types.ModuleType)
@@ -59,12 +66,93 @@ def test_importing_the_package_runs_no_landau_module():
 
 
 def test_the_command_line_runs_only_parsing_config_primes_and_reports():
-    ran, forked, exact = _probe(
+    ran, forked, exact, serialized = _probe(
         "import landau.cli\n"
-        "print(json.dumps([ran(), 'multiprocessing' in sys.modules, 'fractions' in sys.modules]))"
+        "print(json.dumps([ran(), 'multiprocessing' in sys.modules, 'fractions' in sys.modules,\n"
+        "                  [m for m in ('json', 'csv') if m in sys.modules]]))"
     )
     assert ran == ["landau", "landau.cli", "landau.config", "landau.primes", "landau.reports"]
     assert (forked, exact) == (False, False)
+    assert serialized == []
+
+
+# one md leaf of each group, and the library modules its report calls
+GROUP_LEAVES = [
+    (["goldbach", "canonical", "220"], "reports_goldbach", ["goldbach", "zn"]),
+    (["zn", "profile", "22"], "reports_zn", ["zn"]),
+    (["ideals", "radical", "45"], "reports_ideals", ["ideals", "zn"]),
+    (["polignac", "pairs", "20", "--max-q", "337"], "reports_gaps", ["gaps"]),
+    (["legendre", "primes", "5"], "reports_gaps", ["gaps"]),
+    (["parabolic", "list"], "reports_figurate", ["figurate", "zn"]),
+    (["triangle", "value", "5"], "reports_figurate", ["figurate", "zn"]),
+]
+
+
+@pytest.mark.parametrize("argv, report_module, calls", GROUP_LEAVES,
+                         ids=[" ".join(argv) for argv, _, _ in GROUP_LEAVES])
+def test_a_leaf_runs_only_its_own_report_module_and_what_it_calls(argv, report_module, calls):
+    ran, serialized = _probe(f"""
+from landau.cli import main
+try:
+    main(args={argv!r}, prog_name="landau")
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print()  # after the report
+print(json.dumps([ran(), [m for m in ("json", "csv") if m in sys.modules]]))
+""")
+    start = ["landau", "landau.cli", "landau.config", "landau.primes", "landau.reports"]
+    assert ran == sorted(start + [f"landau.{m}" for m in [report_module, *calls]])
+    assert serialized == []  # md is the default format
+
+
+# each kind's keyword parameters as (annotation, default), None for a
+# required one, as the emitters declared them when they all sat in reports.py
+PARAMETERS = {
+    "bezout": {"a": ["int", None], "b": ["int", None]},
+    "couple": {"two_n": ["int", None], "trace": ["bool", "False"]},
+    "couples": {"two_n": ["int", None]},
+    "crt": {"a": ["int", None], "n": ["int", None]},
+    "descent-table": {"targets": ["tuple[int, ...]", repr((
+        2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 220, 346, 518, 532, 538, 556, 586, 628, 640, 670,
+        700, 718, 782, 796, 806, 820, 838, 848, 872, 896, 902, 928, 962, 972, 978, 984, 992, 998,
+    ))]},
+    "faulhaber": {"m": ["int", None], "n": ["int", None]},
+    "ghost-table": {"n_max": ["int", "60"]},
+    "ideal-table": {"two_n": ["int", None], "include_top": ["bool", "False"],
+                    "descent_only": ["bool", "False"]},
+    "jacobson": {"n": ["int", None]},
+    "legendre-table": {"ns": ["tuple[int, ...]", repr(tuple(range(1, 11)))]},
+    "polignac-pairs": {"two_n": ["int", None], "q_max": ["int", None]},
+    "polignac-table": {"gaps": ["tuple[int, ...]", "(2, 4, 6, 8, 10, 20)"], "m_max": ["int", "4"]},
+    "quasi-couples": {"two_n": ["int", None]},
+    "radical": {"m": ["int", None]},
+    "ring-table": {"moduli": ["tuple[int, ...] | None", "None"]},
+    "square-triangular": {"k_max": ["int", None]},
+    "strong-generators": {"n": ["int", None]},
+    "three-triangular": {"n": ["int", None]},
+    "triangle": {"n": ["int", None]},
+    "units-grid": {"n": ["int", None]},
+    "units-profile": {"n": ["int", None]},
+    "verify-summary": {"summary": ["RunSummary", None]},
+    "zeta-table": {"k_max": ["int", "10"]},
+}
+
+
+def test_every_kind_resolves_through_the_registry_with_its_parameters():
+    loaded_before, params = _probe("""
+from landau.reports import report_kinds, report_parameters
+loaded_before = sorted(n for n in ran() if n.startswith("landau.reports_"))
+params = {
+    kind: {name: [p.annotation, None if p.default is p.empty else repr(p.default)]
+           for name, p in report_parameters(kind).items()}
+    for kind in report_kinds()
+}
+print(json.dumps([loaded_before, params]))
+""")
+    assert loaded_before == []
+    assert params == PARAMETERS
+    # in the order of the signature too
+    assert [list(p) for p in params.values()] == [list(p) for p in PARAMETERS.values()]
 
 
 def test_verify_calls_after_their_imports_load_no_further_module(tmp_path):
