@@ -12,7 +12,8 @@ Usage: python3 scripts/twin_shape.py [--max-n N] [--convention C]
 import argparse
 import math
 
-from landau.primes import PrimeConvention, twin_stats
+from landau.gaps import twin_stats
+from landau.primes import PrimeConvention
 
 
 def main() -> None:

@@ -30,8 +30,8 @@ _EXPORTS = {
         "three_triangular", "triangle_index", "triangle_number", "zeta_partial",
     ),
     "gaps": (
-        "LegendreCounterexample", "PolignacPair", "legendre_primes", "polignac_dyadic_search",
-        "polignac_pairs",
+        "LegendreCounterexample", "PolignacPair", "TwinStats", "legendre_primes",
+        "polignac_dyadic_search", "polignac_pairs", "twin_stats",
     ),
     "goldbach": (
         "CoupleKind", "DescentTrace", "GoldbachCouple", "GoldbachCounterexample",
@@ -43,8 +43,8 @@ _EXPORTS = {
         "jacobson_radical_zn", "radical",
     ),
     "primes": (
-        "DEFAULT_CONVENTION", "PrimeConvention", "TwinStats", "is_prime", "next_prime",
-        "prev_prime", "primes_in_range", "twin_stats",
+        "DEFAULT_CONVENTION", "PrimeConvention", "is_prime", "next_prime", "prev_prime",
+        "primes_in_range",
     ),
     "reports": ("Report", "ReportError", "build_report", "emit_report", "report_kinds"),
     "zn": (
@@ -56,6 +56,10 @@ _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = sorted(_OWNER)
 
+# Every library module gets its entry now, not when a command first imports
+# it: the traced benchmark run (perfbench/spans.py, Tracer.install) reads
+# sys.modules["landau.<module>"] for each module it wraps right after
+# `import landau.cli`, and without the entries it fails with a KeyError.
 for _module in _EXPORTS:
     _spec = _util.find_spec(f"{__name__}.{_module}")
     _spec.loader = _util.LazyLoader(_spec.loader)

@@ -239,6 +239,12 @@ def _verify(task: str, cfg: Config, fmt: str, params: dict[str, Any]) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    except OSError as exc:
+        # the checkpoint or its lock cannot be opened or written; exit 1 is
+        # for a counterexample
+        if path is None:
+            raise
+        raise UsageError(f"checkpoint {path}: {exc.strerror or exc}") from exc
     _write(emit_report("verify-summary", {"summary": summary}, fmt, cfg))
     if summary.counterexamples:
         import json

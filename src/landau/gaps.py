@@ -1,5 +1,5 @@
 """Prime pairs separated by a fixed even gap, their dyadic block layout,
-and primes between consecutive squares.
+the twin pairs' Brun sum, and primes between consecutive squares.
 
 A pair (q, p) with p - q = 2n lives in the dyadic block indexed by the
 smallest m >= 1 with q <= 2n * 2^m, so block 1 covers q in [0, 4n] and
@@ -7,8 +7,10 @@ block j >= 2 covers (2n * 2^(j-1), 2n * 2^j].
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import compress
+from typing import TYPE_CHECKING
 
 from .primes import (
     _BASE_LIMIT,
@@ -17,6 +19,9 @@ from .primes import (
     _odd_flags,
     primes_in_range,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def _block_index(q: int, gap: int) -> int:
@@ -113,6 +118,32 @@ def polignac_dyadic_search(
     for pair in polignac_pairs(two_n, two_n << m_max, conv):
         blocks[pair.block].append(pair)
     return blocks
+
+
+@dataclass(frozen=True)
+class TwinStats:
+    """Twin pairs (p, p+2) with p+2 <= n_max, plus Brun-style running sums."""
+
+    n_max: int
+    count: int
+    pairs: tuple[tuple[int, int], ...]
+    brun_sum: Fraction
+    brun_bound: float  # N/(ln N)^2, the C=1 shape comparison only
+
+
+def twin_stats(n_max: int, conv: PrimeConvention = DEFAULT_CONVENTION) -> TwinStats:
+    if n_max < 2:
+        raise ValueError(f"twin_stats needs n_max >= 2, got {n_max}")
+    from fractions import Fraction
+
+    pairs = tuple((c.q, c.p) for c in polignac_pairs(2, n_max - 2, conv)) if n_max > 2 else ()
+    # summed pairwise in a balanced tree, so that each addition meets two
+    # denominators of like size rather than one huge and one small
+    terms = [Fraction(p + q, p * q) for p, q in pairs] or [Fraction(0)]
+    while len(terms) > 1:
+        terms = [a + b for a, b in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1:]
+    bound = n_max / math.log(n_max) ** 2
+    return TwinStats(n_max, len(pairs), pairs, terms[0], bound)
 
 
 # Bound on n from the cap on the base primes, not from a memory budget:

@@ -95,8 +95,10 @@ def canonical_couple(
     two_n: int, conv: PrimeConvention = DEFAULT_CONVENTION
 ) -> tuple[GoldbachCouple, DescentTrace]:
     """Descend candidate primes from prev_prime(2n); the first prime
-    remainder ends the search and names the canonical couple."""
+    remainder ends the search and names the canonical couple.  2n is at most
+    2^64, so that every candidate and remainder is below it."""
     _validate_even(two_n, conv)
+    _check_bound(two_n, 1 << 64, "canonical_couple")
     steps: list[DescentStep] = []
     cand = prev_prime(two_n, conv)
     while cand is not None:

@@ -112,6 +112,14 @@ class GoldbachIdealReport:
         return self.r.primes()
 
 
+# Bound on 2n from the 64 MiB budget per call that bounds the couple lists in
+# goldbach.py: the analysis holds a prime flag per value up to 2n and every
+# unit of Z_2n, about 21 bytes per unit of 2n at worst, when 2n = 2p.
+# Tracemalloc peaks (CPython 3.11, x86-64): 17.5 MiB at 10^6, 53.2 MiB at
+# 2,499,998 = 2·1,249,999, in 0.15 s untraced; 2,999,954 takes 64.4 MiB.
+IDEAL_ANALYSIS_MAX_TWO_N = 25 * 10**5
+
+
 def goldbach_ideal_analysis(
     two_n: int,
     conv: PrimeConvention = DEFAULT_CONVENTION,
@@ -119,6 +127,9 @@ def goldbach_ideal_analysis(
 ) -> GoldbachIdealReport:
     if two_n < 2 or two_n % 2 == 1:
         raise ValueError(f"needs an even number >= 2, got {two_n}")
+    if two_n > IDEAL_ANALYSIS_MAX_TWO_N:
+        raise ValueError(f"goldbach_ideal_analysis needs two_n <= "
+                         f"{IDEAL_ANALYSIS_MAX_TWO_N}, got two_n = {two_n}")
     n = two_n // 2
     flags = prime_flags(two_n, conv)
     # strong generators b with both b and its mirror inside ]1, 2n-1[;

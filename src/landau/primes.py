@@ -1,4 +1,4 @@
-"""Prime generation, primality, and prime-gap statistics.
+"""Prime generation and primality.
 
 Responsibility: everything about the set P of primes lives here, including
 the convention switch for whether 1 belongs to P. Other modules never roll
@@ -8,13 +8,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, islice
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 
 class PrimeConvention(Enum):
@@ -289,30 +284,3 @@ def prime_flags(hi: int, conv: PrimeConvention = DEFAULT_CONVENTION) -> bytearra
         out[2] = 1
     return out
 
-
-@dataclass(frozen=True)
-class TwinStats:
-    """Twin pairs (p, p+2) with p+2 <= n_max, plus Brun-style running sums."""
-
-    n_max: int
-    count: int
-    pairs: tuple[tuple[int, int], ...]
-    brun_sum: Fraction
-    brun_bound: float  # N/(ln N)^2, the C=1 shape comparison only
-
-
-def twin_stats(n_max: int, conv: PrimeConvention = DEFAULT_CONVENTION) -> TwinStats:
-    if n_max < 2:
-        raise ValueError(f"twin_stats needs n_max >= 2, got {n_max}")
-    from fractions import Fraction
-
-    from .gaps import polignac_pairs  # gaps builds on this module
-
-    pairs = tuple((c.q, c.p) for c in polignac_pairs(2, n_max - 2, conv)) if n_max > 2 else ()
-    # summed pairwise in a balanced tree, so that each addition meets two
-    # denominators of like size rather than one huge and one small
-    terms = [Fraction(p + q, p * q) for p, q in pairs] or [Fraction(0)]
-    while len(terms) > 1:
-        terms = [a + b for a, b in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1:]
-    bound = n_max / math.log(n_max) ** 2
-    return TwinStats(n_max, len(pairs), pairs, terms[0], bound)

@@ -13,10 +13,12 @@ Each emitter is a plain function ``(conv, /, *, name: type = default, ...)``
 of the prime convention and its keywords; the signature is the one declaration
 of a report's parameters, checked by :func:`build_report`.  The emitter of
 kind ``a-b`` is ``_emit_a_b`` in the report module that ``_MODULES`` names for
-it, one per library module it renders (``reports_goldbach`` and so on); a
-report module runs the first time one of its kinds is asked for, so a command
-compiles only the report it renders.  This module holds what every command
-uses: the renderers, the parameter checks and the verify summary.
+it, one per library module it renders (``reports_goldbach`` and so on).  A
+report module runs the first time one of its kinds is asked for and imports
+the library functions its emitters call at its top, so a command compiles
+only the report it renders and loads only the library modules that report
+calls.  This module holds what every command uses: the renderers, the
+parameter checks and the verify summary.
 
 All three formats are deterministic byte-for-byte for a fixed config, so they
 can be frozen as golden files.  Tables never carry floating-point cells; exact
@@ -28,14 +30,14 @@ from __future__ import annotations
 import importlib
 import inspect
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from .config import Config
 from .primes import DEFAULT_CONVENTION, PrimeConvention
 
-# each emitter imports the library functions it calls, so a library module
-# runs only when a report first needs it
+# annotations only: this module runs at every start, and neither zn nor the
+# harness is loaded then
 if TYPE_CHECKING:
     from .harness import RunSummary
     from .zn import Factorization
@@ -266,29 +268,24 @@ _MODULES = {
 }
 _MODULE_OF = {kind: module for module, kinds in _MODULES.items() for kind in kinds}
 
-# each loaded kind's emitter and its keyword-only parameters, read once: their
-# names, annotations and defaults are the one declaration of what it accepts
-_LOADED: dict[str, tuple[Callable[..., Report], Mapping[str, inspect.Parameter]]] = {}
 
-
+@cache
 def _load(kind: str) -> tuple[Callable[..., Report], Mapping[str, inspect.Parameter]]:
-    """The emitter of kind and its parameters, running its report module on
-    first use."""
-    loaded = _LOADED.get(kind)
-    if loaded is None:
-        if kind not in _MODULE_OF:
-            raise ReportError(
-                f"unknown report kind {kind!r}; expected one of: {', '.join(report_kinds())}"
-            )
-        module = importlib.import_module(f"{__package__}.{_MODULE_OF[kind]}")
-        emitter = getattr(module, "_emit_" + kind.replace("-", "_"))
-        parameters = {
-            name: param
-            for name, param in inspect.signature(emitter).parameters.items()
-            if param.kind is inspect.Parameter.KEYWORD_ONLY
-        }
-        loaded = _LOADED[kind] = emitter, parameters
-    return loaded
+    """The emitter of kind and its keyword-only parameters, read once, running
+    its report module on first use: the parameters' names, annotations and
+    defaults are the one declaration of what the kind accepts."""
+    if kind not in _MODULE_OF:
+        raise ReportError(
+            f"unknown report kind {kind!r}; expected one of: {', '.join(report_kinds())}"
+        )
+    module = importlib.import_module(f"{__package__}.{_MODULE_OF[kind]}")
+    emitter = getattr(module, "_emit_" + kind.replace("-", "_"))
+    parameters = {
+        name: param
+        for name, param in inspect.signature(emitter).parameters.items()
+        if param.kind is inspect.Parameter.KEYWORD_ONLY
+    }
+    return emitter, parameters
 
 
 def report_kinds() -> tuple[str, ...]:

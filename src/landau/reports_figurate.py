@@ -5,7 +5,17 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .primes import PrimeConvention
+from .figurate import (
+    _check_zeta_bounds,
+    _parabolic_record,
+    faulhaber,
+    parabolic_primes,
+    square_triangular,
+    three_triangular,
+    triangle_index,
+    triangle_number,
+)
+from .primes import PrimeConvention, primes_in_range
 from .reports import Report, ReportError
 
 if TYPE_CHECKING:
@@ -29,9 +39,6 @@ GHOST_TABLE_MAX_N = 10**5
 
 
 def _emit_ghost_table(conv: PrimeConvention, /, *, n_max: int = 60) -> Report:
-    from .figurate import _parabolic_record
-    from .primes import primes_in_range
-
     if not 1 <= n_max <= GHOST_TABLE_MAX_N:
         raise ReportError(f"n_max: needs 1 <= n_max <= {GHOST_TABLE_MAX_N}, got {n_max}")
     limit = min(n_max, 40)
@@ -111,8 +118,6 @@ ZETA_TABLE_MAX_K = 31_199
 def _emit_zeta_table(conv: PrimeConvention, /, *, k_max: int = 10) -> Report:
     from fractions import Fraction
 
-    from .figurate import _check_zeta_bounds, parabolic_primes
-
     if k_max > ZETA_TABLE_MAX_K:
         raise ReportError(f"k_max: needs k_max <= {ZETA_TABLE_MAX_K}, got {k_max}")
     terms = []  # (k, p, 1/(p-1), partial sum), the fractions as text
@@ -145,8 +150,6 @@ def _emit_zeta_table(conv: PrimeConvention, /, *, k_max: int = 10) -> Report:
 
 
 def _emit_triangle(conv: PrimeConvention, /, *, n: int) -> Report:
-    from .figurate import triangle_number
-
     value = triangle_number(n)
     return Report(
         title=f"Triangular number T({n})",
@@ -158,8 +161,6 @@ def _emit_triangle(conv: PrimeConvention, /, *, n: int) -> Report:
 
 
 def _emit_square_triangular(conv: PrimeConvention, /, *, k_max: int) -> Report:
-    from .figurate import square_triangular
-
     last = square_triangular(k_max)  # refuses k_max = 0 too, not an empty table
     values = [square_triangular(k) for k in range(1, k_max)] + [last]
     return Report(
@@ -172,8 +173,6 @@ def _emit_square_triangular(conv: PrimeConvention, /, *, k_max: int) -> Report:
 
 
 def _emit_three_triangular(conv: PrimeConvention, /, *, n: int) -> Report:
-    from .figurate import three_triangular, triangle_index
-
     parts = three_triangular(n)
     indices = [triangle_index(p) for p in parts]
     return Report(
@@ -186,8 +185,6 @@ def _emit_three_triangular(conv: PrimeConvention, /, *, n: int) -> Report:
 
 
 def _emit_faulhaber(conv: PrimeConvention, /, *, m: int, n: int) -> Report:
-    from .figurate import faulhaber
-
     value = faulhaber(m, n)
     return Report(
         title=f"Power sum Σ k^{m} for k = 1..{n}",

@@ -3,6 +3,7 @@ bound, and the primes between consecutive squares."""
 
 from __future__ import annotations
 
+from .gaps import legendre_primes, polignac_dyadic_search, polignac_pairs
 from .primes import PrimeConvention
 from .reports import Report, ReportError, _pair
 
@@ -17,8 +18,6 @@ POLIGNAC_GAPS = (2, 4, 6, 8, 10, 20)
 def _emit_polignac_table(
     conv: PrimeConvention, /, *, gaps: tuple[int, ...] = POLIGNAC_GAPS, m_max: int = 4
 ) -> Report:
-    from .gaps import polignac_dyadic_search
-
     if m_max < 1:
         raise ReportError(f"m_max: needs at least 1, got {m_max}")
     columns = []
@@ -78,8 +77,6 @@ def _emit_polignac_table(
 
 
 def _emit_polignac_pairs(conv: PrimeConvention, /, *, two_n: int, q_max: int) -> Report:
-    from .gaps import polignac_pairs
-
     pairs = polignac_pairs(two_n, q_max, conv)
     return Report(
         title=f"{two_n}-de Polignac couples with q ≤ {q_max}",
@@ -104,8 +101,6 @@ def _emit_polignac_pairs(conv: PrimeConvention, /, *, two_n: int, q_max: int) ->
 def _emit_legendre_table(
     conv: PrimeConvention, /, *, ns: tuple[int, ...] = tuple(range(1, 11))
 ) -> Report:
-    from .gaps import legendre_primes
-
     intervals = [(n, legendre_primes(n, conv)) for n in ns]
     if conv is PrimeConvention.INCLUDE1:
         conv_note = "Here 1 counts as prime."

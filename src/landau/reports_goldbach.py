@@ -4,14 +4,12 @@ the quasi-couples of one 2n."""
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
+from .goldbach import CoupleKind, _couple_pairs, canonical_couple, enumerate_couples, quasi_couples
 from .primes import PrimeConvention
 from .reports import Report, ReportError, _braced, _factor_list, _pair, _zn
-
-if TYPE_CHECKING:
-    from .goldbach import CoupleKind
-    from .zn import Factorization
+from .zn import Factorization, units_profile
 
 
 # the even numbers whose canonical descents the criterion table prints
@@ -81,8 +79,6 @@ def _chain_text(two_n: int, steps) -> str:
 def _emit_descent_table(
     conv: PrimeConvention, /, *, targets: tuple[int, ...] = DESCENT_TARGETS
 ) -> Report:
-    from .goldbach import canonical_couple
-
     descents = [(two_n, *canonical_couple(two_n, conv)) for two_n in targets]
     errata = _DESCENT_ERRATA if conv is PrimeConvention.INCLUDE1 else {}
 
@@ -137,9 +133,6 @@ def _emit_descent_table(
 # strong-generator overview across small even moduli
 
 def _emit_ring_table(conv: PrimeConvention, /, *, moduli: tuple[int, ...] | None = None) -> Report:
-    from .goldbach import CoupleKind, enumerate_couples, quasi_couples
-    from .zn import units_profile
-
     # 2 = 1 + 1 is a couple only when the unit counts as prime
     include1 = conv is PrimeConvention.INCLUDE1
     if moduli is None:
@@ -208,8 +201,6 @@ def _emit_ring_table(conv: PrimeConvention, /, *, moduli: tuple[int, ...] | None
 
 
 def _emit_couple(conv: PrimeConvention, /, *, two_n: int, trace: bool = False) -> Report:
-    from .goldbach import canonical_couple
-
     couple, descent = canonical_couple(two_n, conv)
     return Report(
         title=f"Canonical Goldbach couple for {two_n}",
@@ -235,8 +226,6 @@ def _emit_couple(conv: PrimeConvention, /, *, two_n: int, trace: bool = False) -
 
 
 def _emit_couples(conv: PrimeConvention, /, *, two_n: int) -> Report:
-    from .goldbach import _couple_pairs
-
     couples = _couple_pairs(two_n, conv)
     return Report(
         title=f"Goldbach couples for {two_n}",
@@ -255,8 +244,6 @@ def _emit_couples(conv: PrimeConvention, /, *, two_n: int) -> Report:
 
 
 def _emit_quasi_couples(conv: PrimeConvention, /, *, two_n: int) -> Report:
-    from .goldbach import quasi_couples
-
     quasi = quasi_couples(two_n, conv)
     return Report(
         title=f"Quasi-Goldbach couples for {two_n}",

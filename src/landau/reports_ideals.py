@@ -7,13 +7,19 @@ from __future__ import annotations
 import sys
 from dataclasses import replace
 from math import log10
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
+from .ideals import (
+    PrincipalIdeal,
+    _r_prime_powers,
+    bezout,
+    goldbach_ideal_analysis,
+    jacobson_radical_zn,
+    radical,
+)
 from .primes import PrimeConvention
 from .reports import Report, ReportError, _factor_list, _sub, _zn, _zx
-
-if TYPE_CHECKING:
-    from .zn import Factorization
+from .zn import Factorization, factorize
 
 
 _SUP = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
@@ -83,9 +89,7 @@ def _long_r(two_n: int, limit: int) -> ReportError:
 def _emit_ideal_table(
     conv: PrimeConvention, /, *, two_n: int, include_top: bool = False, descent_only: bool = False
 ) -> Report:
-    from .goldbach import canonical_couple
-    from .ideals import _r_prime_powers, goldbach_ideal_analysis
-    from .zn import factorize
+    from .goldbach import canonical_couple  # the one report here that loads goldbach
 
     # both r values go into the footer and the payload as decimal text; a 2N
     # whose r is sure to be too long for that is refused before the analysis
@@ -156,8 +160,6 @@ def _emit_ideal_table(
 
 
 def _emit_radical(conv: PrimeConvention, /, *, m: int) -> Report:
-    from .ideals import PrincipalIdeal, radical
-
     if m < 1:
         raise ReportError(f"m: needs a positive integer, got {m}")
     ideal = PrincipalIdeal.of_int(m)
@@ -184,8 +186,6 @@ def _emit_radical(conv: PrimeConvention, /, *, m: int) -> Report:
 
 
 def _emit_jacobson(conv: PrimeConvention, /, *, n: int) -> Report:
-    from .ideals import jacobson_radical_zn
-
     ideal = jacobson_radical_zn(n)
     gen = ideal.generator.value()
     return Report(
@@ -204,8 +204,6 @@ def _emit_jacobson(conv: PrimeConvention, /, *, n: int) -> Report:
 
 
 def _emit_bezout(conv: PrimeConvention, /, *, a: int, b: int) -> Report:
-    from .ideals import bezout
-
     g, x, y = bezout(a, b)
     identity = f"{a}·({x}) + {b}·({y}) = {g}"
     return Report(

@@ -5,14 +5,13 @@ from __future__ import annotations
 
 from .primes import PrimeConvention
 from .reports import Report, _braced, _zn, _zx
+from .zn import crt_decompose, factorize, multiplication_table, units_profile
 
 
 # --------------------------------------------------------------------------
 # unit-group multiplication grids
 
 def _emit_units_grid(conv: PrimeConvention, /, *, n: int) -> Report:
-    from .zn import multiplication_table
-
     table = multiplication_table(n)
     caption = "; ".join(f"{u}⁻¹={v}" for u, v in table.inverses) + "."
     return Report(
@@ -32,8 +31,6 @@ def _emit_units_grid(conv: PrimeConvention, /, *, n: int) -> Report:
 
 
 def _emit_units_profile(conv: PrimeConvention, /, *, n: int) -> Report:
-    from .zn import units_profile
-
     profile = units_profile(n, conv)
     return Report(
         title=f"Unit group of {_zn(n)}",
@@ -60,8 +57,6 @@ def _emit_units_profile(conv: PrimeConvention, /, *, n: int) -> Report:
 
 
 def _emit_strong_generators(conv: PrimeConvention, /, *, n: int) -> Report:
-    from .zn import units_profile
-
     profile = units_profile(n, conv)
     return Report(
         title=f"Strong generators in {_zn(n)}",
@@ -78,8 +73,6 @@ def _emit_strong_generators(conv: PrimeConvention, /, *, n: int) -> Report:
 
 
 def _emit_crt(conv: PrimeConvention, /, *, a: int, n: int) -> Report:
-    from .zn import crt_decompose, factorize
-
     components = crt_decompose(a, n)
     fact = factorize(n)
     iso = " × ".join(_zn(p**e) for p, e in fact.factors)

@@ -112,3 +112,36 @@ def test_every_public_method_of_a_public_class_has_a_use_outside_the_tests():
                 if method.name not in _attributes(rest + scripts) | elsewhere:
                     unused.append(f"{stem}.{cls.name}.{method.name}")
     assert unused == [], f"public methods used only by tests: {unused}"
+
+
+def _imports(tree: ast.Module) -> set[str]:
+    """The package modules a module imports anywhere in it: at its top, in a
+    function body or under TYPE_CHECKING."""
+    out: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out |= {node.module} if node.module else {alias.name for alias in node.names}
+    return out
+
+
+def test_the_import_graph_is_acyclic_with_primes_at_the_bottom():
+    modules, _ = _parse()
+    graph = {stem: _imports(tree) & set(modules) for stem, tree in modules.items()}
+    assert {"primes", "zn"} <= graph["goldbach"]  # the scan sees top-level imports
+    assert "harness" in graph["cli"]  # and a call-time `from . import`
+    done: set[str] = set()
+
+    def cycle_from(stem: str, path: list[str]) -> list[str]:
+        """A cycle through stem's imports, depth first, or [] when none."""
+        if stem in path:
+            return path[path.index(stem):] + [stem]
+        if stem not in done:
+            for dep in sorted(graph[stem]):
+                if cycle := cycle_from(dep, path + [stem]):
+                    return cycle
+            done.add(stem)
+        return []
+
+    cycles = [" → ".join(c) for stem in sorted(graph) if (c := cycle_from(stem, []))]
+    assert cycles == []
+    assert graph["primes"] == set()

@@ -237,6 +237,18 @@ class TestExitCodes:
             assert f"{name} needs two_n <= {bound}, got two_n = {two_n}" in result.stderr
             assert result.stdout == ""
 
+    @pytest.mark.parametrize("two_n", [2**64, 2**64 + 2, 10**20])
+    def test_canonical_couple_past_2_to_the_64_is_usage_error_naming_2n(self, runner, two_n):
+        result = runner.invoke(main, ["goldbach", "canonical", str(two_n)])
+        if two_n == 2**64:
+            assert result.exit_code == 0, result.output
+            assert f"| {two_n} | 59 | 18446744073709551557 | ordinary | 1 |" in result.stdout
+        else:
+            assert result.exit_code == 2
+            assert result.stderr.endswith(
+                f"Error: canonical_couple needs two_n <= {2**64}, got two_n = {two_n}\n")
+            assert result.stdout == ""
+
     @pytest.mark.parametrize(
         "argv, name",
         [(["polignac", "pairs", "2", "--max-q", str(10**12)], "q_max = 1000000000000"),
@@ -392,6 +404,24 @@ class TestExitCodes:
         assert result.exit_code == 0
         assert "| verified | 50 |" in result.output
         assert result.stderr == ""
+
+    @pytest.mark.parametrize("relative", [False, True], ids=["absolute", "relative"])
+    def test_checkpoint_in_a_missing_directory_is_usage_error(self, tmp_path, relative):
+        missing = tmp_path / "missing" / "dir"
+        env = _child_env()
+        if relative:
+            env["LANDAU_CHECKPOINT_DIR"] = str(missing)
+        checkpoint = "x.ckpt" if relative else str(missing / "x.ckpt")
+        proc = subprocess.run(
+            [sys.executable, "-m", "landau", "goldbach", "verify", "--from", "4", "--to", "100",
+             "--checkpoint", checkpoint],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert proc.returncode == 2  # not 1, the code of a counterexample
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+        assert proc.stderr.splitlines()[-1] == (
+            f"Error: checkpoint {missing / 'x.ckpt'}: No such file or directory")
+        assert list(tmp_path.iterdir()) == []  # nothing created
 
 
 class TestConfigPrecedence:

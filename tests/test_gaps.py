@@ -13,9 +13,10 @@ from landau.gaps import (
     legendre_primes,
     polignac_dyadic_search,
     polignac_pairs,
+    twin_stats,
 )
 from landau.harness import Task, verify_range
-from landau.primes import PrimeConvention, is_prime, twin_stats
+from landau.primes import PrimeConvention, is_prime
 
 from oracles import gap_pairs_by_is_prime, trial_division_prime
 

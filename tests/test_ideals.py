@@ -2,6 +2,8 @@
 even-number ideal analysis."""
 import math
 import random
+import time
+import tracemalloc
 from functools import reduce
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from landau.config import Config
 from landau.ideals import (
+    IDEAL_ANALYSIS_MAX_TWO_N,
     PrincipalIdeal,
     bezout,
     goldbach_ideal_analysis,
@@ -194,6 +197,32 @@ class TestGoldbachIdealAnalysis:
         rep2 = goldbach_ideal_analysis(2)
         assert rep2.noether == (1, 1) and rep2.trivial == (1, 1)
         assert goldbach_ideal_analysis(6, EXC).noether is None
+
+    def test_the_widest_analysis_stays_within_the_call_budget(self):
+        # 2n = 2p with p prime has the most units: the worst 2n below the bound
+        assert is_prime(1_249_999) and IDEAL_ANALYSIS_MAX_TWO_N - 2_499_998 == 2
+        tracemalloc.start()
+        try:
+            rep = goldbach_ideal_analysis(2_499_998)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rep.generators) > 10**5
+        assert peak < 64 << 20
+
+    @pytest.mark.parametrize("past", [0, 2, 10**20])
+    def test_past_the_bound_is_refused_at_once(self, past):
+        two_n = IDEAL_ANALYSIS_MAX_TWO_N + past
+        if not past:
+            assert goldbach_ideal_analysis(two_n).two_n == two_n
+            return
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=(
+            f"goldbach_ideal_analysis needs two_n <= {IDEAL_ANALYSIS_MAX_TWO_N}, "
+            f"got two_n = {two_n}$"
+        )):
+            goldbach_ideal_analysis(two_n)
+        assert time.perf_counter() - start < 0.1
 
     def test_usage_errors(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from landau import primes
+from landau.gaps import twin_stats
 from landau.primes import (
     _MR_TIERS,
     _WHEEL,
@@ -16,7 +17,6 @@ from landau.primes import (
     prev_prime,
     prime_flags,
     primes_in_range,
-    twin_stats,
 )
 
 from oracles import naive_prev_prime, naive_primes, trial_division_prime

@@ -3,7 +3,6 @@ constants of the sibling suites, renderer determinism, and error paths."""
 
 import json
 import re
-import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -342,17 +341,17 @@ class TestIdealTable:
         ],
     )
     def test_one_factorize_per_row_and_one_for_2n(self, monkeypatch, params, calls):
-        import landau.zn as zn
+        import landau.reports_ideals as reports_ideals
 
         seen = []
 
         def counting_factorize(n):
-            # the emitter's own calls; zn's helpers call factorize too
-            if sys._getframe(1).f_globals["__name__"] == "landau.reports_ideals":
-                seen.append(n)
+            seen.append(n)
             return factorize(n)
 
-        monkeypatch.setattr(zn, "factorize", counting_factorize)
+        # the emitter's own binding: zn's helpers, which call factorize too,
+        # keep theirs
+        monkeypatch.setattr(reports_ideals, "factorize", counting_factorize)
         report = build_report("ideal-table", params, CFG)
         remainders = [e["remainder"] for e in report.payload["entries"]]
         assert sorted(seen) == sorted(remainders + [params["two_n"]])
