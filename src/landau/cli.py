@@ -195,7 +195,7 @@ VERIFY_PARAMS = [
     Param("lo", "--from", "First instance.", required=True),
     Param("hi", "--to", "Last instance.", required=True),
     Param("checkpoint", "--checkpoint", "Resumable checkpoint file (relative paths land in "
-          "the configured checkpoint directory).", "FILE", _file),
+          "the configured checkpoint directory).", "FILE", str),
     Param("jobs", "--jobs", "Worker count [default: from config]."),
 ]
 

@@ -36,20 +36,6 @@ class PolignacPair:
     gap: int
     block: int  # smallest m >= 1 with q <= gap * 2**m
 
-    def __post_init__(self) -> None:
-        if self.p - self.q != self.gap:
-            raise ValueError(f"({self.q}, {self.p}) is not a gap-{self.gap} pair")
-        if self.block != _block_index(self.q, self.gap):
-            raise ValueError(f"wrong block {self.block} for q={self.q}, gap={self.gap}")
-
-    @classmethod
-    def _of_pair(cls, q: int, gap: int) -> "PolignacPair":
-        """Build a pair that a flag scan already found, without checking it
-        again."""
-        out = object.__new__(cls)
-        out.__dict__.update(q=q, p=q + gap, gap=gap, block=_block_index(q, gap))
-        return out
-
 
 class LegendreCounterexample(Exception):
     """An interval [n^2, (n+1)^2] without a prime; never observed."""
@@ -101,7 +87,7 @@ def polignac_pairs(
     bits = int.from_bytes(flags, "little")
     both = (bits & bits >> 4 * two_n).to_bytes(len(flags), "little")
     return [
-        PolignacPair._of_pair(q, two_n)
+        PolignacPair(q, q + two_n, two_n, _block_index(q, two_n))
         for q in compress(range(1, q_max + 1, 2), both)
     ]
 

@@ -34,14 +34,6 @@ class GoldbachCouple:
     kind: CoupleKind
     canonical: bool
 
-    def __post_init__(self) -> None:
-        if not (0 < self.p <= self.q) or self.p + self.q != self.two_n:
-            raise ValueError(f"not a couple for {self.two_n}: ({self.p}, {self.q})")
-        if self.kind is CoupleKind.NOETHER and self.p != 1:
-            raise ValueError(f"({self.p}, {self.q}) cannot be a top couple")
-        if self.kind is CoupleKind.TRIVIAL and self.p != self.q:
-            raise ValueError(f"({self.p}, {self.q}) cannot be a middle couple")
-
 
 @dataclass(frozen=True)
 class DescentStep:
@@ -54,13 +46,6 @@ class DescentStep:
 class DescentTrace:
     two_n: int
     steps: tuple[DescentStep, ...]
-
-    def __post_init__(self) -> None:
-        if not self.steps:
-            raise ValueError("a descent trace cannot be empty")
-        cands = [s.candidate for s in self.steps]
-        if any(a >= b for a, b in zip(cands[1:], cands)):
-            raise ValueError(f"descent candidates must strictly decrease: {cands}")
 
     def depth(self) -> int:
         return len(self.steps)

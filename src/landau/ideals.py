@@ -104,8 +104,7 @@ class GoldbachIdealReport:
         top unit 2n-1 when include_top is set: each prime p not dividing 2n
         to its largest power at or below that top."""
         top = self.two_n - 1 if self.include_top else self.two_n - 2
-        # the factors are primes from the sieve, so they are not tested again
-        return Factorization._of_primes(tuple(_r_prime_powers(self.two_n, top)))
+        return Factorization(tuple(_r_prime_powers(self.two_n, top)))
 
     @cached_property
     def primes_of_r(self) -> tuple[int, ...]:

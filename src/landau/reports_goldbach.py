@@ -8,7 +8,7 @@ from typing import Any
 
 from .goldbach import CoupleKind, _couple_pairs, canonical_couple, enumerate_couples, quasi_couples
 from .primes import PrimeConvention
-from .reports import Report, ReportError, _braced, _factor_list, _pair, _zn
+from .reports import Report, _braced, _factor_list, _pair, _zn
 from .zn import Factorization, units_profile
 
 
@@ -22,6 +22,12 @@ DESCENT_TARGETS = (
 
 # the moduli of the strong-generator overview table
 RING_MODULI = (2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 28)
+
+
+def _rows_for(two_ns: tuple[int, ...], conv: PrimeConvention) -> tuple[int, ...]:
+    """The 2n of a table that have couples under conv: 2 = 1 + 1 is a couple
+    only when the unit counts as prime."""
+    return two_ns if conv is PrimeConvention.INCLUDE1 else tuple(m for m in two_ns if m != 2)
 
 
 def _times_expanded(fact: Factorization) -> str:
@@ -76,10 +82,10 @@ def _chain_text(two_n: int, steps) -> str:
     return " ⇒ ".join(parts)
 
 
-def _emit_descent_table(
-    conv: PrimeConvention, /, *, targets: tuple[int, ...] = DESCENT_TARGETS
-) -> Report:
-    descents = [(two_n, *canonical_couple(two_n, conv)) for two_n in targets]
+def _emit_descent_table(conv: PrimeConvention, /) -> Report:
+    descents = [
+        (two_n, *canonical_couple(two_n, conv)) for two_n in _rows_for(DESCENT_TARGETS, conv)
+    ]
     errata = _DESCENT_ERRATA if conv is PrimeConvention.INCLUDE1 else {}
 
     footers = [
@@ -87,7 +93,7 @@ def _emit_descent_table(
         "p₁⁽ⁱ⁾ is the highest prime such that p₁⁽ⁱ⁾ < p₁⁽ⁱ⁻¹⁾, i ≥ 1, p₁⁽⁰⁾ = p₁.",
         "p₂⁽ˢ⁾ is the first number in the sequence i, i ≥ 1, such that p₂⁽ˢ⁾ ∈ P.",
         "P ⊂ ℕ is the set of prime numbers of ℕ.",
-        *(errata[two_n][1] for two_n in targets if two_n in errata),
+        *(note for _, note in errata.values()),
     ]
     return Report(
         title=(
@@ -132,15 +138,9 @@ def _emit_descent_table(
 # --------------------------------------------------------------------------
 # strong-generator overview across small even moduli
 
-def _emit_ring_table(conv: PrimeConvention, /, *, moduli: tuple[int, ...] | None = None) -> Report:
-    # 2 = 1 + 1 is a couple only when the unit counts as prime
-    include1 = conv is PrimeConvention.INCLUDE1
-    if moduli is None:
-        moduli = RING_MODULI if include1 else tuple(m for m in RING_MODULI if m != 2)
-    elif not include1 and 2 in moduli:
-        raise ReportError("moduli: 2 = 1 + 1 needs the unit counted as prime; use include1")
+def _emit_ring_table(conv: PrimeConvention, /) -> Report:
     rings = []
-    for two_n in moduli:
+    for two_n in _rows_for(RING_MODULI, conv):
         profile = units_profile(two_n, conv)
         couples = [
             (c.p, c.q, c.kind, c.canonical)
@@ -157,7 +157,7 @@ def _emit_ring_table(conv: PrimeConvention, /, *, moduli: tuple[int, ...] | None
         "(♣) Except in the case n=1, trivial Goldbach couples are never identified by units in ℤ₂ₙ.",
         "(♠) Quasi-Goldbach couples that are not Goldbach couples.",
     ]
-    if include1 and 22 in moduli:
+    if conv is PrimeConvention.INCLUDE1:
         footers.append(
             "Erratum: some transcriptions of the ℤ₂₂ row list 11 among the units "
             "and leave 21 unbracketed; 11 divides 22, and 21=3×7 is composite."

@@ -34,25 +34,6 @@ class Factorization:
 
     factors: tuple[tuple[int, int], ...] = ()
 
-    def __post_init__(self) -> None:
-        last = 1
-        for p, e in self.factors:
-            if p <= last:
-                raise ValueError(f"primes must be strictly increasing: {self.factors}")
-            if e < 1:
-                raise ValueError(f"exponent must be >= 1: {p}^{e}")
-            if not is_prime(p, PrimeConvention.EXCLUDE1):
-                raise ValueError(f"{p} is not prime")
-            last = p
-
-    @classmethod
-    def _of_primes(cls, factors: tuple[tuple[int, int], ...]) -> "Factorization":
-        """Build from ascending (p, e) pairs whose p are already known prime
-        and whose e are >= 1, without testing them again."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "factors", factors)
-        return out
-
     def value(self) -> int:
         out = 1
         for p, e in self.factors:
@@ -68,7 +49,7 @@ class Factorization:
         return "*".join(str(p) if e == 1 else f"{p}^{e}" for p, e in self.factors)
 
     def squarefree(self) -> "Factorization":
-        return Factorization._of_primes(tuple((p, 1) for p, _ in self.factors))
+        return Factorization(tuple((p, 1) for p, _ in self.factors))
 
     def divides(self, other: "Factorization") -> bool:
         exps = dict(other.factors)
@@ -109,7 +90,7 @@ def factorize(n: int) -> Factorization:
         else:
             d = _rho(m)
             stack += (d, m // d)
-    return Factorization._of_primes(tuple(sorted(exps.items())))
+    return Factorization(tuple(sorted(exps.items())))
 
 
 def _rho(m: int) -> int:

@@ -423,6 +423,27 @@ class TestExitCodes:
             f"Error: checkpoint {missing / 'x.ckpt'}: No such file or directory")
         assert list(tmp_path.iterdir()) == []  # nothing created
 
+    def test_relative_checkpoint_is_judged_in_the_checkpoint_directory(self, tmp_path):
+        # a directory of that name in the working directory is no obstacle;
+        # one at the resolved path is refused when it is opened
+        (tmp_path / "g.ckpt").mkdir()
+        (tmp_path / "store").mkdir()
+        env = {**_child_env(), "LANDAU_CHECKPOINT_DIR": "store"}
+        argv = [sys.executable, "-m", "landau", "goldbach", "verify", "--from", "4", "--to",
+                "100", "--checkpoint", "g.ckpt"]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, cwd=tmp_path,
+                              timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "store" / "g.ckpt").is_file()
+        (tmp_path / "store" / "g.ckpt").unlink()
+        (tmp_path / "store" / "g.ckpt").mkdir()
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, cwd=tmp_path,
+                              timeout=30)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+        assert proc.stderr.splitlines()[-1] == (
+            f"Error: checkpoint {os.path.join('store', 'g.ckpt')}: Is a directory")
+
 
 class TestConfigPrecedence:
     def test_builtin_default(self, runner):

@@ -9,7 +9,6 @@ from landau.figurate import triangle_number
 from landau.gaps import (
     POLIGNAC_MAX_WINDOW,
     LegendreCounterexample,
-    PolignacPair,
     legendre_primes,
     polignac_dyadic_search,
     polignac_pairs,
@@ -132,7 +131,9 @@ class TestPolignacPairs:
             for pr in polignac_pairs(gap, 500, INC):
                 assert pr.p - pr.q == gap
                 assert is_prime(pr.q, INC) and is_prime(pr.p, INC)
-                assert pr == PolignacPair(pr.q, pr.p, gap, pr.block)  # passes the checks
+                # block m is the smallest m >= 1 with q <= gap * 2^m
+                assert pr.q <= gap << pr.block
+                assert pr.block == 1 or pr.q > gap << (pr.block - 1)
 
     def test_complete_against_trial_division(self):
         for gap in (2, 4, 6, 8, 10, 20):
@@ -158,12 +159,6 @@ class TestPolignacPairs:
             polignac_pairs(0, 10)
         with pytest.raises(ValueError):
             polignac_pairs(2, 0)
-
-    def test_pair_validation(self):
-        with pytest.raises(ValueError, match="gap"):
-            PolignacPair(3, 7, 2, 1)
-        with pytest.raises(ValueError, match="block"):
-            PolignacPair(3, 5, 2, 2)
 
 
 class TestAgainstIsPrime:
@@ -214,7 +209,6 @@ class TestWindowBound:
 class TestDyadicBlocks:
     def test_block_boundaries(self):
         # block 1 reaches q = 4n inclusive; each later block doubles
-        assert PolignacPair(3, 5, 2, 1).block == 1
         by_q = {p.q: p.block for p in polignac_pairs(2, 64, INC)}
         assert by_q[1] == 1 and by_q[3] == 1
         assert by_q[5] == 2

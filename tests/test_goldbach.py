@@ -15,9 +15,6 @@ import pytest
 from landau.config import Config
 from landau.goldbach import (
     CoupleKind,
-    DescentStep,
-    DescentTrace,
-    GoldbachCouple,
     GoldbachCounterexample,
     canonical_couple,
     enumerate_couples,
@@ -217,6 +214,7 @@ class TestCanonicalDescent:
             for conv in (INC, EXC):
                 _, trace = canonical_couple(two_n, conv)
                 cands = [s.candidate for s in trace.steps]
+                assert cands and all(a > b for a, b in zip(cands, cands[1:])), cands
                 assert cands[0] == prev_prime(two_n, conv)
                 for a, b in zip(cands, cands[1:]):
                     assert b == prev_prime(a, conv)
@@ -252,36 +250,6 @@ class TestCanonicalDescent:
                 deepest, at = d, two_n
         # deterministic: the first worst chain in this range has 15 steps
         assert (deepest, at) == (15, 9596)
-
-
-class TestTraceValidation:
-    def test_empty_trace_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            DescentTrace(10, ())
-
-    def test_non_decreasing_rejected(self):
-        steps = (
-            DescentStep(7, 3, None),
-            DescentStep(11, -1, None),
-        )
-        with pytest.raises(ValueError, match="strictly decrease"):
-            DescentTrace(10, steps)
-
-
-class TestCoupleValidation:
-    def test_sum_must_match(self):
-        with pytest.raises(ValueError):
-            GoldbachCouple(3, 7, 12, CoupleKind.ORDINARY, False)
-
-    def test_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            GoldbachCouple(7, 3, 10, CoupleKind.ORDINARY, False)
-
-    def test_kind_shape_enforced(self):
-        with pytest.raises(ValueError, match="top"):
-            GoldbachCouple(3, 7, 10, CoupleKind.NOETHER, False)
-        with pytest.raises(ValueError, match="middle"):
-            GoldbachCouple(3, 7, 10, CoupleKind.TRIVIAL, False)
 
 
 class TestEnumerate:
@@ -369,6 +337,10 @@ class TestEnumerate:
         for conv, start in ((INC, 2), (EXC, 4)):
             for two_n in range(start, 3_001, 2):
                 couples = enumerate_couples(two_n, conv)
+                for c in couples:
+                    assert 0 < c.p <= c.q and c.p + c.q == c.two_n == two_n, c
+                    assert (c.kind is CoupleKind.NOETHER) == (c.p == 1), c
+                    assert (c.kind is CoupleKind.TRIVIAL) == (c.p == c.q > 1), c
                 stars = [c for c in couples if c.canonical]
                 assert len(stars) == 1
                 direct = canonical_couple(two_n, conv)[0]

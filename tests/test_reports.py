@@ -45,9 +45,9 @@ CFG = Config(workers=1)
 # one valid parameter set per report kind but verify-summary, whose summary
 # comes from a verify run
 VALID_PARAMS = {
-    "descent-table": {"targets": (2, 10)},
+    "descent-table": {},
     "units-grid": {"n": 10},
-    "ring-table": {"moduli": (2, 10)},
+    "ring-table": {},
     "ideal-table": {"two_n": 28},
     "polignac-table": {"gaps": (2,), "m_max": 2},
     "polignac-pairs": {"two_n": 20, "q_max": 37},
@@ -77,9 +77,7 @@ _BAD = {
     "ints": [(7, "expected a sequence of integers"), ((2, "4"), "expected integers")],
 }
 _TYPED = {
-    "descent-table": {"targets": "ints"},
     "units-grid": {"n": "int"},
-    "ring-table": {"moduli": "ints"},
     "ideal-table": {"two_n": "int", "include_top": "bool", "descent_only": "bool"},
     "polignac-table": {"gaps": "ints", "m_max": "int"},
     "polignac-pairs": {"two_n": "int", "q_max": "int"},
@@ -196,10 +194,15 @@ class TestDescentTable:
         assert text.count("‡ Some transcriptions") == 1
 
     def test_exclude1_has_no_markers_and_clean_unit_chain(self):
+        # 2 = 1 + 1 is no couple without the unit, so the table starts at 4
         cfg = Config(convention=EXC, workers=1)
-        text = emit_report("descent-table", {"targets": (4, 670, 718)}, "md", cfg).decode()
+        text = emit_report("descent-table", {}, "md", cfg).decode()
         assert "†" not in text and "‡" not in text
-        assert "| 4-3=1 ⇒ 4-2=2 |" in text
+        assert "| 2 | 4 | 3 | 4-3=1 ⇒ 4-2=2 |" in text and "| 1 | 2 |" not in text
+        csv_lines = emit_report("descent-table", {}, "csv", cfg).decode().splitlines()
+        assert csv_lines[2].startswith("2,4,3,")
+        rows = json.loads(emit_report("descent-table", {}, "json", cfg))["report"]["rows"]
+        assert [r["two_n"] for r in rows] == [m for m in DESCENT_TARGETS if m != 2]
 
     def test_published_row_strings(self):
         text = (GOLDEN / "descent_table.md").read_text(encoding="utf-8")
@@ -268,11 +271,6 @@ class TestRingTable:
             assert "\n| ℤ₄ | " in raw and "ℤ₂ |" not in raw
         else:
             assert raw.splitlines()[2].startswith("ℤ₄,") and "\nℤ₂," not in raw
-
-    def test_exclude1_refuses_modulus_2_naming_moduli(self):
-        cfg = Config(convention=EXC, workers=1)
-        with pytest.raises(ReportError, match="^moduli: "):
-            emit_report("ring-table", {"moduli": (2, 4)}, "md", cfg)
 
     def test_published_row_strings(self):
         text = (GOLDEN / "ring_table.md").read_text(encoding="utf-8")
@@ -540,15 +538,10 @@ def _dumps(doc) -> bytes:
 
 
 def _params_under(kind: str, conv: PrimeConvention) -> dict:
-    """VALID_PARAMS for kind, without the 2 = 1 + 1 rows exclude1 refuses;
-    the verify summary comes from a short run."""
+    """VALID_PARAMS for kind; the verify summary comes from a short run."""
     if kind == "verify-summary":
         return {"summary": verify_range(Task.GOLDBACH, 4, 200, conv)}
-    params = dict(VALID_PARAMS[kind])
-    for key in ("targets", "moduli"):
-        if conv is EXC and key in params:
-            params[key] = tuple(m for m in params[key] if m != 2)
-    return params
+    return dict(VALID_PARAMS[kind])
 
 
 def _never() -> None:
@@ -649,8 +642,8 @@ class TestErrors:
             emit_report("units-grid", params, "md", CFG)
 
     def test_bad_sequence_parameter(self):
-        with pytest.raises(ReportError, match="targets"):
-            emit_report("descent-table", {"targets": 220}, "md", CFG)
+        with pytest.raises(ReportError, match="^ns: expected a sequence of integers"):
+            emit_report("legendre-table", {"ns": 7}, "md", CFG)
 
     def test_library_domain_errors_propagate(self):
         with pytest.raises(ValueError, match="even"):

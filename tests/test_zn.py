@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import landau.zn as zn
 from landau.primes import PrimeConvention, is_prime, prev_prime
 from landau.zn import (
-    Factorization,
     factorize,
     totient,
     carmichael,
@@ -71,14 +70,8 @@ class TestFactorize:
         assert f.value() == n
         for p, e in f.factors:
             assert is_prime(p, EXC) and e >= 1
-
-    def test_validation_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            Factorization(((3, 1), (2, 1)))  # not ascending
-        with pytest.raises(ValueError):
-            Factorization(((2, 0),))  # zero exponent
-        with pytest.raises(ValueError):
-            Factorization(((6, 1),))  # composite base
+        primes = f.primes()
+        assert all(a < b for a, b in zip(primes, primes[1:])), f.factors
 
     def test_large_semiprime_beyond_sieve_cache(self):
         p, q = 1_000_003, 1_000_033
