@@ -499,6 +499,12 @@ class TestConfigPrecedence:
         )
         assert result.exit_code == 2
 
+    def test_config_directory_is_usage_error(self, runner, tmp_path):
+        # --config, unlike --checkpoint, is a path in the working directory
+        result = runner.invoke(main, ["--config", str(tmp_path), "triangle", "value", "3"])
+        assert result.exit_code == 2
+        assert "is a directory" in result.stderr
+
     def test_convention_reaches_the_library(self, runner):
         out = runner.invoke(
             main, ["--convention", "exclude1", "legendre", "primes", "1"]

@@ -131,9 +131,6 @@ class TestPolignacPairs:
             for pr in polignac_pairs(gap, 500, INC):
                 assert pr.p - pr.q == gap
                 assert is_prime(pr.q, INC) and is_prime(pr.p, INC)
-                # block m is the smallest m >= 1 with q <= gap * 2^m
-                assert pr.q <= gap << pr.block
-                assert pr.block == 1 or pr.q > gap << (pr.block - 1)
 
     def test_complete_against_trial_division(self):
         for gap in (2, 4, 6, 8, 10, 20):
@@ -215,6 +212,14 @@ class TestDyadicBlocks:
         assert by_q[11] == 3
         assert by_q[17] == 4 and by_q[29] == 4
         assert by_q[41] == 5 and by_q[59] == 5
+
+    def test_every_pair_lies_in_its_block(self):
+        # block m is the smallest m >= 1 with q <= gap * 2^m
+        for gap in (2, 6, 12, 30):
+            for conv in (INC, EXC):
+                for pr in polignac_pairs(gap, 500, conv):
+                    assert pr.q <= gap << pr.block, pr
+                    assert pr.block == 1 or pr.q > gap << (pr.block - 1), pr
 
     def test_partition_matches_flat_search(self):
         for gap in (2, 6, 10, 20):

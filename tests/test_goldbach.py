@@ -214,7 +214,6 @@ class TestCanonicalDescent:
             for conv in (INC, EXC):
                 _, trace = canonical_couple(two_n, conv)
                 cands = [s.candidate for s in trace.steps]
-                assert cands and all(a > b for a, b in zip(cands, cands[1:])), cands
                 assert cands[0] == prev_prime(two_n, conv)
                 for a, b in zip(cands, cands[1:]):
                     assert b == prev_prime(a, conv)
@@ -250,6 +249,52 @@ class TestCanonicalDescent:
                 deepest, at = d, two_n
         # deterministic: the first worst chain in this range has 15 steps
         assert (deepest, at) == (15, 9596)
+
+
+class TestTraceShape:
+    """A trace comes only from canonical_couple, which builds it by the rule
+    stated here; no constructor check restates it."""
+
+    def test_trace_is_never_empty(self):
+        for conv, start in ((INC, 2), (EXC, 4)):
+            for two_n in range(start, 3_001, 2):
+                _, trace = canonical_couple(two_n, conv)
+                assert trace.two_n == two_n and trace.steps, (two_n, conv)
+
+    def test_candidates_strictly_decrease(self):
+        for conv, start in ((INC, 2), (EXC, 4)):
+            for two_n in range(start, 3_001, 2):
+                _, trace = canonical_couple(two_n, conv)
+                cands = [s.candidate for s in trace.steps]
+                assert all(a > b for a, b in zip(cands, cands[1:])), (two_n, cands)
+
+
+def _every_couple():
+    """Every couple the package builds for 2n <= 3000, under both conventions:
+    the enumeration and the descent's own couple."""
+    for conv, start in ((INC, 2), (EXC, 4)):
+        for two_n in range(start, 3_001, 2):
+            yield two_n, canonical_couple(two_n, conv)[0]
+            for c in enumerate_couples(two_n, conv):
+                yield two_n, c
+
+
+class TestCoupleValidation:
+    """The couple invariants hold by construction; checked on the outputs."""
+
+    def test_sum_must_match(self):
+        for two_n, c in _every_couple():
+            assert c.p + c.q == c.two_n == two_n, c
+
+    def test_ordering_enforced(self):
+        for _, c in _every_couple():
+            assert 0 < c.p <= c.q, c
+
+    def test_kind_shape_enforced(self):
+        for _, c in _every_couple():
+            # (1, 1) is both a top and a middle pair; top classification wins
+            assert (c.kind is CoupleKind.NOETHER) == (c.p == 1), c
+            assert (c.kind is CoupleKind.TRIVIAL) == (c.p == c.q > 1), c
 
 
 class TestEnumerate:
@@ -337,10 +382,6 @@ class TestEnumerate:
         for conv, start in ((INC, 2), (EXC, 4)):
             for two_n in range(start, 3_001, 2):
                 couples = enumerate_couples(two_n, conv)
-                for c in couples:
-                    assert 0 < c.p <= c.q and c.p + c.q == c.two_n == two_n, c
-                    assert (c.kind is CoupleKind.NOETHER) == (c.p == 1), c
-                    assert (c.kind is CoupleKind.TRIVIAL) == (c.p == c.q > 1), c
                 stars = [c for c in couples if c.canonical]
                 assert len(stars) == 1
                 direct = canonical_couple(two_n, conv)[0]

@@ -194,15 +194,23 @@ class TestDescentTable:
         assert text.count("‡ Some transcriptions") == 1
 
     def test_exclude1_has_no_markers_and_clean_unit_chain(self):
-        # 2 = 1 + 1 is no couple without the unit, so the table starts at 4
         cfg = Config(convention=EXC, workers=1)
         text = emit_report("descent-table", {}, "md", cfg).decode()
         assert "†" not in text and "‡" not in text
-        assert "| 2 | 4 | 3 | 4-3=1 ⇒ 4-2=2 |" in text and "| 1 | 2 |" not in text
-        csv_lines = emit_report("descent-table", {}, "csv", cfg).decode().splitlines()
-        assert csv_lines[2].startswith("2,4,3,")
-        rows = json.loads(emit_report("descent-table", {}, "json", cfg))["report"]["rows"]
-        assert [r["two_n"] for r in rows] == [m for m in DESCENT_TARGETS if m != 2]
+        assert "| 2 | 4 | 3 | 4-3=1 ⇒ 4-2=2 |" in text
+
+    @pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+    def test_exclude1_default_starts_at_4(self, fmt):
+        # 2 = 1 + 1 is no couple without the unit, so the table starts at 4
+        cfg = Config(convention=EXC, workers=1)
+        raw = emit_report("descent-table", {}, fmt, cfg).decode("utf-8")
+        if fmt == "json":
+            rows = json.loads(raw)["report"]["rows"]
+            assert [r["two_n"] for r in rows] == [m for m in DESCENT_TARGETS if m != 2]
+        elif fmt == "md":
+            assert "\n| 2 | 4 | 3 | " in raw and "| 1 | 2 |" not in raw
+        else:
+            assert raw.splitlines()[2].startswith("2,4,3,") and "\n1,2," not in raw
 
     def test_published_row_strings(self):
         text = (GOLDEN / "descent_table.md").read_text(encoding="utf-8")
@@ -640,6 +648,12 @@ class TestErrors:
     def test_bad_integer_parameter(self, params):
         with pytest.raises(ReportError, match="n: expected an integer"):
             emit_report("units-grid", params, "md", CFG)
+
+    @pytest.mark.parametrize("kind, name", [("descent-table", "targets"), ("ring-table", "moduli")])
+    def test_paper_tables_take_no_row_parameter(self, kind, name):
+        # both tables print the paper's rows and nothing else
+        with pytest.raises(ReportError, match=f"^unknown parameter\\(s\\): {name}$"):
+            emit_report(kind, {name: (4, 10)}, "md", CFG)
 
     def test_bad_sequence_parameter(self):
         with pytest.raises(ReportError, match="^ns: expected a sequence of integers"):
