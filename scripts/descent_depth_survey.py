@@ -52,7 +52,7 @@ def main() -> None:
     print(f"\n{args.top} deepest instances (depth, 2n):")
     for depth, two_n in deepest:
         couple, trace = canonical_couple(two_n, conv)
-        chain = " -> ".join(str(s.candidate) for s in trace.steps)
+        chain = " -> ".join(map(str, trace.candidates))
         print(f"  depth {depth}: 2n={two_n}, couple {(couple.p, couple.q)}, candidates {chain}")
 
 

@@ -264,9 +264,7 @@ for _group, _task, _help in VERIFY_LEAVES:
 # --- help pages and usage lines, laid out as click lays them out -------------
 
 
-def _columns(terminal_width: int | None) -> int:
-    if terminal_width is not None:
-        return terminal_width
+def _columns() -> int:
     import shutil
 
     return max(min(shutil.get_terminal_size().columns, 80) - 2, 50)
@@ -362,9 +360,7 @@ def _no_such(kind: str, name: str, known: Sequence[str]) -> str:
     return message
 
 
-def _parse(
-    cmd: Command, path: str, args: list[str], terminal_width: int | None
-) -> tuple[dict[str, Any], list[str]]:
+def _parse(cmd: Command, path: str, args: list[str]) -> tuple[dict[str, Any], list[str]]:
     """The values of cmd's params, by name, from the front of args, and the
     args left for a group's subcommand.
 
@@ -405,7 +401,7 @@ def _parse(
         else:
             raise UsageError(f"Option {opt!r} requires an argument.")
     if raw.pop(HELP.name, False):
-        print(_help(cmd, path, _columns(terminal_width)))
+        print(_help(cmd, path, _columns()))
         sys.exit(0)
     if not cmd.commands:
         words += rest
@@ -437,15 +433,15 @@ def _parse(
     return values, rest
 
 
-def _run(args: list[str], prog: str, terminal_width: int | None) -> int:
+def _run(args: list[str], prog: str) -> int:
     """Walk args down the command tree, then run the leaf they name."""
     cmd, path = ROOT, prog
     settings: tuple[Config, str] | None = None
     while cmd.run is None:
         if not args:  # a bare group: its help, as an error
-            print(_help(cmd, path, _columns(terminal_width)), file=sys.stderr)
+            print(_help(cmd, path, _columns()), file=sys.stderr)
             return 2
-        values, args = _parse(cmd, path, args, terminal_width)
+        values, args = _parse(cmd, path, args)
         if not args:
             raise UsageError("Missing command.", (cmd, path))
         name = args.pop(0)
@@ -459,7 +455,7 @@ def _run(args: list[str], prog: str, terminal_width: int | None) -> int:
                 raise UsageError(str(exc), (cmd, path)) from exc
             settings = cfg, values["fmt"] or "md"
         cmd, path = cmd.commands[name], f"{path} {name}"
-    values, _ = _parse(cmd, path, args, terminal_width)
+    values, _ = _parse(cmd, path, args)
     try:
         return cmd.run(*settings, values)
     except UsageError as exc:
@@ -467,21 +463,18 @@ def _run(args: list[str], prog: str, terminal_width: int | None) -> int:
         raise
 
 
-def main(
-    args: Sequence[str] | None = None,
-    prog_name: str | None = None,
-    terminal_width: int | None = None,
-) -> NoReturn:
+def main(args: Sequence[str] | None = None, prog_name: str | None = None) -> NoReturn:
     """Run one command line (default: sys.argv[1:]) and raise SystemExit
-    with its exit code, as click's standalone mode does.  Help wraps at
-    terminal_width, or at the terminal's columns less 2, from 50 to 78."""
+    with its exit code, as click's standalone mode does.  Help wraps at the
+    terminal's columns less 2, from 50 to 78 (COLUMNS, when set, gives the
+    columns; 80 when neither it nor a terminal does)."""
     prog = prog_name or os.path.basename(sys.argv[0])
     try:
-        code = _run(list(sys.argv[1:] if args is None else args), prog, terminal_width)
+        code = _run(list(sys.argv[1:] if args is None else args), prog)
     except UsageError as exc:
         if exc.where is not None:
             cmd, path = exc.where
-            usage = _usage(cmd, path, _columns(terminal_width))
+            usage = _usage(cmd, path, _columns())
             print(f"{usage}\nTry '{path} --help' for help.\n", file=sys.stderr)
         print(f"Error: {exc}", file=sys.stderr)
         code = 2
@@ -494,7 +487,3 @@ def main(
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
     sys.exit(code)
-
-
-if __name__ == "__main__":
-    main(prog_name="landau")

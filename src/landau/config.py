@@ -96,9 +96,7 @@ def _read_config_file(path: str) -> dict[str, Any]:
 
 
 def load_config(
-    path: str | None = None,
-    env: Mapping[str, str] | None = None,
-    overrides: Mapping[str, Any] | None = None,
+    path: str | None = None, overrides: Mapping[str, Any] | None = None
 ) -> Config:
     """Merge settings with precedence: overrides (CLI) > env > file > defaults.
 
@@ -106,16 +104,14 @@ def load_config(
     file named explicitly must exist.  Malformed values raise ConfigError
     with the offending key first in the message.
     """
-    if env is None:
-        env = os.environ
     settings: dict[str, Any] = {}
 
-    file_path = path if path is not None else env.get(ENV_PREFIX + "CONFIG")
+    file_path = path if path is not None else os.environ.get(ENV_PREFIX + "CONFIG")
     if file_path:
         settings.update(_read_config_file(file_path))
 
     for key in _KEYS:
-        value = env.get(ENV_PREFIX + key.upper())
+        value = os.environ.get(ENV_PREFIX + key.upper())
         if value is not None:
             settings[key] = value
 

@@ -145,13 +145,14 @@ class ParabolicRecord:
     unit-count check: k^2 + 1 is prime exactly when its totient is k^2."""
 
     k: int
-    p: int
     is_parabolic: bool
     totient_check: bool
 
+    @property
+    def p(self) -> int:
+        return self.k * self.k + 1
+
     def __post_init__(self) -> None:
-        if self.k < 0 or self.p != self.k * self.k + 1:
-            raise ValueError(f"{self.p} is not {self.k}^2 + 1")
         if self.is_parabolic != self.totient_check:
             raise ValueError(
                 f"primality and totient disagree at k={self.k}: "
@@ -199,7 +200,7 @@ def parabolic_primes(
 
 
 def _parabolic_record(k: int, conv: PrimeConvention) -> ParabolicRecord:
-    return ParabolicRecord(k, k * k + 1, is_prime(k * k + 1, conv), totient_is_k_squared(k))
+    return ParabolicRecord(k, is_prime(k * k + 1, conv), totient_is_k_squared(k))
 
 
 @cache

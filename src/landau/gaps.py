@@ -33,8 +33,7 @@ def _block_index(q: int, gap: int) -> int:
 class PolignacPair:
     q: int
     p: int
-    gap: int
-    block: int  # smallest m >= 1 with q <= gap * 2**m
+    block: int  # smallest m >= 1 with q <= (p - q) * 2**m
 
 
 class LegendreCounterexample(Exception):
@@ -56,11 +55,11 @@ def _validate_gap(two_n: int) -> None:
 # Bound on the flag window q_max + 2n from one memory budget of 64 MiB per
 # call, as for the couple lists in goldbach.py: a call holds about 1.6 bytes
 # per unit of the window (the odd flags, their int, its shift and the AND)
-# and 170 per pair, and gaps with many small odd prime factors have the most
+# and 165 per pair, and gaps with many small odd prime factors have the most
 # pairs.  Tracemalloc peaks in MiB (CPython 3.11, x86-64), q_max = window - 2n:
 #   window  2n = 2     6     30   2310  30030  510510
-#   10^6        2.8   4.2    5.2    6.3    6.6     4.2
-#   10^7       24.6  34.4   40.9   49.8   52.7    52.9
+#   10^6        2.8   4.1    5.0    6.1    6.3     4.1
+#   10^7       24.1  33.5   39.7   48.2   50.9    51.1
 POLIGNAC_MAX_WINDOW = 10**7
 
 
@@ -87,7 +86,7 @@ def polignac_pairs(
     bits = int.from_bytes(flags, "little")
     both = (bits & bits >> 4 * two_n).to_bytes(len(flags), "little")
     return [
-        PolignacPair(q, q + two_n, two_n, _block_index(q, two_n))
+        PolignacPair(q, q + two_n, _block_index(q, two_n))
         for q in compress(range(1, q_max + 1, 2), both)
     ]
 
@@ -108,11 +107,10 @@ def polignac_dyadic_search(
 
 @dataclass(frozen=True)
 class TwinStats:
-    """Twin pairs (p, p+2) with p+2 <= n_max, plus Brun-style running sums."""
+    """How many twin pairs (p, p+2) have p+2 <= n_max, and Brun's sum of
+    their reciprocals."""
 
-    n_max: int
     count: int
-    pairs: tuple[tuple[int, int], ...]
     brun_sum: Fraction
     brun_bound: float  # N/(ln N)^2, the C=1 shape comparison only
 
@@ -122,14 +120,14 @@ def twin_stats(n_max: int, conv: PrimeConvention = DEFAULT_CONVENTION) -> TwinSt
         raise ValueError(f"twin_stats needs n_max >= 2, got {n_max}")
     from fractions import Fraction
 
-    pairs = tuple((c.q, c.p) for c in polignac_pairs(2, n_max - 2, conv)) if n_max > 2 else ()
+    pairs = polignac_pairs(2, n_max - 2, conv) if n_max > 2 else []
     # summed pairwise in a balanced tree, so that each addition meets two
     # denominators of like size rather than one huge and one small
-    terms = [Fraction(p + q, p * q) for p, q in pairs] or [Fraction(0)]
+    terms = [Fraction(c.q + c.p, c.q * c.p) for c in pairs] or [Fraction(0)]
     while len(terms) > 1:
         terms = [a + b for a, b in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1:]
     bound = n_max / math.log(n_max) ** 2
-    return TwinStats(n_max, len(pairs), pairs, terms[0], bound)
+    return TwinStats(len(pairs), terms[0], bound)
 
 
 # Bound on n from the cap on the base primes, not from a memory budget:

@@ -15,7 +15,7 @@ from enum import Enum
 from itertools import compress
 
 from .primes import DEFAULT_CONVENTION, PrimeConvention, _odd_flags, is_prime, prev_prime
-from .zn import Factorization, factorize
+from .zn import factorize
 
 
 class CoupleKind(Enum):
@@ -26,38 +26,31 @@ class CoupleKind(Enum):
 
 @dataclass(frozen=True)
 class GoldbachCouple:
-    """Unordered prime pair p <= q with p + q = two_n."""
+    """Unordered prime pair p <= q, the canonical couple of p + q."""
 
     p: int
     q: int
-    two_n: int
     kind: CoupleKind
-    canonical: bool
-
-
-@dataclass(frozen=True)
-class DescentStep:
-    candidate: int  # the prime tried as the larger member
-    remainder: int  # two_n - candidate
-    remainder_factorization: Factorization | None  # None iff remainder is prime
 
 
 @dataclass(frozen=True)
 class DescentTrace:
-    two_n: int
-    steps: tuple[DescentStep, ...]
+    """The primes tried as the larger member, from prev_prime(2n) down; the
+    remainder 2n - c of every candidate c but the last is not prime."""
+
+    candidates: tuple[int, ...]
 
     def depth(self) -> int:
-        return len(self.steps)
+        return len(self.candidates)
 
 
 class GoldbachCounterexample(Exception):
     """Descent exhausted every candidate prime without finding a couple."""
 
-    def __init__(self, two_n: int, conv: PrimeConvention, steps: tuple[DescentStep, ...]):
+    def __init__(self, two_n: int, conv: PrimeConvention, candidates: tuple[int, ...]):
         self.two_n = two_n
         self.convention = conv
-        self.steps = steps
+        self.candidates = candidates
         super().__init__(f"descent exhausted for {two_n} under {conv.value}")
 
 
@@ -84,26 +77,24 @@ def canonical_couple(
     2^64, so that every candidate and remainder is below it."""
     _validate_even(two_n, conv)
     _check_bound(two_n, 1 << 64, "canonical_couple")
-    steps: list[DescentStep] = []
+    candidates: list[int] = []
     cand = prev_prime(two_n, conv)
     while cand is not None:
+        candidates.append(cand)
         rem = two_n - cand
         if is_prime(rem, conv):
-            steps.append(DescentStep(cand, rem, None))
-            trace = DescentTrace(two_n, tuple(steps))
             p, q = min(cand, rem), max(cand, rem)
-            return GoldbachCouple(p, q, two_n, _classify(p, q), True), trace
-        steps.append(DescentStep(cand, rem, factorize(rem)))
+            return GoldbachCouple(p, q, _classify(p, q)), DescentTrace(tuple(candidates))
         cand = prev_prime(cand, conv)
-    raise GoldbachCounterexample(two_n, conv, tuple(steps))
+    raise GoldbachCounterexample(two_n, conv, tuple(candidates))
 
 
 # Bounds on 2n from one memory budget of 64 MiB per call.  The tracemalloc
 # peaks they rest on (CPython 3.11, x86-64): enumerate_couples holds the odd
 # flags of [1, 2n), read as two ints and ANDed (about 2.1 bytes per unit of
-# 2n), then one couple object per couple: 2.0 MiB at 10^6, 20.0 MiB at 10^7,
-# and 44.5 MiB at 9,699,690 = 2·3·5·7·11·13·17·19, the 2n below the bound
-# with the most couples (81.3 MiB at twice that).  quasi_couples also holds
+# 2n), then one (p, q, kind, canonical) tuple per couple: 2.0 MiB at 10^6,
+# 20.0 MiB at 10^7, and 19.4 MiB at 9,699,690 = 2·3·5·7·11·13·17·19, the 2n
+# below the bound with the most couples (38.9 MiB at twice that).  quasi_couples also holds
 # a byte per odd a <= n and returns about phi(2n)/2 pairs, so it peaks at
 # 2n = 2p: 31.0 MiB at 999,958 (and 62.2 MiB at 1,999,966, too close to the
 # budget to double the bound); 977,702 takes 0.05 s.
@@ -125,8 +116,8 @@ def _both_prime(two_n: int, conv: PrimeConvention) -> bytes:
     return both.to_bytes(len(flags), "big")
 
 
-def _couple_pairs(
-    two_n: int, conv: PrimeConvention
+def enumerate_couples(
+    two_n: int, conv: PrimeConvention = DEFAULT_CONVENTION
 ) -> list[tuple[int, int, CoupleKind, bool]]:
     """Every couple (p, 2n - p) of 2n as (p, q, kind, canonical), ascending
     by p."""
@@ -138,16 +129,6 @@ def _couple_pairs(
     # the descent stops at the largest candidate whose remainder is prime, so
     # the canonical couple is the one with the smallest smaller member
     return [(p, two_n - p, _classify(p, two_n - p), i == 0) for i, p in enumerate(smaller)]
-
-
-def enumerate_couples(
-    two_n: int, conv: PrimeConvention = DEFAULT_CONVENTION
-) -> list[GoldbachCouple]:
-    """All couples for 2n, ascending by smaller member, canonical one marked."""
-    return [
-        GoldbachCouple(p, q, two_n, kind, canonical)
-        for p, q, kind, canonical in _couple_pairs(two_n, conv)
-    ]
 
 
 def quasi_couples(

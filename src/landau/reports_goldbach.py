@@ -6,10 +6,10 @@ from __future__ import annotations
 
 from typing import Any
 
-from .goldbach import CoupleKind, _couple_pairs, canonical_couple, enumerate_couples, quasi_couples
+from .goldbach import CoupleKind, canonical_couple, enumerate_couples, quasi_couples
 from .primes import PrimeConvention
 from .reports import Report, _braced, _factor_list, _pair, _zn
-from .zn import Factorization, units_profile
+from .zn import Factorization, factorize, units_profile
 
 
 # the even numbers whose canonical descents the criterion table prints
@@ -38,16 +38,22 @@ def _times_expanded(fact: Factorization) -> str:
     return "×".join(parts)
 
 
-def _steps_entry(steps) -> list[dict[str, Any]]:
+def _descent(
+    two_n: int, candidates: tuple[int, ...]
+) -> list[tuple[int, int, Factorization | None]]:
+    """(candidate, remainder, factorization) per step of a descent; the
+    factorization is None on the last step, whose remainder is prime."""
+    last = len(candidates) - 1
     return [
-        {
-            "candidate": s.candidate,
-            "remainder": s.remainder,
-            "factors": None
-            if s.remainder_factorization is None
-            else _factor_list(s.remainder_factorization),
-        }
-        for s in steps
+        (c, two_n - c, None if i == last else factorize(two_n - c))
+        for i, c in enumerate(candidates)
+    ]
+
+
+def _steps_entry(two_n: int, candidates: tuple[int, ...]) -> list[dict[str, Any]]:
+    return [
+        {"candidate": c, "remainder": rem, "factors": None if fact is None else _factor_list(fact)}
+        for c, rem, fact in _descent(two_n, candidates)
     ]
 
 
@@ -71,11 +77,10 @@ _DESCENT_ERRATA = {
 }
 
 
-def _chain_text(two_n: int, steps) -> str:
+def _chain_text(two_n: int, candidates: tuple[int, ...]) -> str:
     parts = []
-    for step in steps:
-        cell = f"{two_n}-{step.candidate}={step.remainder}"
-        fact = step.remainder_factorization
+    for c, rem, fact in _descent(two_n, candidates):
+        cell = f"{two_n}-{c}={rem}"
         if fact is not None and fact.factors:
             cell += "=" + _times_expanded(fact)
         parts.append(cell)
@@ -110,8 +115,8 @@ def _emit_descent_table(conv: PrimeConvention, /) -> Report:
             (
                 str(two_n // 2),
                 str(two_n),
-                str(trace.steps[0].candidate),
-                _chain_text(two_n, trace.steps)
+                str(trace.candidates[0]),
+                _chain_text(two_n, trace.candidates)
                 + (f" {errata[two_n][0]}" if two_n in errata else ""),
             )
             for two_n, _, trace in descents
@@ -123,11 +128,11 @@ def _emit_descent_table(conv: PrimeConvention, /) -> Report:
                 {
                     "n": two_n // 2,
                     "two_n": two_n,
-                    "first_candidate": trace.steps[0].candidate,
+                    "first_candidate": trace.candidates[0],
                     "couple": [couple.p, couple.q],
                     "kind": couple.kind.value,
                     "depth": trace.depth(),
-                    "steps": _steps_entry(trace.steps),
+                    "steps": _steps_entry(two_n, trace.candidates),
                 }
                 for two_n, couple, trace in descents
             ],
@@ -142,10 +147,9 @@ def _emit_ring_table(conv: PrimeConvention, /) -> Report:
     rings = []
     for two_n in _rows_for(RING_MODULI, conv):
         profile = units_profile(two_n, conv)
-        couples = [
-            (c.p, c.q, c.kind, c.canonical)
-            for c in enumerate_couples(two_n, conv)
-            if c.kind is not CoupleKind.TRIVIAL or two_n == 2
+        couples = [  # (p, q, kind, canonical), trivial ones only at 2n = 2
+            c for c in enumerate_couples(two_n, conv)
+            if c[2] is not CoupleKind.TRIVIAL or two_n == 2
         ]
         rings.append((two_n, couples, profile, set(profile.strong), quasi_couples(two_n, conv)))
 
@@ -210,7 +214,7 @@ def _emit_couple(conv: PrimeConvention, /, *, two_n: int, trace: bool = False) -
                 *map(str, (two_n, couple.p, couple.q)),
                 couple.kind.value,
                 str(descent.depth()),
-                *((_chain_text(two_n, descent.steps),) if trace else ()),
+                *((_chain_text(two_n, descent.candidates),) if trace else ()),
             ),
         ),
         footers=(),
@@ -220,13 +224,13 @@ def _emit_couple(conv: PrimeConvention, /, *, two_n: int, trace: bool = False) -
             "couple": [couple.p, couple.q],
             "kind": couple.kind.value,
             "depth": descent.depth(),
-            **({"steps": _steps_entry(descent.steps)} if trace else {}),
+            **({"steps": _steps_entry(two_n, descent.candidates)} if trace else {}),
         },
     )
 
 
 def _emit_couples(conv: PrimeConvention, /, *, two_n: int) -> Report:
-    couples = _couple_pairs(two_n, conv)
+    couples = enumerate_couples(two_n, conv)
     return Report(
         title=f"Goldbach couples for {two_n}",
         headers=("p", "q", "kind", "canonical"),

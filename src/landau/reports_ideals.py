@@ -110,7 +110,7 @@ def _emit_ideal_table(
 
     if descent_only:
         _, trace = canonical_couple(two_n, conv)
-        items = [(s.candidate, s.remainder) for s in trace.steps]
+        items = [(c, two_n - c) for c in trace.candidates]
     else:
         items = zip(rep.generators, rep.remainders)
     maximal = {p: i for i, p in enumerate(rep.primes_of_r, start=1)}

@@ -32,17 +32,16 @@ class Result:
 
 
 class CliRunner:
-    """Runs an entry point `main(args=..., prog_name=..., terminal_width=...)`
-    in process with stdout and stderr captured, every LANDAU_* variable unset
-    and `env` applied (a None value unsets), and the SystemExit it raises
-    read as the exit code."""
+    """Runs an entry point `main(args=..., prog_name=...)` in process with
+    stdout and stderr captured, every LANDAU_* variable unset and `env`
+    applied (a None value unsets), and the SystemExit it raises read as the
+    exit code."""
 
     def invoke(
         self,
         main: Callable[..., object],
         args: Sequence[str],
         prog_name: str = "landau",
-        terminal_width: int | None = None,
         env: Mapping[str, str | None] | None = None,
     ) -> Result:
         changes = {name: None for name in os.environ if name.startswith("LANDAU_")}
@@ -57,7 +56,7 @@ class CliRunner:
         _set_env(changes)
         exit_code = 0
         try:
-            main(args=list(args), prog_name=prog_name, terminal_width=terminal_width)
+            main(args=list(args), prog_name=prog_name)
         except SystemExit as exc:
             exit_code = 0 if exc.code is None else exc.code
         finally:

@@ -37,7 +37,7 @@ from oracles import crt_reconstruct
 
 from test_figurate import PARABOLIC_K, PARABOLIC_P
 from test_gaps import LEGENDRE_ROWS, PUBLISHED_PAIRS
-from test_goldbach import DESCENT_CHAINS, DESCENT_CHAINS_SMALL, RING_ROWS
+from test_goldbach import DESCENT_CHAINS, DESCENT_CHAINS_SMALL, RING_ROWS, chain
 from test_zn import INVERSES_10, INVERSES_22, TABLE_10, TABLE_22
 
 INC = PrimeConvention.INCLUDE1
@@ -48,17 +48,9 @@ def test_c01_descent_chains_exact_under_one_second():
     chains = {**DESCENT_CHAINS_SMALL, **DESCENT_CHAINS}
     start = time.perf_counter()
     for two_n, expected in chains.items():
-        couple, trace = canonical_couple(two_n, INC)
-        got = [
-            (
-                s.candidate,
-                s.remainder,
-                None if s.remainder_factorization is None else str(s.remainder_factorization),
-            )
-            for s in trace.steps
-        ]
-        assert got == expected, two_n
-        assert (couple.p, couple.q) == (trace.steps[-1].remainder, trace.steps[-1].candidate)
+        assert chain(two_n, INC) == expected, two_n
+        couple, _ = canonical_couple(two_n, INC)
+        assert (couple.p, couple.q) == (expected[-1][1], expected[-1][0])
     elapsed = time.perf_counter() - start
     couple, _ = canonical_couple(670, INC)
     assert (couple.p, couple.q) == (11, 659)
@@ -84,12 +76,12 @@ def test_c03_ring_summary_rows_exact():
         assert profile.totient == totient(two_n) == row["phi"]
         assert list(profile.strong) == [u for u in row["units"] if is_prime(u, INC)]
         couples = [
-            c
-            for c in enumerate_couples(two_n, INC)
-            if c.kind is not CoupleKind.TRIVIAL or two_n == 2
+            (p, q, canonical)
+            for p, q, kind, canonical in enumerate_couples(two_n, INC)
+            if kind is not CoupleKind.TRIVIAL or two_n == 2
         ]
-        assert [(c.p, c.q) for c in couples] == row["couples"]
-        assert [(c.p, c.q) for c in couples if c.canonical] == [row["star"]]
+        assert [(p, q) for p, q, _ in couples] == row["couples"]
+        assert [(p, q) for p, q, canonical in couples if canonical] == [row["star"]]
         assert quasi_couples(two_n, INC) == row["quasi"]
 
 
@@ -164,12 +156,12 @@ def test_c05_goldbach_certificate_to_a_million_and_oracle_to_50k():
         ]
 
     for two_n in range(2, limit + 1, 2):
-        got = [(c.p, c.q) for c in enumerate_couples(two_n, INC)]
+        got = [c[:2] for c in enumerate_couples(two_n, INC)]
         assert got == brute(two_n, True), two_n
 
     rng = random.Random(20260819)
     for two_n in rng.sample(range(4, limit + 1, 2), 500):
-        got = [(c.p, c.q) for c in enumerate_couples(two_n, EXC)]
+        got = [c[:2] for c in enumerate_couples(two_n, EXC)]
         assert got == brute(two_n, False), two_n
 
 

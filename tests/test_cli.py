@@ -121,6 +121,18 @@ class TestGrammar:
         out = runner.invoke(main, ["goldbach", "enumerate", "28"]).output
         assert "| 5 | 23 |" in out and "★" in out
 
+    def test_enumerate_builds_the_couple_list_once(self, runner, monkeypatch):
+        import landau.reports_goldbach as reports_goldbach
+
+        calls = []
+        real = reports_goldbach.enumerate_couples
+        monkeypatch.setattr(
+            reports_goldbach, "enumerate_couples", lambda *a: calls.append(a) or real(*a)
+        )
+        result = runner.invoke(main, ["goldbach", "enumerate", "28"])
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 1
+
     @pytest.mark.parametrize(
         "row", cli_module.REPORT_LEAVES, ids=lambda row: f"{row[0]} {row[1]}"
     )
@@ -588,7 +600,8 @@ USAGE_ERRORS = [
 
 def _help_transcript(runner) -> str:
     """`--help` of the root, every group and every leaf, then a few usage
-    errors, each with its exit code and both streams."""
+    errors, each with its exit code and both streams, laid out for an
+    80-column terminal, as off a terminal."""
     argvs = [["--help"]]
     for group in sorted(cli_module.ROOT.commands):
         argvs.append([group, "--help"])
@@ -597,7 +610,7 @@ def _help_transcript(runner) -> str:
     argvs += USAGE_ERRORS
     parts = []
     for argv in argvs:
-        result = runner.invoke(main, argv, prog_name="landau", terminal_width=80)
+        result = runner.invoke(main, argv, prog_name="landau", env={"COLUMNS": "80"})
         parts.append(
             f"$ landau {' '.join(argv)}\n"
             f"exit: {result.exit_code}\n"

@@ -274,10 +274,9 @@ class TestParabolicPrimes:
             assert not is_prime(k * k + 1, EXC)
 
     def test_record_validation(self):
-        with pytest.raises(ValueError, match="not"):
-            ParabolicRecord(2, 6, True, True)
+        assert ParabolicRecord(2, True, True).p == 5
         with pytest.raises(ValueError, match="disagree"):
-            ParabolicRecord(2, 5, True, False)
+            ParabolicRecord(2, True, False)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):

@@ -23,20 +23,22 @@ from landau.goldbach import (
 from landau.ideals import bezout, goldbach_ideal_analysis
 from landau.primes import PrimeConvention, is_prime, prev_prime
 from landau.reports import build_report
-from landau.zn import totient, units_profile
+from landau.zn import factorize, totient, units_profile
 
 from oracles import brute_couples, brute_quasi, numpy_goldbach_pairs, numpy_sieve
 
 INC = PrimeConvention.INCLUDE1
 EXC = PrimeConvention.EXCLUDE1
-PQ = attrgetter("p", "q")  # a couple as its (p, q) pair
+PQ = attrgetter("p", "q")  # the canonical couple as its (p, q) pair
 
 
 def chain(two_n: int, conv: PrimeConvention = INC) -> list[tuple[int, int, str | None]]:
+    """The descent of 2n as (candidate, remainder, the remainder factored),
+    with None for the last remainder, the prime one."""
     _, trace = canonical_couple(two_n, conv)
-    return [
-        (s.candidate, s.remainder, str(f) if (f := s.remainder_factorization) else None)
-        for s in trace.steps
+    *failed, last = trace.candidates
+    return [(c, two_n - c, str(factorize(two_n - c))) for c in failed] + [
+        (last, two_n - last, None)
     ]
 
 
@@ -184,7 +186,7 @@ class TestCanonicalDescent:
         couple, trace = canonical_couple(220)
         assert (couple.p, couple.q) == (23, 197)
         assert couple.kind is CoupleKind.ORDINARY
-        assert couple.canonical
+        assert (23, 197, CoupleKind.ORDINARY, True) in enumerate_couples(220)
         assert trace.depth() == 3
         assert PQ(canonical_couple(10)[0]) == (3, 7)
         assert PQ(canonical_couple(972)[0]) == (1, 971)
@@ -194,7 +196,7 @@ class TestCanonicalDescent:
         # 670 descends 661 -> 659; a lazier walk would resume above 659
         couple, trace = canonical_couple(670)
         assert (couple.p, couple.q) == (11, 659)
-        assert [s.candidate for s in trace.steps] == [661, 659]
+        assert trace.candidates == (661, 659)
 
     def test_exclude1_changes_small_targets(self):
         assert PQ(canonical_couple(8, EXC)[0]) == (3, 5)
@@ -212,18 +214,30 @@ class TestCanonicalDescent:
     def test_trace_links_through_prev_prime(self):
         for two_n in (220, 556, 962, 1000, 5000, 12346):
             for conv in (INC, EXC):
-                _, trace = canonical_couple(two_n, conv)
-                cands = [s.candidate for s in trace.steps]
+                couple, trace = canonical_couple(two_n, conv)
+                cands = trace.candidates
                 assert cands[0] == prev_prime(two_n, conv)
                 for a, b in zip(cands, cands[1:]):
                     assert b == prev_prime(a, conv)
-                for s in trace.steps[:-1]:
-                    f = s.remainder_factorization
-                    assert f is not None and f.value() == s.remainder
-                last = trace.steps[-1]
-                assert last.remainder_factorization is None
-                assert is_prime(last.remainder, conv)
-                assert last.candidate + last.remainder == two_n
+                for c in cands[:-1]:
+                    assert not is_prime(two_n - c, conv)
+                assert is_prime(two_n - cands[-1], conv)
+                assert (couple.p, couple.q) == tuple(sorted((cands[-1], two_n - cands[-1])))
+
+    def test_descent_factorizes_nothing(self, monkeypatch):
+        # the descent asks only whether each remainder is prime; the reports
+        # factor the remainders they print
+        import landau.goldbach as gb
+        import landau.zn as zn
+
+        calls = []
+        for mod in (gb, zn):
+            real = mod.factorize
+            monkeypatch.setattr(mod, "factorize", lambda n, real=real: calls.append(n) or real(n))
+        for conv, start in ((INC, 2), (EXC, 4)):
+            for two_n in range(start, 3_001, 2):
+                canonical_couple(two_n, conv)
+        assert calls == []
 
     def test_rejects_odd_and_tiny(self):
         for bad in (7, 1, 0, -4):
@@ -239,7 +253,8 @@ class TestCanonicalDescent:
         with pytest.raises(GoldbachCounterexample) as exc:
             gb.canonical_couple(20, EXC)
         assert exc.value.two_n == 20
-        assert exc.value.steps  # the failed attempts are reported, not dropped
+        # the failed attempts are reported, not dropped
+        assert exc.value.candidates == (19, 17, 13, 11, 7, 5, 3, 2)
 
     def test_depth_stays_shallow(self):
         deepest, at = 0, 0
@@ -259,61 +274,60 @@ class TestTraceShape:
         for conv, start in ((INC, 2), (EXC, 4)):
             for two_n in range(start, 3_001, 2):
                 _, trace = canonical_couple(two_n, conv)
-                assert trace.two_n == two_n and trace.steps, (two_n, conv)
+                assert trace.candidates and trace.candidates[0] < two_n, (two_n, conv)
 
     def test_candidates_strictly_decrease(self):
         for conv, start in ((INC, 2), (EXC, 4)):
             for two_n in range(start, 3_001, 2):
-                _, trace = canonical_couple(two_n, conv)
-                cands = [s.candidate for s in trace.steps]
+                cands = canonical_couple(two_n, conv)[1].candidates
                 assert all(a > b for a, b in zip(cands, cands[1:])), (two_n, cands)
 
 
 def _every_couple():
-    """Every couple the package builds for 2n <= 3000, under both conventions:
-    the enumeration and the descent's own couple."""
+    """Every couple the package builds for 2n <= 3000, under both conventions,
+    as (2n, p, q, kind): the enumeration and the descent's own couple."""
     for conv, start in ((INC, 2), (EXC, 4)):
         for two_n in range(start, 3_001, 2):
-            yield two_n, canonical_couple(two_n, conv)[0]
-            for c in enumerate_couples(two_n, conv):
-                yield two_n, c
+            couple = canonical_couple(two_n, conv)[0]
+            yield two_n, couple.p, couple.q, couple.kind
+            for p, q, kind, _ in enumerate_couples(two_n, conv):
+                yield two_n, p, q, kind
 
 
 class TestCoupleValidation:
     """The couple invariants hold by construction; checked on the outputs."""
 
     def test_sum_must_match(self):
-        for two_n, c in _every_couple():
-            assert c.p + c.q == c.two_n == two_n, c
+        for two_n, p, q, kind in _every_couple():
+            assert p + q == two_n, (two_n, p, q)
 
     def test_ordering_enforced(self):
-        for _, c in _every_couple():
-            assert 0 < c.p <= c.q, c
+        for two_n, p, q, kind in _every_couple():
+            assert 0 < p <= q, (two_n, p, q)
 
     def test_kind_shape_enforced(self):
-        for _, c in _every_couple():
+        for two_n, p, q, kind in _every_couple():
             # (1, 1) is both a top and a middle pair; top classification wins
-            assert (c.kind is CoupleKind.NOETHER) == (c.p == 1), c
-            assert (c.kind is CoupleKind.TRIVIAL) == (c.p == c.q > 1), c
+            assert (kind is CoupleKind.NOETHER) == (p == 1), (two_n, p, q, kind)
+            assert (kind is CoupleKind.TRIVIAL) == (p == q > 1), (two_n, p, q, kind)
 
 
 class TestEnumerate:
     def test_documented_rings(self):
         for two_n, expected in ENUM_FULL.items():
             got = enumerate_couples(two_n)
-            assert [(c.p, c.q) for c in got] == expected, two_n
-            stars = [c for c in got if c.canonical]
-            assert len(stars) == 1
-            assert PQ(stars[0]) == RING_ROWS[two_n]["star"]
+            assert [(p, q) for p, q, _, _ in got] == expected, two_n
+            stars = [(p, q) for p, q, _, canonical in got if canonical]
+            assert stars == [RING_ROWS[two_n]["star"]]
 
     def test_kind_labels(self):
-        kinds = {(c.p, c.q): c.kind for c in enumerate_couples(22)}
+        kinds = {(p, q): kind for p, q, kind, _ in enumerate_couples(22)}
         assert kinds == {
             (3, 19): CoupleKind.ORDINARY,
             (5, 17): CoupleKind.ORDINARY,
             (11, 11): CoupleKind.TRIVIAL,
         }
-        kinds4 = {(c.p, c.q): c.kind for c in enumerate_couples(4)}
+        kinds4 = {(p, q): kind for p, q, kind, _ in enumerate_couples(4)}
         assert kinds4[(1, 3)] is CoupleKind.NOETHER
         assert kinds4[(2, 2)] is CoupleKind.TRIVIAL
 
@@ -327,8 +341,8 @@ class TestEnumerate:
         ]
         for two_n in targets:
             expected = numpy_goldbach_pairs(two_n, mask, primes)
-            inc = [(c.p, c.q) for c in enumerate_couples(two_n, INC)]
-            exc = [(c.p, c.q) for c in enumerate_couples(two_n, EXC)]
+            inc = [c[:2] for c in enumerate_couples(two_n, INC)]
+            exc = [c[:2] for c in enumerate_couples(two_n, EXC)]
             top = [(1, two_n - 1)] if mask[two_n - 1] else []
             assert inc == top + expected, two_n
             assert exc == expected, two_n
@@ -345,82 +359,79 @@ class TestEnumerate:
         }
         for (two_n, conv), pairs in expected.items():
             couples = enumerate_couples(two_n, conv)
-            assert [PQ(c) for c in couples] == pairs
+            assert [c[:2] for c in couples] == pairs
             assert pairs == brute_couples(two_n, include1=conv is INC)
-            assert [c.canonical for c in couples] == [True] + [False] * (len(pairs) - 1)
-        kinds = [c.kind for c in enumerate_couples(4)]
+            assert [c[3] for c in couples] == [True] + [False] * (len(pairs) - 1)
+        kinds = [kind for _, _, kind, _ in enumerate_couples(4)]
         assert kinds == [CoupleKind.NOETHER, CoupleKind.TRIVIAL]
-        assert enumerate_couples(2)[0].kind is CoupleKind.NOETHER
+        assert enumerate_couples(2)[0][2] is CoupleKind.NOETHER
 
     def test_couples_report_rows_equal_the_enumeration(self):
-        # the report reads _couple_pairs directly and builds no couple object
         for conv, start in ((INC, 2), (EXC, 4)):
             config = Config(convention=conv, workers=1)
             for two_n in range(start, 2_001, 2):
                 report = build_report("couples", {"two_n": two_n}, config)
                 couples = enumerate_couples(two_n, conv)
                 assert report.rows == tuple(
-                    (str(c.p), str(c.q), c.kind.value, "★" if c.canonical else "")
-                    for c in couples
+                    (str(p), str(q), kind.value, "★" if canonical else "")
+                    for p, q, kind, canonical in couples
                 ), (two_n, conv)
                 assert report.payload["couples"] == [
-                    {"pair": [c.p, c.q], "kind": c.kind.value, "canonical": c.canonical}
-                    for c in couples
+                    {"pair": [p, q], "kind": kind.value, "canonical": canonical}
+                    for p, q, kind, canonical in couples
                 ], (two_n, conv)
 
     def test_complete_against_trial_division(self):
         for two_n in range(2, 301, 2):
-            assert [(c.p, c.q) for c in enumerate_couples(two_n, INC)] == brute_couples(
+            assert [c[:2] for c in enumerate_couples(two_n, INC)] == brute_couples(
                 two_n, include1=True
             )
         for two_n in range(4, 301, 2):
-            assert [(c.p, c.q) for c in enumerate_couples(two_n, EXC)] == brute_couples(
+            assert [c[:2] for c in enumerate_couples(two_n, EXC)] == brute_couples(
                 two_n, include1=False
             )
 
     def test_canonical_member_agrees_with_descent(self):
         for conv, start in ((INC, 2), (EXC, 4)):
             for two_n in range(start, 3_001, 2):
-                couples = enumerate_couples(two_n, conv)
-                stars = [c for c in couples if c.canonical]
-                assert len(stars) == 1
+                stars = [c for c in enumerate_couples(two_n, conv) if c[3]]
                 direct = canonical_couple(two_n, conv)[0]
-                assert stars[0] == direct, (two_n, conv)
+                assert stars == [(direct.p, direct.q, direct.kind, True)], (two_n, conv)
 
     def test_top_couple_is_always_canonical(self):
         # descent starts at prev_prime(2n), so a prime 2n-1 ends it at once
         for two_n in range(4, 3_001, 2):
             couples = enumerate_couples(two_n)
-            tops = [c for c in couples if c.kind is CoupleKind.NOETHER]
+            tops = [c for c in couples if c[2] is CoupleKind.NOETHER]
             if tops:
-                assert tops[0].canonical
+                assert tops[0][3]
 
     def test_convention_only_moves_the_top_couple(self):
         for two_n in range(4, 2_001, 2):
-            inc = {(c.p, c.q) for c in enumerate_couples(two_n, INC)}
-            exc = {(c.p, c.q) for c in enumerate_couples(two_n, EXC)}
+            inc = {c[:2] for c in enumerate_couples(two_n, INC)}
+            exc = {c[:2] for c in enumerate_couples(two_n, EXC)}
             assert exc <= inc
             assert inc - exc <= {(1, two_n - 1)}
 
     def test_members_are_units_unless_trivial(self):
         for two_n in range(2, 2_001, 2):
-            for c in enumerate_couples(two_n):
-                if c.kind is CoupleKind.TRIVIAL and two_n > 2:
-                    assert math.gcd(c.p, two_n) == c.p
+            for p, q, kind, _ in enumerate_couples(two_n):
+                if kind is CoupleKind.TRIVIAL and two_n > 2:
+                    assert math.gcd(p, two_n) == p
                 else:
-                    assert math.gcd(c.p, two_n) == 1
-                    assert math.gcd(c.q, two_n) == 1
+                    assert math.gcd(p, two_n) == 1
+                    assert math.gcd(q, two_n) == 1
 
     def test_distinct_members_admit_bezout_certificates(self):
         rng = random.Random(7)
         targets = [rng.randrange(4, 20_000, 2) for _ in range(60)]
         for two_n in targets:
-            for c in enumerate_couples(two_n):
-                if c.p == c.q:
+            for p, q, _, _ in enumerate_couples(two_n):
+                if p == q:
                     continue
-                d, x, y = bezout(c.q, c.p)
+                d, x, y = bezout(q, p)
                 assert d == 1
-                assert x * c.q + y * c.p == 1
+                assert x * q + y * p == 1
 
     def test_ideal_route_agrees(self):
         targets = list(range(4, 601, 2)) + [220, 972, 2028]
@@ -429,15 +440,15 @@ class TestEnumerate:
                 rep = goldbach_ideal_analysis(two_n, conv)
                 expected = set(rep.couples)
                 expected.update(c for c in (rep.noether, rep.trivial) if c is not None)
-                scan = {(c.p, c.q) for c in enumerate_couples(two_n, conv)}
+                scan = {c[:2] for c in enumerate_couples(two_n, conv)}
                 assert scan == expected, (two_n, conv)
 
     def test_nonempty_through_moderate_range(self):
         # descent success is an existence certificate; it raises otherwise
         for two_n in range(2, 50_001, 2):
-            assert canonical_couple(two_n, INC)[0].two_n == two_n
+            assert sum(PQ(canonical_couple(two_n, INC)[0])) == two_n
         for two_n in range(4, 50_001, 2):
-            assert canonical_couple(two_n, EXC)[0].two_n == two_n
+            assert sum(PQ(canonical_couple(two_n, EXC)[0])) == two_n
 
 
 class TestQuasiCouples:
@@ -459,9 +470,7 @@ class TestQuasiCouples:
                     if math.gcd(a, two_n) == 1
                 }
                 couple_pairs = {
-                    (c.p, c.q)
-                    for c in enumerate_couples(two_n, conv)
-                    if math.gcd(c.p, two_n) == 1
+                    (p, q) for p, q, _, _ in enumerate_couples(two_n, conv) if math.gcd(p, two_n) == 1
                 }
                 quasi = set(quasi_couples(two_n, conv))
                 assert couple_pairs | quasi == unit_pairs
@@ -503,7 +512,7 @@ class TestNoetherStatus:
             flag = goldbach_ideal_analysis(two_n).noether is not None
             assert flag == (totient(two_n - 1) == two_n - 2)
             present = any(
-                c.kind is CoupleKind.NOETHER for c in enumerate_couples(two_n, INC)
+                kind is CoupleKind.NOETHER for _, _, kind, _ in enumerate_couples(two_n, INC)
             )
             assert flag == present
 
@@ -512,9 +521,9 @@ class TestRingTableRows:
     def test_couples_column(self):
         for two_n, row in RING_ROWS.items():
             shown = [
-                (c.p, c.q)
-                for c in enumerate_couples(two_n)
-                if c.kind is not CoupleKind.TRIVIAL or two_n == 2
+                (p, q)
+                for p, q, kind, _ in enumerate_couples(two_n)
+                if kind is not CoupleKind.TRIVIAL or two_n == 2
             ]
             assert shown == row["couples"], two_n
 

@@ -186,6 +186,22 @@ class TestDescentTable:
             ]
             assert got == frozen, row["two_n"]
 
+    def test_md_chains_carry_the_remainders_factors(self):
+        # each failed remainder is printed factored, ×-joined with multiplicity
+        report = build_report("descent-table", {}, CFG)
+        chains = {**DESCENT_CHAINS_SMALL, **DESCENT_CHAINS}
+        assert tuple(int(row[1]) for row in report.rows) == DESCENT_TARGETS
+        for row in report.rows:
+            two_n = int(row[1])
+            cells = []
+            for cand, rem, fact in chains[two_n]:
+                cell = f"{two_n}-{cand}={rem}"
+                if fact is not None:
+                    powers = [b.partition("^") for b in fact.split("*")]
+                    cell += "=" + "×".join("×".join([p] * int(e or 1)) for p, _, e in powers)
+                cells.append(cell)
+            assert row[3].removesuffix(" †").removesuffix(" ‡") == " ⇒ ".join(cells), two_n
+
     def test_markers_and_notes_for_known_transcription_slips(self):
         text = emit_report("descent-table", {}, "md", CFG).decode()
         assert "670-659=11 †" in text
