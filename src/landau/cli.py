@@ -27,6 +27,13 @@ def _integer(text: str) -> int:
         raise ValueError(f"{text!r} is not a valid integer.") from None
 
 
+def _positive(text: str) -> int:
+    value = _integer(text)
+    if value < 1:
+        raise ValueError(f"must be positive, got {value}")
+    return value
+
+
 def _one_integer(text: str) -> tuple[int]:
     """One integer, as the 1-tuple a sequence parameter takes."""
     return (_integer(text),)
@@ -196,7 +203,7 @@ VERIFY_PARAMS = [
     Param("hi", "--to", "Last instance.", required=True),
     Param("checkpoint", "--checkpoint", "Resumable checkpoint file (relative paths land in "
           "the configured checkpoint directory).", "FILE", str),
-    Param("jobs", "--jobs", "Worker count [default: from config]."),
+    Param("jobs", "--jobs", "Worker count [default: from config].", convert=_positive),
 ]
 
 
@@ -218,9 +225,7 @@ def _emit(kind: str, cfg: Config, fmt: str, params: dict[str, Any]) -> int:
 def _verify(task: str, cfg: Config, fmt: str, params: dict[str, Any]) -> int:
     from . import harness  # loaded on the first verify, not at start
 
-    checkpoint, jobs = params["checkpoint"], params["jobs"]
-    if jobs is not None and jobs < 1:
-        raise UsageError(f"Invalid value for --jobs: must be positive, got {jobs}")
+    checkpoint = params["checkpoint"]
     path = None
     if checkpoint is not None:
         path = (
@@ -235,7 +240,7 @@ def _verify(task: str, cfg: Config, fmt: str, params: dict[str, Any]) -> int:
             params["hi"],
             cfg.convention,
             checkpoint_path=path,
-            worker_count=jobs if jobs is not None else cfg.workers,
+            worker_count=cfg.workers,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -378,7 +383,8 @@ def _parse(cmd: Command, path: str, args: list[str]) -> tuple[dict[str, Any], li
         arg = rest.pop(0)
         if arg == "--":
             break
-        if arg[:1] != "-" or arg == "-":
+        # no option is numeric, so -<digits> is a negative number
+        if arg[:1] != "-" or arg == "-" or arg[1:].isdecimal():
             if cmd.commands:
                 rest.insert(0, arg)
                 break
@@ -434,30 +440,30 @@ def _parse(cmd: Command, path: str, args: list[str]) -> tuple[dict[str, Any], li
 
 
 def _run(args: list[str], prog: str) -> int:
-    """Walk args down the command tree, then run the leaf they name."""
+    """Walk args down the command tree, then run the leaf they name with the
+    settings of the root's options and the leaf's --jobs."""
     cmd, path = ROOT, prog
-    settings: tuple[Config, str] | None = None
+    given: dict[str, Any] = {}  # the groups' values: only the root has options
     while cmd.run is None:
         if not args:  # a bare group: its help, as an error
             print(_help(cmd, path, _columns()), file=sys.stderr)
             return 2
         values, args = _parse(cmd, path, args)
+        given.update(values)
         if not args:
             raise UsageError("Missing command.", (cmd, path))
         name = args.pop(0)
         if name not in cmd.commands:
             raise UsageError(_no_such("command", name, list(cmd.commands)), (cmd, path))
-        if cmd is ROOT:
-            overrides = {"convention": values["convention"]} if values["convention"] else {}
-            try:
-                cfg = load_config(path=values["config_path"], overrides=overrides)
-            except ConfigError as exc:
-                raise UsageError(str(exc), (cmd, path)) from exc
-            settings = cfg, values["fmt"] or "md"
         cmd, path = cmd.commands[name], f"{path} {name}"
     values, _ = _parse(cmd, path, args)
+    overrides = {"convention": given["convention"], "workers": values.pop("jobs", None)}
     try:
-        return cmd.run(*settings, values)
+        cfg = load_config(path=given["config_path"], overrides=overrides)
+    except ConfigError as exc:
+        raise UsageError(str(exc), (ROOT, prog)) from exc
+    try:
+        return cmd.run(cfg, given["fmt"] or "md", values)
     except UsageError as exc:
         exc.where = cmd, path
         raise

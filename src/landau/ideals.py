@@ -2,13 +2,12 @@
 Jacobson radical of Z_n, Bezout certificates, and the even-number ideal
 analysis over the working modulus r.
 
-The modulus r is kept as a Factorization and read off one prime list,
-since it grows super-exponentially with 2n.
+`working_modulus` gives r as a Factorization, read off one prime list,
+since r grows super-exponentially with 2n.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator
 
 from .primes import DEFAULT_CONVENTION, PrimeConvention, prime_flags, primes_in_range
@@ -82,33 +81,25 @@ def _r_prime_powers(two_n: int, top: int, cap: int | None = None) -> Iterator[tu
             yield p, e
 
 
+def working_modulus(two_n: int, include_top: bool = False) -> Factorization:
+    """r, the lcm of the units of Z_2n strictly inside ]1, 2n-1[, and of the
+    top unit 2n-1 when include_top is set: each prime p not dividing 2n to
+    its largest power at or below that top."""
+    return Factorization(tuple(_r_prime_powers(two_n, two_n - 1 if include_top else two_n - 2)))
+
+
 @dataclass(frozen=True)
 class GoldbachIdealReport:
-    """Ring-theoretic picture of one even number 2n: the working modulus r,
-    the ideals carried by strong generators, which of them are maximal, and
-    the prime couples those maximal ideals certify."""
+    """Ring-theoretic picture of one even number 2n: the ideals carried by
+    strong generators, which of them are maximal, and the prime couples
+    those maximal ideals certify."""
 
-    two_n: int
-    convention: PrimeConvention
-    include_top: bool  # widen the lcm to include the unit 2n-1
     generators: tuple[int, ...]  # strong b with 1 < 2n-b < 2n-1, by ascending remainder
     remainders: tuple[int, ...]  # 2n - b, ascending
     maximal_subset: tuple[int, ...]  # the prime remainders, ascending
     couples: tuple[tuple[int, int], ...]  # unordered prime pairs, deduplicated
     noether: tuple[int, int] | None  # (1, 2n-1) when 2n-1 counts as prime
     trivial: tuple[int, int] | None  # (n, n) when n is prime
-
-    @cached_property
-    def r(self) -> Factorization:
-        """The lcm of the units of Z_2n strictly inside ]1, 2n-1[, and of the
-        top unit 2n-1 when include_top is set: each prime p not dividing 2n
-        to its largest power at or below that top."""
-        top = self.two_n - 1 if self.include_top else self.two_n - 2
-        return Factorization(tuple(_r_prime_powers(self.two_n, top)))
-
-    @cached_property
-    def primes_of_r(self) -> tuple[int, ...]:
-        return self.r.primes()
 
 
 # Bound on 2n from the 64 MiB budget per call that bounds the couple lists in
@@ -120,9 +111,7 @@ IDEAL_ANALYSIS_MAX_TWO_N = 25 * 10**5
 
 
 def goldbach_ideal_analysis(
-    two_n: int,
-    conv: PrimeConvention = DEFAULT_CONVENTION,
-    include_top: bool = False,
+    two_n: int, conv: PrimeConvention = DEFAULT_CONVENTION
 ) -> GoldbachIdealReport:
     if two_n < 2 or two_n % 2 == 1:
         raise ValueError(f"needs an even number >= 2, got {two_n}")
@@ -141,9 +130,6 @@ def goldbach_ideal_analysis(
     noether = (1, two_n - 1) if flags[1] and flags[two_n - 1] else None
     trivial = (n, n) if flags[n] else None
     return GoldbachIdealReport(
-        two_n=two_n,
-        convention=conv,
-        include_top=include_top,
         generators=generators,
         remainders=remainders,
         maximal_subset=maximal_subset,

@@ -5,7 +5,6 @@ identity."""
 from __future__ import annotations
 
 import sys
-from dataclasses import replace
 from math import log10
 from typing import Any
 
@@ -16,6 +15,7 @@ from .ideals import (
     goldbach_ideal_analysis,
     jacobson_radical_zn,
     radical,
+    working_modulus,
 )
 from .primes import PrimeConvention
 from .reports import Report, ReportError, _factor_list, _sub, _zn, _zx
@@ -101,10 +101,9 @@ def _emit_ideal_table(
         digits = sum(e * log10(p) for p, e in _r_prime_powers(two_n, two_n - 1, 1 << 16))
         if digits > limit + 1e-6:
             raise _long_r(two_n, limit)
-    rep = goldbach_ideal_analysis(two_n, conv, include_top=include_top)
-    # only r depends on include_top
-    alt = replace(rep, include_top=not include_top)
-    r, alt_r = rep.r.value(), alt.r.value()
+    rep = goldbach_ideal_analysis(two_n, conv)
+    r_fact, alt_fact = working_modulus(two_n, include_top), working_modulus(two_n, not include_top)
+    r, alt_r = r_fact.value(), alt_fact.value()
     if limit and max(r, alt_r) >= 10**limit:
         raise _long_r(two_n, limit)
 
@@ -113,20 +112,21 @@ def _emit_ideal_table(
         items = [(c, two_n - c) for c in trace.candidates]
     else:
         items = zip(rep.generators, rep.remainders)
-    maximal = {p: i for i, p in enumerate(rep.primes_of_r, start=1)}
+    primes_of_r = r_fact.primes()
+    maximal = {p: i for i, p in enumerate(primes_of_r, start=1)}
     ideals = [_ideal(two_n, generator, rem, factorize(rem), maximal) for generator, rem in items]
 
-    alt_text = f"{_r_as_prime_powers(alt.r)} = {alt_r}."
+    alt_text = f"{_r_as_prime_powers(alt_fact)} = {alt_r}."
     if include_top:
         alt_note = f"Without the top unit 2n-1={two_n - 1}, r = {alt_text}"
     else:
         alt_note = f"Including the top unit 2n-1={two_n - 1} widens r to {alt_text}"
-    shown = rep.primes_of_r[:8]
+    shown = primes_of_r[:8]
     ideal_list = ", ".join(f"{p}ℤ/rℤ" for p in shown)
-    if len(rep.primes_of_r) > len(shown):
+    if len(primes_of_r) > len(shown):
         ideal_list += ", ⋯"
     footers = (
-        f"r = l.c.m.(aᵢ) = {_r_as_prime_powers(rep.r)} = {r}.",
+        f"r = l.c.m.(aᵢ) = {_r_as_prime_powers(r_fact)} = {r}.",
         alt_note,
         f"{_zx(two_n)} = {{1, aᵢ | 1 < aᵢ < {two_n}={_dot_powers(factorize(two_n))}, "
         f"g.c.d.({two_n}, aᵢ) = 1}}.",
@@ -145,9 +145,9 @@ def _emit_ideal_table(
             "convention": conv.value,
             "include_top": include_top,
             "descent_only": descent_only,
-            "r": {"value": r, "factors": _factor_list(rep.r)},
-            "r_alternate": {"value": alt_r, "factors": _factor_list(alt.r)},
-            "maximal_ideal_primes": list(rep.primes_of_r),
+            "r": {"value": r, "factors": _factor_list(r_fact)},
+            "r_alternate": {"value": alt_r, "factors": _factor_list(alt_fact)},
+            "maximal_ideal_primes": list(primes_of_r),
             "entries": [
                 _ideal_entry(index, *ideal) for index, ideal in enumerate(ideals, start=1)
             ],

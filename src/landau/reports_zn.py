@@ -36,17 +36,17 @@ def _emit_units_profile(conv: PrimeConvention, /, *, n: int) -> Report:
         title=f"Unit group of {_zn(n)}",
         headers=("field", "value"),
         build_rows=lambda: (
-            ("modulus", str(profile.modulus)),
+            ("modulus", str(n)),
             ("units", _braced(profile.units)),
             ("totient φ", str(profile.totient)),
             ("carmichael λ", str(profile.carmichael)),
             ("cyclic", "yes" if profile.cyclic else "no"),
             ("strong generators", _braced(profile.strong)),
         ),
-        footers=(f"Strong generators are the units that are prime under {profile.convention.value}.",),
+        footers=(f"Strong generators are the units that are prime under {conv.value}.",),
         build_payload=lambda: {
-            "modulus": profile.modulus,
-            "convention": profile.convention.value,
+            "modulus": n,
+            "convention": conv.value,
             "units": list(profile.units),
             "totient": profile.totient,
             "carmichael": profile.carmichael,
@@ -62,10 +62,10 @@ def _emit_strong_generators(conv: PrimeConvention, /, *, n: int) -> Report:
         title=f"Strong generators in {_zn(n)}",
         headers=("n", "strong generators", "count"),
         build_rows=lambda: ((str(n), _braced(profile.strong), str(len(profile.strong))),),
-        footers=(f"Units of {_zn(n)} that are prime under {profile.convention.value}.",),
+        footers=(f"Units of {_zn(n)} that are prime under {conv.value}.",),
         build_payload=lambda: {
             "modulus": n,
-            "convention": profile.convention.value,
+            "convention": conv.value,
             "strong": list(profile.strong),
             "count": len(profile.strong),
         },

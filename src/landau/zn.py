@@ -154,15 +154,13 @@ def carmichael(n: int) -> int:
 @dataclass(frozen=True)
 class UnitsProfile:
     """The unit group of Z_n in one view: members, sizes, cyclicity, and the
-    strong subset (units that are prime under the stated convention)."""
+    strong subset (units that are prime under the convention asked)."""
 
-    modulus: int
     units: tuple[int, ...]
     totient: int
     carmichael: int
     cyclic: bool
     strong: tuple[int, ...]
-    convention: PrimeConvention
 
     def __post_init__(self) -> None:
         if len(self.units) != self.totient:
@@ -204,7 +202,7 @@ def units_profile(n: int, conv: PrimeConvention = DEFAULT_CONVENTION) -> UnitsPr
     lam = carmichael(n)
     flags = prime_flags(n, conv)
     strong = tuple(u for u in unit_list if flags[u])
-    return UnitsProfile(n, unit_list, phi, lam, phi == lam, strong, conv)
+    return UnitsProfile(unit_list, phi, lam, phi == lam, strong)
 
 
 def unit_inverse(a: int, n: int) -> int:
@@ -220,7 +218,6 @@ def unit_inverse(a: int, n: int) -> int:
 class MultiplicationTable:
     """Unit-by-unit multiplication grid; a symmetric Latin square."""
 
-    modulus: int
     units: tuple[int, ...]
     rows: tuple[tuple[int, ...], ...]
     inverses: tuple[tuple[int, int], ...]
@@ -247,7 +244,7 @@ def multiplication_table(n: int) -> MultiplicationTable:
     unit_list = units(n)
     rows = tuple(tuple(u * v % n for v in unit_list) for u in unit_list)
     inverses = tuple((u, unit_inverse(u, n)) for u in unit_list)
-    return MultiplicationTable(n, unit_list, rows, inverses)
+    return MultiplicationTable(unit_list, rows, inverses)
 
 
 def crt_decompose(a: int, n: int) -> list[tuple[int, int]]:

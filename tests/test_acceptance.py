@@ -28,7 +28,7 @@ from landau.figurate import (
 from landau.gaps import legendre_primes, polignac_pairs
 from landau.goldbach import CoupleKind, canonical_couple, enumerate_couples, quasi_couples
 from landau.harness import Task, instance_count, load_checkpoints, verify_range
-from landau.ideals import PrincipalIdeal, goldbach_ideal_analysis, radical
+from landau.ideals import PrincipalIdeal, goldbach_ideal_analysis, radical, working_modulus
 from landau.primes import PrimeConvention, is_prime, primes_in_range
 from landau.reports import build_report
 from landau.zn import crt_decompose, multiplication_table, totient, units_profile
@@ -90,20 +90,20 @@ def test_c04_ideal_analysis_examples_and_radical_rows():
         rep = goldbach_ideal_analysis(two_n)
         assert rep.generators == () and rep.couples == ()
     rep8 = goldbach_ideal_analysis(8)
-    assert rep8.r.value() == 15
-    assert rep8.r.factors == ((3, 1), (5, 1))
+    assert working_modulus(8).value() == 15
+    assert working_modulus(8).factors == ((3, 1), (5, 1))
     assert rep8.maximal_subset == (3, 5) and rep8.couples == ((3, 5),)
     rep10 = goldbach_ideal_analysis(10)
-    assert rep10.r.value() == 21 and rep10.couples == ((3, 7),)
+    assert working_modulus(10).value() == 21 and rep10.couples == ((3, 7),)
 
-    plain = goldbach_ideal_analysis(28)
-    wide = goldbach_ideal_analysis(28, include_top=True)
-    assert plain.r.value() == 239028075
-    assert wide.r.value() == 717084225
-    for rep in (plain, wide):
-        assert rep.maximal_subset == (5, 11, 17, 23)
-        assert rep.couples == ((5, 23), (11, 17))
-        assert rep.primes_of_r == (3, 5, 11, 13, 17, 19, 23)
+    rep = goldbach_ideal_analysis(28)
+    plain, wide = working_modulus(28), working_modulus(28, include_top=True)
+    assert plain.value() == 239028075
+    assert wide.value() == 717084225
+    assert rep.maximal_subset == (5, 11, 17, 23)
+    assert rep.couples == ((5, 23), (11, 17))
+    for r in (plain, wide):
+        assert r.primes() == (3, 5, 11, 13, 17, 19, 23)
     cfg = Config(workers=1)
     table = build_report("ideal-table", {"two_n": 28, "include_top": True}, cfg)
     by_rem = {e["remainder"]: e for e in table.payload["entries"]}
@@ -122,8 +122,7 @@ def test_c04_ideal_analysis_examples_and_radical_rows():
         assert tuple(entry["maximal_indices"]) == indices, rem
         assert entry["squarefree"] == squarefree, rem
 
-    rep220 = goldbach_ideal_analysis(220)
-    assert rep220.primes_of_r[:6] == (3, 7, 13, 17, 19, 23)
+    assert working_modulus(220).primes()[:6] == (3, 7, 13, 17, 19, 23)
     table220 = build_report("ideal-table", {"two_n": 220}, cfg)
     descent = {e["remainder"]: e for e in table220.payload["entries"]}
     assert descent[9]["maximal_indices"] == [1] and not descent[9]["squarefree"]

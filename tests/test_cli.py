@@ -457,6 +457,61 @@ class TestExitCodes:
             f"Error: checkpoint {os.path.join('store', 'g.ckpt')}: Is a directory")
 
 
+# one case for each parser branch no other test reaches: (argv, COLUMNS, exit
+# code, the lines of stderr, or for a help page the first lines of stdout)
+PARSER_BRANCHES = [
+    (["goldbach", "canonical", "220", "-x"], "80", 2,
+     ["Usage: landau goldbach canonical [OPTIONS] 2N",
+      "Try 'landau goldbach canonical --help' for help.", "",
+      "Error: No such option '-x'."]),
+    (["goldbach", "canonical", "220", "--tarce"], "80", 2,
+     ["Usage: landau goldbach canonical [OPTIONS] 2N",
+      "Try 'landau goldbach canonical --help' for help.", "",
+      "Error: No such option '--tarce'. Did you mean '--trace'?"]),
+    (["--conv", "include1", "triangle", "value", "3"], "80", 2,
+     ["Usage: landau [OPTIONS] COMMAND [ARGS]...", "Try 'landau --help' for help.", "",
+      "Error: No such option '--conv'. (Did you mean one of: '--config', '--convention'?)"]),
+    (["goldbach", "canonical", "220", "--trace=1"], "80", 2,
+     ["Error: Option '--trace' does not take a value."]),
+    (["polignac", "pairs", "20", "--max-q"], "80", 2,
+     ["Error: Option '--max-q' requires an argument."]),
+    (["triangle", "value", "5", "6"], "80", 2,
+     ["Usage: landau triangle value [OPTIONS] N",
+      "Try 'landau triangle value --help' for help.", "",
+      "Error: Got unexpected extra argument (6)"]),
+    # a usage prefix too long for the width puts [OPTIONS] on a line of its own
+    (["parabolic", "verify", "--help"], "50", 0,
+     ["Usage: landau parabolic verify ", "           [OPTIONS]", ""]),
+]
+
+
+class TestParser:
+    @pytest.mark.parametrize(
+        "argv, columns, code, lines", PARSER_BRANCHES,
+        ids=[" ".join(case[0]) for case in PARSER_BRANCHES],
+    )
+    def test_branch_wording(self, runner, argv, columns, code, lines):
+        result = runner.invoke(main, argv, env={"COLUMNS": columns})
+        assert result.exit_code == code
+        if code:
+            assert result.stderr.splitlines() == lines and result.stdout == ""
+        else:
+            assert result.stdout.splitlines()[:len(lines)] == lines
+
+    @pytest.mark.parametrize("argv", [["ideals", "bezout", "-4", "6"], ["zn", "crt", "-5", "7"]],
+                             ids=" ".join)
+    def test_negative_numbers_are_arguments(self, runner, argv):
+        group, leaf, *numbers = argv
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 0, result.output
+        assert result.stdout == runner.invoke(main, [group, leaf, "--", *numbers]).stdout
+
+    def test_negative_number_reaches_the_library(self, runner):
+        result = runner.invoke(main, ["triangle", "value", "-1"])
+        assert result.exit_code == 2
+        assert result.stderr.endswith("Error: needs n >= 0, got -1\n")
+
+
 class TestConfigPrecedence:
     def test_builtin_default(self, runner):
         out = runner.invoke(main, ["triangle", "value", "3"]).output
@@ -516,6 +571,29 @@ class TestConfigPrecedence:
         result = runner.invoke(main, ["--config", str(tmp_path), "triangle", "value", "3"])
         assert result.exit_code == 2
         assert "is a directory" in result.stderr
+
+    def test_jobs_beats_env_in_the_run_and_the_echo(self, runner, monkeypatch):
+        counts = []
+        real = landau.harness.verify_range
+        monkeypatch.setattr(landau.harness, "verify_range", lambda *a, **k: counts.append(
+            k["worker_count"]) or real(*a, **k))
+        argv = ["goldbach", "verify", "--from", "4", "--to", "100", "--jobs", "1"]
+        env = {"LANDAU_WORKERS": "3"}
+        md = runner.invoke(main, argv, env=env)
+        assert md.exit_code == 0, md.output
+        assert md.stdout.startswith("config: convention=include1 workers=1 checkpoint_dir=.\n")
+        doc = json.loads(runner.invoke(main, ["--format", "json", *argv], env=env).stdout)
+        assert doc["config"]["workers"] == 1
+        assert counts == [1, 1]
+
+    def test_malformed_setting_spares_help(self, runner):
+        env = {"LANDAU_WORKERS": "abc"}
+        help_page = runner.invoke(main, ["goldbach", "canonical", "--help"], env=env)
+        assert help_page.exit_code == 0 and help_page.stdout.startswith("Usage: ")
+        result = runner.invoke(main, ["goldbach", "canonical", "220"], env=env)
+        assert result.exit_code == 2
+        assert result.stderr.endswith("Error: workers: expected a positive integer, got 'abc'\n")
+        assert result.stdout == ""
 
     def test_convention_reaches_the_library(self, runner):
         out = runner.invoke(

@@ -18,6 +18,7 @@ from landau.ideals import (
     goldbach_ideal_analysis,
     jacobson_radical_zn,
     radical,
+    working_modulus,
 )
 from landau.primes import PrimeConvention, is_prime
 from landau.reports import build_report
@@ -176,15 +177,17 @@ class TestIdealLatticeChains:
 class TestGoldbachIdealAnalysis:
     def test_pinned_8(self):
         rep = goldbach_ideal_analysis(8)
-        assert rep.r.value() == 15
-        assert rep.r.factors == ((3, 1), (5, 1))
+        r = working_modulus(8)
+        assert r.value() == 15
+        assert r.factors == ((3, 1), (5, 1))
         assert rep.remainders == (3, 5) and rep.generators == (5, 3)
         assert rep.maximal_subset == (3, 5) and rep.couples == ((3, 5),)
         assert rep.noether == (1, 7) and rep.trivial is None
 
     def test_pinned_10(self):
         rep = goldbach_ideal_analysis(10)
-        assert rep.r.value() == 21 and rep.r.factors == ((3, 1), (7, 1))
+        r = working_modulus(10)
+        assert r.value() == 21 and r.factors == ((3, 1), (7, 1))
         assert rep.couples == ((3, 7),)
         assert rep.noether is None and rep.trivial == (5, 5)
 
@@ -214,7 +217,8 @@ class TestGoldbachIdealAnalysis:
     def test_past_the_bound_is_refused_at_once(self, past):
         two_n = IDEAL_ANALYSIS_MAX_TWO_N + past
         if not past:
-            assert goldbach_ideal_analysis(two_n).two_n == two_n
+            rep = goldbach_ideal_analysis(two_n)
+            assert {b + rem for b, rem in zip(rep.generators, rep.remainders)} == {two_n}
             return
         start = time.perf_counter()
         with pytest.raises(ValueError, match=(
@@ -236,19 +240,18 @@ class TestGoldbachIdealAnalysis:
             for include_top in (False, True):
                 lcm_inputs = inner + [two_n - 1] if include_top and two_n >= 3 else inner
                 want = factorize(reduce(math.lcm, lcm_inputs, 1))
-                for conv in (INC, EXC):
-                    assert goldbach_ideal_analysis(two_n, conv, include_top).r == want
+                assert working_modulus(two_n, include_top) == want
 
     def test_pinned_28_under_both_moduli(self):
-        plain = goldbach_ideal_analysis(28)
-        wide = goldbach_ideal_analysis(28, include_top=True)
-        assert plain.r.value() == 239028075
-        assert wide.r.value() == 717084225
-        for rep in (plain, wide):
-            assert rep.maximal_subset == (5, 11, 17, 23)
-            assert rep.couples == ((5, 23), (11, 17))
-            assert rep.remainders == (5, 9, 11, 15, 17, 23, 25)
-            assert rep.primes_of_r == (3, 5, 11, 13, 17, 19, 23)
+        rep = goldbach_ideal_analysis(28)
+        plain, wide = working_modulus(28), working_modulus(28, include_top=True)
+        assert plain.value() == 239028075
+        assert wide.value() == 717084225
+        assert rep.maximal_subset == (5, 11, 17, 23)
+        assert rep.couples == ((5, 23), (11, 17))
+        assert rep.remainders == (5, 9, 11, 15, 17, 23, 25)
+        for r in (plain, wide):
+            assert r.primes() == (3, 5, 11, 13, 17, 19, 23)
 
     def test_pinned_28_containments(self):
         entries = ideal_entries(28, include_top=True)
@@ -268,20 +271,19 @@ class TestGoldbachIdealAnalysis:
             assert e["squarefree"] == all(x == 1 for _, x in e["factors"])
 
     def test_pinned_220_descent_rows(self):
-        rep = goldbach_ideal_analysis(220)
         entries = ideal_entries(220)
         for b, rem, idxs in [(211, 9, (1,)), (199, 21, (1, 2)), (197, 23, (6,))]:
             e = entries[b]
             assert e["remainder"] == rem and tuple(e["maximal_indices"]) == idxs
-        assert rep.primes_of_r[:6] == (3, 7, 13, 17, 19, 23)
+        assert working_modulus(220).primes()[:6] == (3, 7, 13, 17, 19, 23)
 
     def test_entry_generators_divide_r_and_avoid_2n(self):
         for two_n in (8, 10, 12, 28, 100, 220, 972):
-            rep = goldbach_ideal_analysis(two_n)
+            r = working_modulus(two_n)
             for b, e in ideal_entries(two_n).items():
                 fact = Factorization(tuple(map(tuple, e["factors"])))
                 assert fact.value() == e["remainder"]
-                assert fact.divides(rep.r)
+                assert fact.divides(r)
                 assert math.gcd(e["remainder"], two_n) == 1
                 assert e["maximal"] == is_prime(e["remainder"], EXC)
                 assert b + e["remainder"] == two_n

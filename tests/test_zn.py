@@ -23,7 +23,6 @@ from landau.zn import (
 )
 from oracles import brute_carmichael, brute_totient, crt_reconstruct, naive_factorize
 
-INC = PrimeConvention.INCLUDE1
 EXC = PrimeConvention.EXCLUDE1
 
 
@@ -237,7 +236,6 @@ class TestUnitsProfile:
         assert p.units == (1, 3, 7, 9)
         assert p.totient == 4 and p.carmichael == 4 and p.cyclic
         assert p.strong == (1, 3, 7)
-        assert p.convention is INC
 
     def test_pinned_mod_28(self):
         p = units_profile(28)
