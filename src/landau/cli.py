@@ -61,7 +61,6 @@ class Param:
     required: bool = False
     fallback: Any = None  # the value when omitted, or a function of no arguments giving it
     show_default: bool = False
-    envvar: str | None = None
 
     @cached_property
     def default(self) -> Any:
@@ -125,8 +124,7 @@ ROOT_PARAMS = [
     _choice("convention", "--convention",
             "Whether 1 counts as prime (default from config/environment).",
             ("include1", "exclude1")),
-    _choice("fmt", "--format", "Output format [default: md].", ("json", "csv", "md"),
-            envvar="LANDAU_FORMAT"),
+    _choice("fmt", "--format", "Output format [default: md].", ("json", "csv", "md")),
     Param("config_path", "--config", "JSON config file (also via LANDAU_CONFIG).", "FILE", _file),
 ]
 
@@ -298,25 +296,12 @@ def _usage(cmd: Command, path: str, width: int) -> str:
 def _short_help(text: str, limit: int) -> str:
     """The first sentence of text, or its words up to limit characters with
     '...' appended when they run past it."""
+    import textwrap
+
     words = text.split()
-    total = -1
-    for i, word in enumerate(words):
-        total += len(word) + 1
-        if total > limit:
-            break
-        if word.endswith("."):
-            return " ".join(words[: i + 1])
-        if total == limit and i != len(words) - 1:
-            break
-    else:
-        return " ".join(words)
-    total += 3
-    while i > 0:
-        total -= len(words[i]) + 1
-        if total <= limit:
-            break
-        i -= 1
-    return " ".join(words[:i]) + "..."
+    end = next((i + 1 for i, word in enumerate(words) if word.endswith(".")), len(words))
+    return textwrap.shorten(" ".join(words[:end]), limit, placeholder="...",
+                            break_on_hyphens=False)
 
 
 def _definitions(rows: list[tuple[str, str]], width: int) -> str:
@@ -418,8 +403,6 @@ def _parse(cmd: Command, path: str, args: list[str]) -> tuple[dict[str, Any], li
     values = {}
     for p in sorted(cmd.params, key=lambda p: rank.get(p.name, len(rank) + (p.opt is not None))):
         text = raw.get(p.name)
-        if text is None and p.envvar:
-            text = os.environ.get(p.envvar) or None
         hint = p.opt or p.metavar
         if text is None:
             if p.required:
@@ -457,13 +440,17 @@ def _run(args: list[str], prog: str) -> int:
             raise UsageError(_no_such("command", name, list(cmd.commands)), (cmd, path))
         cmd, path = cmd.commands[name], f"{path} {name}"
     values, _ = _parse(cmd, path, args)
+    fmt = given["fmt"]
+    if fmt is None and os.environ.get("LANDAU_FORMAT"):
+        # checked as the root's --format, once the leaf's --help has had its turn
+        fmt = _parse(ROOT, prog, ["--format", os.environ["LANDAU_FORMAT"]])[0]["fmt"]
     overrides = {"convention": given["convention"], "workers": values.pop("jobs", None)}
     try:
         cfg = load_config(path=given["config_path"], overrides=overrides)
     except ConfigError as exc:
         raise UsageError(str(exc), (ROOT, prog)) from exc
     try:
-        return cmd.run(cfg, given["fmt"] or "md", values)
+        return cmd.run(cfg, fmt or "md", values)
     except UsageError as exc:
         exc.where = cmd, path
         raise

@@ -13,9 +13,9 @@ temp file, fsync, rename), so a killed run leaves the previous parseable
 state behind; it is rewritten once FLUSH_SECONDS have passed since the last
 write and once at the end, so a kill loses at most that much folded work
 plus the chunks in flight.  Work is split into chunks whose width each task
-takes from one rule (_chunk_size: the even tasks' chunks wide enough to
-amortize the sieve and pool trip each pays whatever its width, every chunk
-small enough for a 4 MB peak), made as the stream of results asks for them,
+takes from its row of _RULES (the even tasks' chunks wide enough to amortize
+the sieve and pool trip each pays whatever its width, every chunk small
+enough for a 4 MB peak), made as the stream of results asks for them,
 whose results come back in ascending order (a forked worker pool's ordered
 imap, or a plain map with one worker, which never imports multiprocessing)
 and are folded into records in that order, which keeps the checkpoint
@@ -71,56 +71,11 @@ class Task(Enum):
     PARABOLIC = "parabolic"
 
 
-# tasks whose instances are even numbers (sum targets and gaps)
-_EVEN_TASKS = frozenset({Task.GOLDBACH, Task.PRE_POLIGNAC})
-
-
-# Instances per chunk, sized to amortize what every chunk pays whatever its
-# width: an even-task chunk sieves with the base primes up to sqrt(hi) (from
-# 1.1e13 on, only to 4 times its odd slots, then tests the survivors) and
-# makes one pool trip.
-# Legendre and parabolic chunks pay neither: their work is per instance.
-# In process with one worker, CPython 3.11 on a shared 2-core x86-64 Xeon, a
-# fresh process per cell, one warm-up run, then the median of three (the
-# Goldbach rates: the median of three such sweeps, which spread by up to a
-# third); rates in instances per second, peaks the tracemalloc peak of one
-# chunk after one at the same height has grown the base primes:
-#
-#   task and range              4096      2^15      2^16      2^17      2^18
-#   Goldbach [4, 4e6]           8.2 M/s   31.8 M/s  41.3 M/s  29.7 M/s  26.2 M/s
-#   pre-Polignac [4, 4e6]       10.4 M/s            44.2 M/s
-#   Goldbach [1e12, +2e6]       0.20 M/s  1.05 M/s  1.73 M/s  2.80 M/s  4.18 M/s
-#   Goldbach peak at 1e12                           1.4 MB    3.0 MB    6.3 MB
-#   pre-Polignac peak at 1e12                       2.5 MB    5.5 MB    11.4 MB
-#   parabolic [1e7, 1e7+2^16)   0.72 s    0.74 s
-#   Legendre [1, 3e4]           0.40 s    0.46 s
-#
-# So the even tasks take 2^16, under a 4 MB peak per chunk, and the others
-# 4096 (a parabolic chunk of 4096 at 1e7 peaks at 0.013 MB).  Goldbach alone
-# would run faster at 1e12 with 2^17, but pre-Polignac shares the rule and
-# its 2^17 chunk passes 4 MB.
-def _chunk_size(task: Task) -> int:
-    """Instances per chunk of task."""
-    return 1 << 16 if task in _EVEN_TASKS else 4096
-
-
-# how record statistics combine when subranges are concatenated
-_STAT_MERGE: dict[Task, tuple[tuple[str, str, str | None], ...]] = {
-    Task.GOLDBACH: (("max", "max_depth", "max_depth_at"),),
-    Task.PRE_POLIGNAC: (("max", "max_witness", "max_witness_at"),),
-    Task.LEGENDRE: (("max", "max_first_gap", "max_first_gap_at"),),
-    Task.PARABOLIC: (("sum", "parabolic", None), ("max", "largest_parabolic_k", None)),
-}
-
-
 class CheckpointError(ValueError):
     """An untrustworthy checkpoint file; the message names the bad line."""
 
     def __init__(self, path: str, line_no: int, reason: str) -> None:
         super().__init__(f"{path}:{line_no}: {reason}")
-        self.path = path
-        self.line_no = line_no
-        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -247,22 +202,11 @@ def _write_checkpoints(path: str, records: Iterable[Checkpoint]) -> None:
     os.replace(tmp, path)
 
 
-def _step(task: Task) -> int:
-    return 2 if task in _EVEN_TASKS else 1
-
-
-def _domain_lo(task: Task, conv: PrimeConvention) -> int:
-    if task in _EVEN_TASKS:
-        # 2 = 1 + 1 and the gap-2 witness q = 1 both need the unit counted
-        return 2 if conv is PrimeConvention.INCLUDE1 else 4
-    return 1
-
-
 def instance_count(task: Task, lo: int, hi: int) -> int:
     """Number of task instances in the aligned range [lo, hi]."""
     if hi < lo:
         return 0
-    return (hi - lo) // _step(task) + 1
+    return (hi - lo) // _RULES[task].step + 1
 
 
 def _uncovered(lo: int, hi: int, covered: list[tuple[int, int]], step: int) -> list[tuple[int, int]]:
@@ -284,19 +228,15 @@ def _uncovered(lo: int, hi: int, covered: list[tuple[int, int]], step: int) -> l
     return [(a, b) for a, b in out if a <= b]
 
 
-def _merge_stats(task: Task, acc: dict[str, int], new: dict[str, int]) -> None:
+def _merge_stats(rule: _Rule, acc: dict[str, int], new: dict[str, int]) -> None:
     """Fold new into acc in place; an empty acc takes new as it is."""
     if not acc:
         acc.update(new)
         return
-    acc["instances"] += new["instances"]
-    for kind, key, at_key in _STAT_MERGE[task]:
-        if kind == "sum":
-            acc[key] += new[key]
-        elif new[key] > acc[key]:
-            acc[key] = new[key]
-            if at_key is not None:
-                acc[at_key] = new[at_key]
+    for key in ("instances", *rule.summed):
+        acc[key] += new[key]
+    if new[rule.best[0]] > acc[rule.best[0]]:
+        acc.update((key, new[key]) for key in rule.best)
 
 
 # ---------------------------------------------------------------------------
@@ -568,19 +508,65 @@ def _check_parabolic(conv: PrimeConvention, lo: int, hi: int) -> dict[str, Any]:
     return {"stats": stats, "witness": None}
 
 
-_CHECKERS = {
-    Task.GOLDBACH: _check_goldbach,
-    Task.PRE_POLIGNAC: _check_pre_polignac,
-    Task.LEGENDRE: _check_legendre,
-    Task.PARABOLIC: _check_parabolic,
+@dataclass(frozen=True)
+class _Rule:
+    """One task's certificate: how its instances are checked, spaced,
+    chunked, bounded and merged."""
+
+    check: Callable[[PrimeConvention, int, int], dict[str, Any]]  # (conv, lo, hi) -> result
+    step: int  # between instances
+    chunk: int  # instances per chunk
+    first: dict[PrimeConvention, int]  # the first instance under each convention
+    reads: Callable[[int], int]  # the largest value a range ending at hi reads
+    best: tuple[str, ...]  # the max stat, then its `_at` partner if it has one
+    summed: tuple[str, ...] = ()  # stats added up beside the instances
+
+
+# Instances per chunk, sized to amortize what every chunk pays whatever its
+# width: an even-task chunk sieves with the base primes up to sqrt(hi) (from
+# 1.1e13 on, only to 4 times its odd slots, then tests the survivors) and
+# makes one pool trip.
+# Legendre and parabolic chunks pay neither: their work is per instance.
+# In process with one worker, CPython 3.11 on a shared 2-core x86-64 Xeon, a
+# fresh process per cell, one warm-up run, then the median of three (the
+# Goldbach rates: the median of three such sweeps, which spread by up to a
+# third); rates in instances per second, peaks the tracemalloc peak of one
+# chunk after one at the same height has grown the base primes:
+#
+#   task and range              4096      2^15      2^16      2^17      2^18
+#   Goldbach [4, 4e6]           8.2 M/s   31.8 M/s  41.3 M/s  29.7 M/s  26.2 M/s
+#   pre-Polignac [4, 4e6]       10.4 M/s            44.2 M/s
+#   Goldbach [1e12, +2e6]       0.20 M/s  1.05 M/s  1.73 M/s  2.80 M/s  4.18 M/s
+#   Goldbach peak at 1e12                           1.4 MB    3.0 MB    6.3 MB
+#   pre-Polignac peak at 1e12                       2.5 MB    5.5 MB    11.4 MB
+#   parabolic [1e7, 1e7+2^16)   0.72 s    0.74 s
+#   Legendre [1, 3e4]           0.40 s    0.46 s
+#
+# So the even tasks take 2^16, under a 4 MB peak per chunk, and the others
+# 4096 (a parabolic chunk of 4096 at 1e7 peaks at 0.013 MB).  Goldbach alone
+# would run faster at 1e12 with 2^17, but pre-Polignac shares the width and
+# its 2^17 chunk passes 4 MB.
+#
+# The even tasks start at 2 only under include1: 2 = 1 + 1 and the gap-2
+# witness q = 1 both need the unit counted.
+_INC, _EXC = PrimeConvention.INCLUDE1, PrimeConvention.EXCLUDE1
+_RULES = {
+    Task.GOLDBACH: _Rule(_check_goldbach, 2, 1 << 16, {_INC: 2, _EXC: 4}, lambda hi: hi,
+                         ("max_depth", "max_depth_at")),
+    Task.PRE_POLIGNAC: _Rule(_check_pre_polignac, 2, 1 << 16, {_INC: 2, _EXC: 4},
+                             lambda hi: hi + _REACH, ("max_witness", "max_witness_at")),
+    Task.LEGENDRE: _Rule(_check_legendre, 1, 4096, {_INC: 1, _EXC: 1}, lambda hi: (hi + 1) ** 2,
+                         ("max_first_gap", "max_first_gap_at")),
+    Task.PARABOLIC: _Rule(_check_parabolic, 1, 4096, {_INC: 1, _EXC: 1}, lambda hi: hi * hi + 1,
+                          ("largest_parabolic_k",), ("parabolic",)),
 }
 
 
 def _run_chunk(item: tuple[Task, PrimeConvention, int, int]) -> tuple[int, int, dict[str, Any]]:
     """The chunk's span with its checker's stats and witness."""
-    # looked up here, in the worker, so a replaced checker reaches forked workers
+    # looked up here, in the worker, so a replaced rule reaches forked workers
     task, conv, lo, hi = item
-    return lo, hi, _CHECKERS[task](conv, lo, hi)
+    return lo, hi, _RULES[task].check(conv, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -651,15 +637,14 @@ def verify_range(
     if worker_count < 1:
         raise ValueError(f"worker_count must be positive, got {worker_count}")
     start = time.perf_counter()
-    step = _step(task)
+    rule = _RULES[task]
+    step = rule.step
     lo, hi = lo + lo % step, hi - hi % step
-    floor = _domain_lo(task, conv)
-    if lo < floor:
+    if lo < rule.first[conv]:
         raise ValueError(
-            f"{task.value} instances start at {floor} under {conv.value}, got {lo}"
+            f"{task.value} instances start at {rule.first[conv]} under {conv.value}, got {lo}"
         )
-    top = {Task.GOLDBACH: hi, Task.PRE_POLIGNAC: hi + _REACH,
-           Task.LEGENDRE: (hi + 1) ** 2, Task.PARABOLIC: hi * hi + 1}[task]
+    top = rule.reads(hi)
     if top >> 64:
         raise ValueError(f"{task.value} to {hi} reads primality up to {top}, "
                          "beyond the supported 64-bit range (below 2**64)")
@@ -675,7 +660,7 @@ def verify_range(
         gaps = [] if terminal else _uncovered(lo, hi, [(cp.lo, cp.hi) for cp in mine], step)
         skipped = 0 if terminal else (
             instance_count(task, lo, hi) - sum(instance_count(task, a, b) for a, b in gaps))
-        stride = _chunk_size(task) * step
+        stride = rule.chunk * step
         # chunks are made as the stream asks for them; a pool's task pipe
         # fills and pushes back, so only a few chunks are ever in flight
         items = ((task, conv, c_lo, min(c_lo + stride - step, b))
@@ -694,12 +679,12 @@ def verify_range(
             results = pool.imap(_run_chunk, items) if pool else map(_run_chunk, items)
             for c_lo, c_hi, res in results:
                 stats, witness = res["stats"], res["witness"]
-                _merge_stats(task, run_stats, stats)
+                _merge_stats(rule, run_stats, stats)
                 if stats["instances"] > 0:
                     if witness is not None:
                         c_hi = witness["instance"] - step
                     if len(records) > len(existing) and records[-1].hi == c_lo - step:
-                        _merge_stats(task, records[-1].stats, stats)
+                        _merge_stats(rule, records[-1].stats, stats)
                         records[-1] = replace(records[-1], hi=c_hi)
                     else:
                         records.append(Checkpoint(task, conv, c_lo, c_hi, "verified",

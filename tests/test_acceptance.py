@@ -282,8 +282,10 @@ def test_c10_harness_idempotent_worker_invariant_kill_resume(tmp_path):
     # kill mid-run, then resume to completion with no gaps
     cp = tmp_path / "kill.jsonl"
     child = (
-        "from landau import harness\n"
-        "harness._chunk_size, harness.FLUSH_SECONDS = lambda task: 512, 0\n"
+        "import dataclasses\nfrom landau import harness\n"
+        "g = harness._RULES[harness.Task.GOLDBACH]\n"
+        "harness._RULES[harness.Task.GOLDBACH] = dataclasses.replace(g, chunk=512)\n"
+        "harness.FLUSH_SECONDS = 0\n"
         f"harness.verify_range(harness.Task.GOLDBACH, 2, 1000000, checkpoint_path={str(cp)!r})\n"
     )
     proc = subprocess.Popen([sys.executable, "-c", child])

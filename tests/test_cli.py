@@ -382,6 +382,13 @@ class TestExitCodes:
         assert "beyond the supported 64-bit range (below 2**64)" in result.stderr
         assert list(tmp_path.iterdir()) == []  # neither the checkpoint nor its lock
 
+    def test_verify_below_the_first_instance_is_usage_error(self, runner):
+        result = runner.invoke(main, ["--convention", "exclude1", "goldbach", "verify",
+                                      "--from", "2", "--to", "10"])
+        assert result.exit_code == 2 and result.stdout == ""
+        assert result.stderr.endswith(
+            "Error: goldbach instances start at 4 under exclude1, got 2\n")
+
     def test_pre_polignac_instance_without_a_witness_below_the_top_is_usage_error(
         self, runner, tmp_path, monkeypatch
     ):
@@ -586,14 +593,21 @@ class TestConfigPrecedence:
         assert doc["config"]["workers"] == 1
         assert counts == [1, 1]
 
-    def test_malformed_setting_spares_help(self, runner):
-        env = {"LANDAU_WORKERS": "abc"}
+    @pytest.mark.parametrize(
+        "env, error",
+        [({"LANDAU_WORKERS": "abc"}, "workers: expected a positive integer, got 'abc'"),
+         ({"LANDAU_FORMAT": "html"},
+          "Invalid value for '--format': 'html' is not one of 'json', 'csv', 'md'.")],
+        ids=["LANDAU_WORKERS", "LANDAU_FORMAT"],
+    )
+    def test_malformed_setting_spares_help(self, runner, env, error):
         help_page = runner.invoke(main, ["goldbach", "canonical", "--help"], env=env)
         assert help_page.exit_code == 0 and help_page.stdout.startswith("Usage: ")
         result = runner.invoke(main, ["goldbach", "canonical", "220"], env=env)
-        assert result.exit_code == 2
-        assert result.stderr.endswith("Error: workers: expected a positive integer, got 'abc'\n")
-        assert result.stdout == ""
+        assert result.exit_code == 2 and result.stdout == ""
+        assert result.stderr.splitlines() == [
+            "Usage: landau [OPTIONS] COMMAND [ARGS]...", "Try 'landau --help' for help.", "",
+            f"Error: {error}"]
 
     def test_convention_reaches_the_library(self, runner):
         out = runner.invoke(
@@ -709,6 +723,35 @@ def test_cold_start_imports_no_click_and_prints_the_root_help():
     assert proc.returncode == 0 and proc.stderr == ""
     root_page = GOLDEN_HELP.read_text().split("--- stdout\n", 1)[1].split("--- stderr\n", 1)[0]
     assert proc.stdout == root_page
+
+
+# the golden transcript is laid out at 80 columns; at the narrowest, most
+# short helps are cut to the words that fit, with "..." appended
+NARROW_COMMANDS = {
+    ("--help",): [
+        "  goldbach   Goldbach couples of an even number.",
+        "  ideals     Principal ideals, radicals, and...",
+        "  legendre   Primes between consecutive squares.",
+        "  parabolic  Primes of the form k^2 + 1.",
+        "  polignac   Prime pairs with a fixed even...",
+        "  triangle   Triangular numbers and their...",
+        "  zn         The ring of integers modulo N...",
+    ],
+    ("goldbach", "--help"): [
+        "  canonical  Canonical couple produced by the...",
+        "  enumerate  Every couple, classified, with...",
+        "  quasi      Quasi-couples: unit pairs...",
+        "  verify     Certify a couple exists for...",
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", list(NARROW_COMMANDS), ids=" ".join)
+def test_commands_section_at_50_columns(runner, argv):
+    result = runner.invoke(main, list(argv), prog_name="landau", env={"COLUMNS": "50"})
+    assert result.exit_code == 0
+    section = result.stdout.split("Commands:\n", 1)[1].splitlines()
+    assert section == NARROW_COMMANDS[argv]
 
 
 def test_help_is_unchanged(runner):

@@ -135,6 +135,22 @@ def test_domain_validation():
         verify_range(Task.GOLDBACH, 2, 100, INC, worker_count=0)
 
 
+@pytest.mark.parametrize(
+    "task, conv, first",
+    [(Task.GOLDBACH, INC, 2), (Task.GOLDBACH, EXC, 4), (Task.PRE_POLIGNAC, INC, 2),
+     (Task.PRE_POLIGNAC, EXC, 4), (Task.LEGENDRE, INC, 1), (Task.LEGENDRE, EXC, 1),
+     (Task.PARABOLIC, INC, 1), (Task.PARABOLIC, EXC, 1)],
+    ids=lambda v: getattr(v, "value", v),
+)
+def test_each_task_starts_at_its_first_instance(task, conv, first):
+    step = 2 if task in (Task.GOLDBACH, Task.PRE_POLIGNAC) else 1
+    message = f"{task.value} instances start at {first} under {conv.value}, got {first - step}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        verify_range(task, first - step, first + 10 * step, conv)
+    s = verify_range(task, first, first + 10 * step, conv)
+    assert s.complete and s.verified == 11
+
+
 def test_missing_checkpoint_file_is_empty_history(tmp_path):
     assert load_checkpoints(str(tmp_path / "absent.jsonl")) == []
 
@@ -207,7 +223,12 @@ def test_counterexample_only_blocks_its_own_convention(tmp_path):
 
 def _fixed_chunks(monkeypatch, size):
     """Make every chunk of every task `size` instances wide."""
-    monkeypatch.setattr(harness, "_chunk_size", lambda task: size)
+    for task, rule in harness._RULES.items():
+        monkeypatch.setitem(harness._RULES, task, replace(rule, chunk=size))
+
+
+def _replace_checker(monkeypatch, task, check):
+    monkeypatch.setitem(harness._RULES, task, replace(harness._RULES[task], check=check))
 
 
 def _break_goldbach_at_76(monkeypatch):
@@ -220,7 +241,7 @@ def _break_goldbach_at_76(monkeypatch):
             stats["instances"] += 1
         return {"stats": stats, "witness": None}
 
-    monkeypatch.setitem(harness._CHECKERS, Task.GOLDBACH, broken)
+    _replace_checker(monkeypatch, Task.GOLDBACH, broken)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -286,7 +307,8 @@ def test_pre_polignac_at_the_64_bit_top_equals_the_per_instance_checker(conv):
 
 def _chunks_from(task, lo, chunks):
     """The top of `chunks` full chunks of the rule's size from lo."""
-    return lo + harness._step(task) * (chunks * harness._chunk_size(task) - 1)
+    rule = harness._RULES[task]
+    return lo + rule.step * (chunks * rule.chunk - 1)
 
 
 def _traced_peak(task, lo, hi):
@@ -323,7 +345,7 @@ def test_parabolic_memory_at_the_widest_chunk(monkeypatch):
     monkeypatch.setattr(figurate, "pow", functools.cache(pow), raising=False)
     monkeypatch.setattr(harness, "is_prime", functools.cache(is_prime))
     # a chunk of the rule's size at k = 2^20 and the last one below 2^32
-    for lo in (2**20, 2**32 - harness._chunk_size(Task.PARABOLIC)):
+    for lo in (2**20, 2**32 - harness._RULES[Task.PARABOLIC].chunk):
         peak = _traced_peak(Task.PARABOLIC, lo, _chunks_from(Task.PARABOLIC, lo, 1))
         assert peak < 4 * 2**20, (lo, peak)
 
@@ -337,7 +359,7 @@ def _fail_at_first_instance(conv, lo, hi):
 def test_a_run_holds_nothing_that_grows_with_its_range(monkeypatch, workers):
     # chunks are made as the fold asks for them, so a run that stops in its
     # first chunk returns at once however far its range reaches
-    monkeypatch.setitem(harness._CHECKERS, Task.GOLDBACH, _fail_at_first_instance)
+    _replace_checker(monkeypatch, Task.GOLDBACH, _fail_at_first_instance)
     verify_range(Task.GOLDBACH, 4, 10**5, worker_count=workers)  # imports the pool's modules
     tracemalloc.start()
     t0 = time.perf_counter()
@@ -383,7 +405,7 @@ def test_bitset_scan_equals_per_instance_checkers(reach, span):
 
 def _goldbach_chunks(conv):
     """Full chunks at 10^6 and 10^9, then every chunk of a run over [2, 4e6]."""
-    stride = 2 * harness._chunk_size(Task.GOLDBACH)
+    stride = 2 * harness._RULES[Task.GOLDBACH].chunk
     yield from ((h, h + stride - 2) for h in (10**6, 10**9))
     floor = 2 if conv is INC else 4
     yield from ((c, min(c + stride - 2, 4 * 10**6)) for c in range(floor, 4 * 10**6, stride))
@@ -574,7 +596,7 @@ def test_parabolic_counterexample_branch_matches_per_k_checker(monkeypatch, conv
          "parabolic-25e3", "parabolic-351", "parabolic-1e6"],
 )
 def test_benchmark_range_statistics(task, lo, hi, convs, stats, workers):
-    keys = [k for _, key, at_key in harness._STAT_MERGE[task] for k in (key, at_key) if k]
+    keys = [*harness._RULES[task].summed, *harness._RULES[task].best]
     for conv in convs:
         s = verify_range(task, lo, hi, conv, worker_count=workers)
         assert s.complete and s.verified == instance_count(task, lo, hi)
@@ -639,8 +661,8 @@ def run_plans(draw):
     that a resumed run finds already recorded."""
     task = draw(st.sampled_from(list(Task)))
     conv = draw(st.sampled_from([INC, EXC]))
-    step = 2 if task in (Task.GOLDBACH, Task.PRE_POLIGNAC) else 1
-    lo = step * draw(st.integers(harness._domain_lo(task, conv) // step, 2000))
+    step = harness._RULES[task].step
+    lo = step * draw(st.integers(harness._RULES[task].first[conv] // step, 2000))
     hi = lo + step * draw(st.integers(0, 299))
     # a history that starts the range ends where this run's first record starts
     seed_lo = lo + step * draw(st.just(0) | st.integers(0, (hi - lo) // step))
@@ -655,12 +677,13 @@ def _sizes_agree(tmp, task, conv, lo, hi, seeded, sizes):
     for resumed in (False, True):
         outcomes = set()
         for size in sizes:
-            rule = harness._chunk_size if size is None else lambda task, size=size: size
+            rules = {} if size is None else {
+                t: replace(rule, chunk=size) for t, rule in harness._RULES.items()}
             for workers in (1, 2):
                 cp = tmp / f"{resumed}-{size}-{workers}.jsonl"
                 if resumed:
                     cp.write_text(seeded)
-                with mock.patch.object(harness, "_chunk_size", rule):
+                with mock.patch.dict(harness._RULES, rules):
                     s = verify_range(task, lo, hi, conv, checkpoint_path=cp,
                                      worker_count=workers)
                 text = cp.read_text()
@@ -698,10 +721,11 @@ _RULE_RANGES = {
 def test_rule_sized_chunks_change_no_record_and_no_summary(tmp_path, task, conv):
     lo, hi = _RULE_RANGES[task]
     count = instance_count(task, lo, hi)
-    assert count >= 3 * harness._chunk_size(task)
+    rule = harness._RULES[task]
+    assert count >= 3 * rule.chunk
     history = tmp_path / "seed.jsonl"
-    mid = lo + harness._step(task) * (count // 3)
-    verify_range(task, mid, mid + harness._step(task) * 999, conv, checkpoint_path=history)
+    mid = lo + rule.step * (count // 3)
+    verify_range(task, mid, mid + rule.step * 999, conv, checkpoint_path=history)
     s = _sizes_agree(tmp_path, task, conv, lo, hi, history.read_text(), (512, 4096, None))
     assert s.complete
 
@@ -734,7 +758,7 @@ def test_a_chunk_slower_than_the_flush_interval_is_on_disk_before_the_next(tmp_p
         time.sleep(0.02)
         return harness._check_goldbach(conv, lo, hi)
 
-    monkeypatch.setitem(harness._CHECKERS, Task.GOLDBACH, slow)
+    _replace_checker(monkeypatch, Task.GOLDBACH, slow)
     monkeypatch.setattr(harness, "FLUSH_SECONDS", 0.01)
     _fixed_chunks(monkeypatch, 64)
     verify_range(Task.GOLDBACH, 2, 640, INC, checkpoint_path=cp)
@@ -769,8 +793,10 @@ def test_checkpoint_lock_excludes_concurrent_writers(tmp_path):
 def test_kill_and_resume(tmp_path):
     cp = tmp_path / "kill.jsonl"
     child = (
-        "from landau import harness\n"
-        "harness._chunk_size, harness.FLUSH_SECONDS = lambda task: 512, 0\n"
+        "import dataclasses\nfrom landau import harness\n"
+        "g = harness._RULES[harness.Task.GOLDBACH]\n"
+        "harness._RULES[harness.Task.GOLDBACH] = dataclasses.replace(g, chunk=512)\n"
+        "harness.FLUSH_SECONDS = 0\n"
         f"harness.verify_range(harness.Task.GOLDBACH, 2, 2000000, checkpoint_path={str(cp)!r})\n"
     )
     proc = subprocess.Popen([sys.executable, "-c", child])
