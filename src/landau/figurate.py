@@ -1,7 +1,8 @@
 """Triangular numbers and their identities, the square-triangular chain,
 three-part triangular decompositions, exact power sums, and parabolic primes
 k^2 + 1 with their zeta-style estimate; whether the units of Z_{k^2+1} number
-k^2 is decided per k by an N - 1 certificate, apart from is_prime.
+k^2 is decided per k by an N - 1 certificate, apart from the primality of
+k^2 + 1, which the square sieve gives.
 """
 from __future__ import annotations
 
@@ -10,10 +11,19 @@ from dataclasses import dataclass
 from functools import cache
 from typing import TYPE_CHECKING
 
-from .primes import DEFAULT_CONVENTION, PrimeConvention, _TRIAL_PRIMES, _TRIAL_PRODUCT, is_prime
+from .primes import (
+    DEFAULT_CONVENTION,
+    PrimeConvention,
+    _TRIAL_PRIMES,
+    _TRIAL_PRODUCT,
+    _square_flags,
+    _square_sieve_pays,
+    is_prime,
+)
 from .zn import factorize
 
 if TYPE_CHECKING:
+    from collections.abc import Iterator
     from fractions import Fraction
 
 
@@ -184,7 +194,8 @@ def totient_is_k_squared(k: int) -> bool:
         a = 2
         while (x := pow(a, order // q, n)) == 1:
             a += 1
-        if pow(x, q, n) != 1 or math.gcd(x - 1, n) != 1:
+        # for a = 2, x^q = 2^(k^2) = 1 is the Fermat test above
+        if (a > 2 and pow(x, q, n) != 1) or math.gcd(x - 1, n) != 1:
             return False
     return True
 
@@ -192,15 +203,33 @@ def totient_is_k_squared(k: int) -> bool:
 def parabolic_primes(
     k_max: int, conv: PrimeConvention = DEFAULT_CONVENTION
 ) -> list[ParabolicRecord]:
-    """Records for k = 1..k_max, each with is_prime's verdict and the unit
-    count's; construction re-verifies that they agree on every row."""
+    """Records for k = 1..k_max, each with the sieve's primality verdict and
+    the unit count's; construction re-verifies that they agree on every row."""
     if k_max < 1:
         raise ValueError(f"needs k_max >= 1, got {k_max}")
-    return [_parabolic_record(k, conv) for k in range(1, k_max + 1)]
+    return _parabolic_records(range(1, k_max + 1), conv)
 
 
-def _parabolic_record(k: int, conv: PrimeConvention) -> ParabolicRecord:
-    return ParabolicRecord(k, is_prime(k * k + 1, conv), totient_is_k_squared(k))
+def _parabolic_records(ks: range, conv: PrimeConvention) -> list[ParabolicRecord]:
+    return [ParabolicRecord(k, prime, totient_is_k_squared(k))
+            for k, prime in zip(ks, _parabolic_verdicts(ks, conv))]
+
+
+# A parabolic row the square sieve settles saves one is_prime call, and the
+# root of -1 modulo a prime costs about two (calibrated beside
+# primes._square_sieve_pays).
+_PARABOLIC_ROOTS_PER_ROW = 0.5
+
+
+def _parabolic_verdicts(ks: range, conv: PrimeConvention) -> Iterator[bool]:
+    """Whether k^2 + 1 is prime under conv, for each k of ks (k >= 1, step 1,
+    or step 2 over even k): the even k read off the square sieve where it
+    pays, else is_prime; an odd k > 1 makes k^2 + 1 even."""
+    evens = range(ks.start + (ks.start & 1), ks.stop, 2)
+    if not evens or not _square_sieve_pays(evens, 1, _PARABOLIC_ROOTS_PER_ROW):
+        return (is_prime(k * k + 1, conv) for k in ks)
+    flags, first = _square_flags(evens, 1), evens.start
+    return (k == 1 if k & 1 else flags[(k - first) >> 1] == 1 for k in ks)
 
 
 @cache
@@ -222,8 +251,9 @@ def zeta_partial(k_max: int) -> tuple[Fraction, float]:
     from fractions import Fraction
 
     total = Fraction(0)
-    for k in range(1, k_max + 1):
-        if is_prime(k * k + 1, PrimeConvention.EXCLUDE1):
+    ks = range(1, k_max + 1)
+    for k, prime in zip(ks, _parabolic_verdicts(ks, PrimeConvention.EXCLUDE1)):
+        if prime:
             total += Fraction(1, k * k)
     _check_zeta_bounds(total, k_max)
     return total, math.pi * math.pi / 6

@@ -5,7 +5,9 @@ for every even number (couple search), a small-prime witness for every even
 gap, a prime inside every square interval, and totient/primality agreement
 for every parabolic candidate k^2 + 1, whose unit count comes from an N - 1
 certificate per k (figurate.totient_is_k_squared) and whose primality from
-is_prime, so the two verdicts stay independent.
+the square sieve (primes._square_flags), so the two verdicts stay
+independent; the square intervals read their first primes off the same
+sieve.
 
 Progress lives in a line-delimited JSON checkpoint, one record per contiguous
 verified subrange.  The file is only ever replaced whole (write a sibling
@@ -13,9 +15,9 @@ temp file, fsync, rename), so a killed run leaves the previous parseable
 state behind; it is rewritten once FLUSH_SECONDS have passed since the last
 write and once at the end, so a kill loses at most that much folded work
 plus the chunks in flight.  Work is split into chunks whose width each task
-takes from its row of _RULES (the even tasks' chunks wide enough to amortize
-the sieve and pool trip each pays whatever its width, every chunk small
-enough for a 4 MB peak), made as the stream of results asks for them,
+takes from its row of _RULES (wide enough to amortize the sieve and pool
+trip each pays whatever its width, small enough for a 4 MB peak), made as
+the stream of results asks for them,
 whose results come back in ascending order (a forked worker pool's ordered
 imap, or a plain map with one worker, which never imports multiprocessing)
 and are folded into records in that order, which keeps the checkpoint
@@ -50,12 +52,13 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any, Callable, Iterable, Iterator
 
-from .figurate import totient_is_k_squared
+from .figurate import _parabolic_verdicts, totient_is_k_squared
 from .primes import (
     DEFAULT_CONVENTION,
     PrimeConvention,
     _odd_flags,
-    is_prime,
+    _square_flags,
+    _square_sieve_pays,
     next_prime,
     primes_in_range,
 )
@@ -470,18 +473,45 @@ def _check_pre_polignac(conv: PrimeConvention, lo: int, hi: int) -> dict[str, An
         return {"stats": stats, "witness": witness}
 
 
+# Legendre rows hold the first _LEGENDRE_SLOTS odd values above n^2, and a
+# row that the square sieve strikes whole walks on past them with next_prime.
+# The sieve runs while its roots stay within _LEGENDRE_ROOTS_PER_ROW a row
+# (calibrated beside primes._square_sieve_pays), and only from
+# _LEGENDRE_SIEVE_FROM on: below it n^2 + j < 9,080,191, where is_prime
+# proves a prime with two bases, and walking every row costs less.
+_LEGENDRE_SLOTS = 8
+_LEGENDRE_SIEVE_FROM = 3014
+_LEGENDRE_ROOTS_PER_ROW = 4
+
+
+def _first_gaps(conv: PrimeConvention, lo: int, hi: int) -> Iterator[int]:
+    """For each n of [lo, hi], the distance from n^2 to the first prime from
+    n^2 on: read off the square sieve where it pays, else walked."""
+    slots = _LEGENDRE_SLOTS
+    rows = range(max(lo, _LEGENDRE_SIEVE_FROM), hi + 1)
+    if not rows or not _square_sieve_pays(rows, slots, _LEGENDRE_ROOTS_PER_ROW):
+        rows = range(hi + 1, hi + 1)  # none: every row is walked
+    for n in range(lo, rows.start):
+        yield next_prime(n * n - 1, conv) - n * n
+    if not rows:
+        return
+    flags = _square_flags(rows, slots)
+    for at, n in zip(range(0, len(flags), slots), rows):
+        s = flags.find(1, at, at + slots)
+        # the row's slot s - at holds n^2 + 2(s - at) + 1 + (n & 1)
+        yield (2 * (s - at) + 1 + (n & 1) if s >= 0
+               else next_prime(n * n + 2 * slots, conv) - n * n)
+
+
 def _check_legendre(conv: PrimeConvention, lo: int, hi: int) -> dict[str, Any]:
     stats = {"instances": 0, "max_first_gap": 0, "max_first_gap_at": 0}
-    for n in range(lo, hi + 1):
-        base = n * n
-        found = next_prime(base - 1, conv)
+    for n, gap in zip(range(lo, hi + 1), _first_gaps(conv, lo, hi)):
         # the upper endpoint (n+1)^2 is a square > 1, never prime, so the
         # first prime from n^2 on decides the whole closed interval
-        if found > base + 2 * n:
+        if gap > 2 * n:
             witness = {"instance": n, "reason": "no prime in the square interval"}
             return {"stats": stats, "witness": witness}
         stats["instances"] += 1
-        gap = found - base
         if gap > stats["max_first_gap"]:
             stats["max_first_gap"] = gap
             stats["max_first_gap_at"] = n
@@ -490,8 +520,8 @@ def _check_legendre(conv: PrimeConvention, lo: int, hi: int) -> dict[str, Any]:
 
 def _check_parabolic(conv: PrimeConvention, lo: int, hi: int) -> dict[str, Any]:
     stats = {"instances": 0, "parabolic": 0, "largest_parabolic_k": 0}
-    for k in range(lo, hi + 1):
-        prime = is_prime(k * k + 1, conv)
+    ks = range(lo, hi + 1)
+    for k, prime in zip(ks, _parabolic_verdicts(ks, conv)):
         tot_match = totient_is_k_squared(k)
         if prime != tot_match:
             witness = {
@@ -524,9 +554,9 @@ class _Rule:
 
 # Instances per chunk, sized to amortize what every chunk pays whatever its
 # width: an even-task chunk sieves with the base primes up to sqrt(hi) (from
-# 1.1e13 on, only to 4 times its odd slots, then tests the survivors) and
-# makes one pool trip.
-# Legendre and parabolic chunks pay neither: their work is per instance.
+# 1.1e13 on, only to 4 times its odd slots, then tests the survivors), a
+# Legendre or parabolic chunk finds the roots of x^2 = -j modulo each prime
+# up to sqrt(top) for its square sieve, and every chunk makes one pool trip.
 # In process with one worker, CPython 3.11 on a shared 2-core x86-64 Xeon, a
 # fresh process per cell, one warm-up run, then the median of three (the
 # Goldbach rates: the median of three such sweeps, which spread by up to a
@@ -539,13 +569,36 @@ class _Rule:
 #   Goldbach [1e12, +2e6]       0.20 M/s  1.05 M/s  1.73 M/s  2.80 M/s  4.18 M/s
 #   Goldbach peak at 1e12                           1.4 MB    3.0 MB    6.3 MB
 #   pre-Polignac peak at 1e12                       2.5 MB    5.5 MB    11.4 MB
-#   parabolic [1e7, 1e7+2^16)   0.72 s    0.74 s
-#   Legendre [1, 3e4]           0.40 s    0.46 s
 #
-# So the even tasks take 2^16, under a 4 MB peak per chunk, and the others
-# 4096 (a parabolic chunk of 4096 at 1e7 peaks at 0.013 MB).  Goldbach alone
+# So the even tasks take 2^16, under a 4 MB peak per chunk.  Goldbach alone
 # would run faster at 1e12 with 2^17, but pre-Polignac shares the width and
 # its 2^17 chunk passes 4 MB.
+#
+# The square tasks sieve a chunk only while its roots stay within the row
+# budget (_LEGENDRE_ROOTS_PER_ROW, figurate._PARABOLIC_ROOTS_PER_ROW), which
+# a wider chunk meets up to a greater height.  The range [h, h + 2^16) in
+# chunks of each width, on the same host (one process, base primes built,
+# the median of three), rates in thousands of instances per second with
+# every row walked and by that rule, and the peak of one chunk by the rule:
+#
+#   task, h          4096               2^15               2^16
+#   Legendre 1e4     37.3  35.3  0.001  33.7  45.6  0.27   36.2  53.3  0.53
+#   Legendre 3e4     24.0  29.2  0.001  27.3  30.2  0.27   31.0  42.6  0.53
+#   Legendre 1e5     21.9  23.6  0.001  19.4  20.4  0.001  20.5  32.5  0.53
+#   Legendre 1e6     14.0  16.5  0.001  17.4  18.7  0.001  16.7  18.3  0.001
+#   parabolic 1e4     168   161  0.002   163   181  0.025   190   275  0.049
+#   parabolic 3e4     120   119  0.002   115   143  0.025   134   190  0.049
+#   parabolic 1e5     109   135  0.002   113    98  0.002   101   140  0.049
+#   parabolic 1e6     103   109  0.002   104   130  0.003   115   121  0.005
+#
+# Runs of one cell spread by up to a fifth, so only the sieved cells (a peak
+# above 0.005 MB) differ from walking.  A chunk pays the roots for every
+# prime up to its top, so a range costs least in the fewest chunks, and the
+# peak is a byte per odd value held (8 a Legendre row, 1 an even parabolic
+# k).  The square tasks take 2^15.  2^16 sieves to a greater height and ran
+# 1.2-1.6x faster than 2^15 from 1e4 to 1e5 above, but the tests that run
+# three chunks of the rule's width at each chunk size and worker count would
+# walk twice the rows there, about three times as long.
 #
 # The even tasks start at 2 only under include1: 2 = 1 + 1 and the gap-2
 # witness q = 1 both need the unit counted.
@@ -555,10 +608,10 @@ _RULES = {
                          ("max_depth", "max_depth_at")),
     Task.PRE_POLIGNAC: _Rule(_check_pre_polignac, 2, 1 << 16, {_INC: 2, _EXC: 4},
                              lambda hi: hi + _REACH, ("max_witness", "max_witness_at")),
-    Task.LEGENDRE: _Rule(_check_legendre, 1, 4096, {_INC: 1, _EXC: 1}, lambda hi: (hi + 1) ** 2,
-                         ("max_first_gap", "max_first_gap_at")),
-    Task.PARABOLIC: _Rule(_check_parabolic, 1, 4096, {_INC: 1, _EXC: 1}, lambda hi: hi * hi + 1,
-                          ("largest_parabolic_k",), ("parabolic",)),
+    Task.LEGENDRE: _Rule(_check_legendre, 1, 1 << 15, {_INC: 1, _EXC: 1},
+                         lambda hi: (hi + 1) ** 2, ("max_first_gap", "max_first_gap_at")),
+    Task.PARABOLIC: _Rule(_check_parabolic, 1, 1 << 15, {_INC: 1, _EXC: 1},
+                          lambda hi: hi * hi + 1, ("largest_parabolic_k",), ("parabolic",)),
 }
 
 

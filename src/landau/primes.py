@@ -273,6 +273,169 @@ def primes_in_range(
     return out
 
 
+# --- square sieve ------------------------------------------------------------
+
+# _square_flags sieves the odd values k^2 + j just above the squares of a block
+# of rows k, the way _odd_flags sieves a window: an odd prime p divides k^2 + j
+# exactly when k is a root of x^2 = -j (mod p), so each root strikes its class
+# of rows with one slice assignment (Shanks, MTAC 13 (1959) 78-86), and every
+# value that survives the primes up to its square root is prime.  The roots
+# come from Tonelli and Shanks' algorithm.  Its one pow per offset,
+# a^((Q - 1) / 2) for p - 1 = Q 2^S with Q odd, is multiplicative in a = -j,
+# so each p pays one pow per prime up to the largest offset, and a p = 3 (mod
+# 4), where -1 is a non-residue, pays none when the offsets are j = 1 alone.
+#
+# The sieve pays while its roots, an offset and a prime up to sqrt(top) at a
+# time, stay within a budget per row that the caller sets from what a row
+# costs it unsieved: next_prime's walk from a Legendre n^2 makes several
+# Miller-Rabin tests, the parabolic k^2 + 1 one.  Milliseconds per chunk of
+# rows from h, every row walked against every row sieved (the Legendre rows
+# the sieve leaves walked on), CPython 3.11 on a shared 2-core x86-64 Xeon,
+# the median of three, with the roots per row as _square_sieve_pays counts them:
+#
+#   rows from h, width        walked   sieved   roots/row
+#   Legendre 10^4, 4096         40.6     69.4      5.8
+#   Legendre 10^4, 2^15          574      412      2.0
+#   Legendre 10^4, 2^16         1923      901      1.6
+#   Legendre 3*10^4, 4096       64.3    123.9     12.8
+#   Legendre 3*10^4, 2^15       1133      578      2.8
+#   Legendre 3*10^4, 2^16       2907     1581      2.0
+#   Legendre 10^5, 4096          259      543     35.2
+#   Legendre 10^5, 2^15         1640     1000      5.5
+#   Legendre 10^5, 2^16         3011     2319      3.4
+#   parabolic 10^4, 4096        11.4     11.9      0.72
+#   parabolic 10^4, 2^15         182      141      0.24
+#   parabolic 3*10^4, 4096      21.9     30.6      1.60
+#   parabolic 3*10^4, 2^15       261      222      0.35
+#   parabolic 10^5, 4096        34.1     70.9      4.40
+#   parabolic 10^5, 2^15         188      168      0.69
+#   parabolic 10^6, 2^15         230      483      4.55
+#   parabolic 10^6, 2^16         388      631      2.34
+#
+# A walked row costs more as h grows (the Miller-Rabin tiers and the
+# operands widen), so the break-even moves up with h; the budgets are set
+# where the sieve is never the slower: 4 roots a Legendre row, 0.5 a
+# parabolic one.
+
+
+def _square_offsets(ks: range, slots: int) -> range:
+    """The offsets j that the rows ks hold: both parities for step 1, and
+    for step 2 the one that makes k^2 + j odd."""
+    if ks.step == 1:
+        return range(1, 2 * slots + 1)
+    return range(1 + (ks.start & 1), 2 * slots + 1, 2)
+
+
+def _square_sieve_pays(ks: range, slots: int, roots_per_row: float) -> bool:
+    """Whether _square_flags(ks, slots) is within the base-prime cap and its
+    roots, an offset per prime up to sqrt(top), within roots_per_row a row:
+    what a row's tests cost, counted in roots, beside what a root costs."""
+    limit = math.isqrt(ks[-1] ** 2 + 2 * slots)
+    roots = len(_square_offsets(ks, slots)) * limit / math.log(limit + 2)
+    return limit <= _BASE_LIMIT and roots <= roots_per_row * len(ks)
+
+
+def _non_residue_power(p: int, q: int, s: int) -> int:
+    """z^q mod p for the least quadratic non-residue z of the prime p, where
+    p - 1 = q 2^s and s >= 2: z^q has order 2^s exactly when z is one."""
+    z = 2
+    while True:
+        c = u = pow(z, q, p)
+        for _ in range(s - 1):
+            u = u * u % p
+        if u == p - 1:
+            return c
+        z += 1
+
+
+@functools.cache
+def _least_factors(top: int) -> tuple[int, ...]:
+    """The least prime factor of each j in [0, top], j itself for j < 2."""
+    least = list(range(top + 1))
+    for q in range(math.isqrt(top), 1, -1):
+        least[q * q :: q] = [q] * len(range(q * q, top + 1, q))
+    return tuple(least)
+
+
+def _square_roots(p: int, offsets: range) -> list[tuple[int, int]]:
+    """(j, r) for each offset j and each root r of x^2 = -j (mod p), for an
+    odd prime p and offsets j >= 1."""
+    q, s = p - 1, 0
+    while not q & 1:
+        q, s = q >> 1, s + 1
+    e = (q - 1) >> 1
+    # w[j] = j^e by j's least prime factor, and (-j)^e = (-1)^e w[j]
+    least = _least_factors(offsets[-1])
+    w = [0, 1]
+    for j in range(2, len(least)):
+        d = least[j]
+        w.append(pow(j, e, p) if d == j else w[d] * w[j // d] % p)
+    sign = p - 1 if e & 1 else 1
+    c_root = 0  # z^q for a non-residue z, found when a root first needs it
+    out = []
+    for j in offsets:
+        a = -j % p
+        if a == 0:
+            out.append((j, 0))
+            continue
+        y = sign * w[j] % p
+        x, t, m, c = a * y % p, a * y * y % p, s, 0  # a^((q+1)/2), a^q
+        if t != 1 and s == 1:  # t = a^((p-1)/2) = -1: a is a non-residue
+            continue
+        while t != 1:
+            i, u = 0, t
+            while u != 1 and i < m:
+                u, i = u * u % p, i + 1
+            if i == m:  # a is a non-residue
+                break
+            if not c:
+                c = c_root = c_root or _non_residue_power(p, q, s)
+            b = c
+            for _ in range(m - i - 1):
+                b = b * b % p
+            m, c = i, b * b % p
+            t, x = t * c % p, x * b % p
+        if t == 1:
+            out += ((j, x), (j, p - x))
+    return out
+
+
+def _square_flags(ks: range, slots: int) -> bytearray:
+    """Prime flags of the odd values just above the squares of ks:
+    flags[i * slots + s] == 1 iff k^2 + j is prime, k = ks[i] and
+    j = 2s + 1 + (k & 1), so each row holds the `slots` odd values from
+    k^2 + 1 on.  ks is a nonempty range of k >= 1 with step 1 or 2.  A block
+    whose square roots pass the base-prime cap is refused with ValueError
+    before anything is allocated."""
+    if not ks or ks.start < 1 or ks.step not in (1, 2) or slots < 1:
+        raise ValueError(f"needs rows k >= 1 with step 1 or 2 and slots >= 1, got {ks}, {slots}")
+    step, first, rows = ks.step, ks.start, len(ks)
+    limit = math.isqrt(ks[-1] ** 2 + 2 * slots)
+    if limit > _BASE_LIMIT:
+        raise ValueError(f"rows up to {ks[-1]} need base primes up to {limit}, past {_BASE_LIMIT}")
+    size = rows * slots
+    flags = bytearray([1]) * size
+    zeros = memoryview(bytes(rows // 3 + 1))  # a class of rows is 2p / step >= 3 rows apart
+    offsets = _square_offsets(ks, slots)
+    small = first * first < limit  # a row's k^2 + j may be a base prime itself
+    for p in islice(_ensure_base_primes(limit), 1, None):
+        if p > limit:
+            break
+        two_p = 2 * p
+        stride = two_p // step * slots
+        for j, r in _square_roots(p, offsets):
+            # the rows k = r (mod p) with k + j odd are one class mod 2p, the
+            # first of them i values past the first row; j sits in slot
+            # (j - 1) >> 1 of a row of the other parity
+            i = ((r if (r + j) & 1 else r + p) - first) % two_p
+            if small and (first + i) ** 2 + j == p:
+                i += two_p  # p itself stays
+            at = i // step * slots + ((j - 1) >> 1)
+            if at < size:
+                flags[at::stride] = zeros[: (size - 1 - at) // stride + 1]
+    return flags
+
+
 def prime_flags(hi: int, conv: PrimeConvention = DEFAULT_CONVENTION) -> bytearray:
     """One byte per value in [0, hi]; 1 marks a prime under conv: the odd
     values' flags from _odd_flags, laid in by one slice assignment, and 2."""

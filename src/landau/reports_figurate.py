@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING
 
 from .figurate import (
     _check_zeta_bounds,
-    _parabolic_record,
+    _parabolic_records,
     faulhaber,
     parabolic_primes,
     square_triangular,
@@ -42,8 +42,10 @@ def _emit_ghost_table(conv: PrimeConvention, /, *, n_max: int = 60) -> Report:
     if not 1 <= n_max <= GHOST_TABLE_MAX_N:
         raise ReportError(f"n_max: needs 1 <= n_max <= {GHOST_TABLE_MAX_N}, got {n_max}")
     limit = min(n_max, 40)
-    ks = list(range(1, limit + 1)) + [k for k in range(42, n_max + 1, 2)]
-    records = {k: _parabolic_record(k, conv) for k in ks}  # only the k that rows print
+    # only the k that rows print
+    records = {rec.k: rec for span in (range(1, limit + 1), range(42, n_max + 1, 2))
+               for rec in _parabolic_records(span, conv)}
+    ks = list(records)
     marks = [k for k in range(1, limit + 1) if records[k].is_parabolic]
 
     runs = [

@@ -253,6 +253,12 @@ class TestParabolicPrimes:
         assert [totient_is_k_squared(k) for k in range(lo, hi + 1)] == [
             totient(k * k + 1) == k * k for k in range(lo, hi + 1)]
 
+    def test_certificate_equals_totient_to_twenty_thousand(self):
+        # every k whose base a = 2 proves a prime q | k skips the check x^q = 1
+        # that the Fermat test has already made
+        ks = range(2 * 10**4 + 1)
+        assert [totient_is_k_squared(k) for k in ks] == [totient(k * k + 1) == k * k for k in ks]
+
     @given(lo=st.integers(0, 2 * 10**5), width=st.integers(1, 600))
     @settings(max_examples=30, deadline=None)
     def test_certificate_equals_totient_on_random_windows(self, lo, width):

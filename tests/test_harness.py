@@ -339,14 +339,29 @@ def test_even_task_memory_does_not_grow_with_height(monkeypatch, task):
 
 
 def test_parabolic_memory_at_the_widest_chunk(monkeypatch):
-    # the certificate's pow and is_prime allocate many small ints that no
-    # call keeps, and tracing each of them makes the traced run 4x slower;
-    # caches that the untraced run fills answer them there, with the same peak
+    # the certificate's pow, is_prime and the square sieve's roots allocate
+    # many small ints that no call keeps, and tracing each of them makes the
+    # traced run 4x slower; caches that the untraced run fills answer them
+    # there, with the same peak
     monkeypatch.setattr(figurate, "pow", functools.cache(pow), raising=False)
-    monkeypatch.setattr(harness, "is_prime", functools.cache(is_prime))
-    # a chunk of the rule's size at k = 2^20 and the last one below 2^32
-    for lo in (2**20, 2**32 - harness._RULES[Task.PARABOLIC].chunk):
+    monkeypatch.setattr(figurate, "is_prime", functools.cache(is_prime))
+    monkeypatch.setattr(primes, "_square_roots", functools.cache(primes._square_roots))
+    # a chunk of the rule's size at k = 3 * 10^4, which the square sieve
+    # settles, at k = 2^20 and the last one below 2^32
+    for lo in (3 * 10**4, 2**20, 2**32 - harness._RULES[Task.PARABOLIC].chunk):
         peak = _traced_peak(Task.PARABOLIC, lo, _chunks_from(Task.PARABOLIC, lo, 1))
+        assert peak < 4 * 2**20, (lo, peak)
+
+
+def test_legendre_memory_at_the_widest_chunk(monkeypatch):
+    # as for parabolic above: the sieve's roots and the walks past the rows
+    # it strikes whole come from caches that the untraced run fills
+    monkeypatch.setattr(primes, "_square_roots", functools.cache(primes._square_roots))
+    monkeypatch.setattr(harness, "next_prime", functools.cache(harness.next_prime))
+    # a chunk of the rule's size from the square sieve's first row, 8 bytes
+    # a row, and one at 10^6, past the sieve's root budget, walked
+    for lo in (harness._LEGENDRE_SIEVE_FROM, 10**6):
+        peak = _traced_peak(Task.LEGENDRE, lo, _chunks_from(Task.LEGENDRE, lo, 1))
         assert peak < 4 * 2**20, (lo, peak)
 
 
@@ -562,6 +577,16 @@ def _lying_is_prime(above, says):
     return lie
 
 
+def _lying_verdicts(above, says):
+    """The checker's primality verdicts, answering `says` for every k > above."""
+    real = harness._parabolic_verdicts
+
+    def lie(ks, conv):
+        return (says if k > above else prime for k, prime in zip(ks, real(ks, conv)))
+
+    return lie
+
+
 @pytest.mark.parametrize("conv", [INC, EXC], ids=lambda c: c.value)
 @pytest.mark.parametrize(
     "lo,above,says",
@@ -570,9 +595,8 @@ def _lying_is_prime(above, says):
 )
 def test_parabolic_counterexample_branch_matches_per_k_checker(monkeypatch, conv, lo,
                                                                above, says):
-    lie = _lying_is_prime(above, says)
-    monkeypatch.setattr(harness, "is_prime", lie)
-    monkeypatch.setattr(oracles, "is_prime", lie)
+    monkeypatch.setattr(harness, "_parabolic_verdicts", _lying_verdicts(above, says))
+    monkeypatch.setattr(oracles, "is_prime", _lying_is_prime(above, says))
     hi = lo + 2000
     got, want = harness._check_parabolic(conv, lo, hi), oracles.check_parabolic(conv, lo, hi)
     assert want["witness"] is not None and want["witness"]["prime"] is says
@@ -601,6 +625,54 @@ def test_benchmark_range_statistics(task, lo, hi, convs, stats, workers):
         s = verify_range(task, lo, hi, conv, worker_count=workers)
         assert s.complete and s.verified == instance_count(task, lo, hi)
         assert tuple(s.stats[k] for k in keys) == stats
+
+
+# The square certificates as the per-candidate checkers gave them before the
+# square sieve (next_prime from each n^2, is_prime of each k^2 + 1): on
+# [1, 2 * 10^4], the eight sweep-arith windows and [10^6, 10^6 + 2^15], with
+# (max_first_gap, max_first_gap_at) and (parabolic, largest_parabolic_k).
+_LEGENDRE_PINS = [(1, 20000, (163, 14908)),
+                  *((1 + 50 * j, 30000 + 50 * j, (163, 14908)) for j in range(8)),
+                  (10**6, 10**6 + 2**15, (293, 1021302))]
+_PARABOLIC_PINS = [(1, 20000, (1559, 19994)),
+                   *zip(range(1, 352, 50), range(25000, 25351, 50),
+                        [(1914, 24996), (1905, 25036), (1901, 25100), (1894, 25120),
+                         (1892, 25200), (1889, 25250), (1885, 25296), (1885, 25350)]),
+                   (10**6, 10**6 + 2**15, (1615, 1032744))]
+
+
+@pytest.mark.parametrize(
+    "task,lo,hi,stats",
+    [(Task.LEGENDRE, *pin) for pin in _LEGENDRE_PINS]
+    + [(Task.PARABOLIC, *pin) for pin in _PARABOLIC_PINS],
+    ids=lambda v: v.value if isinstance(v, Task) else None,
+)
+def test_square_certificates_keep_the_per_candidate_records(tmp_path, task, lo, hi, stats):
+    keys = [*harness._RULES[task].summed, *harness._RULES[task].best]
+    # the unit counts only for n = 1 or k = 1
+    for conv in (INC, EXC) if lo == 1 else (INC,):
+        cp = tmp_path / f"{conv.value}.jsonl"
+        s = verify_range(task, lo, hi, conv, checkpoint_path=cp)
+        assert (s.verified, s.skipped, s.counterexamples, s.complete) == (hi - lo + 1, 0, (), True)
+        assert s.stats == {"instances": hi - lo + 1, **dict(zip(keys, stats))}
+        want = record(task.value, conv.value, lo, hi, stats=s.stats)
+        assert strip_timestamps(cp.read_text()) == strip_timestamps(want + "\n")
+
+
+@pytest.mark.parametrize("sieved", [False, True], ids=["walked", "sieved"])
+def test_legendre_counterexample_is_the_first_row_without_a_prime(monkeypatch, sieved):
+    # a walk from n^2 that lands past (n+1)^2 at n = 5010 makes it the
+    # counterexample, whether the row is walked from n^2 or from past the
+    # sieve's values, all struck here
+    real, bad = harness.next_prime, 5010
+    monkeypatch.setattr(harness, "next_prime", lambda n, conv: (
+        (bad + 1) ** 2 + 1 if bad * bad - 1 <= n < (bad + 1) ** 2 else real(n, conv)))
+    monkeypatch.setattr(harness, "_square_sieve_pays", lambda ks, slots, budget: sieved)
+    monkeypatch.setattr(harness, "_square_flags", lambda ks, slots: bytearray(len(ks) * slots))
+    got = harness._check_legendre(INC, 5000, 5100)
+    assert got["witness"] == {"instance": bad, "reason": "no prime in the square interval"}
+    assert got["stats"] == harness._check_legendre(INC, 5000, bad - 1)["stats"]
+    assert got["stats"]["instances"] == 10
 
 
 # ---------------------------------------------------------------------------
@@ -707,12 +779,13 @@ def test_chunk_size_changes_no_record_and_no_summary(tmp_path_factory, plan):
 
 
 # ranges of at least three chunks of the rule's size, with a seeded record in
-# the middle for resumed runs
+# the middle for resumed runs; the square tasks' first two chunks of the
+# rule's size sieve and the third walks
 _RULE_RANGES = {
     Task.GOLDBACH: (4, 400_000),
     Task.PRE_POLIGNAC: (4, 400_000),
-    Task.LEGENDRE: (1, 12_300),
-    Task.PARABOLIC: (126_800, 140_000),
+    Task.LEGENDRE: (1, 98_304),
+    Task.PARABOLIC: (1, 98_304),
 }
 
 

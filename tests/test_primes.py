@@ -12,6 +12,8 @@ from landau.primes import (
     _WHEEL,
     PrimeConvention,
     _odd_flags,
+    _square_flags,
+    _square_sieve_pays,
     is_prime,
     next_prime,
     prev_prime,
@@ -236,6 +238,41 @@ class TestPrimesInRange:
         hi = lo + width
         got = primes_in_range(lo, hi, INC)
         assert got == [k for k in range(lo, hi + 1) if is_prime(k, INC)]
+
+
+class TestSquareFlags:
+    # rows across the Legendre sieve's first row, 3014, and at 10^4, 10^5 and
+    # 2^20; the small rows keep each value that is itself a base prime, and
+    # step-2 rows over even k are the parabolic k^2 + 1
+    @pytest.mark.parametrize(
+        "ks,slots",
+        [(range(1, 400), 8), (range(2900, 3100), 8), (range(10**4, 10**4 + 300), 16),
+         (range(10**5, 10**5 + 200), 8), (range(2**20, 2**20 + 100), 2),
+         (range(1, 300, 2), 3), (range(2, 4000, 2), 1), (range(2**20, 2**20 + 2000, 2), 1)],
+        ids=["small", "3014", "1e4", "1e5", "2^20", "odd-rows", "parabolic", "parabolic-2^20"],
+    )
+    def test_flags_equal_is_prime_of_each_value(self, ks, slots):
+        values = [k * k + 2 * s + 1 + (k & 1) for k in ks for s in range(slots)]
+        assert list(_square_flags(ks, slots)) == [is_prime(v) for v in values]
+
+    def test_rows_past_the_base_prime_cap_are_refused_before_they_allocate(self):
+        # the parabolic rows just below 2^32 need base primes up to 2^32
+        ks = range(2**32 - 2**15, 2**32, 2)
+        assert not _square_sieve_pays(ks, 1, float("inf"))
+        with pytest.raises(ValueError, match="past"):
+            _square_flags(ks, 1)
+
+    @pytest.mark.parametrize("ks,slots", [(range(0, 10), 1), (range(1, 10, 3), 1),
+                                          (range(5, 5), 1), (range(1, 10), 0)])
+    def test_bad_rows_are_refused(self, ks, slots):
+        with pytest.raises(ValueError, match="needs rows"):
+            _square_flags(ks, slots)
+
+    def test_the_sieve_pays_only_within_its_root_budget(self):
+        # 30,000 rows to n = 6 * 10^4: 16 offsets for each of the primes up
+        # to 6 * 10^4, counted as 60,000 / ln 60,002 = 5,451, 2.9 roots a row
+        ks = range(30_000, 60_000)
+        assert _square_sieve_pays(ks, 8, 3) and not _square_sieve_pays(ks, 8, 2.8)
 
 
 def _twins(n_max, conv):

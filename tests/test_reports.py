@@ -495,11 +495,16 @@ class TestZetaTable:
         assert Fraction(report.payload["partial_sum"]) == zeta_partial(k_max)[0]
 
     def test_each_candidate_is_tested_once(self, monkeypatch):
-        tested = []
-        real = figurate.is_prime
-        monkeypatch.setattr(figurate, "is_prime", lambda n, conv: tested.append(n) or real(n, conv))
+        # one square sieve over the even k settles every candidate: an odd
+        # k > 1 gives an even k^2 + 1, and nothing is tested twice or again
+        # by is_prime
+        sieved, tested = [], []
+        real_flags, real_prime = figurate._square_flags, figurate.is_prime
+        monkeypatch.setattr(figurate, "_square_flags",
+                            lambda ks, slots: sieved.extend(ks) or real_flags(ks, slots))
+        monkeypatch.setattr(figurate, "is_prime", lambda n, conv: tested.append(n) or real_prime(n, conv))
         build_report("zeta-table", {"k_max": 2000}, CFG)
-        assert sorted(tested) == [k * k + 1 for k in range(1, 2001)]
+        assert sorted(sieved) == list(range(2, 2001, 2)) and tested == []
 
 
 class TestRenderers:
