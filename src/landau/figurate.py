@@ -221,14 +221,21 @@ def _parabolic_records(ks: range, conv: PrimeConvention) -> list[ParabolicRecord
 _PARABOLIC_ROOTS_PER_ROW = 0.5
 
 
+def _parabolic_sieve_pays(ks: range) -> bool:
+    """Whether the square sieve settles k^2 + 1 over the even k of ks for
+    less than is_prime."""
+    evens = range(ks.start + (ks.start & 1), ks.stop, 2)
+    return bool(evens) and _square_sieve_pays(evens, 1, _PARABOLIC_ROOTS_PER_ROW)
+
+
 def _parabolic_verdicts(ks: range, conv: PrimeConvention) -> Iterator[bool]:
     """Whether k^2 + 1 is prime under conv, for each k of ks (k >= 1, step 1,
     or step 2 over even k): the even k read off the square sieve where it
     pays, else is_prime; an odd k > 1 makes k^2 + 1 even."""
-    evens = range(ks.start + (ks.start & 1), ks.stop, 2)
-    if not evens or not _square_sieve_pays(evens, 1, _PARABOLIC_ROOTS_PER_ROW):
+    if not _parabolic_sieve_pays(ks):
         return (is_prime(k * k + 1, conv) for k in ks)
-    flags, first = _square_flags(evens, 1), evens.start
+    first = ks.start + (ks.start & 1)
+    flags = _square_flags(range(first, ks.stop, 2), 1)
     return (k == 1 if k & 1 else flags[(k - first) >> 1] == 1 for k in ks)
 
 

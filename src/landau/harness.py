@@ -15,8 +15,10 @@ temp file, fsync, rename), so a killed run leaves the previous parseable
 state behind; it is rewritten once FLUSH_SECONDS have passed since the last
 write and once at the end, so a kill loses at most that much folded work
 plus the chunks in flight.  Work is split into chunks whose width each task
-takes from its row of _RULES (wide enough to amortize the sieve and pool
-trip each pays whatever its width, small enough for a 4 MB peak), made as
+takes from its row of _RULES by the height of the chunk's first instance
+(wide enough to amortize the sieve and pool trip each pays whatever its
+width, small enough for a 4 MB peak, and, where the square tasks walk
+their rows, narrow enough to share a range among the workers), made as
 the stream of results asks for them,
 whose results come back in ascending order (a forked worker pool's ordered
 imap, or a plain map with one worker, which never imports multiprocessing)
@@ -50,9 +52,10 @@ import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import islice
 from typing import Any, Callable, Iterable, Iterator
 
-from .figurate import _parabolic_verdicts, totient_is_k_squared
+from .figurate import _parabolic_sieve_pays, _parabolic_verdicts, totient_is_k_squared
 from .primes import (
     DEFAULT_CONVENTION,
     PrimeConvention,
@@ -484,12 +487,18 @@ _LEGENDRE_SIEVE_FROM = 3014
 _LEGENDRE_ROOTS_PER_ROW = 4
 
 
+def _legendre_sieve_pays(rows: range) -> bool:
+    """Whether the square sieve finds the first primes of the rows n for
+    less than walking them."""
+    return bool(rows) and _square_sieve_pays(rows, _LEGENDRE_SLOTS, _LEGENDRE_ROOTS_PER_ROW)
+
+
 def _first_gaps(conv: PrimeConvention, lo: int, hi: int) -> Iterator[int]:
     """For each n of [lo, hi], the distance from n^2 to the first prime from
     n^2 on: read off the square sieve where it pays, else walked."""
     slots = _LEGENDRE_SLOTS
     rows = range(max(lo, _LEGENDRE_SIEVE_FROM), hi + 1)
-    if not rows or not _square_sieve_pays(rows, slots, _LEGENDRE_ROOTS_PER_ROW):
+    if not _legendre_sieve_pays(rows):
         rows = range(hi + 1, hi + 1)  # none: every row is walked
     for n in range(lo, rows.start):
         yield next_prime(n * n - 1, conv) - n * n
@@ -545,7 +554,7 @@ class _Rule:
 
     check: Callable[[PrimeConvention, int, int], dict[str, Any]]  # (conv, lo, hi) -> result
     step: int  # between instances
-    chunk: int  # instances per chunk
+    chunk: Callable[[int], int]  # instances per chunk from its first instance
     first: dict[PrimeConvention, int]  # the first instance under each convention
     reads: Callable[[int], int]  # the largest value a range ending at hi reads
     best: tuple[str, ...]  # the max stat, then its `_at` partner if it has one
@@ -595,24 +604,51 @@ class _Rule:
 # above 0.005 MB) differ from walking.  A chunk pays the roots for every
 # prime up to its top, so a range costs least in the fewest chunks, and the
 # peak is a byte per odd value held (8 a Legendre row, 1 an even parabolic
-# k).  The square tasks take 2^15.  2^16 sieves to a greater height and ran
-# 1.2-1.6x faster than 2^15 from 1e4 to 1e5 above, but the tests that run
-# three chunks of the rule's width at each chunk size and worker count would
-# walk twice the rows there, about three times as long.
+# k).  But a range splits across a pool only by its chunks.  With two
+# workers (the median of three fresh processes), Legendre on 2^15 rows from
+# 1e6, walked, took 1.07 s in chunks of 4096 and 1.78 s in one of 2^15; on
+# 2^16 rows from 1e4, two sieved chunks of 2^15 took 0.76 s against 0.90 s
+# walked in chunks of 4096, and one chunk of 2^16 took 1.04 s, as long as
+# walking in that run.  So a square task's chunk is 2^15 rows while the
+# sieve pays for that many from its first row (a first row up to about
+# 61,000 for both tasks), which holds a sweep of 3e4 rows whole and still
+# gives two workers a chunk each of 2^16 rows, and 4096 where the rows are
+# walked anyway.
 #
+_SQUARE_CHUNK = 1 << 15
+
+
+def _square_chunk(sieve_pays: Callable[[range], bool]) -> Callable[[int], int]:
+    """A square task's chunk width from its first row: _SQUARE_CHUNK rows
+    while the square sieve pays for that many, else 4096."""
+    return lambda lo: _SQUARE_CHUNK if sieve_pays(range(lo, lo + _SQUARE_CHUNK)) else 4096
+
+
 # The even tasks start at 2 only under include1: 2 = 1 + 1 and the gap-2
 # witness q = 1 both need the unit counted.
 _INC, _EXC = PrimeConvention.INCLUDE1, PrimeConvention.EXCLUDE1
 _RULES = {
-    Task.GOLDBACH: _Rule(_check_goldbach, 2, 1 << 16, {_INC: 2, _EXC: 4}, lambda hi: hi,
-                         ("max_depth", "max_depth_at")),
-    Task.PRE_POLIGNAC: _Rule(_check_pre_polignac, 2, 1 << 16, {_INC: 2, _EXC: 4},
+    Task.GOLDBACH: _Rule(_check_goldbach, 2, lambda lo: 1 << 16, {_INC: 2, _EXC: 4},
+                         lambda hi: hi, ("max_depth", "max_depth_at")),
+    Task.PRE_POLIGNAC: _Rule(_check_pre_polignac, 2, lambda lo: 1 << 16, {_INC: 2, _EXC: 4},
                              lambda hi: hi + _REACH, ("max_witness", "max_witness_at")),
-    Task.LEGENDRE: _Rule(_check_legendre, 1, 1 << 15, {_INC: 1, _EXC: 1},
-                         lambda hi: (hi + 1) ** 2, ("max_first_gap", "max_first_gap_at")),
-    Task.PARABOLIC: _Rule(_check_parabolic, 1, 1 << 15, {_INC: 1, _EXC: 1},
-                          lambda hi: hi * hi + 1, ("largest_parabolic_k",), ("parabolic",)),
+    Task.LEGENDRE: _Rule(_check_legendre, 1, _square_chunk(_legendre_sieve_pays),
+                         {_INC: 1, _EXC: 1}, lambda hi: (hi + 1) ** 2,
+                         ("max_first_gap", "max_first_gap_at")),
+    Task.PARABOLIC: _Rule(_check_parabolic, 1, _square_chunk(_parabolic_sieve_pays),
+                          {_INC: 1, _EXC: 1}, lambda hi: hi * hi + 1,
+                          ("largest_parabolic_k",), ("parabolic",)),
 }
+
+
+def _spans(rule: _Rule, gaps: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+    """The chunks that cover the gaps, each as wide as the rule's chunk at
+    its first instance."""
+    for a, b in gaps:
+        while a <= b:
+            top = min(a + rule.step * (rule.chunk(a) - 1), b)
+            yield a, top
+            a = top + rule.step
 
 
 def _run_chunk(item: tuple[Task, PrimeConvention, int, int]) -> tuple[int, int, dict[str, Any]]:
@@ -713,14 +749,12 @@ def verify_range(
         gaps = [] if terminal else _uncovered(lo, hi, [(cp.lo, cp.hi) for cp in mine], step)
         skipped = 0 if terminal else (
             instance_count(task, lo, hi) - sum(instance_count(task, a, b) for a, b in gaps))
-        stride = rule.chunk * step
         # chunks are made as the stream asks for them; a pool's task pipe
         # fills and pushes back, so only a few chunks are ever in flight
-        items = ((task, conv, c_lo, min(c_lo + stride - step, b))
-                 for a, b in gaps for c_lo in range(a, b + 1, stride))
-        chunks = sum(len(range(a, b + 1, stride)) for a, b in gaps)
+        items = ((task, conv, c_lo, c_hi) for c_lo, c_hi in _spans(rule, gaps))
         # workers beyond the chunks or the host's cores only add forks; results
         # do not depend on the count
+        chunks = sum(1 for _ in islice(_spans(rule, gaps), worker_count))
         pool_size = min(worker_count, chunks, os.cpu_count() or 1)
         # the history plus this run's records; this run's last record stays
         # open, growing while the chunks that follow continue its gap

@@ -280,10 +280,8 @@ def primes_in_range(
 # exactly when k is a root of x^2 = -j (mod p), so each root strikes its class
 # of rows with one slice assignment (Shanks, MTAC 13 (1959) 78-86), and every
 # value that survives the primes up to its square root is prime.  The roots
-# come from Tonelli and Shanks' algorithm.  Its one pow per offset,
-# a^((Q - 1) / 2) for p - 1 = Q 2^S with Q odd, is multiplicative in a = -j,
-# so each p pays one pow per prime up to the largest offset, and a p = 3 (mod
-# 4), where -1 is a non-residue, pays none when the offsets are j = 1 alone.
+# come from Tonelli and Shanks' algorithm, one pow a^((Q - 1) / 2) per offset
+# and prime, a = -j and p - 1 = Q 2^S with Q odd.
 #
 # The sieve pays while its roots, an offset and a prime up to sqrt(top) at a
 # time, stay within a budget per row that the caller sets from what a row
@@ -348,15 +346,6 @@ def _non_residue_power(p: int, q: int, s: int) -> int:
         z += 1
 
 
-@functools.cache
-def _least_factors(top: int) -> tuple[int, ...]:
-    """The least prime factor of each j in [0, top], j itself for j < 2."""
-    least = list(range(top + 1))
-    for q in range(math.isqrt(top), 1, -1):
-        least[q * q :: q] = [q] * len(range(q * q, top + 1, q))
-    return tuple(least)
-
-
 def _square_roots(p: int, offsets: range) -> list[tuple[int, int]]:
     """(j, r) for each offset j and each root r of x^2 = -j (mod p), for an
     odd prime p and offsets j >= 1."""
@@ -364,13 +353,6 @@ def _square_roots(p: int, offsets: range) -> list[tuple[int, int]]:
     while not q & 1:
         q, s = q >> 1, s + 1
     e = (q - 1) >> 1
-    # w[j] = j^e by j's least prime factor, and (-j)^e = (-1)^e w[j]
-    least = _least_factors(offsets[-1])
-    w = [0, 1]
-    for j in range(2, len(least)):
-        d = least[j]
-        w.append(pow(j, e, p) if d == j else w[d] * w[j // d] % p)
-    sign = p - 1 if e & 1 else 1
     c_root = 0  # z^q for a non-residue z, found when a root first needs it
     out = []
     for j in offsets:
@@ -378,7 +360,7 @@ def _square_roots(p: int, offsets: range) -> list[tuple[int, int]]:
         if a == 0:
             out.append((j, 0))
             continue
-        y = sign * w[j] % p
+        y = pow(a, e, p)
         x, t, m, c = a * y % p, a * y * y % p, s, 0  # a^((q+1)/2), a^q
         if t != 1 and s == 1:  # t = a^((p-1)/2) = -1: a is a non-residue
             continue

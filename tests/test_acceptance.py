@@ -284,7 +284,7 @@ def test_c10_harness_idempotent_worker_invariant_kill_resume(tmp_path):
     child = (
         "import dataclasses\nfrom landau import harness\n"
         "g = harness._RULES[harness.Task.GOLDBACH]\n"
-        "harness._RULES[harness.Task.GOLDBACH] = dataclasses.replace(g, chunk=512)\n"
+        "harness._RULES[harness.Task.GOLDBACH] = dataclasses.replace(g, chunk=lambda lo: 512)\n"
         "harness.FLUSH_SECONDS = 0\n"
         f"harness.verify_range(harness.Task.GOLDBACH, 2, 1000000, checkpoint_path={str(cp)!r})\n"
     )

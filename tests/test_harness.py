@@ -224,7 +224,7 @@ def test_counterexample_only_blocks_its_own_convention(tmp_path):
 def _fixed_chunks(monkeypatch, size):
     """Make every chunk of every task `size` instances wide."""
     for task, rule in harness._RULES.items():
-        monkeypatch.setitem(harness._RULES, task, replace(rule, chunk=size))
+        monkeypatch.setitem(harness._RULES, task, replace(rule, chunk=lambda lo: size))
 
 
 def _replace_checker(monkeypatch, task, check):
@@ -308,7 +308,7 @@ def test_pre_polignac_at_the_64_bit_top_equals_the_per_instance_checker(conv):
 def _chunks_from(task, lo, chunks):
     """The top of `chunks` full chunks of the rule's size from lo."""
     rule = harness._RULES[task]
-    return lo + rule.step * (chunks * rule.chunk - 1)
+    return lo + rule.step * (chunks * rule.chunk(lo) - 1)
 
 
 def _traced_peak(task, lo, hi):
@@ -348,7 +348,7 @@ def test_parabolic_memory_at_the_widest_chunk(monkeypatch):
     monkeypatch.setattr(primes, "_square_roots", functools.cache(primes._square_roots))
     # a chunk of the rule's size at k = 3 * 10^4, which the square sieve
     # settles, at k = 2^20 and the last one below 2^32
-    for lo in (3 * 10**4, 2**20, 2**32 - harness._RULES[Task.PARABOLIC].chunk):
+    for lo in (3 * 10**4, 2**20, 2**32 - harness._RULES[Task.PARABOLIC].chunk(2**32)):
         peak = _traced_peak(Task.PARABOLIC, lo, _chunks_from(Task.PARABOLIC, lo, 1))
         assert peak < 4 * 2**20, (lo, peak)
 
@@ -420,7 +420,7 @@ def test_bitset_scan_equals_per_instance_checkers(reach, span):
 
 def _goldbach_chunks(conv):
     """Full chunks at 10^6 and 10^9, then every chunk of a run over [2, 4e6]."""
-    stride = 2 * harness._RULES[Task.GOLDBACH].chunk
+    stride = 2 * harness._RULES[Task.GOLDBACH].chunk(4)
     yield from ((h, h + stride - 2) for h in (10**6, 10**9))
     floor = 2 if conv is INC else 4
     yield from ((c, min(c + stride - 2, 4 * 10**6)) for c in range(floor, 4 * 10**6, stride))
@@ -750,7 +750,8 @@ def _sizes_agree(tmp, task, conv, lo, hi, seeded, sizes):
         outcomes = set()
         for size in sizes:
             rules = {} if size is None else {
-                t: replace(rule, chunk=size) for t, rule in harness._RULES.items()}
+                t: replace(rule, chunk=lambda lo, size=size: size)
+                for t, rule in harness._RULES.items()}
             for workers in (1, 2):
                 cp = tmp / f"{resumed}-{size}-{workers}.jsonl"
                 if resumed:
@@ -780,7 +781,7 @@ def test_chunk_size_changes_no_record_and_no_summary(tmp_path_factory, plan):
 
 # ranges of at least three chunks of the rule's size, with a seeded record in
 # the middle for resumed runs; the square tasks' first two chunks of the
-# rule's size sieve and the third walks
+# rule's size are 2^15 rows that the square sieve reads, the rest 4096 walked
 _RULE_RANGES = {
     Task.GOLDBACH: (4, 400_000),
     Task.PRE_POLIGNAC: (4, 400_000),
@@ -795,12 +796,25 @@ def test_rule_sized_chunks_change_no_record_and_no_summary(tmp_path, task, conv)
     lo, hi = _RULE_RANGES[task]
     count = instance_count(task, lo, hi)
     rule = harness._RULES[task]
-    assert count >= 3 * rule.chunk
+    assert len(list(harness._spans(rule, [(lo, hi)]))) >= 3
     history = tmp_path / "seed.jsonl"
     mid = lo + rule.step * (count // 3)
     verify_range(task, mid, mid + rule.step * 999, conv, checkpoint_path=history)
     s = _sizes_agree(tmp_path, task, conv, lo, hi, history.read_text(), (512, 4096, None))
     assert s.complete
+
+
+@pytest.mark.parametrize("task", [Task.LEGENDRE, Task.PARABOLIC], ids=lambda t: t.value)
+def test_square_chunks_are_wide_only_where_the_sieve_pays(task):
+    rule = harness._RULES[task]
+    pays = harness._legendre_sieve_pays if task is Task.LEGENDRE else figurate._parabolic_sieve_pays
+    for lo in (1, 3014, 3 * 10**4, 61_021, 61_023, 10**5, 10**6, 2**32 - 4096):
+        wide = pays(range(lo, lo + 2**15))
+        assert rule.chunk(lo) == (2**15 if wide else 4096), lo
+        assert wide == (lo <= 61_021), lo
+    # a walked range keeps its 4096-row chunks, one for each worker to take
+    spans = list(harness._spans(rule, [(10**6, 10**6 + 2**15 - 1)]))
+    assert [b - a + 1 for a, b in spans] == [4096] * 8
 
 
 def test_parallel_summary_matches_serial(monkeypatch):
@@ -868,7 +882,7 @@ def test_kill_and_resume(tmp_path):
     child = (
         "import dataclasses\nfrom landau import harness\n"
         "g = harness._RULES[harness.Task.GOLDBACH]\n"
-        "harness._RULES[harness.Task.GOLDBACH] = dataclasses.replace(g, chunk=512)\n"
+        "harness._RULES[harness.Task.GOLDBACH] = dataclasses.replace(g, chunk=lambda lo: 512)\n"
         "harness.FLUSH_SECONDS = 0\n"
         f"harness.verify_range(harness.Task.GOLDBACH, 2, 2000000, checkpoint_path={str(cp)!r})\n"
     )
