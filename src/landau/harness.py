@@ -55,7 +55,7 @@ from enum import Enum
 from itertools import islice
 from typing import Any, Callable, Iterable, Iterator
 
-from .figurate import _parabolic_sieve_pays, _parabolic_verdicts, totient_is_k_squared
+from .figurate import _parabolic_verdicts, totient_is_k_squared
 from .primes import (
     DEFAULT_CONVENTION,
     PrimeConvention,
@@ -478,19 +478,12 @@ def _check_pre_polignac(conv: PrimeConvention, lo: int, hi: int) -> dict[str, An
 
 # Legendre rows hold the first _LEGENDRE_SLOTS odd values above n^2, and a
 # row that the square sieve strikes whole walks on past them with next_prime.
-# The sieve runs while its roots stay within _LEGENDRE_ROOTS_PER_ROW a row
-# (calibrated beside primes._square_sieve_pays), and only from
-# _LEGENDRE_SIEVE_FROM on: below it n^2 + j < 9,080,191, where is_prime
-# proves a prime with two bases, and walking every row costs less.
+# The sieve runs where primes._square_sieve_pays says it costs less than the
+# walk, and only from _LEGENDRE_SIEVE_FROM on: below it n^2 + j < 9,080,191,
+# where is_prime proves a prime with two bases, and walking every row costs
+# less.
 _LEGENDRE_SLOTS = 8
 _LEGENDRE_SIEVE_FROM = 3014
-_LEGENDRE_ROOTS_PER_ROW = 4
-
-
-def _legendre_sieve_pays(rows: range) -> bool:
-    """Whether the square sieve finds the first primes of the rows n for
-    less than walking them."""
-    return bool(rows) and _square_sieve_pays(rows, _LEGENDRE_SLOTS, _LEGENDRE_ROOTS_PER_ROW)
 
 
 def _first_gaps(conv: PrimeConvention, lo: int, hi: int) -> Iterator[int]:
@@ -498,7 +491,7 @@ def _first_gaps(conv: PrimeConvention, lo: int, hi: int) -> Iterator[int]:
     n^2 on: read off the square sieve where it pays, else walked."""
     slots = _LEGENDRE_SLOTS
     rows = range(max(lo, _LEGENDRE_SIEVE_FROM), hi + 1)
-    if not _legendre_sieve_pays(rows):
+    if not _square_sieve_pays(rows):
         rows = range(hi + 1, hi + 1)  # none: every row is walked
     for n in range(lo, rows.start):
         yield next_prime(n * n - 1, conv) - n * n
@@ -583,10 +576,9 @@ class _Rule:
 # would run faster at 1e12 with 2^17, but pre-Polignac shares the width and
 # its 2^17 chunk passes 4 MB.
 #
-# The square tasks sieve a chunk only while its roots stay within the row
-# budget (_LEGENDRE_ROOTS_PER_ROW, figurate._PARABOLIC_ROOTS_PER_ROW), which
-# a wider chunk meets up to a greater height.  The range [h, h + 2^16) in
-# chunks of each width, on the same host (one process, base primes built,
+# The square tasks sieve a chunk only while primes._square_sieve_pays holds,
+# which a wider chunk meets up to a greater height.  The range [h, h + 2^16)
+# in chunks of each width, on the same host (one process, base primes built,
 # the median of three), rates in thousands of instances per second with
 # every row walked and by that rule, and the peak of one chunk by the rule:
 #
@@ -610,18 +602,18 @@ class _Rule:
 # 2^16 rows from 1e4, two sieved chunks of 2^15 took 0.76 s against 0.90 s
 # walked in chunks of 4096, and one chunk of 2^16 took 1.04 s, as long as
 # walking in that run.  So a square task's chunk is 2^15 rows while the
-# sieve pays for that many from its first row (a first row up to about
-# 61,000 for both tasks), which holds a sweep of 3e4 rows whole and still
+# sieve pays for that many from its first row (a first row up to 61,021,
+# the same for both tasks), which holds a sweep of 3e4 rows whole and still
 # gives two workers a chunk each of 2^16 rows, and 4096 where the rows are
 # walked anyway.
 #
 _SQUARE_CHUNK = 1 << 15
 
 
-def _square_chunk(sieve_pays: Callable[[range], bool]) -> Callable[[int], int]:
+def _square_chunk(lo: int) -> int:
     """A square task's chunk width from its first row: _SQUARE_CHUNK rows
     while the square sieve pays for that many, else 4096."""
-    return lambda lo: _SQUARE_CHUNK if sieve_pays(range(lo, lo + _SQUARE_CHUNK)) else 4096
+    return _SQUARE_CHUNK if _square_sieve_pays(range(lo, lo + _SQUARE_CHUNK)) else 4096
 
 
 # The even tasks start at 2 only under include1: 2 = 1 + 1 and the gap-2
@@ -632,10 +624,10 @@ _RULES = {
                          lambda hi: hi, ("max_depth", "max_depth_at")),
     Task.PRE_POLIGNAC: _Rule(_check_pre_polignac, 2, lambda lo: 1 << 16, {_INC: 2, _EXC: 4},
                              lambda hi: hi + _REACH, ("max_witness", "max_witness_at")),
-    Task.LEGENDRE: _Rule(_check_legendre, 1, _square_chunk(_legendre_sieve_pays),
+    Task.LEGENDRE: _Rule(_check_legendre, 1, _square_chunk,
                          {_INC: 1, _EXC: 1}, lambda hi: (hi + 1) ** 2,
                          ("max_first_gap", "max_first_gap_at")),
-    Task.PARABOLIC: _Rule(_check_parabolic, 1, _square_chunk(_parabolic_sieve_pays),
+    Task.PARABOLIC: _Rule(_check_parabolic, 1, _square_chunk,
                           {_INC: 1, _EXC: 1}, lambda hi: hi * hi + 1,
                           ("largest_parabolic_k",), ("parabolic",)),
 }

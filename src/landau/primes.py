@@ -283,54 +283,52 @@ def primes_in_range(
 # come from Tonelli and Shanks' algorithm, one pow a^((Q - 1) / 2) per offset
 # and prime, a = -j and p - 1 = Q 2^S with Q odd.
 #
-# The sieve pays while its roots, an offset and a prime up to sqrt(top) at a
-# time, stay within a budget per row that the caller sets from what a row
-# costs it unsieved: next_prime's walk from a Legendre n^2 makes several
-# Miller-Rabin tests, the parabolic k^2 + 1 one.  Milliseconds per chunk of
-# rows from h, every row walked against every row sieved (the Legendre rows
-# the sieve leaves walked on), CPython 3.11 on a shared 2-core x86-64 Xeon,
-# the median of three, with the roots per row as _square_sieve_pays counts them:
+# The sieve pays while the primes up to its last row, counted as
+# top / ln top, number at most a quarter of the k its rows span (len(ks) *
+# ks.step), for both callers.  A prime costs a root for each offset a row
+# holds, and a spanned k saves what the caller would spend on it unsieved.
+# A Legendre row holds 16 offsets and saves next_prime's walk from n^2,
+# several Miller-Rabin tests or about 4 roots' worth: 16 roots a prime
+# against 4 a row.  Parabolic rows hold only k^2 + 1 over the even k, one
+# offset, and an even k saves one is_prime, about half a root: 1 root a
+# prime against 1/2 for every two k spanned.  Either way a prime takes 4
+# spanned k.  Milliseconds per chunk of rows from h, every row walked
+# against every row sieved (the Legendre rows the sieve leaves walked on),
+# CPython 3.11 on a shared 2-core x86-64 Xeon, the median of three, with
+# the primes per spanned k as _square_sieve_pays counts them:
 #
-#   rows from h, width        walked   sieved   roots/row
-#   Legendre 10^4, 4096         40.6     69.4      5.8
-#   Legendre 10^4, 2^15          574      412      2.0
-#   Legendre 10^4, 2^16         1923      901      1.6
-#   Legendre 3*10^4, 4096       64.3    123.9     12.8
-#   Legendre 3*10^4, 2^15       1133      578      2.8
-#   Legendre 3*10^4, 2^16       2907     1581      2.0
-#   Legendre 10^5, 4096          259      543     35.2
-#   Legendre 10^5, 2^15         1640     1000      5.5
-#   Legendre 10^5, 2^16         3011     2319      3.4
-#   parabolic 10^4, 4096        11.4     11.9      0.72
-#   parabolic 10^4, 2^15         182      141      0.24
-#   parabolic 3*10^4, 4096      21.9     30.6      1.60
-#   parabolic 3*10^4, 2^15       261      222      0.35
-#   parabolic 10^5, 4096        34.1     70.9      4.40
-#   parabolic 10^5, 2^15         188      168      0.69
-#   parabolic 10^6, 2^15         230      483      4.55
-#   parabolic 10^6, 2^16         388      631      2.34
+#   rows from h, width        walked   sieved   primes/k
+#   Legendre 10^4, 4096         40.6     69.4     0.36
+#   Legendre 10^4, 2^15          574      412     0.12
+#   Legendre 10^4, 2^16         1923      901     0.10
+#   Legendre 3*10^4, 4096       64.3    123.9     0.80
+#   Legendre 3*10^4, 2^15       1133      578     0.17
+#   Legendre 3*10^4, 2^16       2907     1581     0.13
+#   Legendre 10^5, 4096          259      543     2.2
+#   Legendre 10^5, 2^15         1640     1000     0.34
+#   Legendre 10^5, 2^16         3011     2319     0.21
+#   parabolic 10^4, 4096        11.4     11.9     0.36
+#   parabolic 10^4, 2^15         182      141     0.12
+#   parabolic 3*10^4, 4096      21.9     30.6     0.80
+#   parabolic 3*10^4, 2^15       261      222     0.17
+#   parabolic 10^5, 4096        34.1     70.9     2.2
+#   parabolic 10^5, 2^15         188      168     0.34
+#   parabolic 10^6, 2^15         230      483     2.3
+#   parabolic 10^6, 2^16         388      631     1.2
 #
 # A walked row costs more as h grows (the Miller-Rabin tiers and the
-# operands widen), so the break-even moves up with h; the budgets are set
-# where the sieve is never the slower: 4 roots a Legendre row, 0.5 a
-# parabolic one.
+# operands widen), so the break-even moves up with h; a quarter is where the
+# sieve is never the slower.  A chunk of 2^15 rows meets it from a first row
+# up to 61,021.
 
 
-def _square_offsets(ks: range, slots: int) -> range:
-    """The offsets j that the rows ks hold: both parities for step 1, and
-    for step 2 the one that makes k^2 + j odd."""
-    if ks.step == 1:
-        return range(1, 2 * slots + 1)
-    return range(1 + (ks.start & 1), 2 * slots + 1, 2)
-
-
-def _square_sieve_pays(ks: range, slots: int, roots_per_row: float) -> bool:
-    """Whether _square_flags(ks, slots) is within the base-prime cap and its
-    roots, an offset per prime up to sqrt(top), within roots_per_row a row:
-    what a row's tests cost, counted in roots, beside what a root costs."""
-    limit = math.isqrt(ks[-1] ** 2 + 2 * slots)
-    roots = len(_square_offsets(ks, slots)) * limit / math.log(limit + 2)
-    return limit <= _BASE_LIMIT and roots <= roots_per_row * len(ks)
+def _square_sieve_pays(ks: range) -> bool:
+    """Whether _square_flags over the rows ks is within the base-prime cap
+    and costs less than the caller's tests of the k they span."""
+    if not ks:
+        return False
+    top = ks[-1]
+    return top <= _BASE_LIMIT and 4 * top / math.log(top + 2) <= len(ks) * ks.step
 
 
 def _non_residue_power(p: int, q: int, s: int) -> int:
@@ -398,7 +396,9 @@ def _square_flags(ks: range, slots: int) -> bytearray:
     size = rows * slots
     flags = bytearray([1]) * size
     zeros = memoryview(bytes(rows // 3 + 1))  # a class of rows is 2p / step >= 3 rows apart
-    offsets = _square_offsets(ks, slots)
+    # the offsets j the rows hold: both parities for step 1, and for step 2
+    # the one that makes k^2 + j odd
+    offsets = range(1 + (first & 1 if step == 2 else 0), 2 * slots + 1, step)
     small = first * first < limit  # a row's k^2 + j may be a base prime itself
     for p in islice(_ensure_base_primes(limit), 1, None):
         if p > limit:

@@ -114,6 +114,24 @@ def test_every_public_method_of_a_public_class_has_a_use_outside_the_tests():
     assert unused == [], f"public methods used only by tests: {unused}"
 
 
+def test_every_private_name_is_read_in_the_package():
+    # a helper kept only for the tests is dead weight too; the emitters are
+    # looked up by name (reports._load), so they are read without a use
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    unused = []
+    for stem, tree in trees.items():
+        elsewhere = _uses([n for other, t in trees.items() if other != stem for n in t.body])
+        for node in tree.body:
+            for name in _bound(node):
+                if (not name.startswith("_") or name.startswith(("__", "_emit_"))
+                        or name in elsewhere):
+                    continue
+                if name not in _uses([n for n in tree.body if name not in _bound(n)]):
+                    unused.append(f"{stem}.{name}")
+    assert unused == [], f"private but never read in the package: {unused}"
+
+
 def _imports(tree: ast.Module) -> set[str]:
     """The package modules a module imports anywhere in it: at its top, in a
     function body or under TYPE_CHECKING."""

@@ -1,6 +1,7 @@
 """Resumable range verification: checkpoints, determinism, crash recovery."""
 from __future__ import annotations
 
+import copy
 import fcntl
 import functools
 import itertools
@@ -359,7 +360,7 @@ def test_legendre_memory_at_the_widest_chunk(monkeypatch):
     monkeypatch.setattr(primes, "_square_roots", functools.cache(primes._square_roots))
     monkeypatch.setattr(harness, "next_prime", functools.cache(harness.next_prime))
     # a chunk of the rule's size from the square sieve's first row, 8 bytes
-    # a row, and one at 10^6, past the sieve's root budget, walked
+    # a row, and one at 10^6, where the sieve no longer pays, walked
     for lo in (harness._LEGENDRE_SIEVE_FROM, 10**6):
         peak = _traced_peak(Task.LEGENDRE, lo, _chunks_from(Task.LEGENDRE, lo, 1))
         assert peak < 4 * 2**20, (lo, peak)
@@ -667,7 +668,7 @@ def test_legendre_counterexample_is_the_first_row_without_a_prime(monkeypatch, s
     real, bad = harness.next_prime, 5010
     monkeypatch.setattr(harness, "next_prime", lambda n, conv: (
         (bad + 1) ** 2 + 1 if bad * bad - 1 <= n < (bad + 1) ** 2 else real(n, conv)))
-    monkeypatch.setattr(harness, "_square_sieve_pays", lambda ks, slots, budget: sieved)
+    monkeypatch.setattr(harness, "_square_sieve_pays", lambda ks: sieved)
     monkeypatch.setattr(harness, "_square_flags", lambda ks, slots: bytearray(len(ks) * slots))
     got = harness._check_legendre(INC, 5000, 5100)
     assert got["witness"] == {"instance": bad, "reason": "no prime in the square interval"}
@@ -790,9 +791,21 @@ _RULE_RANGES = {
 }
 
 
+def _memo(check):
+    """check, answering a (conv, lo, hi) it has seen before from a copy of
+    its first answer; a forked worker reads what the parent filled in."""
+    seen = {}
+
+    def memoized(conv, lo, hi):
+        if (conv, lo, hi) not in seen:
+            seen[conv, lo, hi] = check(conv, lo, hi)
+        return copy.deepcopy(seen[conv, lo, hi])
+    return memoized
+
+
 @pytest.mark.parametrize("conv", [INC, EXC], ids=lambda c: c.value)
 @pytest.mark.parametrize("task", list(Task), ids=lambda t: t.value)
-def test_rule_sized_chunks_change_no_record_and_no_summary(tmp_path, task, conv):
+def test_rule_sized_chunks_change_no_record_and_no_summary(monkeypatch, tmp_path, task, conv):
     lo, hi = _RULE_RANGES[task]
     count = instance_count(task, lo, hi)
     rule = harness._RULES[task]
@@ -800,6 +813,9 @@ def test_rule_sized_chunks_change_no_record_and_no_summary(tmp_path, task, conv)
     history = tmp_path / "seed.jsonl"
     mid = lo + rule.step * (count // 3)
     verify_range(task, mid, mid + rule.step * 999, conv, checkpoint_path=history)
+    # each distinct chunk is checked once: the runs differ only in how the
+    # chunks are cut, folded, resumed and shared among workers
+    _replace_checker(monkeypatch, task, _memo(rule.check))
     s = _sizes_agree(tmp_path, task, conv, lo, hi, history.read_text(), (512, 4096, None))
     assert s.complete
 
@@ -807,9 +823,8 @@ def test_rule_sized_chunks_change_no_record_and_no_summary(tmp_path, task, conv)
 @pytest.mark.parametrize("task", [Task.LEGENDRE, Task.PARABOLIC], ids=lambda t: t.value)
 def test_square_chunks_are_wide_only_where_the_sieve_pays(task):
     rule = harness._RULES[task]
-    pays = harness._legendre_sieve_pays if task is Task.LEGENDRE else figurate._parabolic_sieve_pays
-    for lo in (1, 3014, 3 * 10**4, 61_021, 61_023, 10**5, 10**6, 2**32 - 4096):
-        wide = pays(range(lo, lo + 2**15))
+    for lo in (1, 3014, 3 * 10**4, 61_021, 61_022, 61_023, 10**5, 10**6, 2**32 - 4096):
+        wide = primes._square_sieve_pays(range(lo, lo + 2**15))
         assert rule.chunk(lo) == (2**15 if wide else 4096), lo
         assert wide == (lo <= 61_021), lo
     # a walked range keeps its 4096-row chunks, one for each worker to take

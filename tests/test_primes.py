@@ -256,11 +256,14 @@ class TestSquareFlags:
         assert list(_square_flags(ks, slots)) == [is_prime(v) for v in values]
 
     def test_rows_past_the_base_prime_cap_are_refused_before_they_allocate(self):
-        # the parabolic rows just below 2^32 need base primes up to 2^32
-        ks = range(2**32 - 2**15, 2**32, 2)
-        assert not _square_sieve_pays(ks, 1, float("inf"))
-        with pytest.raises(ValueError, match="past"):
-            _square_flags(ks, 1)
+        # the parabolic rows just below 2^32 need base primes up to 2^32, and
+        # so does every even k below 2^32, a span wide enough to pay for its
+        # primes, as every even k below 2^22 does within the cap
+        assert _square_sieve_pays(range(2, 2**22, 2))
+        for ks in (range(2**32 - 2**15, 2**32, 2), range(2, 2**32, 2)):
+            assert not _square_sieve_pays(ks)
+            with pytest.raises(ValueError, match="past"):
+                _square_flags(ks, 1)
 
     @pytest.mark.parametrize("ks,slots", [(range(0, 10), 1), (range(1, 10, 3), 1),
                                           (range(5, 5), 1), (range(1, 10), 0)])
@@ -268,11 +271,25 @@ class TestSquareFlags:
         with pytest.raises(ValueError, match="needs rows"):
             _square_flags(ks, slots)
 
-    def test_the_sieve_pays_only_within_its_root_budget(self):
-        # 30,000 rows to n = 6 * 10^4: 16 offsets for each of the primes up
-        # to 6 * 10^4, counted as 60,000 / ln 60,002 = 5,451, 2.9 roots a row
-        ks = range(30_000, 60_000)
-        assert _square_sieve_pays(ks, 8, 3) and not _square_sieve_pays(ks, 8, 2.8)
+    def test_the_sieve_pays_while_its_primes_number_a_quarter_of_its_span(self):
+        # the primes up to 59,999, counted as 59,999 / ln 60,001 = 5,453.4,
+        # are a quarter of 21,813.6 rows
+        assert _square_sieve_pays(range(38_186, 60_000))
+        assert not _square_sieve_pays(range(38_187, 60_000))
+        assert not _square_sieve_pays(range(5, 5))
+
+    # where each caller's spans switch from walking to sieving, one row or
+    # even k apart: parabolic zeta and list at k_max = 53 and 54 (their even
+    # k), the ghost table (its even k from 42) and a Legendre chunk (its rows
+    # from 3014); the sieved step-2 spans would walk if their k were counted
+    # as ks.stop - ks.start
+    @pytest.mark.parametrize("walked,sieved", [
+        (range(2, 53, 2), range(2, 55, 2)),
+        (range(42, 176, 2), range(42, 177, 2)),
+        (range(3014, 5615), range(3014, 5616)),
+    ], ids=["parabolic", "ghost-table", "legendre"])
+    def test_the_sieve_takes_over_where_it_did_for_each_task(self, walked, sieved):
+        assert not _square_sieve_pays(walked) and _square_sieve_pays(sieved)
 
 
 def _twins(n_max, conv):
