@@ -16,14 +16,11 @@ from .primes import (
     PrimeConvention,
     _TRIAL_PRIMES,
     _TRIAL_PRODUCT,
-    _square_flags,
-    _square_sieve_pays,
-    is_prime,
+    _parabolic_verdicts,
 )
 from .zn import factorize
 
 if TYPE_CHECKING:
-    from collections.abc import Iterator
     from fractions import Fraction
 
 
@@ -213,17 +210,6 @@ def parabolic_primes(
 def _parabolic_records(ks: range, conv: PrimeConvention) -> list[ParabolicRecord]:
     return [ParabolicRecord(k, prime, totient_is_k_squared(k))
             for k, prime in zip(ks, _parabolic_verdicts(ks, conv))]
-
-
-def _parabolic_verdicts(ks: range, conv: PrimeConvention) -> Iterator[bool]:
-    """Whether k^2 + 1 is prime under conv, for each k of ks (k >= 1, step 1,
-    or step 2 over even k): the even k read off the square sieve where it
-    pays, else is_prime; an odd k > 1 makes k^2 + 1 even."""
-    evens = range(ks.start + (ks.start & 1), ks.stop, 2)
-    if not _square_sieve_pays(evens):
-        return (is_prime(k * k + 1, conv) for k in ks)
-    flags = _square_flags(evens, 1)
-    return (k == 1 if k & 1 else flags[(k - evens.start) >> 1] == 1 for k in ks)
 
 
 @cache

@@ -5,9 +5,9 @@ for every even number (couple search), a small-prime witness for every even
 gap, a prime inside every square interval, and totient/primality agreement
 for every parabolic candidate k^2 + 1, whose unit count comes from an N - 1
 certificate per k (figurate.totient_is_k_squared) and whose primality from
-the square sieve (primes._square_flags), so the two verdicts stay
-independent; the square intervals read their first primes off the same
-sieve.
+the square sieve, so the two verdicts stay independent.  The square sieve
+and both of its readers live in primes: primes._parabolic_verdicts gives
+the k^2 + 1 verdicts, and primes._first_gaps the first prime from each n^2.
 
 Progress lives in a line-delimited JSON checkpoint, one record per contiguous
 verified subrange.  The file is only ever replaced whole (write a sibling
@@ -55,14 +55,14 @@ from enum import Enum
 from itertools import islice
 from typing import Any, Callable, Iterable, Iterator
 
-from .figurate import _parabolic_verdicts, totient_is_k_squared
+from .figurate import totient_is_k_squared
 from .primes import (
     DEFAULT_CONVENTION,
     PrimeConvention,
+    _first_gaps,
     _odd_flags,
-    _square_flags,
+    _parabolic_verdicts,
     _square_sieve_pays,
-    next_prime,
     primes_in_range,
 )
 
@@ -476,38 +476,9 @@ def _check_pre_polignac(conv: PrimeConvention, lo: int, hi: int) -> dict[str, An
         return {"stats": stats, "witness": witness}
 
 
-# Legendre rows hold the first _LEGENDRE_SLOTS odd values above n^2, and a
-# row that the square sieve strikes whole walks on past them with next_prime.
-# The sieve runs where primes._square_sieve_pays says it costs less than the
-# walk, and only from _LEGENDRE_SIEVE_FROM on: below it n^2 + j < 9,080,191,
-# where is_prime proves a prime with two bases, and walking every row costs
-# less.
-_LEGENDRE_SLOTS = 8
-_LEGENDRE_SIEVE_FROM = 3014
-
-
-def _first_gaps(conv: PrimeConvention, lo: int, hi: int) -> Iterator[int]:
-    """For each n of [lo, hi], the distance from n^2 to the first prime from
-    n^2 on: read off the square sieve where it pays, else walked."""
-    slots = _LEGENDRE_SLOTS
-    rows = range(max(lo, _LEGENDRE_SIEVE_FROM), hi + 1)
-    if not _square_sieve_pays(rows):
-        rows = range(hi + 1, hi + 1)  # none: every row is walked
-    for n in range(lo, rows.start):
-        yield next_prime(n * n - 1, conv) - n * n
-    if not rows:
-        return
-    flags = _square_flags(rows, slots)
-    for at, n in zip(range(0, len(flags), slots), rows):
-        s = flags.find(1, at, at + slots)
-        # the row's slot s - at holds n^2 + 2(s - at) + 1 + (n & 1)
-        yield (2 * (s - at) + 1 + (n & 1) if s >= 0
-               else next_prime(n * n + 2 * slots, conv) - n * n)
-
-
 def _check_legendre(conv: PrimeConvention, lo: int, hi: int) -> dict[str, Any]:
     stats = {"instances": 0, "max_first_gap": 0, "max_first_gap_at": 0}
-    for n, gap in zip(range(lo, hi + 1), _first_gaps(conv, lo, hi)):
+    for n, gap in zip(range(lo, hi + 1), _first_gaps(lo, hi, conv)):
         # the upper endpoint (n+1)^2 is a square > 1, never prime, so the
         # first prime from n^2 on decides the whole closed interval
         if gap > 2 * n:
@@ -576,8 +547,8 @@ class _Rule:
 # would run faster at 1e12 with 2^17, but pre-Polignac shares the width and
 # its 2^17 chunk passes 4 MB.
 #
-# The square tasks sieve a chunk only while primes._square_sieve_pays holds,
-# which a wider chunk meets up to a greater height.  The range [h, h + 2^16)
+# The square tasks sieve a chunk only while the square sieve pays, which a
+# wider chunk meets up to a greater height.  The range [h, h + 2^16)
 # in chunks of each width, on the same host (one process, base primes built,
 # the median of three), rates in thousands of instances per second with
 # every row walked and by that rule, and the peak of one chunk by the rule:

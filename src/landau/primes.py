@@ -1,8 +1,8 @@
 """Prime generation and primality.
 
 Responsibility: everything about the set P of primes lives here, including
-the convention switch for whether 1 belongs to P. Other modules never roll
-their own primality.
+the convention switch for whether 1 belongs to P, and the square sieve with
+both readers of its rows. Other modules never roll their own primality.
 """
 from __future__ import annotations
 
@@ -10,6 +10,10 @@ import functools
 import math
 from enum import Enum
 from itertools import compress, islice
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from collections.abc import Iterator
 
 
 class PrimeConvention(Enum):
@@ -331,17 +335,13 @@ def _square_sieve_pays(ks: range) -> bool:
     return top <= _BASE_LIMIT and 4 * top / math.log(top + 2) <= len(ks) * ks.step
 
 
-def _non_residue_power(p: int, q: int, s: int) -> int:
-    """z^q mod p for the least quadratic non-residue z of the prime p, where
-    p - 1 = q 2^s and s >= 2: z^q has order 2^s exactly when z is one."""
+def _non_residue_power(p: int, q: int) -> int:
+    """z^q mod p for the least quadratic non-residue z of the odd prime p,
+    which Euler's criterion tells by z^((p - 1) / 2) = -1 (mod p)."""
     z = 2
-    while True:
-        c = u = pow(z, q, p)
-        for _ in range(s - 1):
-            u = u * u % p
-        if u == p - 1:
-            return c
+    while pow(z, (p - 1) >> 1, p) != p - 1:
         z += 1
+    return pow(z, q, p)
 
 
 def _square_roots(p: int, offsets: range) -> list[tuple[int, int]]:
@@ -369,7 +369,7 @@ def _square_roots(p: int, offsets: range) -> list[tuple[int, int]]:
             if i == m:  # a is a non-residue
                 break
             if not c:
-                c = c_root = c_root or _non_residue_power(p, q, s)
+                c = c_root = c_root or _non_residue_power(p, q)
             b = c
             for _ in range(m - i - 1):
                 b = b * b % p
@@ -416,6 +416,45 @@ def _square_flags(ks: range, slots: int) -> bytearray:
             if at < size:
                 flags[at::stride] = zeros[: (size - 1 - at) // stride + 1]
     return flags
+
+
+# Legendre rows hold the first _LEGENDRE_SLOTS odd values above n^2, and a
+# row that the square sieve strikes whole walks on past them with next_prime.
+# The sieve runs where _square_sieve_pays says it costs less than the walk,
+# and only from _LEGENDRE_SIEVE_FROM on: below it n^2 + j < 9,080,191, where
+# is_prime proves a prime with two bases, and walking every row costs less.
+_LEGENDRE_SLOTS = 8
+_LEGENDRE_SIEVE_FROM = 3014
+
+
+def _first_gaps(lo: int, hi: int, conv: PrimeConvention) -> Iterator[int]:
+    """For each n of [lo, hi], the distance from n^2 to the first prime from
+    n^2 on: read off the square sieve where it pays, else walked."""
+    slots = _LEGENDRE_SLOTS
+    rows = range(max(lo, _LEGENDRE_SIEVE_FROM), hi + 1)
+    if not _square_sieve_pays(rows):
+        rows = range(hi + 1, hi + 1)  # none: every row is walked
+    for n in range(lo, rows.start):
+        yield next_prime(n * n - 1, conv) - n * n
+    if not rows:
+        return
+    flags = _square_flags(rows, slots)
+    for at, n in zip(range(0, len(flags), slots), rows):
+        s = flags.find(1, at, at + slots)
+        # the row's slot s - at holds n^2 + 2(s - at) + 1 + (n & 1)
+        yield (2 * (s - at) + 1 + (n & 1) if s >= 0
+               else next_prime(n * n + 2 * slots, conv) - n * n)
+
+
+def _parabolic_verdicts(ks: range, conv: PrimeConvention) -> Iterator[bool]:
+    """Whether k^2 + 1 is prime under conv, for each k of ks (k >= 1, step 1,
+    or step 2 over even k): the even k read off the square sieve where it
+    pays, else is_prime; an odd k > 1 makes k^2 + 1 even."""
+    evens = range(ks.start + (ks.start & 1), ks.stop, 2)
+    if not _square_sieve_pays(evens):
+        return (is_prime(k * k + 1, conv) for k in ks)
+    flags = _square_flags(evens, 1)
+    return (k == 1 if k & 1 else flags[(k - evens.start) >> 1] == 1 for k in ks)
 
 
 def prime_flags(hi: int, conv: PrimeConvention = DEFAULT_CONVENTION) -> bytearray:

@@ -163,3 +163,21 @@ def test_the_import_graph_is_acyclic_with_primes_at_the_bottom():
     cycles = [" → ".join(c) for stem in sorted(graph) if (c := cycle_from(stem, []))]
     assert cycles == []
     assert graph["primes"] == set()
+
+
+def test_only_primes_reads_the_square_sieve_rows():
+    # the row layout (slot s of row k holds k^2 + 2s + 1 + (k & 1)) is known
+    # to primes alone, where both readers of the rows live beside the sieve:
+    # no other module imports _square_flags or reads it off primes
+    readers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            else:
+                names = {node.id} if isinstance(node, ast.Name) else set()
+            if "_square_flags" in names:
+                readers.add(path.stem)
+    assert readers == {"primes"}

@@ -191,6 +191,27 @@ class TestExitCodes:
         assert "--jobs" in result.stderr
         assert "worker_count" not in result.stderr
 
+    @pytest.mark.parametrize("argv,error", [
+        (["polignac", "dyadic", "4", "--m", "0"], "m_max: needs at least 1, got 0"),
+        (["ideals", "radical", "0"], "m: needs a positive integer, got 0"),
+        (["ideals", "jacobson", "1"], "needs n >= 2, got 1"),
+        (["zn", "table", "1"], "modulus must be >= 2, got 1"),
+    ], ids=["polignac dyadic 4 --m 0", "ideals radical 0", "ideals jacobson 1", "zn table 1"])
+    def test_parameter_below_its_least_value_is_usage_error_naming_it(self, runner, argv,
+                                                                    error):
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 2 and result.stdout == ""
+        assert result.stderr.splitlines()[-1] == f"Error: {error}"
+
+    def test_interrupted_leaf_exits_1_with_aborted(self, runner, monkeypatch):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(landau.harness, "verify_range", interrupt)
+        result = runner.invoke(main, ["legendre", "verify", "--from", "1", "--to", "10"])
+        assert result.exit_code == 1
+        assert result.stderr == "\nAborted!\n" and result.stdout == ""
+
     def test_64_bit_radical_exits_0(self, runner):
         n = 18446743979220271189  # 4294967279 * 4294967291, squarefree
         result = runner.invoke(main, ["--format", "json", "ideals", "radical", str(n)])
@@ -480,6 +501,9 @@ PARSER_BRANCHES = [
       "Error: No such option '--conv'. (Did you mean one of: '--config', '--convention'?)"]),
     (["goldbach", "canonical", "220", "--trace=1"], "80", 2,
      ["Error: Option '--trace' does not take a value."]),
+    (["--format", "json"], "80", 2,
+     ["Usage: landau [OPTIONS] COMMAND [ARGS]...", "Try 'landau --help' for help.", "",
+      "Error: Missing command."]),
     (["polignac", "pairs", "20", "--max-q"], "80", 2,
      ["Error: Option '--max-q' requires an argument."]),
     (["triangle", "value", "5", "6"], "80", 2,
@@ -512,6 +536,11 @@ class TestParser:
         result = runner.invoke(main, argv)
         assert result.exit_code == 0, result.output
         assert result.stdout == runner.invoke(main, [group, leaf, "--", *numbers]).stdout
+
+    def test_bare_group_prints_its_help_as_an_error(self, runner):
+        result = runner.invoke(main, ["zn"])
+        assert result.exit_code == 2 and result.stdout == ""
+        assert result.stderr == runner.invoke(main, ["zn", "--help"]).stdout
 
     def test_negative_number_reaches_the_library(self, runner):
         result = runner.invoke(main, ["triangle", "value", "-1"])
@@ -623,6 +652,12 @@ class TestFormats:
         assert doc["kind"] == "units-grid"
         assert doc["config"]["convention"] == "include1"
         assert doc["report"]["inverses"] == [[1, 1], [3, 7], [7, 3], [9, 9]]
+
+    def test_format_takes_its_value_after_an_equals_sign(self, runner):
+        result = runner.invoke(main, ["--format=json", "zn", "table", "10"])
+        assert result.exit_code == 0
+        assert result.stdout == runner.invoke(main, ["--format", "json", "zn", "table", "10"]).stdout
+        json.loads(result.stdout)
 
     def test_format_csv_has_comment_header(self, runner):
         result = runner.invoke(main, ["--format", "csv", "zn", "table", "10"])

@@ -79,10 +79,22 @@ def test_explicit_path_beats_env_config(tmp_path, monkeypatch):
     ({"checkpoint_dir": ""}, "checkpoint_dir"),
     ({"workers": 0}, "workers"),
     ({"convention": "both"}, "convention"),
+    ({"segment_size": 4096}, "segment_size"),
 ])
 def test_bad_values_name_the_key(overrides, key):
     with pytest.raises(ConfigError, match=rf"^{key}"):
         load_config(overrides=overrides)
+
+
+def test_boolean_workers_in_a_file_names_the_key(tmp_path):
+    # JSON true is a Python bool, an int subclass, and no worker count
+    path = write_config(tmp_path / "run.json", {"workers": True})
+    with pytest.raises(ConfigError, match=r"^workers: expected a positive integer, got True$"):
+        load_config(path=path)
+
+
+def test_convention_override_may_be_the_enum_itself():
+    assert load_config(overrides={"convention": EXC}).convention is EXC
 
 
 def test_bad_env_values_name_the_key(monkeypatch):

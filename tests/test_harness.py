@@ -104,6 +104,25 @@ def test_seeded_coverage_leaves_disjoint_gapfree_records(tmp_path):
         assert a == b + 2  # union has no gap
 
 
+def test_history_wholly_outside_the_range_skips_nothing(tmp_path):
+    # records below and above the run's range, each passed over whole
+    cp = tmp_path / "g.jsonl"
+    for lo, hi in ((2, 100), (2002, 3000)):
+        verify_range(Task.GOLDBACH, lo, hi, INC, checkpoint_path=cp)
+    s = verify_range(Task.GOLDBACH, 1000, 2000, INC, checkpoint_path=cp)
+    assert (s.verified, s.skipped, s.complete) == (501, 0, True)
+    spans = [(r.lo, r.hi) for r in load_checkpoints(str(cp))]
+    assert spans == [(2, 100), (1000, 2000), (2002, 3000)]
+
+
+def test_range_without_an_instance_reads_and_writes_no_checkpoint(tmp_path):
+    # [5, 5] holds no even instance: nothing is verified, and neither the
+    # checkpoint nor its lock file is made
+    s = verify_range(Task.GOLDBACH, 5, 5, INC, checkpoint_path=tmp_path / "g.jsonl")
+    assert (s.verified, s.skipped, s.counterexamples, s.complete) == (0, 0, (), True)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_runs_without_checkpoint_file():
     s = verify_range(Task.GOLDBACH, 2, 200, INC)
     assert s.verified == 100 and s.complete
@@ -345,7 +364,7 @@ def test_parabolic_memory_at_the_widest_chunk(monkeypatch):
     # traced run 4x slower; caches that the untraced run fills answer them
     # there, with the same peak
     monkeypatch.setattr(figurate, "pow", functools.cache(pow), raising=False)
-    monkeypatch.setattr(figurate, "is_prime", functools.cache(is_prime))
+    monkeypatch.setattr(primes, "is_prime", functools.cache(is_prime))
     monkeypatch.setattr(primes, "_square_roots", functools.cache(primes._square_roots))
     # a chunk of the rule's size at k = 3 * 10^4, which the square sieve
     # settles, at k = 2^20 and the last one below 2^32
@@ -358,10 +377,10 @@ def test_legendre_memory_at_the_widest_chunk(monkeypatch):
     # as for parabolic above: the sieve's roots and the walks past the rows
     # it strikes whole come from caches that the untraced run fills
     monkeypatch.setattr(primes, "_square_roots", functools.cache(primes._square_roots))
-    monkeypatch.setattr(harness, "next_prime", functools.cache(harness.next_prime))
+    monkeypatch.setattr(primes, "next_prime", functools.cache(primes.next_prime))
     # a chunk of the rule's size from the square sieve's first row, 8 bytes
     # a row, and one at 10^6, where the sieve no longer pays, walked
-    for lo in (harness._LEGENDRE_SIEVE_FROM, 10**6):
+    for lo in (primes._LEGENDRE_SIEVE_FROM, 10**6):
         peak = _traced_peak(Task.LEGENDRE, lo, _chunks_from(Task.LEGENDRE, lo, 1))
         assert peak < 4 * 2**20, (lo, peak)
 
@@ -665,11 +684,11 @@ def test_legendre_counterexample_is_the_first_row_without_a_prime(monkeypatch, s
     # a walk from n^2 that lands past (n+1)^2 at n = 5010 makes it the
     # counterexample, whether the row is walked from n^2 or from past the
     # sieve's values, all struck here
-    real, bad = harness.next_prime, 5010
-    monkeypatch.setattr(harness, "next_prime", lambda n, conv: (
+    real, bad = primes.next_prime, 5010
+    monkeypatch.setattr(primes, "next_prime", lambda n, conv: (
         (bad + 1) ** 2 + 1 if bad * bad - 1 <= n < (bad + 1) ** 2 else real(n, conv)))
-    monkeypatch.setattr(harness, "_square_sieve_pays", lambda ks: sieved)
-    monkeypatch.setattr(harness, "_square_flags", lambda ks, slots: bytearray(len(ks) * slots))
+    monkeypatch.setattr(primes, "_square_sieve_pays", lambda ks: sieved)
+    monkeypatch.setattr(primes, "_square_flags", lambda ks, slots: bytearray(len(ks) * slots))
     got = harness._check_legendre(INC, 5000, 5100)
     assert got["witness"] == {"instance": bad, "reason": "no prime in the square interval"}
     assert got["stats"] == harness._check_legendre(INC, 5000, bad - 1)["stats"]

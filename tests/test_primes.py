@@ -224,6 +224,10 @@ class TestPrimesInRange:
         with pytest.raises(ValueError, match="beyond the supported 64-bit range"):
             primes_in_range(2**64, 2**64 + 10**12, EXC)
 
+    def test_prime_flags_refuse_a_negative_top(self):
+        with pytest.raises(ValueError, match="hi must be nonnegative"):
+            prime_flags(-1)
+
     def test_prime_flags_consistent(self):
         for conv in (INC, EXC):
             flags = prime_flags(3000, conv)

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from landau import figurate
+from landau import primes, reports_gaps
 from landau.config import Config
 from landau.figurate import zeta_partial
-from landau.gaps import LEGENDRE_MAX_N
+from landau.gaps import LEGENDRE_MAX_N, legendre_primes
 from landau.harness import Task, verify_range
 from landau.primes import PrimeConvention
 from landau.reports import (
@@ -424,14 +424,33 @@ class TestLegendreTable:
         report = build_report("legendre-table", {"ns": (1,)}, cfg)
         assert report.payload["rows"][0]["primes"] == [2, 3]
 
+    @pytest.fixture(scope="class")
+    def widest_primes(self):
+        """The widest interval's primes with the traced peak of sieving them
+        and their traced size.  Tracing the sieve's 295k base primes is slow,
+        so it is done once, not once a format."""
+        legendre_primes(1, CFG.convention)  # loads what it calls
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            built = legendre_primes(LEGENDRE_MAX_N, CFG.convention)
+            size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return built, peak, size - before
+
     @pytest.mark.parametrize("fmt", ["md", "csv", "json"])
-    def test_the_widest_interval_renders_within_the_call_budget(self, fmt):
-        # about 15 s a format: tracing the sieve's 295k base primes is slow
+    def test_the_widest_interval_renders_within_the_call_budget(self, monkeypatch,
+                                                                 widest_primes, fmt):
+        # a call peaks either while it sieves, or while it renders with the
+        # primes held: the rendering is traced alone, the list already built
+        built, sieve_peak, size = widest_primes
         emit_report("legendre-table", {"ns": (1,)}, fmt, CFG)  # loads what it calls
+        monkeypatch.setattr(reports_gaps, "legendre_primes", lambda n, conv: built)
         tracemalloc.start()
         try:
             out = emit_report("legendre-table", {"ns": (LEGENDRE_MAX_N,)}, fmt, CFG)
-            peak = tracemalloc.get_traced_memory()[1]
+            peak = max(sieve_peak, size + tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
         assert len(out) > 4 * 10**6
@@ -499,15 +518,19 @@ class TestZetaTable:
         # k > 1 gives an even k^2 + 1, and nothing is tested twice or again
         # by is_prime
         sieved, tested = [], []
-        real_flags, real_prime = figurate._square_flags, figurate.is_prime
-        monkeypatch.setattr(figurate, "_square_flags",
+        real_flags, real_prime = primes._square_flags, primes.is_prime
+        monkeypatch.setattr(primes, "_square_flags",
                             lambda ks, slots: sieved.extend(ks) or real_flags(ks, slots))
-        monkeypatch.setattr(figurate, "is_prime", lambda n, conv: tested.append(n) or real_prime(n, conv))
+        monkeypatch.setattr(primes, "is_prime", lambda n, conv: tested.append(n) or real_prime(n, conv))
         build_report("zeta-table", {"k_max": 2000}, CFG)
         assert sorted(sieved) == list(range(2, 2001, 2)) and tested == []
 
 
 class TestRenderers:
+    def test_no_config_renders_as_one_worker_under_the_defaults(self):
+        for fmt in ("md", "csv", "json"):
+            assert emit_report("ring-table", {}, fmt) == emit_report("ring-table", {}, fmt, CFG)
+
     def test_json_documents_are_sorted_and_parse(self):
         raw = emit_report("ring-table", {}, "json", CFG)
         doc = json.loads(raw)
