@@ -10,6 +10,7 @@ ideal-theoretic route of the ring analysis.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
@@ -108,12 +109,12 @@ def _check_bound(two_n: int, limit: int, name: str) -> None:
 
 
 def _both_prime(two_n: int, conv: PrimeConvention) -> bytes:
-    """Byte i is 1 iff 2i + 1 and 2n - 2i - 1 are both prime under conv, for
-    each odd value 2i + 1 < 2n: the odd flags of [1, 2n - 1] ANDed, as one
-    int, with their own reversal (the same bytes read little-endian)."""
+    """Byte i is 1 iff 2i + 1 <= n and 2n - 2i - 1 are both prime under conv:
+    the odd flags of [1, 2n - 1] ANDed, as one int, with their own reversal
+    (the same bytes read little-endian), cut to the first half."""
     _, flags = _odd_flags(1, two_n - 1, conv)
     both = int.from_bytes(flags, "big") & int.from_bytes(flags, "little")
-    return both.to_bytes(len(flags), "big")
+    return both.to_bytes(len(flags), "big")[: (len(flags) + 1) // 2]
 
 
 def enumerate_couples(
@@ -123,7 +124,8 @@ def enumerate_couples(
     by p."""
     _check_bound(two_n, ENUMERATE_MAX_TWO_N, "enumerate_couples")
     _validate_even(two_n, conv)
-    smaller = list(compress(range(1, two_n // 2 + 1, 2), _both_prime(two_n, conv)))
+    # a 1 byte at offset i is the couple (2i + 1, 2n - 2i - 1)
+    smaller = [2 * m.start() + 1 for m in re.finditer(b"\x01", _both_prime(two_n, conv))]
     if two_n == 4:  # the one couple with an even member
         smaller.append(2)
     # the descent stops at the largest candidate whose remainder is prime, so
@@ -146,6 +148,6 @@ def quasi_couples(
         odd_units[p >> 1 :: p] = bytes(len(range(p >> 1, len(odd_units), p)))
     # a unit whose byte in _both_prime is 0 pairs with a composite
     units_int = int.from_bytes(odd_units, "big")
-    both = int.from_bytes(_both_prime(two_n, conv)[: len(odd_units)], "big")
+    both = int.from_bytes(_both_prime(two_n, conv), "big")
     quasi = (units_int & ~both).to_bytes(len(odd_units), "big")
     return [(a, two_n - a) for a in compress(range(1, n + 1, 2), quasi)]

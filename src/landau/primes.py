@@ -324,6 +324,14 @@ def primes_in_range(
 # operands widen), so the break-even moves up with h; a quarter is where the
 # sieve is never the slower.  A chunk of 2^15 rows meets it from a first row
 # up to 61,021.
+#
+# Both readers sieve only the rows from _SQUARE_SIEVE_FROM on, and test the k
+# below it one by one.  Below it every value a Legendre or parabolic row
+# holds is under 9,080,191, where is_prime proves a prime with two bases and
+# costs less than the sieve (Legendre's measured break-even).  From it on
+# k^2 > _BASE_LIMIT, so no value a row holds is itself a base prime, and the
+# sieve needs no case for a prime that would strike itself.
+_SQUARE_SIEVE_FROM = 3014
 
 
 def _square_sieve_pays(ks: range) -> bool:
@@ -384,11 +392,11 @@ def _square_flags(ks: range, slots: int) -> bytearray:
     """Prime flags of the odd values just above the squares of ks:
     flags[i * slots + s] == 1 iff k^2 + j is prime, k = ks[i] and
     j = 2s + 1 + (k & 1), so each row holds the `slots` odd values from
-    k^2 + 1 on.  ks is a nonempty range of k >= 1 with step 1 or 2.  A block
-    whose square roots pass the base-prime cap is refused with ValueError
-    before anything is allocated."""
-    if not ks or ks.start < 1 or ks.step not in (1, 2) or slots < 1:
-        raise ValueError(f"needs rows k >= 1 with step 1 or 2 and slots >= 1, got {ks}, {slots}")
+    k^2 + 1 on.  ks is a nonempty range of k >= _SQUARE_SIEVE_FROM with step
+    1 or 2.  A block whose square roots pass the base-prime cap is refused
+    with ValueError before anything is allocated."""
+    if not ks or ks.start < _SQUARE_SIEVE_FROM or ks.step not in (1, 2) or slots < 1:
+        raise ValueError(f"needs rows k >= {_SQUARE_SIEVE_FROM} of step 1 or 2, slots >= 1, got {ks}, {slots}")
     step, first, rows = ks.step, ks.start, len(ks)
     limit = math.isqrt(ks[-1] ** 2 + 2 * slots)
     if limit > _BASE_LIMIT:
@@ -399,7 +407,6 @@ def _square_flags(ks: range, slots: int) -> bytearray:
     # the offsets j the rows hold: both parities for step 1, and for step 2
     # the one that makes k^2 + j odd
     offsets = range(1 + (first & 1 if step == 2 else 0), 2 * slots + 1, step)
-    small = first * first < limit  # a row's k^2 + j may be a base prime itself
     for p in islice(_ensure_base_primes(limit), 1, None):
         if p > limit:
             break
@@ -410,8 +417,6 @@ def _square_flags(ks: range, slots: int) -> bytearray:
             # first of them i values past the first row; j sits in slot
             # (j - 1) >> 1 of a row of the other parity
             i = ((r if (r + j) & 1 else r + p) - first) % two_p
-            if small and (first + i) ** 2 + j == p:
-                i += two_p  # p itself stays
             at = i // step * slots + ((j - 1) >> 1)
             if at < size:
                 flags[at::stride] = zeros[: (size - 1 - at) // stride + 1]
@@ -420,18 +425,14 @@ def _square_flags(ks: range, slots: int) -> bytearray:
 
 # Legendre rows hold the first _LEGENDRE_SLOTS odd values above n^2, and a
 # row that the square sieve strikes whole walks on past them with next_prime.
-# The sieve runs where _square_sieve_pays says it costs less than the walk,
-# and only from _LEGENDRE_SIEVE_FROM on: below it n^2 + j < 9,080,191, where
-# is_prime proves a prime with two bases, and walking every row costs less.
 _LEGENDRE_SLOTS = 8
-_LEGENDRE_SIEVE_FROM = 3014
 
 
 def _first_gaps(lo: int, hi: int, conv: PrimeConvention) -> Iterator[int]:
     """For each n of [lo, hi], the distance from n^2 to the first prime from
-    n^2 on: read off the square sieve where it pays, else walked."""
+    n^2 on: sieved from _SQUARE_SIEVE_FROM on where that pays, else walked."""
     slots = _LEGENDRE_SLOTS
-    rows = range(max(lo, _LEGENDRE_SIEVE_FROM), hi + 1)
+    rows = range(max(lo, _SQUARE_SIEVE_FROM), hi + 1)
     if not _square_sieve_pays(rows):
         rows = range(hi + 1, hi + 1)  # none: every row is walked
     for n in range(lo, rows.start):
@@ -448,13 +449,15 @@ def _first_gaps(lo: int, hi: int, conv: PrimeConvention) -> Iterator[int]:
 
 def _parabolic_verdicts(ks: range, conv: PrimeConvention) -> Iterator[bool]:
     """Whether k^2 + 1 is prime under conv, for each k of ks (k >= 1, step 1,
-    or step 2 over even k): the even k read off the square sieve where it
-    pays, else is_prime; an odd k > 1 makes k^2 + 1 even."""
-    evens = range(ks.start + (ks.start & 1), ks.stop, 2)
+    or step 2 over even k): the even k sieved from _SQUARE_SIEVE_FROM on where
+    that pays, else is_prime; an odd k > 1 makes k^2 + 1 even."""
+    start = max(ks.start, _SQUARE_SIEVE_FROM)
+    evens = range(start + (start & 1), ks.stop, 2)
     if not _square_sieve_pays(evens):
-        return (is_prime(k * k + 1, conv) for k in ks)
-    flags = _square_flags(evens, 1)
-    return (k == 1 if k & 1 else flags[(k - evens.start) >> 1] == 1 for k in ks)
+        evens = range(ks.stop, ks.stop, 2)  # none: every even k is tested
+    flags = _square_flags(evens, 1) if evens else b""
+    return (k == 1 if k & 1 else is_prime(k * k + 1, conv) if k < evens.start
+            else flags[(k - evens.start) >> 1] == 1 for k in ks)
 
 
 def prime_flags(hi: int, conv: PrimeConvention = DEFAULT_CONVENTION) -> bytearray:

@@ -168,8 +168,9 @@ def test_the_import_graph_is_acyclic_with_primes_at_the_bottom():
 def test_only_primes_reads_the_square_sieve_rows():
     # the row layout (slot s of row k holds k^2 + 2s + 1 + (k & 1)) is known
     # to primes alone, where both readers of the rows live beside the sieve:
-    # no other module imports _square_flags or reads it off primes
-    readers = set()
+    # no other module imports _square_flags or the sieve's one floor, or
+    # reads them off primes, and no module names a floor of Legendre's own
+    readers = {"_square_flags": set(), "_SQUARE_SIEVE_FROM": set(), "_LEGENDRE_SIEVE_FROM": set()}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom):
@@ -178,6 +179,7 @@ def test_only_primes_reads_the_square_sieve_rows():
                 names = {node.attr}
             else:
                 names = {node.id} if isinstance(node, ast.Name) else set()
-            if "_square_flags" in names:
-                readers.add(path.stem)
-    assert readers == {"primes"}
+            for name in names & readers.keys():
+                readers[name].add(path.stem)
+    assert readers == {"_square_flags": {"primes"}, "_SQUARE_SIEVE_FROM": {"primes"},
+                       "_LEGENDRE_SIEVE_FROM": set()}

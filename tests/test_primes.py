@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 from landau import primes
 from landau.gaps import polignac_pairs, twin_stats
 from landau.primes import (
+    _BASE_LIMIT,
+    _LEGENDRE_SLOTS,
     _MR_TIERS,
+    _SQUARE_SIEVE_FROM,
     _WHEEL,
     PrimeConvention,
     _odd_flags,
@@ -245,14 +248,14 @@ class TestPrimesInRange:
 
 
 class TestSquareFlags:
-    # rows across the Legendre sieve's first row, 3014, and at 10^4, 10^5 and
-    # 2^20; the small rows keep each value that is itself a base prime, and
-    # step-2 rows over even k are the parabolic k^2 + 1
+    # rows from the sieve's first row, 3014, and from the odd row after it,
+    # and at 10^4, 10^5 and 2^20; step-2 rows over even k are the parabolic
+    # k^2 + 1
     @pytest.mark.parametrize(
         "ks,slots",
-        [(range(1, 400), 8), (range(2900, 3100), 8), (range(10**4, 10**4 + 300), 16),
+        [(range(3014, 3413), 8), (range(3015, 3215), 8), (range(10**4, 10**4 + 300), 16),
          (range(10**5, 10**5 + 200), 8), (range(2**20, 2**20 + 100), 2),
-         (range(1, 300, 2), 3), (range(2, 4000, 2), 1), (range(2**20, 2**20 + 2000, 2), 1)],
+         (range(3015, 3314, 2), 3), (range(3014, 7012, 2), 1), (range(2**20, 2**20 + 2000, 2), 1)],
         ids=["small", "3014", "1e4", "1e5", "2^20", "odd-rows", "parabolic", "parabolic-2^20"],
     )
     def test_flags_equal_is_prime_of_each_value(self, ks, slots):
@@ -261,16 +264,18 @@ class TestSquareFlags:
 
     def test_rows_past_the_base_prime_cap_are_refused_before_they_allocate(self):
         # the parabolic rows just below 2^32 need base primes up to 2^32, and
-        # so does every even k below 2^32, a span wide enough to pay for its
-        # primes, as every even k below 2^22 does within the cap
-        assert _square_sieve_pays(range(2, 2**22, 2))
-        for ks in (range(2**32 - 2**15, 2**32, 2), range(2, 2**32, 2)):
+        # so do the even k from the floor to 2^32, a span wide enough to pay
+        # for its primes, as the even k from the floor to 2^22 do within the cap
+        assert _square_sieve_pays(range(_SQUARE_SIEVE_FROM, 2**22, 2))
+        for ks in (range(2**32 - 2**15, 2**32, 2), range(_SQUARE_SIEVE_FROM, 2**32, 2)):
             assert not _square_sieve_pays(ks)
             with pytest.raises(ValueError, match="past"):
                 _square_flags(ks, 1)
 
-    @pytest.mark.parametrize("ks,slots", [(range(0, 10), 1), (range(1, 10, 3), 1),
-                                          (range(5, 5), 1), (range(1, 10), 0)])
+    # rows below the floor, a step of 3, no rows, no slots
+    @pytest.mark.parametrize("ks,slots", [(range(0, 10), 1), (range(3014, 3030, 3), 1),
+                                          (range(3020, 3020), 1), (range(3014, 3030), 0),
+                                          (range(3013, 3100), 1)])
     def test_bad_rows_are_refused(self, ks, slots):
         with pytest.raises(ValueError, match="needs rows"):
             _square_flags(ks, slots)
@@ -283,17 +288,27 @@ class TestSquareFlags:
         assert not _square_sieve_pays(range(5, 5))
 
     # where each caller's spans switch from walking to sieving, one row or
-    # even k apart: parabolic zeta and list at k_max = 53 and 54 (their even
-    # k), the ghost table (its even k from 42) and a Legendre chunk (its rows
-    # from 3014); the sieved step-2 spans would walk if their k were counted
-    # as ks.stop - ks.start
+    # even k apart, all from the floor: parabolic zeta and list at k_max =
+    # 5613 and 5614 (their even k), the ghost table at n_max = 5613 and 5614
+    # (its even k, which also start at the floor) and a Legendre chunk (its
+    # rows); the sieved step-2 span would walk if its k were counted as
+    # ks.stop - ks.start
     @pytest.mark.parametrize("walked,sieved", [
-        (range(2, 53, 2), range(2, 55, 2)),
-        (range(42, 176, 2), range(42, 177, 2)),
+        (range(3014, 5613, 2), range(3014, 5615, 2)),
+        (range(3014, 5613, 2), range(3014, 5615, 2)),
         (range(3014, 5615), range(3014, 5616)),
     ], ids=["parabolic", "ghost-table", "legendre"])
     def test_the_sieve_takes_over_where_it_did_for_each_task(self, walked, sieved):
         assert not _square_sieve_pays(walked) and _square_sieve_pays(sieved)
+
+    def test_the_floor_is_past_the_base_primes_and_within_two_bases(self):
+        # so the sieve needs no case for a prime that strikes itself, and the
+        # rows below the floor, Legendre's 8 odd values above n^2 the tallest,
+        # are proven by is_prime's two-base tier
+        assert _SQUARE_SIEVE_FROM**2 > _BASE_LIMIT
+        assert ((_SQUARE_SIEVE_FROM - 1) ** 2 + 2 * _LEGENDRE_SLOTS
+                < _MR_TIERS[1][0] <= _SQUARE_SIEVE_FROM**2)
+        assert len(_MR_TIERS[1][1]) == 2
 
 
 def _twins(n_max, conv):

@@ -514,16 +514,17 @@ class TestZetaTable:
         assert Fraction(report.payload["partial_sum"]) == zeta_partial(k_max)[0]
 
     def test_each_candidate_is_tested_once(self, monkeypatch):
-        # one square sieve over the even k settles every candidate: an odd
-        # k > 1 gives an even k^2 + 1, and nothing is tested twice or again
-        # by is_prime
+        # each even k is settled once: by is_prime below the square sieve's
+        # floor, and by one sieve over the even k from it on; an odd k > 1
+        # gives an even k^2 + 1, and is not tested at all
         sieved, tested = [], []
         real_flags, real_prime = primes._square_flags, primes.is_prime
         monkeypatch.setattr(primes, "_square_flags",
                             lambda ks, slots: sieved.extend(ks) or real_flags(ks, slots))
         monkeypatch.setattr(primes, "is_prime", lambda n, conv: tested.append(n) or real_prime(n, conv))
-        build_report("zeta-table", {"k_max": 2000}, CFG)
-        assert sorted(sieved) == list(range(2, 2001, 2)) and tested == []
+        build_report("zeta-table", {"k_max": 6000}, CFG)
+        assert tested == [k * k + 1 for k in range(2, primes._SQUARE_SIEVE_FROM, 2)]
+        assert sieved == list(range(primes._SQUARE_SIEVE_FROM, 6001, 2))
 
 
 class TestRenderers:
