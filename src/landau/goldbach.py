@@ -128,9 +128,16 @@ def enumerate_couples(
     smaller = [2 * m.start() + 1 for m in re.finditer(b"\x01", _both_prime(two_n, conv))]
     if two_n == 4:  # the one couple with an even member
         smaller.append(2)
-    # the descent stops at the largest candidate whose remainder is prime, so
-    # the canonical couple is the one with the smallest smaller member
-    return [(p, two_n - p, _classify(p, two_n - p), i == 0) for i, p in enumerate(smaller)]
+    # only p = 1 (NOETHER) and p = n (TRIVIAL) can be other than ORDINARY:
+    # the first and the last couple; the descent stops at the largest
+    # candidate whose remainder is prime, so the canonical couple is the one
+    # with the smallest smaller member
+    ordinary = CoupleKind.ORDINARY  # looked up once, not once a couple
+    couples = [(p, two_n - p, ordinary, False) for p in smaller]
+    for i in {0, len(couples) - 1} if couples else ():
+        p = smaller[i]
+        couples[i] = (p, two_n - p, _classify(p, two_n - p), i == 0)
+    return couples
 
 
 def quasi_couples(

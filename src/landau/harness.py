@@ -566,8 +566,9 @@ class _Rule:
 # Runs of one cell spread by up to a fifth, so only the sieved cells (a peak
 # above 0.005 MB) differ from walking.  A chunk pays the roots for every
 # prime up to its top, so a range costs least in the fewest chunks, and the
-# peak is a byte per odd value held (8 a Legendre row, 1 an even parabolic
-# k).  But a range splits across a pool only by its chunks.  With two
+# peak is a byte per odd value held (8 a Legendre row when the table was
+# measured, 12 since, and 1 an even parabolic k).  But a range splits across
+# a pool only by its chunks.  With two
 # workers (the median of three fresh processes), Legendre on 2^15 rows from
 # 1e6, walked, took 1.07 s in chunks of 4096 and 1.78 s in one of 2^15; on
 # 2^16 rows from 1e4, two sieved chunks of 2^15 took 0.76 s against 0.90 s

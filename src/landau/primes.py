@@ -283,42 +283,48 @@ def primes_in_range(
 # of rows k, the way _odd_flags sieves a window: an odd prime p divides k^2 + j
 # exactly when k is a root of x^2 = -j (mod p), so each root strikes its class
 # of rows with one slice assignment (Shanks, MTAC 13 (1959) 78-86), and every
-# value that survives the primes up to its square root is prime.  The roots
-# come from Tonelli and Shanks' algorithm, one pow a^((Q - 1) / 2) per offset
-# and prime, a = -j and p - 1 = Q 2^S with Q odd.
+# value that survives the primes up to its square root is prime.  A prime
+# pays a pow only for the offsets that have roots, about half of them, which
+# _residue_classes tells from p mod 4j, and the root is a closed form unless
+# p = 1 (mod 8) (_square_roots).
 #
 # The sieve pays while the primes up to its last row, counted as
 # top / ln top, number at most a quarter of the k its rows span (len(ks) *
-# ks.step), for both callers.  A prime costs a root for each offset a row
-# holds, and a spanned k saves what the caller would spend on it unsieved.
-# A Legendre row holds 16 offsets and saves next_prime's walk from n^2,
-# several Miller-Rabin tests or about 4 roots' worth: 16 roots a prime
-# against 4 a row.  Parabolic rows hold only k^2 + 1 over the even k, one
-# offset, and an even k saves one is_prime, about half a root: 1 root a
-# prime against 1/2 for every two k spanned.  Either way a prime takes 4
-# spanned k.  Milliseconds per chunk of rows from h, every row walked
-# against every row sieved (the Legendre rows the sieve leaves walked on),
-# CPython 3.11 on a shared 2-core x86-64 Xeon, the median of three, with
-# the primes per spanned k as _square_sieve_pays counts them:
+# ks.step), for both callers.  A prime costs its roots and their strikes, and
+# a spanned k saves what the caller would spend on it unsieved.  The
+# Legendre rows of both parities hold 24 offsets between them, about half of
+# them with roots for a given prime, and a row saves next_prime's walk from
+# n^2, several Miller-Rabin tests, except on the rows struck whole (one in
+# four at 3*10^4), which walk on past their values.  Parabolic rows hold only
+# k^2 + 1 over the even k, one offset with roots only for p = 1 (mod 4), and
+# an even k saves one is_prime.  Milliseconds per chunk
+# of rows from h, every row walked against every row sieved (the Legendre
+# rows the sieve leaves walked on), CPython 3.11 on a shared 2-core x86-64
+# Xeon, the median of three fresh processes that each take the median of
+# three after a warm-up, with the primes per spanned k as _square_sieve_pays
+# counts them:
 #
 #   rows from h, width        walked   sieved   primes/k
-#   Legendre 10^4, 4096         40.6     69.4     0.36
-#   Legendre 10^4, 2^15          574      412     0.12
-#   Legendre 10^4, 2^16         1923      901     0.10
-#   Legendre 3*10^4, 4096       64.3    123.9     0.80
-#   Legendre 3*10^4, 2^15       1133      578     0.17
-#   Legendre 3*10^4, 2^16       2907     1581     0.13
-#   Legendre 10^5, 4096          259      543     2.2
-#   Legendre 10^5, 2^15         1640     1000     0.34
-#   Legendre 10^5, 2^16         3011     2319     0.21
-#   parabolic 10^4, 4096        11.4     11.9     0.36
-#   parabolic 10^4, 2^15         182      141     0.12
-#   parabolic 3*10^4, 4096      21.9     30.6     0.80
-#   parabolic 3*10^4, 2^15       261      222     0.17
-#   parabolic 10^5, 4096        34.1     70.9     2.2
-#   parabolic 10^5, 2^15         188      168     0.34
-#   parabolic 10^6, 2^15         230      483     2.3
-#   parabolic 10^6, 2^16         388      631     1.2
+#   Legendre 10^4, 4096         43.4     58.5     0.36
+#   Legendre 10^4, 2^15          504      373     0.12
+#   Legendre 10^4, 2^16         1417      681     0.10
+#   Legendre 3*10^4, 4096       59.9    118.5     0.80
+#   Legendre 3*10^4, 2^15        797      417     0.17
+#   Legendre 3*10^4, 2^16       1663      799     0.13
+#   Legendre 10^5, 4096          140      313     2.2
+#   Legendre 10^5, 2^15         1050      696     0.34
+#   Legendre 10^5, 2^16         2200     1196     0.21
+#   parabolic 10^4, 4096         3.3      5.2     0.36
+#   parabolic 10^4, 2^15        33.5     15.6     0.12
+#   parabolic 10^4, 2^16        87.4     27.7     0.10
+#   parabolic 3*10^4, 4096       4.5      9.8     0.80
+#   parabolic 3*10^4, 2^15      51.5     21.6     0.17
+#   parabolic 3*10^4, 2^16       111     33.6     0.13
+#   parabolic 10^5, 4096         7.7     27.6     2.2
+#   parabolic 10^5, 2^15        62.2     39.2     0.34
+#   parabolic 10^5, 2^16         128     52.2     0.21
+#   parabolic 10^6, 2^15        75.8      357     2.3
+#   parabolic 10^6, 2^16         162      294     1.2
 #
 # A walked row costs more as h grows (the Miller-Rabin tiers and the
 # operands widen), so the break-even moves up with h; a quarter is where the
@@ -352,16 +358,60 @@ def _non_residue_power(p: int, q: int) -> int:
     return pow(z, q, p)
 
 
+@functools.cache
+def _residue_classes(j: int) -> bytes:
+    """Byte c is 1 iff -j is a square modulo the odd primes p = c (mod 4j)
+    that do not divide j: the Jacobi symbol (-j | c) is 1, and by reciprocity
+    (-j | p) depends only on p mod 4j."""
+    out = bytearray(4 * j)
+    for c in range(1, 4 * j, 2):
+        a, n, t = -j % c, c, 1
+        while a:
+            while not a & 1:
+                a >>= 1
+                if n & 7 in (3, 5):
+                    t = -t
+            a, n = n, a
+            if a & n & 3 == 3:
+                t = -t
+            a %= n
+        out[c] = n == 1 and t == 1
+    return bytes(out)
+
+
 def _square_roots(p: int, offsets: range) -> list[tuple[int, int]]:
     """(j, r) for each offset j and each root r of x^2 = -j (mod p), for an
-    odd prime p and offsets j >= 1."""
+    odd prime p and offsets j >= 1.  Past the largest offset p divides no j,
+    so _residue_classes drops the j without roots before any pow, and a
+    root of a = -j is a closed form unless p = 1 (mod 8) (Mueller, Des.
+    Codes Cryptogr. 31 (2004) 301-312): a^((p + 1) / 4) for p = 3 (mod 4),
+    and Atkin's a v (2a v^2 - 1), v = (2a)^((p - 5) / 8), for p = 5 (mod 8).
+    The other primes take Tonelli and Shanks' loop."""
+    out = []
+    if p <= offsets[-1]:  # p may divide an offset, where the tables do not hold
+        residues = offsets
+    else:
+        residues = [j for j in offsets if _residue_classes(j)[p % (4 * j)]]
+        if p & 3 == 3:
+            e = (p + 1) >> 2
+            for j in residues:
+                x = pow(p - j, e, p)
+                out += ((j, x), (j, p - x))
+            return out
+        if p & 7 == 5:
+            e = (p - 5) >> 3
+            for j in residues:
+                a = p - j
+                v = pow(2 * a, e, p)
+                x = a * v * (2 * a * v * v - 1) % p
+                out += ((j, x), (j, p - x))
+            return out
     q, s = p - 1, 0
     while not q & 1:
         q, s = q >> 1, s + 1
     e = (q - 1) >> 1
     c_root = 0  # z^q for a non-residue z, found when a root first needs it
-    out = []
-    for j in offsets:
+    for j in residues:
         a = -j % p
         if a == 0:
             out.append((j, 0))
@@ -425,7 +475,23 @@ def _square_flags(ks: range, slots: int) -> bytearray:
 
 # Legendre rows hold the first _LEGENDRE_SLOTS odd values above n^2, and a
 # row that the square sieve strikes whole walks on past them with next_prime.
-_LEGENDRE_SLOTS = 8
+# Each slot adds two offsets' roots for every prime and leaves fewer rows to
+# walk.  Milliseconds for the Legendre rows [351, 30,350] (a sweep-arith
+# window, one chunk; the median of 13 fresh processes, 8 at 14 slots) and for
+# a chunk of 2^15 rows from h (the median of 3), each process the median of
+# seven runs, on the host of the table above, and how many of the window's
+# 27,337 sieved rows the sieve strikes whole:
+#
+#   slots                     8       10       12       14       16
+#   [351, 30,350]           207      201      196      198      214
+#   2^15 from 3*10^4        491      473      415      431      441
+#   2^15 from 6*10^4        712      635      628      613      604
+#   rows struck whole    10,333    8,238    6,477    4,682    3,854
+#
+# 12 slots is the fastest, within noise of 14, on the sweep-arith window and
+# on 2^15 rows from 3*10^4; only the last chunks that sieve, near 6*10^4, run
+# 4 % faster at 16.
+_LEGENDRE_SLOTS = 12
 
 
 def _first_gaps(lo: int, hi: int, conv: PrimeConvention) -> Iterator[int]:

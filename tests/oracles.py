@@ -88,6 +88,35 @@ def brute_quasi(two_n: int, include1: bool = True) -> list[tuple[int, int]]:
     ]
 
 
+def tonelli_shanks_roots(p: int, offsets: range) -> set[tuple[int, int]]:
+    """(j, x) for each offset j and each root x of x^2 = -j (mod p), for an
+    odd prime p: Tonelli and Shanks' loop for every j, the reference for
+    the square sieve's closed forms."""
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    out = set()
+    for j in offsets:
+        a = -j % p
+        if a == 0:
+            out.add((j, 0))
+            continue
+        if pow(a, (p - 1) // 2, p) != 1:
+            continue
+        m, c, t, x = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+        while t != 1:
+            i, u = 0, t
+            while u != 1:
+                u, i = u * u % p, i + 1
+            b = pow(c, 1 << (m - i - 1), p)
+            m, c, t, x = i, b * b % p, t * b * b % p, x * b % p
+        out |= {(j, x), (j, p - x)}
+    return out
+
+
 def egcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, x, y) with x*a + y*b = g = gcd(a, b), textbook recursion."""
     if b == 0:

@@ -16,6 +16,7 @@ from landau.config import Config
 from landau.goldbach import (
     CoupleKind,
     GoldbachCounterexample,
+    _classify,
     canonical_couple,
     enumerate_couples,
     quasi_couples,
@@ -330,6 +331,13 @@ class TestEnumerate:
         kinds4 = {(p, q): kind for p, q, kind, _ in enumerate_couples(4)}
         assert kinds4[(1, 3)] is CoupleKind.NOETHER
         assert kinds4[(2, 2)] is CoupleKind.TRIVIAL
+
+    def test_every_kind_is_the_classified_one(self):
+        # enumerate_couples classifies only its first and last couple
+        for conv, start in ((INC, 2), (EXC, 4)):
+            for two_n in range(start, 3_000, 2):
+                for p, q, kind, _ in enumerate_couples(two_n, conv):
+                    assert kind is _classify(p, q), (two_n, conv, p, q, kind)
 
     def test_complete_against_vector_oracle(self):
         limit = 50_000

@@ -378,8 +378,9 @@ def test_legendre_memory_at_the_widest_chunk(monkeypatch):
     # it strikes whole come from caches that the untraced run fills
     monkeypatch.setattr(primes, "_square_roots", functools.cache(primes._square_roots))
     monkeypatch.setattr(primes, "next_prime", functools.cache(primes.next_prime))
-    # a chunk of the rule's size from the square sieve's first row, 8 bytes
-    # a row, and one at 10^6, where the sieve no longer pays, walked
+    # a chunk of the rule's size from the square sieve's first row,
+    # _LEGENDRE_SLOTS bytes a row, and one at 10^6, where the sieve no longer
+    # pays, walked
     for lo in (primes._SQUARE_SIEVE_FROM, 10**6):
         peak = _traced_peak(Task.LEGENDRE, lo, _chunks_from(Task.LEGENDRE, lo, 1))
         assert peak < 4 * 2**20, (lo, peak)

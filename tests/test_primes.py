@@ -15,7 +15,9 @@ from landau.primes import (
     _WHEEL,
     PrimeConvention,
     _odd_flags,
+    _residue_classes,
     _square_flags,
+    _square_roots,
     _square_sieve_pays,
     is_prime,
     next_prime,
@@ -24,7 +26,7 @@ from landau.primes import (
     primes_in_range,
 )
 
-from oracles import naive_prev_prime, naive_primes, trial_division_prime
+from oracles import naive_prev_prime, naive_primes, tonelli_shanks_roots, trial_division_prime
 
 INC = PrimeConvention.INCLUDE1
 EXC = PrimeConvention.EXCLUDE1
@@ -255,8 +257,10 @@ class TestSquareFlags:
         "ks,slots",
         [(range(3014, 3413), 8), (range(3015, 3215), 8), (range(10**4, 10**4 + 300), 16),
          (range(10**5, 10**5 + 200), 8), (range(2**20, 2**20 + 100), 2),
-         (range(3015, 3314, 2), 3), (range(3014, 7012, 2), 1), (range(2**20, 2**20 + 2000, 2), 1)],
-        ids=["small", "3014", "1e4", "1e5", "2^20", "odd-rows", "parabolic", "parabolic-2^20"],
+         (range(3015, 3314, 2), 3), (range(3014, 7012, 2), 1), (range(2**20, 2**20 + 2000, 2), 1),
+         (range(3 * 10**4, 3 * 10**4 + 300), _LEGENDRE_SLOTS)],
+        ids=["small", "3014", "1e4", "1e5", "2^20", "odd-rows", "parabolic", "parabolic-2^20",
+             "legendre-3e4"],
     )
     def test_flags_equal_is_prime_of_each_value(self, ks, slots):
         values = [k * k + 2 * s + 1 + (k & 1) for k in ks for s in range(slots)]
@@ -303,12 +307,47 @@ class TestSquareFlags:
 
     def test_the_floor_is_past_the_base_primes_and_within_two_bases(self):
         # so the sieve needs no case for a prime that strikes itself, and the
-        # rows below the floor, Legendre's 8 odd values above n^2 the tallest,
-        # are proven by is_prime's two-base tier
+        # rows below the floor, Legendre's _LEGENDRE_SLOTS odd values above
+        # n^2 the tallest, are proven by is_prime's two-base tier
         assert _SQUARE_SIEVE_FROM**2 > _BASE_LIMIT
         assert ((_SQUARE_SIEVE_FROM - 1) ** 2 + 2 * _LEGENDRE_SLOTS
                 < _MR_TIERS[1][0] <= _SQUARE_SIEVE_FROM**2)
         assert len(_MR_TIERS[1][1]) == 2
+
+
+# the offsets the square sieve asks roots for: a Legendre row's both
+# parities, its even offsets alone (step-2 rows over odd k), and parabolic's 1
+_OFFSETS = [range(1, 2 * _LEGENDRE_SLOTS + 1), range(2, 2 * _LEGENDRE_SLOTS + 1, 2), range(1, 3, 2)]
+
+
+class TestSquareRoots:
+    def test_roots_are_every_x_whose_square_is_minus_j(self):
+        for p in naive_primes(3, 2**11):
+            squares = {}
+            for x in range(p):
+                squares.setdefault(x * x % p, []).append(x)
+            for offsets in _OFFSETS:
+                got = _square_roots(p, offsets)
+                assert len(got) == len(set(got))
+                assert set(got) == {(j, x) for j in offsets for x in squares.get(-j % p, ())}, (p, offsets)
+
+    def test_closed_forms_find_what_tonelli_shanks_found(self):
+        # every class mod 8 of the primes below 2^18, past and up to the
+        # largest offset
+        ps = primes_in_range(3, 2**18)
+        assert {p % 8 for p in ps} == {1, 3, 5, 7}
+        offsets = _OFFSETS[0]
+        for p in ps:
+            assert set(_square_roots(p, offsets)) == tonelli_shanks_roots(p, offsets), p
+
+    def test_residue_classes_follow_eulers_criterion(self):
+        ps = primes_in_range(3, 2**16 - 1)
+        for j in range(1, 2 * _LEGENDRE_SLOTS + 1):
+            table = _residue_classes(j)
+            assert len(table) == 4 * j
+            for p in ps:
+                if j % p:
+                    assert table[p % (4 * j)] == (pow(-j, (p - 1) // 2, p) == 1), (j, p)
 
 
 def _twins(n_max, conv):
