@@ -286,7 +286,8 @@ def primes_in_range(
 # value that survives the primes up to its square root is prime.  A prime
 # pays a pow only for the offsets that have roots, about half of them, which
 # _residue_classes tells from p mod 4j, and the root is a closed form unless
-# p = 1 (mod 8) (_square_roots).
+# p = 1 (mod 8); an offset d^2 m takes d times the root of the offset m
+# (_square_roots).
 #
 # The sieve pays while the primes up to its last row, counted as
 # top / ln top, number at most a quarter of the k its rows span (len(ks) *
@@ -379,39 +380,67 @@ def _residue_classes(j: int) -> bytes:
     return bytes(out)
 
 
+@functools.cache
+def _root_sources(offsets: range) -> dict[int, tuple[int, int]]:
+    """j -> (m, d) for each offset j = d^2 m, d >= 2, with m an offset too:
+    d x is a root of x^2 = -j wherever x is one of x^2 = -m."""
+    return {
+        j: (j // (d * d), d)
+        for j in offsets
+        for d in range(2, math.isqrt(j) + 1)
+        if j % (d * d) == 0 and j // (d * d) in offsets
+    }
+
+
 def _square_roots(p: int, offsets: range) -> list[tuple[int, int]]:
     """(j, r) for each offset j and each root r of x^2 = -j (mod p), for an
-    odd prime p and offsets j >= 1.  Past the largest offset p divides no j,
-    so _residue_classes drops the j without roots before any pow, and a
-    root of a = -j is a closed form unless p = 1 (mod 8) (Mueller, Des.
-    Codes Cryptogr. 31 (2004) 301-312): a^((p + 1) / 4) for p = 3 (mod 4),
-    and Atkin's a v (2a v^2 - 1), v = (2a)^((p - 5) / 8), for p = 5 (mod 8).
-    The other primes take Tonelli and Shanks' loop."""
-    out = []
+    odd prime p and ascending offsets j >= 1.  Past the largest offset p
+    divides no j, so _residue_classes drops the j without roots before any
+    pow, an offset d^2 m takes d times the root of the offset m
+    (_root_sources), and a root of a = -j is a closed form unless p = 1
+    (mod 8) (Mueller, Des. Codes Cryptogr. 31 (2004) 301-312): a^((p + 1) / 4)
+    for p = 3 (mod 4), and Atkin's a v (2a v^2 - 1), v = (2a)^((p - 5) / 8),
+    for p = 5 (mod 8).  The other primes take Tonelli and Shanks' loop."""
     if p <= offsets[-1]:  # p may divide an offset, where the tables do not hold
-        residues = offsets
+        return _tonelli_shanks(p, offsets)
+    residues = [j for j in offsets if _residue_classes(j)[p % (4 * j)]]
+    sources = _root_sources(offsets) if offsets[-1] >= 4 else {}  # 4 = 2^2 1 is the first
+    fresh = [j for j in residues if j not in sources] if sources else residues
+    out = []
+    if p & 3 == 3:
+        e = (p + 1) >> 2
+        for j in fresh:
+            x = pow(p - j, e, p)
+            out += ((j, x), (j, p - x))
+    elif p & 7 == 5:
+        e = (p - 5) >> 3
+        for j in fresh:
+            a = p - j
+            v = pow(2 * a, e, p)
+            x = a * v * (2 * a * v * v - 1) % p
+            out += ((j, x), (j, p - x))
     else:
-        residues = [j for j in offsets if _residue_classes(j)[p % (4 * j)]]
-        if p & 3 == 3:
-            e = (p + 1) >> 2
-            for j in residues:
-                x = pow(p - j, e, p)
+        out = _tonelli_shanks(p, fresh)
+    if sources:
+        root = dict(out[::2])  # each fresh offset's pair starts with one root
+        for j in residues:
+            if j in sources:
+                m, d = sources[j]
+                x = d * root[m] % p
                 out += ((j, x), (j, p - x))
-            return out
-        if p & 7 == 5:
-            e = (p - 5) >> 3
-            for j in residues:
-                a = p - j
-                v = pow(2 * a, e, p)
-                x = a * v * (2 * a * v * v - 1) % p
-                out += ((j, x), (j, p - x))
-            return out
+    return out
+
+
+def _tonelli_shanks(p: int, offsets) -> list[tuple[int, int]]:
+    """(j, x), (j, p - x) for each offset j with roots x of x^2 = -j (mod p),
+    by Tonelli and Shanks' loop; a single (j, 0) where p divides j."""
+    out = []
     q, s = p - 1, 0
     while not q & 1:
         q, s = q >> 1, s + 1
     e = (q - 1) >> 1
     c_root = 0  # z^q for a non-residue z, found when a root first needs it
-    for j in residues:
+    for j in offsets:
         a = -j % p
         if a == 0:
             out.append((j, 0))

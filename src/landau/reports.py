@@ -29,8 +29,11 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import io
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import chain
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from .config import Config
@@ -93,8 +96,16 @@ def _factor_list(fact: Factorization) -> list[list[int]]:
     return [[p, e] for p, e in fact.factors]
 
 
+def _ints(values, sep: str) -> str:
+    """``sep.join(map(str, values))`` for exact ints, in one % at C speed.
+    %d prints a bool, an int subclass or a float as an int, so none may
+    reach it."""
+    values = tuple(values)
+    return ("%d" + (sep.replace("%", "%%") + "%d") * (len(values) - 1) if values else "") % values
+
+
 def _braced(values) -> str:
-    return "{" + ",".join(map(str, values)) + "}"
+    return "{" + _ints(values, ",") + "}"
 
 
 # --------------------------------------------------------------------------
@@ -182,31 +193,74 @@ def _render_md(report: Report, config: Config, kind: str) -> bytes:
     return "".join(out).encode("utf-8")
 
 
-class _Lines(list):
-    """The file the csv writer writes to: each line it writes, as UTF-8."""
-
-    def write(self, line: str) -> None:
-        self.append(line.encode("utf-8"))
-
-
 def _render_csv(report: Report, config: Config, kind: str) -> bytes:
     import csv
 
-    # each line is encoded as it is written: one str of the whole text would
-    # take 2 or 4 bytes a character, since not every header is ASCII
-    out = _Lines([f"# config: {config.echo()}\r\n".encode("utf-8")])
-    writer = csv.writer(out)
-    writer.writerow(report.headers)
-    writer.writerows(report.rows)
-    return b"".join(out)
+    # the text is encoded in C as it is written: one str of the whole text
+    # would take 2 or 4 bytes a character, since not every header is ASCII;
+    # a wrapper over a readable stream would reset its decoder, a Python
+    # call, at every line, so it writes through a BufferedWriter
+    out = io.BytesIO()
+    with io.TextIOWrapper(io.BufferedWriter(out), encoding="utf-8", newline="") as text:
+        text.write(f"# config: {config.echo()}\r\n")
+        writer = csv.writer(text)
+        writer.writerow(report.headers)
+        writer.writerows(report.rows)
+        text.flush()
+        return out.getvalue()
+
+
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def _template(
+    values: list | tuple, quote: Callable[[str], str], indent: str
+) -> tuple[str, int, Any]:
+    """(template, width, arguments): the %-template of one of values at
+    indent, its count of placeholders, and the arguments that fill it for
+    each value in turn.  Exact ints, strs, and bools or None each fill one
+    placeholder; int lists of one length fill one a member; dicts with the
+    same keys, or other lists of one length, share a template built from the
+    first, filled slot by slot from the templates of their columns.  Any
+    other values, and a lone value, are rendered one by one."""
+    kinds = set(map(type, values))
+    if kinds == {int}:  # no bools, no int subclasses
+        return "%d", 1, values
+    if kinds == {str}:
+        return "%s", 1, map(quote, values)
+    if kinds <= {bool, type(None)}:
+        return "%s", 1, map(_LITERALS.__getitem__, values)
+    first, inner = values[0], indent + "  "
+    shared = len(values) > 1 and bool(first)  # a lone value or empty ones share nothing
+    if shared and kinds == {dict} and all(map(first.keys().__eq__, map(dict.keys, values))):
+        keys, brackets = sorted(first), "{}"
+        heads = [quote(k).replace("%", "%%") + ": " for k in keys]
+    elif shared and kinds <= {list, tuple} and set(map(len, values)) == {len(first)}:
+        keys, brackets = range(len(first)), "[]"
+        heads = [""] * len(first)
+        ints = list(chain.from_iterable(values))
+        if set(map(type, ints)) == {int}:  # every member's int in one go
+            body = ("," + inner).join(["%d"] * len(first))
+            return f"[{inner}{body}{indent}]", len(first), ints
+    else:
+        return "%s", 1, [_json(v, quote, indent) for v in values]
+    slots = [_template(list(map(itemgetter(k), values)), quote, inner) for k in keys]
+    body = ("," + inner).join([head + fmt for head, (fmt, _, _) in zip(heads, slots)])
+    # each slot's arguments cut into one tuple a value, then laid value by value
+    rows = zip(*[zip(*[iter(args)] * width) for _, width, args in slots])
+    return (
+        f"{brackets[0]}{inner}{body}{indent}{brackets[1]}",
+        sum(width for _, width, _ in slots),
+        chain.from_iterable(chain.from_iterable(rows)),
+    )
 
 
 def _json(value: Any, quote: Callable[[str], str], indent: str = "\n") -> str:
     """``json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False)``,
     byte for byte, for data whose dict keys are strings, given json's string
     escaping as ``quote``.  CPython serves an indented dump only from its
-    pure-Python encoder; here a list of plain ints is written with one join at
-    C speed."""
+    pure-Python encoder; here the items of a list that share one shape are
+    written by one % over one template (:func:`_template`) at C speed."""
     if type(value) is str:
         return quote(value)
     if type(value) is int:
@@ -221,13 +275,10 @@ def _json(value: Any, quote: Callable[[str], str], indent: str = "\n") -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if set(map(type, value)) == {int}:  # no bools, no int subclasses
-            body = sep.join(map(str, value))
-        else:
-            body = sep.join([_json(x, quote, inner) for x in value])
-        return f"[{inner}{body}{indent}]"
+        fmt, _, args = _template(value, quote, inner)
+        return f"[{inner}{(fmt + (sep + fmt) * (len(value) - 1)) % tuple(args)}{indent}]"
     if value is None or type(value) is bool:
-        return "null" if value is None else "true" if value else "false"
+        return _LITERALS[value]
     import json  # for floats, and subclasses of str or int
 
     return json.dumps(value, ensure_ascii=False)

@@ -16,7 +16,7 @@ from .figurate import (
     triangle_number,
 )
 from .primes import PrimeConvention, primes_in_range
-from .reports import Report, ReportError
+from .reports import Report, ReportError, _ints
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -34,7 +34,7 @@ def _frac(fr: Fraction) -> str:
 # Bound on n_max from the 64 MiB budget per call that bounds the couple lists
 # in goldbach.py: the table holds a record and a row for every k <= 40 and
 # every even k past it.  Tracemalloc peaks (CPython 3.11, x86-64) at 10^5:
-# 35.4 MiB for md, 41.3 for json and 29.2 for csv, in about 1 s.
+# 33.7 MiB for md, 41.0 for json and 20.6 for csv, in about 1 s.
 GHOST_TABLE_MAX_N = 10**5
 
 
@@ -60,10 +60,10 @@ def _emit_ghost_table(conv: PrimeConvention, /, *, n_max: int = 60) -> Report:
         own_row = {a: between for a, b, between in runs if b - a == 1}
         out = []
         for k in ks:
-            rec, between = records[k], ", ".join(map(str, first_row.get(k, [])))
+            rec, between = records[k], _ints(first_row.get(k, ()), ", ")
             out.append((str(k), f"p={k * k}+1={rec.p}", "(□)" if rec.is_parabolic else "", between))
             if k in own_row:
-                out.append(("", "", "", ", ".join(map(str, own_row[k]))))
+                out.append(("", "", "", _ints(own_row[k], ", ")))
         return tuple(out)
 
     footers = [
@@ -110,10 +110,12 @@ def _emit_ghost_table(conv: PrimeConvention, /, *, n_max: int = 60) -> Report:
 
 # Bound on k_max from the 64 MiB budget per call: the exact partial sum is
 # printed on every row, so the text grows with the square of the rows.
-# Tracemalloc peaks (CPython 3.11, x86-64) at 31,199: 63.97 MiB for md, 55.9
-# for json and 37.0 for csv, in under a second untraced; the next parabolic
-# k, 31,200, takes md to 64.03 MiB.  (The partial sum first has more than the
-# 4,300 digits CPython converts to text at k = 32,386.)
+# Tracemalloc peaks (CPython 3.11, x86-64) at 31,199, after a call at k_max
+# = 10: 64.1 MiB for md (63.7 after a call at 31,199, 64.4 as the first
+# call), 55.7 for json and 19.7 for csv, in under a second untraced; the next
+# parabolic k, 31,200, took md to 64.03 MiB as first measured.  (The partial
+# sum first has more than the 4,300 digits CPython converts to text at k =
+# 32,386.)
 ZETA_TABLE_MAX_K = 31_199
 
 
@@ -180,7 +182,7 @@ def _emit_three_triangular(conv: PrimeConvention, /, *, n: int) -> Report:
     return Report(
         title=f"Three-triangular decomposition of {n}",
         headers=("n", "decomposition", "triangle indices"),
-        build_rows=lambda: ((str(n), " + ".join(map(str, parts)), ", ".join(map(str, indices))),),
+        build_rows=lambda: ((str(n), _ints(parts, " + "), _ints(indices, ", ")),),
         footers=("Every natural number is a sum of at most three triangular numbers.",),
         build_payload=lambda: {"n": n, "parts": list(parts), "indices": indices},
     )

@@ -3,9 +3,11 @@ bound, and the primes between consecutive squares."""
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from .gaps import legendre_primes, polignac_dyadic_search, polignac_pairs
 from .primes import PrimeConvention
-from .reports import Report, ReportError, _pair
+from .reports import Report, ReportError, _ints, _pair
 
 
 # the gaps of the de Polignac couple table
@@ -81,7 +83,9 @@ def _emit_polignac_pairs(conv: PrimeConvention, /, *, two_n: int, q_max: int) ->
     return Report(
         title=f"{two_n}-de Polignac couples with q ≤ {q_max}",
         headers=("q", "p", "block m"),
-        build_rows=lambda: tuple((str(c.q), str(c.p), str(c.block)) for c in pairs),
+        build_rows=lambda: tuple(
+            zip(*(map(str, map(attrgetter(field), pairs)) for field in ("q", "p", "block")))
+        ),
         footers=(
             "block m is the smallest m ≥ 1 with q ≤ 2n·2^m.",
             f"{len(pairs)} couple(s) under {conv.value}.",
@@ -110,7 +114,7 @@ def _emit_legendre_table(
         title="Examples of primes p ∈ [n², (n+1)²]",
         headers=("n", "n²", "(n+1)²", "prime p ∈ [n², (n+1)²]"),
         build_rows=lambda: tuple(
-            (str(n), str(n * n), str((n + 1) * (n + 1)), ", ".join(map(str, primes)))
+            (str(n), str(n * n), str((n + 1) * (n + 1)), _ints(primes, ", "))
             for n, primes in intervals
         ),
         footers=(

@@ -4,11 +4,12 @@ the quasi-couples of one 2n."""
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any
 
 from .goldbach import CoupleKind, canonical_couple, enumerate_couples, quasi_couples
 from .primes import PrimeConvention
-from .reports import Report, _braced, _factor_list, _pair, _zn
+from .reports import Report, _factor_list, _pair, _zn
 from .zn import Factorization, factorize, units_profile
 
 
@@ -57,8 +58,20 @@ def _steps_entry(two_n: int, candidates: tuple[int, ...]) -> list[dict[str, Any]
     ]
 
 
-def _couple_entry(p: int, q: int, kind: CoupleKind, canonical: bool) -> dict[str, Any]:
-    return {"pair": [p, q], "kind": kind.value, "canonical": canonical}
+def _kind_texts(couples: list[tuple[int, int, CoupleKind, bool]]) -> list[str]:
+    """Each couple's kind as text, for couples in enumerate_couples' order or
+    a part of it: only the first and the last can be other than ORDINARY."""
+    texts = [CoupleKind.ORDINARY.value] * len(couples)
+    for i in {0, len(couples) - 1} if couples else ():
+        texts[i] = couples[i][2].value
+    return texts
+
+
+def _couple_entries(couples: list[tuple[int, int, CoupleKind, bool]]) -> list[dict[str, Any]]:
+    return [
+        {"pair": [p, q], "kind": kind, "canonical": canonical}
+        for (p, q, _, canonical), kind in zip(couples, _kind_texts(couples))
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -179,7 +192,7 @@ def _emit_ring_table(conv: PrimeConvention, /) -> Report:
             (
                 _zn(two_n),
                 "; ".join(_pair(p, q) + ("★" if star else "") for p, q, _, star in couples),
-                _braced(u if u in strong else f"({u})" for u in profile.units),
+                "{" + ",".join([str(u) if u in strong else f"({u})" for u in profile.units]) + "}",
                 str(profile.totient),
                 "; ".join(_pair(a, b) for a, b in quasi) if quasi else "-",
             )
@@ -191,7 +204,7 @@ def _emit_ring_table(conv: PrimeConvention, /) -> Report:
             "rows": [
                 {
                     "two_n": two_n,
-                    "couples": [_couple_entry(*c) for c in couples],
+                    "couples": _couple_entries(couples),
                     "units": list(profile.units),
                     "composite_units": [u for u in profile.units if u not in strong],
                     "strong": list(profile.strong),
@@ -234,15 +247,17 @@ def _emit_couples(conv: PrimeConvention, /, *, two_n: int) -> Report:
     return Report(
         title=f"Goldbach couples for {two_n}",
         headers=("p", "q", "kind", "canonical"),
-        build_rows=lambda: tuple(
-            (str(p), str(q), kind.value, "★" if canonical else "")
-            for p, q, kind, canonical in couples
-        ),
+        build_rows=lambda: tuple(zip(
+            map(str, map(itemgetter(0), couples)),
+            map(str, map(itemgetter(1), couples)),
+            _kind_texts(couples),
+            map(("", "★").__getitem__, map(itemgetter(3), couples)),
+        )),
         footers=(f"{len(couples)} couple(s) under {conv.value}.",),
         build_payload=lambda: {
             "two_n": two_n,
             "convention": conv.value,
-            "couples": [_couple_entry(*c) for c in couples],
+            "couples": _couple_entries(couples),
         },
     )
 
@@ -252,7 +267,9 @@ def _emit_quasi_couples(conv: PrimeConvention, /, *, two_n: int) -> Report:
     return Report(
         title=f"Quasi-Goldbach couples for {two_n}",
         headers=("a", "2n-a"),
-        build_rows=lambda: tuple((str(a), str(b)) for a, b in quasi),
+        build_rows=lambda: tuple(
+            zip(map(str, map(itemgetter(0), quasi)), map(str, map(itemgetter(1), quasi)))
+        ),
         footers=(
             "Unit pairs (a, 2n-a) with at least one composite member.",
             f"{len(quasi)} pair(s) under {conv.value}.",
@@ -260,6 +277,6 @@ def _emit_quasi_couples(conv: PrimeConvention, /, *, two_n: int) -> Report:
         build_payload=lambda: {
             "two_n": two_n,
             "convention": conv.value,
-            "pairs": [[a, b] for a, b in quasi],
+            "pairs": list(map(list, quasi)),
         },
     )

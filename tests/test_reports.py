@@ -20,6 +20,7 @@ from landau.primes import PrimeConvention
 from landau.reports import (
     _RENDERERS,
     Report,
+    _ints,
     ReportError,
     build_report,
     emit_report,
@@ -611,8 +612,24 @@ _LEAVES = (
     | st.floats()
     | _TEXT
 )
-_JSON = st.recursive(
+# lists whose items share one shape: int lists of one length, and dicts with
+# the same keys, each key holding one kind of value (or, last, any of them)
+_SLOTS = (
+    st.integers(),
+    _TEXT,
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(), min_size=2, max_size=2),
+    st.lists(st.integers(), max_size=3),
     _LEAVES,
+)
+_SHAPED = st.integers(0, 3).flatmap(
+    lambda n: st.lists(st.lists(st.integers(), min_size=n, max_size=n), min_size=1, max_size=6)
+) | st.dictionaries(_TEXT, st.sampled_from(_SLOTS), min_size=1, max_size=4).flatmap(
+    lambda shape: st.lists(st.fixed_dictionaries(shape), min_size=1, max_size=6)
+)
+_JSON = st.recursive(
+    _LEAVES | _SHAPED,
     lambda inner: (
         st.lists(inner, max_size=6)
         | st.lists(st.integers() | st.booleans(), max_size=6)
@@ -620,6 +637,42 @@ _JSON = st.recursive(
     ),
     max_leaves=40,
 )
+
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+_COUPLE = {"canonical": False, "kind": "ordinary", "pair": [3, 7]}
+# a list of same-shaped items with one item changed so that it no longer
+# shares the shape, or shares it with text that looks like a template
+_NEAR_MISSES = {
+    "bool in an int list": [[1, 2], [True, 2]],
+    "float in an int list": [[1, 2], [1.5, 2]],
+    "int subclass in an int list": [[1, 2], [_Int(3), 2]],
+    "another length": [[1, 2], [1, 2, 3]],
+    "an empty list": [[1, 2], []],
+    "empty lists": [[], []],
+    "bool for an int": [_COUPLE, {**_COUPLE, "pair": [3, True]}],
+    "int for a bool": [_COUPLE, {**_COUPLE, "canonical": 1}],
+    "float for an int": [_COUPLE, {**_COUPLE, "pair": [3, 7.0]}],
+    "str subclass for a str": [_COUPLE, {**_COUPLE, "kind": _Str("trivial")}],
+    "None for a str": [_COUPLE, {**_COUPLE, "kind": None}],
+    "missing key": [_COUPLE, {"kind": "ordinary", "pair": [3, 7]}],
+    "extra key": [_COUPLE, {**_COUPLE, "depth": 2}],
+    "other key": [{"a": 1}, {"b": 1}],
+    "% in a key": [{"100%": 1, "%d": 2}, {"100%": 3, "%d": 4}],
+    "% in a value": [{"k": "%s%%d"}, {"k": "%"}],
+    "empty dicts": [{}, {}],
+    "an empty list inside": [{"p": []}, {"p": [1]}],
+    "int lists of other lengths inside": [{"p": [1, 2], "q": 0}, {"p": [1], "q": 1}],
+    "tuples and lists": [(1, 2), [3, 4]],
+    "nested shapes": [{"a": [[1, 2], [3, 4]]}, {"a": [[5, 6], [7, 8]]}],
+}
 
 
 class TestJsonEncoder:
@@ -647,6 +700,23 @@ class TestJsonEncoder:
         report = Report("t", ("h",), _never, ("f",), lambda: value)
         doc = {"kind": "x", "title": "t", "config": CFG.as_dict(), "footnotes": ["f"], "report": value}
         assert _RENDERERS["json"](report, CFG, "x") == _dumps(doc)
+
+    @pytest.mark.parametrize("case", list(_NEAR_MISSES))
+    def test_near_misses_of_a_shape_render_as_json_dumps_would(self, case):
+        value = {"rows": _NEAR_MISSES[case]}
+        report = Report("t", ("h",), _never, ("f",), lambda: value)
+        doc = {"kind": "x", "title": "t", "config": CFG.as_dict(), "footnotes": ["f"], "report": value}
+        assert _RENDERERS["json"](report, CFG, "x") == _dumps(doc)
+
+    def test_int_text_is_str_of_each_int(self):
+        values = (0, -1, 7, -(2**63), 2**64, 10**4299, -(10**4299))
+        for sep in (",", ", ", " + ", "%d"):
+            assert _ints(values, sep) == sep.join(map(str, values))
+            assert _ints(values[:1], sep) == "0" and _ints((), sep) == ""
+        with pytest.raises(ValueError) as raised:
+            ",".join(map(str, (1, 10**4300)))
+        with pytest.raises(ValueError, match=re.escape(str(raised.value))):
+            _ints((1, 10**4300), ",")
 
 
 class TestLaziness:
