@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
+from itertools import compress
 from typing import TYPE_CHECKING
 
 from .primes import (
@@ -209,7 +210,7 @@ def parabolic_primes(
 
 def _parabolic_records(ks: range, conv: PrimeConvention) -> list[ParabolicRecord]:
     return [ParabolicRecord(k, prime, totient_is_k_squared(k))
-            for k, prime in zip(ks, _parabolic_verdicts(ks, conv))]
+            for k, prime in zip(ks, map(bool, _parabolic_verdicts(ks, conv)))]
 
 
 @cache
@@ -232,9 +233,8 @@ def zeta_partial(k_max: int) -> tuple[Fraction, float]:
 
     total = Fraction(0)
     ks = range(1, k_max + 1)
-    for k, prime in zip(ks, _parabolic_verdicts(ks, PrimeConvention.EXCLUDE1)):
-        if prime:
-            total += Fraction(1, k * k)
+    for k in compress(ks, _parabolic_verdicts(ks, PrimeConvention.EXCLUDE1)):
+        total += Fraction(1, k * k)
     _check_zeta_bounds(total, k_max)
     return total, math.pi * math.pi / 6
 

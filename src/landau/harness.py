@@ -5,9 +5,14 @@ for every even number (couple search), a small-prime witness for every even
 gap, a prime inside every square interval, and totient/primality agreement
 for every parabolic candidate k^2 + 1, whose unit count comes from an N - 1
 certificate per k (figurate.totient_is_k_squared) and whose primality from
-the square sieve, so the two verdicts stay independent.  The square sieve
-and both of its readers live in primes: primes._parabolic_verdicts gives
-the k^2 + 1 verdicts, and primes._first_gaps the first prime from each n^2.
+the square sieve, so the two verdicts stay independent.  An odd k > 1 is
+settled by parity: k^2 + 1 is even, the certificate's gcd step rejects it,
+and one scan of the odd k's verdict bytes finds any that says prime, so the
+certificate runs only for k = 1 and the even k.  The square sieve and both
+of its readers live in primes: primes._parabolic_verdicts gives the k^2 + 1
+verdicts as bytes, and primes._first_gaps the first prime from each n^2;
+the sieve strikes a class of rows by slice, or by index where it holds one
+slot of the block.
 
 Progress lives in a line-delimited JSON checkpoint, one record per contiguous
 verified subrange.  The file is only ever replaced whole (write a sibling
@@ -52,7 +57,7 @@ import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import islice
+from itertools import chain, islice
 from typing import Any, Callable, Iterable, Iterator
 
 from .figurate import totient_is_k_squared
@@ -492,23 +497,30 @@ def _check_legendre(conv: PrimeConvention, lo: int, hi: int) -> dict[str, Any]:
 
 
 def _check_parabolic(conv: PrimeConvention, lo: int, hi: int) -> dict[str, Any]:
-    stats = {"instances": 0, "parabolic": 0, "largest_parabolic_k": 0}
-    ks = range(lo, hi + 1)
-    for k, prime in zip(ks, _parabolic_verdicts(ks, conv)):
-        tot_match = totient_is_k_squared(k)
-        if prime != tot_match:
-            witness = {
-                "instance": k,
-                "reason": "primality and totient verdicts disagree",
-                "prime": prime,
-                "totient_match": tot_match,
-            }
-            return {"stats": stats, "witness": witness}
-        stats["instances"] += 1
-        if prime:
-            stats["parabolic"] += 1
-            stats["largest_parabolic_k"] = k
-    return {"stats": stats, "witness": None}
+    verdicts = bytes(_parabolic_verdicts(range(lo, hi + 1), conv))
+    # an odd k > 1 makes k^2 + 1 even and past 2, which the certificate's
+    # gcd step rejects: those k agree up to the first whose verdict says
+    # prime, and only k = 1 and the even k before it take the certificate
+    odd = max(lo | 1, 3) - lo
+    found = verdicts[odd::2].find(1)
+    end = len(verdicts) if found < 0 else odd + 2 * found
+    for k in chain((1,) if lo == 1 else (), range(lo + (lo & 1), lo + end, 2)):
+        if verdicts[k - lo] != totient_is_k_squared(k):
+            end = k - lo
+            break
+    last = verdicts.rfind(1, 0, end)
+    stats = {"instances": end, "parabolic": verdicts.count(1, 0, end),
+             "largest_parabolic_k": lo + last if last >= 0 else 0}
+    witness = None
+    if end < len(verdicts):
+        prime = verdicts[end] == 1
+        witness = {
+            "instance": lo + end,
+            "reason": "primality and totient verdicts disagree",
+            "prime": prime,
+            "totient_match": not prime,
+        }
+    return {"stats": stats, "witness": witness}
 
 
 @dataclass(frozen=True)
@@ -567,7 +579,8 @@ class _Rule:
 # above 0.005 MB) differ from walking.  A chunk pays the roots for every
 # prime up to its top, so a range costs least in the fewest chunks, and the
 # peak is a byte per odd value held (8 a Legendre row when the table was
-# measured, 12 since, and 1 an even parabolic k).  But a range splits across
+# measured, 12 since, and 1 an even parabolic k, beside a verdict byte per k
+# since).  But a range splits across
 # a pool only by its chunks.  With two
 # workers (the median of three fresh processes), Legendre on 2^15 rows from
 # 1e6, walked, took 1.07 s in chunks of 4096 and 1.78 s in one of 2^15; on

@@ -282,12 +282,14 @@ def primes_in_range(
 # _square_flags sieves the odd values k^2 + j just above the squares of a block
 # of rows k, the way _odd_flags sieves a window: an odd prime p divides k^2 + j
 # exactly when k is a root of x^2 = -j (mod p), so each root strikes its class
-# of rows with one slice assignment (Shanks, MTAC 13 (1959) 78-86), and every
-# value that survives the primes up to its square root is prime.  A prime
-# pays a pow only for the offsets that have roots, about half of them, which
+# of rows with one slice assignment (Shanks, MTAC 13 (1959) 78-86), or by
+# index where the class holds one slot of the block, and every value that
+# survives the primes up to its square root is prime.  A prime pays a pow
+# only for the offsets that have roots, about half of them, which
 # _residue_classes tells from p mod 4j, and the root is a closed form unless
 # p = 1 (mod 8); an offset d^2 m takes d times the root of the offset m
-# (_square_roots).
+# (_square_roots).  _parabolic_verdicts sieves the even k only: an odd k > 1
+# is settled by parity, k^2 + 1 being even.
 #
 # The sieve pays while the primes up to its last row, counted as
 # top / ln top, number at most a quarter of the k its rows span (len(ks) *
@@ -381,6 +383,12 @@ def _residue_classes(j: int) -> bytes:
 
 
 @functools.cache
+def _residue_tables(offsets: range) -> tuple[tuple[int, bytes, int], ...]:
+    """(j, _residue_classes(j), 4j) for each offset j, read once per range."""
+    return tuple((j, _residue_classes(j), 4 * j) for j in offsets)
+
+
+@functools.cache
 def _root_sources(offsets: range) -> dict[int, tuple[int, int]]:
     """j -> (m, d) for each offset j = d^2 m, d >= 2, with m an offset too:
     d x is a root of x^2 = -j wherever x is one of x^2 = -m."""
@@ -403,7 +411,7 @@ def _square_roots(p: int, offsets: range) -> list[tuple[int, int]]:
     for p = 5 (mod 8).  The other primes take Tonelli and Shanks' loop."""
     if p <= offsets[-1]:  # p may divide an offset, where the tables do not hold
         return _tonelli_shanks(p, offsets)
-    residues = [j for j in offsets if _residue_classes(j)[p % (4 * j)]]
+    residues = [j for j, table, m in _residue_tables(offsets) if table[p % m]]
     sources = _root_sources(offsets) if offsets[-1] >= 4 else {}  # 4 = 2^2 1 is the first
     fresh = [j for j in residues if j not in sources] if sources else residues
     out = []
@@ -497,8 +505,12 @@ def _square_flags(ks: range, slots: int) -> bytearray:
             # (j - 1) >> 1 of a row of the other parity
             i = ((r if (r + j) & 1 else r + p) - first) % two_p
             at = i // step * slots + ((j - 1) >> 1)
-            if at < size:
+            # at < stride, so a class whose stride is at least the block
+            # holds at most one slot of it, struck by index
+            if stride < size:
                 flags[at::stride] = zeros[: (size - 1 - at) // stride + 1]
+            elif at < size:
+                flags[at] = 0
     return flags
 
 
@@ -542,17 +554,23 @@ def _first_gaps(lo: int, hi: int, conv: PrimeConvention) -> Iterator[int]:
                else next_prime(n * n + 2 * slots, conv) - n * n)
 
 
-def _parabolic_verdicts(ks: range, conv: PrimeConvention) -> Iterator[bool]:
-    """Whether k^2 + 1 is prime under conv, for each k of ks (k >= 1, step 1,
-    or step 2 over even k): the even k sieved from _SQUARE_SIEVE_FROM on where
-    that pays, else is_prime; an odd k > 1 makes k^2 + 1 even."""
+def _parabolic_verdicts(ks: range, conv: PrimeConvention) -> bytearray:
+    """Byte i is 1 iff k^2 + 1 is prime under conv, k = ks[i] (k >= 1, step
+    1, or step 2 over even k): 1 at k = 1, 0 at every odd k > 1, which makes
+    k^2 + 1 even, and the even k sieved from _SQUARE_SIEVE_FROM on where that
+    pays, else tested with is_prime."""
     start = max(ks.start, _SQUARE_SIEVE_FROM)
     evens = range(start + (start & 1), ks.stop, 2)
     if not _square_sieve_pays(evens):
         evens = range(ks.stop, ks.stop, 2)  # none: every even k is tested
-    flags = _square_flags(evens, 1) if evens else b""
-    return (k == 1 if k & 1 else is_prime(k * k + 1, conv) if k < evens.start
-            else flags[(k - evens.start) >> 1] == 1 for k in ks)
+    tested = range(ks.start + (ks.start & 1), evens.start, 2)
+    out = bytearray(len(ks))
+    # the even k lie 2 // ks.step bytes apart, the first at byte ks.start & 1
+    out[ks.start & 1 :: 2 // ks.step] = (bytes(is_prime(k * k + 1, conv) for k in tested)
+                                         + (_square_flags(evens, 1) if evens else b""))
+    if ks and ks.start == 1:
+        out[0] = 1
+    return out
 
 
 def prime_flags(hi: int, conv: PrimeConvention = DEFAULT_CONVENTION) -> bytearray:

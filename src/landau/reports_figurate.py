@@ -109,14 +109,13 @@ def _emit_ghost_table(conv: PrimeConvention, /, *, n_max: int = 60) -> Report:
 # zeta estimate over the parabolic primes
 
 # Bound on k_max from the 64 MiB budget per call: the exact partial sum is
-# printed on every row, so the text grows with the square of the rows.
-# Tracemalloc peaks (CPython 3.11, x86-64) at 31,199, after a call at k_max
-# = 10: 64.1 MiB for md (63.7 after a call at 31,199, 64.4 as the first
-# call), 55.7 for json and 19.7 for csv, in under a second untraced; the next
-# parabolic k, 31,200, took md to 64.03 MiB as first measured.  (The partial
-# sum first has more than the 4,300 digits CPython converts to text at k =
-# 32,386.)
-ZETA_TABLE_MAX_K = 31_199
+# printed on every row, so the text grows with the square of the rows, and
+# the peak steps up at each parabolic k.  Tracemalloc peaks (CPython 3.11,
+# x86-64) at 31,065 as a process's first call, which peaks highest: 63.96 MiB
+# for md, 56.0 for json and 20.3 for csv, in under a second untraced; the
+# next parabolic k, 31,066, takes md to 64.02 MiB.  (The partial sum first
+# has more than the 4,300 digits CPython converts to text at k = 32,386.)
+ZETA_TABLE_MAX_K = 31_065
 
 
 def _emit_zeta_table(conv: PrimeConvention, /, *, k_max: int = 10) -> Report:

@@ -232,6 +232,12 @@ class TestParabolicPrimes:
         assert marked == PARABOLIC_K
         assert [r.p for r in rows if r.is_parabolic] == PARABOLIC_P
 
+    def test_verdicts_are_bools_where_tested_and_where_sieved(self):
+        # the sieve takes the even k from 3014 on at k_max = 6000
+        rows = parabolic_primes(6000)
+        assert all(type(r.is_parabolic) is bool for r in rows)
+        assert {r.is_parabolic for r in rows[3013::2]} == {True, False}
+
     def test_nine_plus_one_is_not(self):
         rec = parabolic_primes(3)[-1]
         assert rec.k == 3 and rec.p == 10

@@ -625,6 +625,34 @@ def test_parabolic_counterexample_branch_matches_per_k_checker(monkeypatch, conv
     assert got["stats"] == want["stats"]
 
 
+def _lying_at_odd_k(above):
+    """The checker's primality verdicts, saying prime for every odd k > above."""
+    real = harness._parabolic_verdicts
+
+    def lie(ks, conv):
+        return (True if k & 1 and k > above else prime for k, prime in zip(ks, real(ks, conv)))
+
+    return lie
+
+
+@pytest.mark.parametrize("conv", [INC, EXC], ids=lambda c: c.value)
+@pytest.mark.parametrize("lo,above", [(1, 0), (1, 1), (1, 700), (4000, 4000), (4001, 4600),
+                                      (3014, 5000), (10**6, 10**6 + 1)])
+def test_parabolic_witness_at_an_odd_k_comes_from_the_parity_scan(monkeypatch, conv, lo, above):
+    # every even k agrees, so only the scan of the odd k finds the first k
+    # whose verdict says prime
+    monkeypatch.setattr(harness, "_parabolic_verdicts", _lying_at_odd_k(above))
+    # k^2 + 1 is even exactly at odd k
+    monkeypatch.setattr(oracles, "is_prime", lambda n, conv=INC: (
+        n & 1 == 0 and n > above * above + 1 or is_prime(n, conv)))
+    hi = lo + 2000
+    got, want = harness._check_parabolic(conv, lo, hi), oracles.check_parabolic(conv, lo, hi)
+    bad = max(lo, above + 1, 3) | 1
+    assert want["witness"] == {"instance": bad, "reason": "primality and totient verdicts disagree",
+                               "prime": True, "totient_match": False}
+    assert got == want
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize(
     "task,lo,hi,convs,stats",

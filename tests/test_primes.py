@@ -315,6 +315,19 @@ class TestSquareFlags:
         assert len(_MR_TIERS[1][1]) == 2
 
 
+# a root's class repeats every 2p / step rows, so a block of exactly that
+# many rows holds one slot of it: the primes below p strike their classes by
+# slice, and p and the primes above it by index; 3014 is the sieve's first row
+@pytest.mark.parametrize("h", [3014, 10**4])
+@pytest.mark.parametrize("p", [3, 101, 1013])
+@pytest.mark.parametrize("step,slots", [(1, _LEGENDRE_SLOTS), (2, 1)], ids=["legendre", "parabolic"])
+def test_square_flags_at_a_stride_as_long_as_the_block(h, p, step, slots):
+    ks = range(h, h + 2 * p, step)
+    assert len(ks) == 2 * p // step
+    values = [k * k + 2 * s + 1 + (k & 1) for k in ks for s in range(slots)]
+    assert list(_square_flags(ks, slots)) == [is_prime(v) for v in values]
+
+
 # the offsets the square sieve asks roots for: a Legendre row's both
 # parities, its even offsets alone (step-2 rows over odd k), and parabolic's 1
 _OFFSETS = [range(1, 2 * _LEGENDRE_SLOTS + 1), range(2, 2 * _LEGENDRE_SLOTS + 1, 2), range(1, 3, 2)]

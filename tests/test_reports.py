@@ -3,6 +3,8 @@ constants of the sibling suites, renderer determinism, and error paths."""
 
 import json
 import re
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -27,6 +29,7 @@ from landau.reports import (
     report_kinds,
     report_parameters,
 )
+from landau.reports_figurate import ZETA_TABLE_MAX_K
 from landau.reports_gaps import POLIGNAC_GAPS
 from landau.reports_goldbach import DESCENT_TARGETS, RING_MODULI
 from landau.zn import factorize
@@ -513,6 +516,33 @@ class TestZetaTable:
     def test_table_sum_is_zeta_partial(self, k_max):
         report = build_report("zeta-table", {"k_max": k_max}, CFG)
         assert Fraction(report.payload["partial_sum"]) == zeta_partial(k_max)[0]
+
+    def test_the_cap_renders_within_the_call_budget(self):
+        # traced as a fresh process's first call, the call that peaks highest,
+        # since what it imports counts too: the report is built once, and
+        # each format renders a copy with nothing cached, the terms held
+        script = f"""if True:
+            import dataclasses, json, sys, tracemalloc
+            sys.path.insert(0, {str(Path(primes.__file__).parents[1])!r})
+            from landau.config import Config
+            from landau.reports import _RENDERERS, build_report
+            cfg = Config(workers=1)
+            tracemalloc.start()
+            report = build_report("zeta-table", {{"k_max": {ZETA_TABLE_MAX_K}}}, cfg)
+            peaks = {{"build": tracemalloc.get_traced_memory()[1]}}
+            for fmt in ("md", "csv", "json"):
+                tracemalloc.reset_peak()
+                out = _RENDERERS[fmt](dataclasses.replace(report), cfg, "zeta-table")
+                peaks[fmt] = tracemalloc.get_traced_memory()[1]
+                assert len(out) > 9 * 10**6, fmt
+                del out
+            print(json.dumps(peaks))
+        """
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        peaks = json.loads(proc.stdout)
+        assert max(peaks.values()) < 64 * 2**20, {k: v / 2**20 for k, v in peaks.items()}
 
     def test_each_candidate_is_tested_once(self, monkeypatch):
         # each even k is settled once: by is_prime below the square sieve's
