@@ -284,12 +284,13 @@ def primes_in_range(
 # exactly when k is a root of x^2 = -j (mod p), so each root strikes its class
 # of rows with one slice assignment (Shanks, MTAC 13 (1959) 78-86), or by
 # index where the class holds one slot of the block, and every value that
-# survives the primes up to its square root is prime.  A prime pays a pow
-# only for the offsets that have roots, about half of them, which
-# _residue_classes tells from p mod 4j, and the root is a closed form unless
-# p = 1 (mod 8); an offset d^2 m takes d times the root of the offset m
-# (_square_roots).  _parabolic_verdicts sieves the even k only: an odd k > 1
-# is settled by parity, k^2 + 1 being even.
+# survives the primes up to its square root is prime.  Every prime reads
+# _root_plan's Jacobi tables at p mod 4j and pays a pow only for the offsets
+# that have roots, about half of them, and the root is a closed form unless
+# p = 1 (mod 8); an offset d^2 m takes d times the root of the offset m, and
+# an offset that p divides has the single root 0 (_square_roots).
+# _parabolic_verdicts sieves the even k only: an odd k > 1 is settled by
+# parity, k^2 + 1 being even.
 #
 # The sieve pays while the primes up to its last row, counted as
 # top / ln top, number at most a quarter of the k its rows span (len(ks) *
@@ -352,67 +353,51 @@ def _square_sieve_pays(ks: range) -> bool:
     return top <= _BASE_LIMIT and 4 * top / math.log(top + 2) <= len(ks) * ks.step
 
 
-def _non_residue_power(p: int, q: int) -> int:
-    """z^q mod p for the least quadratic non-residue z of the odd prime p,
-    which Euler's criterion tells by z^((p - 1) / 2) = -1 (mod p)."""
-    z = 2
-    while pow(z, (p - 1) >> 1, p) != p - 1:
-        z += 1
-    return pow(z, q, p)
-
-
 @functools.cache
-def _residue_classes(j: int) -> bytes:
-    """Byte c is 1 iff -j is a square modulo the odd primes p = c (mod 4j)
-    that do not divide j: the Jacobi symbol (-j | c) is 1, and by reciprocity
-    (-j | p) depends only on p mod 4j."""
-    out = bytearray(4 * j)
-    for c in range(1, 4 * j, 2):
-        a, n, t = -j % c, c, 1
-        while a:
-            while not a & 1:
-                a >>= 1
-                if n & 7 in (3, 5):
-                    t = -t
-            a, n = n, a
-            if a & n & 3 == 3:
-                t = -t
-            a %= n
-        out[c] = n == 1 and t == 1
-    return bytes(out)
-
-
-@functools.cache
-def _residue_tables(offsets: range) -> tuple[tuple[int, bytes, int], ...]:
-    """(j, _residue_classes(j), 4j) for each offset j, read once per range."""
-    return tuple((j, _residue_classes(j), 4 * j) for j in offsets)
-
-
-@functools.cache
-def _root_sources(offsets: range) -> dict[int, tuple[int, int]]:
-    """j -> (m, d) for each offset j = d^2 m, d >= 2, with m an offset too:
+def _root_plan(offsets: range) -> tuple[tuple[tuple[int, bytes, int], ...], dict[int, tuple[int, int]]]:
+    """What _square_roots reads for the offsets, built once per range.  For
+    each offset j, (j, symbols, 4j): byte c of symbols is 1 iff the Jacobi
+    symbol (-j | c) is 1, so by reciprocity symbols[p % 4j] is 1 iff -j is a
+    nonzero square modulo the odd prime p, and 0 where p divides j.  And
+    j -> (m, d) for each offset j = d^2 m, d >= 2, with m an offset too:
     d x is a root of x^2 = -j wherever x is one of x^2 = -m."""
-    return {
+    tables = []
+    for j in offsets:
+        symbols = bytearray(4 * j)
+        for c in range(1, 4 * j, 2):
+            a, n, t = -j % c, c, 1
+            while a:
+                while not a & 1:
+                    a >>= 1
+                    if n & 7 in (3, 5):
+                        t = -t
+                a, n = n, a
+                if a & n & 3 == 3:
+                    t = -t
+                a %= n
+            symbols[c] = n == 1 and t == 1
+        tables.append((j, bytes(symbols), 4 * j))
+    sources = {
         j: (j // (d * d), d)
         for j in offsets
         for d in range(2, math.isqrt(j) + 1)
         if j % (d * d) == 0 and j // (d * d) in offsets
     }
+    return tuple(tables), sources
 
 
 def _square_roots(p: int, offsets: range) -> list[tuple[int, int]]:
     """(j, r) for each offset j and each root r of x^2 = -j (mod p), for an
-    odd prime p and ascending offsets j >= 1.  Past the largest offset p
-    divides no j, so _residue_classes drops the j without roots before any
-    pow, an offset d^2 m takes d times the root of the offset m
-    (_root_sources), and a root of a = -j is a closed form unless p = 1
-    (mod 8) (Mueller, Des. Codes Cryptogr. 31 (2004) 301-312): a^((p + 1) / 4)
-    for p = 3 (mod 4), and Atkin's a v (2a v^2 - 1), v = (2a)^((p - 5) / 8),
-    for p = 5 (mod 8).  The other primes take Tonelli and Shanks' loop."""
-    if p <= offsets[-1]:  # p may divide an offset, where the tables do not hold
-        return _tonelli_shanks(p, offsets)
-    residues = [j for j, table, m in _residue_tables(offsets) if table[p % m]]
-    sources = _root_sources(offsets) if offsets[-1] >= 4 else {}  # 4 = 2^2 1 is the first
+    odd prime p and ascending offsets j >= 1.  _root_plan's tables drop the
+    j without roots, and the j that p divides, before any pow; an offset
+    d^2 m takes d times the root of the offset m, and a root of a = -j is a
+    closed form unless p = 1 (mod 8) (Mueller, Des. Codes Cryptogr. 31
+    (2004) 301-312): a^((p + 1) / 4) for p = 3 (mod 4), and Atkin's
+    a v (2a v^2 - 1), v = (2a)^((p - 5) / 8), for p = 5 (mod 8).  The other
+    primes take Tonelli and Shanks' loop.  An offset that p divides has the
+    single root 0."""
+    tables, sources = _root_plan(offsets)
+    residues = [j for j, symbols, m in tables if symbols[p % m]]
     fresh = [j for j in residues if j not in sources] if sources else residues
     out = []
     if p & 3 == 3:
@@ -436,42 +421,35 @@ def _square_roots(p: int, offsets: range) -> list[tuple[int, int]]:
                 m, d = sources[j]
                 x = d * root[m] % p
                 out += ((j, x), (j, p - x))
+    if p < offsets.stop:  # after the pairs, whose first roots out[::2] read
+        out += [(j, 0) for j in range(p, offsets.stop, p) if j in offsets]
     return out
 
 
-def _tonelli_shanks(p: int, offsets) -> list[tuple[int, int]]:
-    """(j, x), (j, p - x) for each offset j with roots x of x^2 = -j (mod p),
-    by Tonelli and Shanks' loop; a single (j, 0) where p divides j."""
-    out = []
+def _tonelli_shanks(p: int, residues: list[int]) -> list[tuple[int, int]]:
+    """(j, x), (j, p - x) for each offset j with -j a nonzero square modulo
+    the prime p = 1 (mod 8), by Tonelli and Shanks' loop from z^q, z the
+    least non-residue, which Euler's criterion tells by z^((p - 1) / 2) = -1."""
     q, s = p - 1, 0
     while not q & 1:
         q, s = q >> 1, s + 1
-    e = (q - 1) >> 1
-    c_root = 0  # z^q for a non-residue z, found when a root first needs it
-    for j in offsets:
+    z = 2
+    while pow(z, (p - 1) >> 1, p) != p - 1:
+        z += 1
+    zq, e = pow(z, q, p), (q - 1) >> 1
+    out = []
+    for j in residues:
         a = -j % p
-        if a == 0:
-            out.append((j, 0))
-            continue
         y = pow(a, e, p)
-        x, t, m, c = a * y % p, a * y * y % p, s, 0  # a^((q+1)/2), a^q
-        if t != 1 and s == 1:  # t = a^((p-1)/2) = -1: a is a non-residue
-            continue
+        x, t, m, c = a * y % p, a * y * y % p, s, zq  # a^((q+1)/2), a^q
         while t != 1:
             i, u = 0, t
-            while u != 1 and i < m:
+            while u != 1:
                 u, i = u * u % p, i + 1
-            if i == m:  # a is a non-residue
-                break
-            if not c:
-                c = c_root = c_root or _non_residue_power(p, q)
-            b = c
-            for _ in range(m - i - 1):
-                b = b * b % p
+            b = pow(c, 1 << (m - i - 1), p)
             m, c = i, b * b % p
             t, x = t * c % p, x * b % p
-        if t == 1:
-            out += ((j, x), (j, p - x))
+        out += ((j, x), (j, p - x))
     return out
 
 

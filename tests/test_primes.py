@@ -14,8 +14,9 @@ from landau.primes import (
     _SQUARE_SIEVE_FROM,
     _WHEEL,
     PrimeConvention,
+    _first_gaps,
     _odd_flags,
-    _residue_classes,
+    _root_plan,
     _square_flags,
     _square_roots,
     _square_sieve_pays,
@@ -328,6 +329,18 @@ def test_square_flags_at_a_stride_as_long_as_the_block(h, p, step, slots):
     assert list(_square_flags(ks, slots)) == [is_prime(v) for v in values]
 
 
+# _first_gaps run to its end, as _check_legendre's zip never runs it, on a
+# span below the floor and on one from it too narrow for the sieve to pay:
+# every row is walked and the generator stops after the last one
+@pytest.mark.parametrize("lo,hi", [(1, 300), (_SQUARE_SIEVE_FROM, _SQUARE_SIEVE_FROM + 99)],
+                         ids=["below-floor", "walked-from-floor"])
+@pytest.mark.parametrize("conv", [INC, EXC])
+def test_first_gaps_exhausted_equal_a_next_prime_walk(lo, hi, conv):
+    assert not _square_sieve_pays(range(max(lo, _SQUARE_SIEVE_FROM), hi + 1))
+    assert list(_first_gaps(lo, hi, conv)) == [next_prime(n * n - 1, conv) - n * n
+                                                 for n in range(lo, hi + 1)]
+
+
 # the offsets the square sieve asks roots for: a Legendre row's both
 # parities, its even offsets alone (step-2 rows over odd k), and parabolic's 1
 _OFFSETS = [range(1, 2 * _LEGENDRE_SLOTS + 1), range(2, 2 * _LEGENDRE_SLOTS + 1, 2), range(1, 3, 2)]
@@ -346,21 +359,31 @@ class TestSquareRoots:
 
     def test_closed_forms_find_what_tonelli_shanks_found(self):
         # every class mod 8 of the primes below 2^18, past and up to the
-        # largest offset
+        # largest offset, for each set of offsets the sieve asks roots for;
+        # each set is within the first, so one oracle call serves all three
         ps = primes_in_range(3, 2**18)
         assert {p % 8 for p in ps} == {1, 3, 5, 7}
-        offsets = _OFFSETS[0]
+        assert all(set(offsets) <= set(_OFFSETS[0]) for offsets in _OFFSETS)
         for p in ps:
-            assert set(_square_roots(p, offsets)) == tonelli_shanks_roots(p, offsets), p
+            roots = tonelli_shanks_roots(p, _OFFSETS[0])
+            for offsets in _OFFSETS:
+                got = _square_roots(p, offsets)
+                assert len(got) == len(set(got)), (p, offsets)
+                assert set(got) == {(j, x) for j, x in roots if j in offsets}, (p, offsets)
 
     def test_residue_classes_follow_eulers_criterion(self):
+        # _square_roots sends every odd prime through these bytes, so each
+        # byte is 0 where p divides j (a prime up to 23 here)
         ps = primes_in_range(3, 2**16 - 1)
-        for j in range(1, 2 * _LEGENDRE_SLOTS + 1):
-            table = _residue_classes(j)
-            assert len(table) == 4 * j
+        tables, _ = _root_plan(_OFFSETS[0])
+        assert [j for j, _, _ in tables] == list(_OFFSETS[0])
+        for j, table, m in tables:
+            assert m == len(table) == 4 * j
             for p in ps:
                 if j % p:
                     assert table[p % (4 * j)] == (pow(-j, (p - 1) // 2, p) == 1), (j, p)
+                else:
+                    assert p <= 23 and table[p % (4 * j)] == 0, (j, p)
 
 
 def _twins(n_max, conv):
