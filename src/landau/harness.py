@@ -29,11 +29,15 @@ whose results come back in ascending order (a forked worker pool's ordered
 imap, or a plain map with one worker, which never imports multiprocessing)
 and are folded into records in that order, which keeps the checkpoint
 content independent of the worker count.  A chunk is a pure function of its
-task, convention and span: it sieves only the window it reads, its span plus
-a reach that grows only when a search runs off it, so a run holds no list
-that grows with the range: memory is O(chunk + reach + pi(B)) at any height,
-B the cap on the base primes, and a range that would read past 2**64 is
-refused at once.
+task, convention, span and floor, the best stat that the record it extends
+already holds (0 for a gap's first chunk, which starts a record): a Goldbach
+chunk counts only descents deeper than the floor, so its stats equal the
+span's own whenever its best beats the floor, and read 0 at 0 otherwise.  It
+sieves only the window it reads, its span plus a reach that grows only when a
+search runs off it, and the floor is one (gap start, best) pair, so a run
+holds no list that grows with the range: memory is O(chunk + reach + pi(B))
+at any height, B the cap on the base primes, and a range that would read
+past 2**64 is refused at once.
 
 The two even tasks are certified by one bitset scan rather than a loop per
 instance: the window's odd prime flags are packed into one Python int, each
@@ -43,9 +47,9 @@ smallest prime remainder (Goldbach) or witness (pre-Polignac) is q.  The
 scan leaves a few levels (q, instances); a gap's largest witness is read off
 the top level, and the largest descent depth is counted exactly on the top
 levels only, down to the first level whose windows are too short to reach
-the best depth so far.  That bound comes from the window's prime counts per
-block of 8 odd values, summed over m consecutive blocks at once by one
-big-int multiply with a repunit.
+the best depth so far, which starts at the floor.  That bound comes from the
+window's prime counts per block of 8 odd values, summed over m consecutive
+blocks at once by one big-int multiply with a repunit.
 """
 
 from __future__ import annotations
@@ -240,7 +244,8 @@ def _uncovered(lo: int, hi: int, covered: list[tuple[int, int]], step: int) -> l
 
 
 def _merge_stats(rule: _Rule, acc: dict[str, int], new: dict[str, int]) -> None:
-    """Fold new into acc in place; an empty acc takes new as it is."""
+    """Fold new into acc in place; an empty acc takes new as it is, and a
+    tie keeps acc's holder, the earlier one (which a floored chunk relies on)."""
     if not acc:
         acc.update(new)
         return
@@ -256,8 +261,12 @@ def _merge_stats(rule: _Rule, acc: dict[str, int], new: dict[str, int]) -> None:
 # Each checker is a pure function of its span: it takes (conv, lo, hi), sieves
 # only the window it reads under the run's own convention (so the unit is
 # already in every table under include1), and returns the span's stats and
-# the first counterexample, if any.  Memory is O(chunk + reach) at any height
-# beside the capped base primes, and nothing outlives the chunk.
+# the first counterexample, if any.  The Goldbach checker also takes a floor,
+# the best depth that the chunk's record already holds, and counts only
+# descents deeper than it: its stats equal the span's own whenever its best
+# beats the floor, and read 0 at 0 otherwise, which the record's merge keeps
+# as it was.  Memory is O(chunk + reach) at any height beside the capped base
+# primes, and nothing outlives the chunk.
 #
 # The even tasks share one scan (the minimal-partition check of Oliveira e
 # Silva, Herzog and Pardi, Math. Comp. 83 (2014) 2033-2060, on Python ints).
@@ -275,11 +284,13 @@ def _merge_stats(rule: _Rule, acc: dict[str, int], new: dict[str, int]) -> None:
 # a chunk whose search runs off its window is redone with four times the reach.
 #
 # The largest Goldbach descent depth is counted from the top level down, and
-# the count stops at the first level that cannot reach the best depth so far.
-# The bound is coarse but cheap: a byte of P, 8 odd values, is a block; the
-# int of the blocks' prime counts times the repunit sum_{i<m} 256^i has, in
-# each digit, the primes of m consecutive blocks, and one translate of the
-# product's bytes tells whether any digit reaches a given count.
+# the count stops at the first level that cannot reach the best depth so far,
+# which starts at the floor, so a chunk deep in a record counts only the few
+# instances that could beat its record.  The bound is coarse but cheap: a byte
+# of P, 8 odd values, is a block; the int of the blocks' prime counts times
+# the repunit sum_{i<m} 256^i has, in each digit, the primes of m consecutive
+# blocks, and one translate of the product's bytes tells whether any digit
+# reaches a given count.
 
 _REACH = 1 << 10
 _LAST = (1 << 64) - 1  # the last value is_prime decides
@@ -368,7 +379,7 @@ def _block_test(P: int, slots: int) -> Callable[[int, int], bool]:
     return holds
 
 
-def _check_goldbach(conv: PrimeConvention, lo: int, hi: int) -> dict[str, Any]:
+def _check_goldbach(conv: PrimeConvention, lo: int, hi: int, floor: int = 0) -> dict[str, Any]:
     reach = _REACH
     count = (hi - lo) // 2 + 1
     while True:
@@ -391,7 +402,10 @@ def _check_goldbach(conv: PrimeConvention, lo: int, hi: int) -> dict[str, Any]:
         n_ok = _lowest(remaining) if remaining else count
         # The depth of 2n at level q counts the candidates in [2n - q, 2n):
         # the primes among its w = (q + 1) // 2 odd values, and 2 when the
-        # window holds it.  Depths are counted exactly, level by level from
+        # window holds it.  Only depths above the floor, the best depth the
+        # chunk's record already holds, count: `best` starts there with no
+        # holder, so a depth that only equals it never displaces the record's
+        # earlier holder.  Depths are counted exactly, level by level from
         # the top, down to the first level whose windows, which touch at most
         # (w + 6) // 8 + 1 blocks of 8 odd values, fit in `stop` blocks: no
         # `stop` consecutive blocks of the window hold enough primes to reach
@@ -399,16 +413,27 @@ def _check_goldbach(conv: PrimeConvention, lo: int, hi: int) -> dict[str, Any]:
         with_two = base <= 2
         holds = _block_test(P, len(flags))
         prefix = (1 << n_ok) - 1
-        best = best_at = 0
-        stop = 0
+        best, best_at = floor, 0
+        stop = cut = 0  # `cut`: the depth that `stop` was bisected for
         for q, hit in reversed(levels):
             hit &= prefix
             if not hit:
                 continue
             blocks = ((q + 1) // 2 + 6) // 8 + 1
+            if best > cut:
+                # the most blocks that cannot reach the best depth, bisected
+                # between the last such count (the depth has only grown) and
+                # one past this level's
+                low, high = stop, blocks + 1
+                while high - low > 1:
+                    mid = (low + high) // 2
+                    if holds(mid, best - with_two):
+                        high = mid
+                    else:
+                        low = mid
+                stop, cut = low, best
             if blocks <= stop:
                 break
-            before = best
             for i in _set_bits(hit):
                 two_n = lo + 2 * i
                 a = two_n - q
@@ -416,19 +441,8 @@ def _check_goldbach(conv: PrimeConvention, lo: int, hi: int) -> dict[str, Any]:
                          + (with_two and a <= 2 < two_n))
                 if depth > best or depth == best and two_n < best_at:
                     best, best_at = depth, two_n
-            if best > before:
-                # the most blocks that cannot reach the best depth, bisected
-                # between the last such count (the depth has only grown) and
-                # this level's
-                low, high = stop, blocks
-                while high - low > 1:
-                    mid = (low + high) // 2
-                    if holds(mid, best - with_two):
-                        high = mid
-                    else:
-                        low = mid
-                stop = low
-        stats = {"instances": n_ok, "max_depth": best, "max_depth_at": best_at}
+        # a chunk that beats no depth of its record reports none
+        stats = {"instances": n_ok, "max_depth": best if best_at else 0, "max_depth_at": best_at}
         witness = None
         if n_ok < count:
             witness = {"instance": lo + 2 * n_ok, "reason": "descent exhausted"}
@@ -544,18 +558,20 @@ class _Rule:
 # up to sqrt(top) for its square sieve, and every chunk makes one pool trip.
 # In process with one worker, CPython 3.11 on a shared 2-core x86-64 Xeon, a
 # fresh process per cell, one warm-up run, then the median of three (the
-# Goldbach rates: the median of three such sweeps, which spread by up to a
-# third); rates in instances per second, peaks the tracemalloc peak of one
+# [4, 4e6] rates: the median of three such sweeps, under exclude1, with the
+# depth count starting at the record's floor; the 1e12 rows predate the
+# floor); rates in instances per second, peaks the tracemalloc peak of one
 # chunk after one at the same height has grown the base primes:
 #
 #   task and range              4096      2^15      2^16      2^17      2^18
-#   Goldbach [4, 4e6]           8.2 M/s   31.8 M/s  41.3 M/s  29.7 M/s  26.2 M/s
-#   pre-Polignac [4, 4e6]       10.4 M/s            44.2 M/s
+#   Goldbach [4, 4e6]           20.0 M/s  60.8 M/s  71.5 M/s  63.2 M/s  57.5 M/s
+#   pre-Polignac [4, 4e6]       22.9 M/s  85.7 M/s  103 M/s   99.3 M/s  82.5 M/s
 #   Goldbach [1e12, +2e6]       0.20 M/s  1.05 M/s  1.73 M/s  2.80 M/s  4.18 M/s
 #   Goldbach peak at 1e12                           1.4 MB    3.0 MB    6.3 MB
 #   pre-Polignac peak at 1e12                       2.5 MB    5.5 MB    11.4 MB
 #
-# So the even tasks take 2^16, under a 4 MB peak per chunk.  Goldbach alone
+# So the even tasks take 2^16, the fastest width at 4e6 for both, under a
+# 4 MB peak per chunk.  Goldbach alone
 # would run faster at 1e12 with 2^17, but pre-Polignac shares the width and
 # its 2^17 chunk passes 4 MB.
 #
@@ -628,11 +644,16 @@ def _spans(rule: _Rule, gaps: Iterable[tuple[int, int]]) -> Iterator[tuple[int, 
             a = top + rule.step
 
 
-def _run_chunk(item: tuple[Task, PrimeConvention, int, int]) -> tuple[int, int, dict[str, Any]]:
+def _run_chunk(
+    item: tuple[Task, PrimeConvention, int, int, int]
+) -> tuple[int, int, dict[str, Any]]:
     """The chunk's span with its checker's stats and witness."""
-    # looked up here, in the worker, so a replaced rule reaches forked workers
-    task, conv, lo, hi = item
-    return lo, hi, _RULES[task].check(conv, lo, hi)
+    # looked up here, in the worker, so a replaced rule reaches forked workers;
+    # only the Goldbach checker reads the floor, and any other, a replaced one
+    # too, takes (conv, lo, hi)
+    task, conv, lo, hi, floor = item
+    check = _RULES[task].check
+    return lo, hi, check(conv, lo, hi, floor) if check is _check_goldbach else check(conv, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -726,9 +747,20 @@ def verify_range(
         gaps = [] if terminal else _uncovered(lo, hi, [(cp.lo, cp.hi) for cp in mine], step)
         skipped = 0 if terminal else (
             instance_count(task, lo, hi) - sum(instance_count(task, a, b) for a, b in gaps))
-        # chunks are made as the stream asks for them; a pool's task pipe
-        # fills and pushes back, so only a few chunks are ever in flight
-        items = ((task, conv, c_lo, c_hi) for c_lo, c_hi in _spans(rule, gaps))
+        # the best stat of the record that a gap's chunks extend, keyed by the
+        # gap's first instance: one pair, replaced whole as records fold
+        floor = (lo, 0)
+
+        def items() -> Iterator[tuple[Task, PrimeConvention, int, int, int]]:
+            # chunks are made as the stream asks for them; a pool's task pipe
+            # fills and pushes back, so only a few chunks are ever in flight,
+            # and a chunk made ahead of the fold reads an older floor of its
+            # gap, which only prunes less
+            for a, b in gaps:
+                for c_lo, c_hi in _spans(rule, [(a, b)]):
+                    start, best = floor  # one read: the pair may change meanwhile
+                    yield task, conv, c_lo, c_hi, best if start == a else 0
+
         # workers beyond the chunks or the host's cores only add forks; results
         # do not depend on the count
         chunks = sum(1 for _ in islice(_spans(rule, gaps), worker_count))
@@ -740,7 +772,7 @@ def verify_range(
         flushed = time.perf_counter()
         # leaving the pool's block stops any workers still busy
         with _fork_pool(pool_size) as pool:
-            results = pool.imap(_run_chunk, items) if pool else map(_run_chunk, items)
+            results = pool.imap(_run_chunk, items()) if pool else map(_run_chunk, items())
             for c_lo, c_hi, res in results:
                 stats, witness = res["stats"], res["witness"]
                 _merge_stats(rule, run_stats, stats)
@@ -753,6 +785,7 @@ def verify_range(
                     else:
                         records.append(Checkpoint(task, conv, c_lo, c_hi, "verified",
                                                   dict(stats), ts))
+                    floor = (records[-1].lo, records[-1].stats[rule.best[0]])
                 if witness is not None:
                     bad = witness["instance"]
                     records.append(Checkpoint(task, conv, bad, bad, "counterexample",

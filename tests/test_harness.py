@@ -409,6 +409,33 @@ def test_a_run_holds_nothing_that_grows_with_its_range(monkeypatch, workers):
     assert peak < 2**20, peak
 
 
+def test_a_run_over_many_gaps_holds_one_floor(tmp_path, monkeypatch):
+    # a record every 24 leaves 301 gaps of 11 instances, 3 chunks each; each
+    # chunk gets the best depth its own record holds as folded so far, 0 on a
+    # gap's first, and the run keeps that as one (gap start, best) pair
+    _fixed_chunks(monkeypatch, 4)
+    cp = tmp_path / "g.jsonl"
+    seed(cp, *[record(lo=24 * k, hi=24 * k) for k in range(1, 301)])
+    run_chunk, seen = harness._run_chunk, []
+
+    def recording(item):
+        frame = sys._getframe(1)
+        while frame.f_code is not verify_range.__code__:
+            frame = frame.f_back
+        seen.append((item, frame.f_locals["floor"]))
+        return run_chunk(item)
+
+    monkeypatch.setattr(harness, "_run_chunk", recording)
+    s = verify_range(Task.GOLDBACH, 2, 24 * 300 + 22, INC, checkpoint_path=cp)
+    assert s.complete and s.skipped == 300 and len(seen) == 3 * 301
+    for (_, _, c_lo, _, floor), pair in seen:
+        start = c_lo - (c_lo - 2) % 24
+        best = c_lo > start and oracles.check_goldbach(INC, start, c_lo - 2)["stats"]["max_depth"]
+        assert type(pair) is tuple and len(pair) == 2
+        assert floor == best
+        assert c_lo == start and pair[0] != start or pair == (start, best)
+
+
 # ---------------------------------------------------------------------------
 # the bitset scan against the per-instance checkers it replaced
 
@@ -454,6 +481,24 @@ def test_goldbach_full_chunks_equal_per_instance_checker(conv):
     # exclude1
     for lo, hi in _goldbach_chunks(conv):
         assert harness._check_goldbach(conv, lo, hi) == oracles.check_goldbach(conv, lo, hi)
+
+
+@pytest.mark.parametrize("reach", [harness._REACH, 1])
+@given(span=even_spans(), drawn=st.integers(0, 64))
+@settings(max_examples=40, deadline=None)
+def test_goldbach_floor_counts_only_deeper_descents(reach, span, drawn):
+    conv, lo, hi = span
+    want = oracles.check_goldbach(conv, lo, hi)
+    m = want["stats"]["max_depth"]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_REACH", reach)
+        for floor in (0, m - 1, m, m + 1, drawn):
+            got = harness._check_goldbach(conv, lo, hi, floor=floor)
+            assert got["witness"] == want["witness"]
+            # a depth that only ties the floor leaves the record's holder
+            stats = want["stats"] if m > floor else dict(want["stats"], max_depth=0,
+                                                           max_depth_at=0)
+            assert got["stats"] == stats, floor
 
 
 def _most_in_blocks(flags, m):
@@ -738,6 +783,36 @@ def test_worker_count_does_not_change_checkpoint_bytes(tmp_path, monkeypatch):
         assert s.complete
         texts[workers] = strip_timestamps(cp.read_text())
     assert texts[1] == texts[3]
+
+
+# histories that leave four gaps in [2, 70400]; the last gap's record,
+# [70002, 70400], holds a best depth of 6 (at 70,348 under include1), far
+# below the others'
+_SEEDED_GOLDBACH = ((20002, 21000), (40000, 40000), (60002, 70000))
+
+
+@pytest.mark.parametrize("conv", [INC, EXC], ids=lambda c: c.value)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_every_record_of_a_many_gap_run_has_its_own_span_stats(tmp_path, monkeypatch, conv,
+                                                                  workers):
+    _fixed_chunks(monkeypatch, 512)
+    cp = tmp_path / "g.jsonl"
+    for a, b in _SEEDED_GOLDBACH:
+        verify_range(Task.GOLDBACH, a, b, conv, checkpoint_path=cp)
+    lo = 2 if conv is INC else 4
+    s = verify_range(Task.GOLDBACH, lo, 70400, conv, checkpoint_path=cp, worker_count=workers)
+    assert s.complete
+    recs = load_checkpoints(str(cp))
+    assert [(r.lo, r.hi) for r in recs] == [
+        (lo, 20000), (20002, 21000), (21002, 39998), (40000, 40000), (40002, 60000),
+        (60002, 70000), (70002, 70400)]
+    run_stats = {}
+    for r in recs:
+        want = oracles.check_goldbach(conv, r.lo, r.hi)["stats"]
+        assert r.stats == want, (r.lo, r.hi)
+        if (r.lo, r.hi) not in _SEEDED_GOLDBACH:
+            harness._merge_stats(harness._RULES[Task.GOLDBACH], run_stats, want)
+    assert s.stats == run_stats
 
 
 class _FakeContext:
