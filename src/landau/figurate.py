@@ -177,21 +177,27 @@ def totient_is_k_squared(k: int) -> bool:
     620-647, Theorem 1): N is prime iff for each prime q | k some a gives
     x = a^(k^2/q) != 1 (mod N) with x^q = 1 and gcd(x - 1, N) = 1.  A factor
     shared with the primes up to 257 (every odd k > 1) or a base-2 Fermat
-    witness settles it first.  Bases a = 2, 3, ... are tried in turn, which
-    ends at a q-th power non-residue of a prime N, or at the latest at the
-    smallest prime factor of a composite one.
+    witness settles it first.  Past the gcd k is even, and every power of 2
+    the test reads is a power of y = 2^k with an exponent of k's length, not
+    k^2's: the Fermat test is (y^(k/2))^2 = 1, and 2^(k^2/q) = y^(k/q) is
+    the y^(k/2) already computed for q = 2.  Bases a = 2, 3, ... are tried in turn,
+    which ends at a q-th power non-residue of a prime N, or at the latest at
+    the smallest prime factor of a composite one.
     """
     if k < 0:
         raise ValueError(f"needs k >= 0, got {k}")
     n, order = k * k + 1, k * k
     if math.gcd(n, _TRIAL_PRODUCT) != 1:
         return n in _TRIAL_PRIMES
-    if pow(2, order, n) != 1:
+    y = pow(2, k, n)
+    half = pow(y, k >> 1, n)
+    if half * half % n != 1:
         return False
     for q in factorize(k).primes():
-        a = 2
-        while (x := pow(a, order // q, n)) == 1:
+        a, x = 2, half if q == 2 else pow(y, k // q, n)
+        while x == 1:
             a += 1
+            x = pow(a, order // q, n)
         # for a = 2, x^q = 2^(k^2) = 1 is the Fermat test above
         if (a > 2 and pow(x, q, n) != 1) or math.gcd(x - 1, n) != 1:
             return False
@@ -209,7 +215,9 @@ def parabolic_primes(
 
 
 def _parabolic_records(ks: range, conv: PrimeConvention) -> list[ParabolicRecord]:
-    return [ParabolicRecord(k, prime, totient_is_k_squared(k))
+    # an odd k > 1 makes k^2 + 1 even and past 2, which the certificate's gcd
+    # step rejects: its unit count is settled by parity
+    return [ParabolicRecord(k, prime, k == 1 or not k & 1 and totient_is_k_squared(k))
             for k, prime in zip(ks, map(bool, _parabolic_verdicts(ks, conv)))]
 
 

@@ -136,7 +136,7 @@ def twin_stats(n_max: int, conv: PrimeConvention = DEFAULT_CONVENTION) -> TwinSt
 # capped sieve leaves (about 7 %) with is_prime: n = 4,194,304 took 16.2 s
 # and 10^8 did not finish in 60 s.  At the bound a `legendre primes` report
 # takes about 0.55 s, within the 64 MiB budget per call of the other bounds:
-# tracemalloc peaks (CPython 3.11, x86-64) of 51.5 MiB for md, 55.8 for csv
+# tracemalloc peaks (CPython 3.11, x86-64) of 51.5 MiB for md, 38.9 for csv
 # (its one 4 MB cell is held as text, as UTF-8 and in the output buffer at
 # once) and 58.3 for json.
 LEGENDRE_MAX_N = _BASE_LIMIT - 1

@@ -294,19 +294,19 @@ def primes_in_range(
 #
 # The sieve pays while the primes up to its last row, counted as
 # top / ln top, number at most a quarter of the k its rows span (len(ks) *
-# ks.step), for both callers.  A prime costs its roots and their strikes, and
-# a spanned k saves what the caller would spend on it unsieved.  The
-# Legendre rows of both parities hold 24 offsets between them, about half of
-# them with roots for a given prime, and a row saves next_prime's walk from
-# n^2, several Miller-Rabin tests, except on the rows struck whole (one in
-# four at 3*10^4), which walk on past their values.  Parabolic rows hold only
-# k^2 + 1 over the even k, one offset with roots only for p = 1 (mod 4), and
-# an even k saves one is_prime.  Milliseconds per chunk
-# of rows from h, every row walked against every row sieved (the Legendre
-# rows the sieve leaves walked on), CPython 3.11 on a shared 2-core x86-64
-# Xeon, the median of three fresh processes that each take the median of
-# three after a warm-up, with the primes per spanned k as _square_sieve_pays
-# counts them:
+# ks.step), for both callers, once that row reaches _SQUARE_SIEVE_TOP.  A
+# prime costs its roots and their strikes, and a spanned k saves what the
+# caller would spend on it unsieved.  The Legendre rows of both parities
+# hold 24 offsets between them, about half of them with roots for a given
+# prime, and a row saves next_prime's walk from n^2, several Miller-Rabin
+# tests, except on the rows struck whole (one in four at 3*10^4), which walk
+# on past their values.  Parabolic rows hold only k^2 + 1 over the even k,
+# one offset with roots only for p = 1 (mod 4), and an even k saves one
+# is_prime.  Milliseconds per chunk of rows from h, every row walked against
+# every row sieved (the Legendre rows the sieve leaves walked on), CPython
+# 3.11 on a shared 2-core x86-64 Xeon, the median of three fresh processes
+# that each take the median of three after a warm-up, with the primes per
+# spanned k as _square_sieve_pays counts them:
 #
 #   rows from h, width        walked   sieved   primes/k
 #   Legendre 10^4, 4096         43.4     58.5     0.36
@@ -335,22 +335,60 @@ def primes_in_range(
 # sieve is never the slower.  A chunk of 2^15 rows meets it from a first row
 # up to 61,021.
 #
-# Both readers sieve only the rows from _SQUARE_SIEVE_FROM on, and test the k
-# below it one by one.  Below it every value a Legendre or parabolic row
-# holds is under 9,080,191, where is_prime proves a prime with two bases and
-# costs less than the sieve (Legendre's measured break-even).  From it on
-# k^2 > _BASE_LIMIT, so no value a row holds is itself a base prime, and the
-# sieve needs no case for a prime that would strike itself.
-_SQUARE_SIEVE_FROM = 3014
+# A block sieves only while its last row is at least _SQUARE_SIEVE_TOP, and
+# then every row k of it whose k^2 passes the base primes it strikes with
+# (_square_floor, about the square root of its last row), since the block
+# pays for those primes' roots whichever of its rows it sieves; the few rows
+# below that floor are tested one by one, as are all the rows of a block
+# that does not sieve.  As k^2 passes every base prime the block uses, no
+# value a row holds is itself a base prime, and the sieve needs no case for
+# a prime that would strike its own value.  The least top is where sieving
+# every row from the floor stops costing more than testing each of them, for
+# both readers over [1, t]: milliseconds sieved and tested, and their ratio,
+# CPython 3.11 on the shared 2-core x86-64 Xeon above, base primes built,
+# the median of 21 interleaved pairs in a process, the median of three
+# processes:
+#
+#   t                      500     1000     2000     3014     5000
+#   Legendre, sieved      3.38     6.77     13.4     20.1     34.3
+#   Legendre, tested      1.77     5.23     13.1     21.9     45.0
+#   ratio                 1.85     1.27     1.02     0.92     0.75
+#   parabolic, sieved    0.315    0.635    1.082    1.706    2.827
+#   parabolic, tested    0.234    0.617    1.385    2.351    4.683
+#   ratio                 1.32     0.99     0.80     0.71     0.60
+#
+# Parabolic breaks even near 1000 and Legendre near 2000 (0.91-0.93 in three
+# more processes at t = 2000 alone, 0.95-0.97 at 1800), so both sieve from a
+# top of 2000, where neither is the slower.
+_SQUARE_SIEVE_TOP = 2000
+
+
+def _square_floor(top: int, slots: int) -> int:
+    """The least row k with k^2 past every base prime that _square_flags
+    strikes rows up to top with, `slots` to a row."""
+    return math.isqrt(math.isqrt(top * top + 2 * slots)) + 1
 
 
 def _square_sieve_pays(ks: range) -> bool:
-    """Whether _square_flags over the rows ks is within the base-prime cap
-    and costs less than the caller's tests of the k they span."""
+    """Whether _square_flags over the rows ks ends at _SQUARE_SIEVE_TOP or
+    past it, within the base-prime cap, and costs less than the caller's
+    tests of the k they span."""
     if not ks:
         return False
     top = ks[-1]
-    return top <= _BASE_LIMIT and 4 * top / math.log(top + 2) <= len(ks) * ks.step
+    return (_SQUARE_SIEVE_TOP <= top <= _BASE_LIMIT
+            and 4 * top / math.log(top + 2) <= len(ks) * ks.step)
+
+
+def _sieved_rows(ks: range, slots: int) -> range:
+    """The rows of ks that a reader sieves: those from _square_floor on
+    where the sieve pays for them, else none, an empty range at ks.stop."""
+    if ks:
+        floor = _square_floor(ks[-1], slots)
+        rows = ks[max(0, -((ks.start - floor) // ks.step)):]
+        if _square_sieve_pays(rows):
+            return rows
+    return range(ks.stop, ks.stop, ks.step)
 
 
 @functools.cache
@@ -457,11 +495,13 @@ def _square_flags(ks: range, slots: int) -> bytearray:
     """Prime flags of the odd values just above the squares of ks:
     flags[i * slots + s] == 1 iff k^2 + j is prime, k = ks[i] and
     j = 2s + 1 + (k & 1), so each row holds the `slots` odd values from
-    k^2 + 1 on.  ks is a nonempty range of k >= _SQUARE_SIEVE_FROM with step
-    1 or 2.  A block whose square roots pass the base-prime cap is refused
-    with ValueError before anything is allocated."""
-    if not ks or ks.start < _SQUARE_SIEVE_FROM or ks.step not in (1, 2) or slots < 1:
-        raise ValueError(f"needs rows k >= {_SQUARE_SIEVE_FROM} of step 1 or 2, slots >= 1, got {ks}, {slots}")
+    k^2 + 1 on.  ks is a nonempty range of step 1 or 2 from _square_floor
+    on, so that k^2 passes every base prime the block strikes with.  A block
+    whose square roots pass the base-prime cap is refused with ValueError
+    before anything is allocated."""
+    if not ks or ks.step not in (1, 2) or slots < 1 or ks.start < _square_floor(ks[-1], slots):
+        raise ValueError(f"needs rows k with k^2 past their base primes, of step 1 or 2, "
+                         f"slots >= 1, got {ks}, {slots}")
     step, first, rows = ks.step, ks.start, len(ks)
     limit = math.isqrt(ks[-1] ** 2 + 2 * slots)
     if limit > _BASE_LIMIT:
@@ -515,11 +555,9 @@ _LEGENDRE_SLOTS = 12
 
 def _first_gaps(lo: int, hi: int, conv: PrimeConvention) -> Iterator[int]:
     """For each n of [lo, hi], the distance from n^2 to the first prime from
-    n^2 on: sieved from _SQUARE_SIEVE_FROM on where that pays, else walked."""
+    n^2 on: sieved where _sieved_rows says, else walked."""
     slots = _LEGENDRE_SLOTS
-    rows = range(max(lo, _SQUARE_SIEVE_FROM), hi + 1)
-    if not _square_sieve_pays(rows):
-        rows = range(hi + 1, hi + 1)  # none: every row is walked
+    rows = _sieved_rows(range(lo, hi + 1), slots)
     for n in range(lo, rows.start):
         yield next_prime(n * n - 1, conv) - n * n
     if not rows:
@@ -535,13 +573,11 @@ def _first_gaps(lo: int, hi: int, conv: PrimeConvention) -> Iterator[int]:
 def _parabolic_verdicts(ks: range, conv: PrimeConvention) -> bytearray:
     """Byte i is 1 iff k^2 + 1 is prime under conv, k = ks[i] (k >= 1, step
     1, or step 2 over even k): 1 at k = 1, 0 at every odd k > 1, which makes
-    k^2 + 1 even, and the even k sieved from _SQUARE_SIEVE_FROM on where that
-    pays, else tested with is_prime."""
-    start = max(ks.start, _SQUARE_SIEVE_FROM)
-    evens = range(start + (start & 1), ks.stop, 2)
-    if not _square_sieve_pays(evens):
-        evens = range(ks.stop, ks.stop, 2)  # none: every even k is tested
-    tested = range(ks.start + (ks.start & 1), evens.start, 2)
+    k^2 + 1 even, and the even k sieved where _sieved_rows says, else tested
+    with is_prime."""
+    first = ks.start + (ks.start & 1)
+    evens = _sieved_rows(range(first, ks.stop, 2), 1)
+    tested = range(first, evens.start, 2)
     out = bytearray(len(ks))
     # the even k lie 2 // ks.step bytes apart, the first at byte ks.start & 1
     out[ks.start & 1 :: 2 // ks.step] = (bytes(is_prime(k * k + 1, conv) for k in tested)

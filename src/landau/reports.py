@@ -193,21 +193,26 @@ def _render_md(report: Report, config: Config, kind: str) -> bytes:
     return "".join(out).encode("utf-8")
 
 
-def _render_csv(report: Report, config: Config, kind: str) -> bytes:
-    import csv
+def _csv_record(cells: tuple[str, ...]) -> str:
+    """One row as csv.writer's excel dialect writes it (QUOTE_MINIMAL): a
+    cell that holds a comma, a double quote, CR or LF is quoted, its quotes
+    doubled, and a row of one empty cell is written as two double quotes."""
+    line = ",".join(cells)
+    if line.count(",") + 1 == len(cells) and '"' not in line and "\r" not in line and "\n" not in line:
+        return line or '""'  # the one cell is empty
+    return ",".join(['"%s"' % cell.replace('"', '""')
+                     if "," in cell or '"' in cell or "\r" in cell or "\n" in cell else cell
+                     for cell in cells])
 
-    # the text is encoded in C as it is written: one str of the whole text
-    # would take 2 or 4 bytes a character, since not every header is ASCII;
-    # a wrapper over a readable stream would reset its decoder, a Python
-    # call, at every line, so it writes through a BufferedWriter
+
+def _render_csv(report: Report, config: Config, kind: str) -> bytes:
+    # encoded a row at a time: one str of the whole text would take 2 or 4
+    # bytes a character, since not every header is ASCII
     out = io.BytesIO()
-    with io.TextIOWrapper(io.BufferedWriter(out), encoding="utf-8", newline="") as text:
-        text.write(f"# config: {config.echo()}\r\n")
-        writer = csv.writer(text)
-        writer.writerow(report.headers)
-        writer.writerows(report.rows)
-        text.flush()
-        return out.getvalue()
+    out.write(f"# config: {config.echo()}\r\n".encode("utf-8"))
+    for row in chain((report.headers,), report.rows):
+        out.write((_csv_record(row) + "\r\n").encode("utf-8"))
+    return out.getvalue()
 
 
 _LITERALS = {True: "true", False: "false", None: "null"}

@@ -34,7 +34,7 @@ def _frac(fr: Fraction) -> str:
 # Bound on n_max from the 64 MiB budget per call that bounds the couple lists
 # in goldbach.py: the table holds a record and a row for every k <= 40 and
 # every even k past it.  Tracemalloc peaks (CPython 3.11, x86-64) at 10^5:
-# 33.7 MiB for md, 41.0 for json and 20.6 for csv, in about 1 s.
+# 33.7 MiB for md, 41.0 for json and 21.1 for csv, in about 1 s.
 GHOST_TABLE_MAX_N = 10**5
 
 
@@ -112,7 +112,7 @@ def _emit_ghost_table(conv: PrimeConvention, /, *, n_max: int = 60) -> Report:
 # printed on every row, so the text grows with the square of the rows, and
 # the peak steps up at each parabolic k.  Tracemalloc peaks (CPython 3.11,
 # x86-64) at 31,065 as a process's first call, which peaks highest: 63.96 MiB
-# for md, 56.0 for json and 20.3 for csv, in under a second untraced; the
+# for md, 56.0 for json and 19.4 for csv, in under a second untraced; the
 # next parabolic k, 31,066, takes md to 64.02 MiB.  (The partial sum first
 # has more than the 4,300 digits CPython converts to text at k = 32,386.)
 ZETA_TABLE_MAX_K = 31_065

@@ -186,7 +186,7 @@ def units(n: int) -> tuple[int, ...]:
 # goldbach.py: the profile holds every unit, phi(n) of them, plus a prime flag
 # per value below n, and its report about 121 bytes a unit at worst, when n is
 # prime.  Tracemalloc peaks of the report (CPython 3.11, x86-64) at n =
-# 499,979: 47.4 MiB for md, 45.6 for csv and 55.0 for json; n = 524,999 took
+# 499,979: 47.4 MiB for md, 32.7 for csv and 55.0 for json; n = 524,999 took
 # json to 64.1 MiB when each int was rendered as a str of its own.  The
 # strong-generator report of the same n peaks lower.
 UNITS_PROFILE_MAX_N = 5 * 10**5

@@ -168,9 +168,11 @@ def test_the_import_graph_is_acyclic_with_primes_at_the_bottom():
 def test_only_primes_reads_the_square_sieve_rows():
     # the row layout (slot s of row k holds k^2 + 2s + 1 + (k & 1)) is known
     # to primes alone, where both readers of the rows live beside the sieve:
-    # no other module imports _square_flags or the sieve's one floor, or
-    # reads them off primes, and no module names a floor of Legendre's own
-    readers = {"_square_flags": set(), "_SQUARE_SIEVE_FROM": set(), "_LEGENDRE_SIEVE_FROM": set()}
+    # no other module imports _square_flags, the sieve's floor, the rows it
+    # picks or its one least top, or reads them off primes, and no module
+    # names a fixed floor, the sieve's former one or one of Legendre's own
+    readers = {"_square_flags": set(), "_square_floor": set(), "_sieved_rows": set(),
+               "_SQUARE_SIEVE_TOP": set(), "_SQUARE_SIEVE_FROM": set(), "_LEGENDRE_SIEVE_FROM": set()}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom):
@@ -181,5 +183,6 @@ def test_only_primes_reads_the_square_sieve_rows():
                 names = {node.id} if isinstance(node, ast.Name) else set()
             for name in names & readers.keys():
                 readers[name].add(path.stem)
-    assert readers == {"_square_flags": {"primes"}, "_SQUARE_SIEVE_FROM": {"primes"},
-                       "_LEGENDRE_SIEVE_FROM": set()}
+    assert readers == {"_square_flags": {"primes"}, "_square_floor": {"primes"},
+                       "_sieved_rows": {"primes"}, "_SQUARE_SIEVE_TOP": {"primes"},
+                       "_SQUARE_SIEVE_FROM": set(), "_LEGENDRE_SIEVE_FROM": set()}

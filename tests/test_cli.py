@@ -654,12 +654,13 @@ class TestFormats:
         assert doc["report"]["inverses"] == [[1, 1], [3, 7], [7, 3], [9, 9]]
 
     def test_parabolic_list_json_prints_bools(self, runner):
-        # past k = 3014 the even k come from the square sieve's bytes
+        # from k = 78, the square sieve's floor for a top of 6000, the even
+        # k come from its bytes
         out = runner.invoke(main, ["--format", "json", "parabolic", "list", "--max-k", "6000"]).stdout
         assert '"parabolic": true' in out and '"parabolic": false' in out
         rows = json.loads(out)["report"]["rows"]
         assert all(type(row["parabolic"]) is bool for row in rows)
-        assert {row["parabolic"] for row in rows if row["n"] > 3014} == {True, False}
+        assert {row["parabolic"] for row in rows if row["n"] >= 78} == {True, False}
 
     def test_format_takes_its_value_after_an_equals_sign(self, runner):
         result = runner.invoke(main, ["--format=json", "zn", "table", "10"])

@@ -378,10 +378,10 @@ def test_legendre_memory_at_the_widest_chunk(monkeypatch):
     # it strikes whole come from caches that the untraced run fills
     monkeypatch.setattr(primes, "_square_roots", functools.cache(primes._square_roots))
     monkeypatch.setattr(primes, "next_prime", functools.cache(primes.next_prime))
-    # a chunk of the rule's size from the square sieve's first row,
+    # a run's first chunk of the rule's size, sieved from its floor,
     # _LEGENDRE_SLOTS bytes a row, and one at 10^6, where the sieve no longer
     # pays, walked
-    for lo in (primes._SQUARE_SIEVE_FROM, 10**6):
+    for lo in (1, 10**6):
         peak = _traced_peak(Task.LEGENDRE, lo, _chunks_from(Task.LEGENDRE, lo, 1))
         assert peak < 4 * 2**20, (lo, peak)
 
@@ -449,8 +449,10 @@ _EVEN_CHECKERS = [
 def even_spans(draw):
     conv = draw(st.sampled_from([INC, EXC]))
     floor = 2 if conv is INC else 4
-    top = 10 ** draw(st.integers(1, 12))
-    lo = 2 * draw(st.integers(floor // 2, top // 2))
+    # the decade first, then lo inside it, so that tall spans are drawn as
+    # often as short ones, not as rarely as integers biased toward 0 give
+    decade = draw(st.integers(1, 12))
+    lo = 2 * draw(st.integers(max(floor, 10 ** (decade - 1)) // 2, 10**decade // 2))
     width = draw(st.integers(1, 3 * 4096))
     return conv, lo, lo + 2 * (width - 1)
 

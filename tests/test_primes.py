@@ -1,3 +1,4 @@
+import math
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
@@ -11,15 +12,17 @@ from landau.primes import (
     _BASE_LIMIT,
     _LEGENDRE_SLOTS,
     _MR_TIERS,
-    _SQUARE_SIEVE_FROM,
+    _SQUARE_SIEVE_TOP,
     _WHEEL,
     PrimeConvention,
     _first_gaps,
     _odd_flags,
     _root_plan,
     _square_flags,
+    _square_floor,
     _square_roots,
     _square_sieve_pays,
+    _sieved_rows,
     is_prime,
     next_prime,
     prev_prime,
@@ -251,17 +254,21 @@ class TestPrimesInRange:
 
 
 class TestSquareFlags:
-    # rows from the sieve's first row, 3014, and from the odd row after it,
-    # and at 10^4, 10^5 and 2^20; step-2 rows over even k are the parabolic
-    # k^2 + 1
+    # rows from 3014 and from the odd row after it, and at 10^4, 10^5 and
+    # 2^20; step-2 rows over even k are the parabolic k^2 + 1; and blocks up
+    # to the least top that sieves, from their floors, where k^2 is just past
+    # the base primes and the values are below them at the block's top
     @pytest.mark.parametrize(
         "ks,slots",
         [(range(3014, 3413), 8), (range(3015, 3215), 8), (range(10**4, 10**4 + 300), 16),
          (range(10**5, 10**5 + 200), 8), (range(2**20, 2**20 + 100), 2),
          (range(3015, 3314, 2), 3), (range(3014, 7012, 2), 1), (range(2**20, 2**20 + 2000, 2), 1),
-         (range(3 * 10**4, 3 * 10**4 + 300), _LEGENDRE_SLOTS)],
+         (range(3 * 10**4, 3 * 10**4 + 300), _LEGENDRE_SLOTS),
+         (range(_square_floor(_SQUARE_SIEVE_TOP, _LEGENDRE_SLOTS), _SQUARE_SIEVE_TOP + 1),
+          _LEGENDRE_SLOTS),
+         (range(_square_floor(_SQUARE_SIEVE_TOP, 1) + 1 & -2, _SQUARE_SIEVE_TOP + 1, 2), 1)],
         ids=["small", "3014", "1e4", "1e5", "2^20", "odd-rows", "parabolic", "parabolic-2^20",
-             "legendre-3e4"],
+             "legendre-3e4", "legendre-floor", "parabolic-floor"],
     )
     def test_flags_equal_is_prime_of_each_value(self, ks, slots):
         values = [k * k + 2 * s + 1 + (k & 1) for k in ks for s in range(slots)]
@@ -271,16 +278,21 @@ class TestSquareFlags:
         # the parabolic rows just below 2^32 need base primes up to 2^32, and
         # so do the even k from the floor to 2^32, a span wide enough to pay
         # for its primes, as the even k from the floor to 2^22 do within the cap
-        assert _square_sieve_pays(range(_SQUARE_SIEVE_FROM, 2**22, 2))
-        for ks in (range(2**32 - 2**15, 2**32, 2), range(_SQUARE_SIEVE_FROM, 2**32, 2)):
+        assert _square_sieve_pays(range(_square_floor(2**22 - 2, 1), 2**22, 2))
+        for ks in (range(2**32 - 2**15, 2**32, 2), range(_square_floor(2**32 - 2, 1), 2**32, 2)):
             assert not _square_sieve_pays(ks)
             with pytest.raises(ValueError, match="past"):
                 _square_flags(ks, 1)
 
-    # rows below the floor, a step of 3, no rows, no slots
-    @pytest.mark.parametrize("ks,slots", [(range(0, 10), 1), (range(3014, 3030, 3), 1),
-                                          (range(3020, 3020), 1), (range(3014, 3030), 0),
-                                          (range(3013, 3100), 1)])
+    # rows below the floor, a step of 3, no rows, no slots, a block whose
+    # first row is one below its floor, Legendre's and parabolic's, and
+    # negative rows, whose squares would pass their base primes
+    @pytest.mark.parametrize("ks,slots", [
+        (range(0, 10), 1), (range(3014, 3030, 3), 1), (range(3020, 3020), 1), (range(3014, 3030), 0),
+        (range(_square_floor(3099, 1) - 1, 3100), 1),
+        (range(_square_floor(_SQUARE_SIEVE_TOP, _LEGENDRE_SLOTS) - 1, _SQUARE_SIEVE_TOP + 1),
+         _LEGENDRE_SLOTS),
+        (range(-100, -90), 1)])
     def test_bad_rows_are_refused(self, ks, slots):
         with pytest.raises(ValueError, match="needs rows"):
             _square_flags(ks, slots)
@@ -292,34 +304,49 @@ class TestSquareFlags:
         assert not _square_sieve_pays(range(38_187, 60_000))
         assert not _square_sieve_pays(range(5, 5))
 
-    # where each caller's spans switch from walking to sieving, one row or
-    # even k apart, all from the floor: parabolic zeta and list at k_max =
-    # 5613 and 5614 (their even k), the ghost table at n_max = 5613 and 5614
-    # (its even k, which also start at the floor) and a Legendre chunk (its
-    # rows); the sieved step-2 span would walk if its k were counted as
-    # ks.stop - ks.start
-    @pytest.mark.parametrize("walked,sieved", [
-        (range(3014, 5613, 2), range(3014, 5615, 2)),
-        (range(3014, 5613, 2), range(3014, 5615, 2)),
-        (range(3014, 5615), range(3014, 5616)),
+    # where each caller's spans switch from walking to sieving, at the least
+    # top, one row or even k apart: parabolic zeta and list at k_max = 1999
+    # and 2000 (their even k from 2), the ghost table at n_max = 1999 and
+    # 2000 (its even k from 42) and a Legendre chunk (its rows from 1); the
+    # sieved rows start at the floor of their top, and the walked ones are
+    # none; the quarter rule alone would sieve the shorter span too, so the
+    # least top is what keeps it walked
+    @pytest.mark.parametrize("ks,slots", [
+        (range(2, _SQUARE_SIEVE_TOP + 1, 2), 1),
+        (range(42, _SQUARE_SIEVE_TOP + 1, 2), 1),
+        (range(1, _SQUARE_SIEVE_TOP + 1), _LEGENDRE_SLOTS),
     ], ids=["parabolic", "ghost-table", "legendre"])
-    def test_the_sieve_takes_over_where_it_did_for_each_task(self, walked, sieved):
-        assert not _square_sieve_pays(walked) and _square_sieve_pays(sieved)
+    def test_the_sieve_takes_over_where_it_did_for_each_task(self, monkeypatch, ks, slots):
+        walked, sieved = _sieved_rows(ks[:-1], slots), _sieved_rows(ks, slots)
+        assert not walked and walked.start == ks[:-1].stop
+        floor = _square_floor(_SQUARE_SIEVE_TOP, slots)
+        assert sieved == range(floor + (ks.start - floor) % ks.step, ks.stop, ks.step)
+        assert not _square_sieve_pays(ks[:-1]) and _square_sieve_pays(sieved)
+        monkeypatch.setattr(primes, "_SQUARE_SIEVE_TOP", 0)
+        assert _sieved_rows(ks[:-1], slots)
 
     def test_the_floor_is_past_the_base_primes_and_within_two_bases(self):
-        # so the sieve needs no case for a prime that strikes itself, and the
-        # rows below the floor, Legendre's _LEGENDRE_SLOTS odd values above
-        # n^2 the tallest, are proven by is_prime's two-base tier
-        assert _SQUARE_SIEVE_FROM**2 > _BASE_LIMIT
-        assert ((_SQUARE_SIEVE_FROM - 1) ** 2 + 2 * _LEGENDRE_SLOTS
-                < _MR_TIERS[1][0] <= _SQUARE_SIEVE_FROM**2)
+        # a block's floor is the least row whose square passes every base
+        # prime the block strikes with, so the sieve needs no case for a prime
+        # that strikes itself; and the rows a block tests one by one, below
+        # the floor of the tallest block the cap lets sieve or in a block
+        # below the least top, Legendre's _LEGENDRE_SLOTS odd values above n^2
+        # the tallest, are proven by is_prime's two-base tier
+        for slots in (1, 2, _LEGENDRE_SLOTS):
+            for top in (_SQUARE_SIEVE_TOP, 3014, 10**4, 61_021 + 2**15, _BASE_LIMIT - 1):
+                limit = math.isqrt(top * top + 2 * slots)
+                floor = _square_floor(top, slots)
+                assert (floor - 1) ** 2 <= limit < floor**2, (slots, top)
+            for tested in (_square_floor(_BASE_LIMIT, slots) - 1, _SQUARE_SIEVE_TOP - 1):
+                assert tested**2 + 2 * _LEGENDRE_SLOTS < _MR_TIERS[1][0]
         assert len(_MR_TIERS[1][1]) == 2
 
 
 # a root's class repeats every 2p / step rows, so a block of exactly that
 # many rows holds one slot of it: the primes below p strike their classes by
-# slice, and p and the primes above it by index; 3014 is the sieve's first row
-@pytest.mark.parametrize("h", [3014, 10**4])
+# slice, and p and the primes above it by index; 50 is a few rows past 46,
+# the floor of the tallest of these blocks from it, whose top is 2075
+@pytest.mark.parametrize("h", [50, 3014, 10**4])
 @pytest.mark.parametrize("p", [3, 101, 1013])
 @pytest.mark.parametrize("step,slots", [(1, _LEGENDRE_SLOTS), (2, 1)], ids=["legendre", "parabolic"])
 def test_square_flags_at_a_stride_as_long_as_the_block(h, p, step, slots):
@@ -330,13 +357,15 @@ def test_square_flags_at_a_stride_as_long_as_the_block(h, p, step, slots):
 
 
 # _first_gaps run to its end, as _check_legendre's zip never runs it, on a
-# span below the floor and on one from it too narrow for the sieve to pay:
-# every row is walked and the generator stops after the last one
-@pytest.mark.parametrize("lo,hi", [(1, 300), (_SQUARE_SIEVE_FROM, _SQUARE_SIEVE_FROM + 99)],
-                         ids=["below-floor", "walked-from-floor"])
+# span below the least top and on one above it too narrow for the sieve to
+# pay, where every row is walked, and on the span to the least top, sieved
+# from its floor and walked below it: the generator stops after the last row
+@pytest.mark.parametrize("lo,hi,sieved", [(1, 300, False), (3014, 3113, False),
+                                          (1, _SQUARE_SIEVE_TOP, True)],
+                         ids=["below-floor", "walked-from-floor", "sieved-from-floor"])
 @pytest.mark.parametrize("conv", [INC, EXC])
-def test_first_gaps_exhausted_equal_a_next_prime_walk(lo, hi, conv):
-    assert not _square_sieve_pays(range(max(lo, _SQUARE_SIEVE_FROM), hi + 1))
+def test_first_gaps_exhausted_equal_a_next_prime_walk(lo, hi, sieved, conv):
+    assert bool(_sieved_rows(range(lo, hi + 1), _LEGENDRE_SLOTS)) == sieved
     assert list(_first_gaps(lo, hi, conv)) == [next_prime(n * n - 1, conv) - n * n
                                                  for n in range(lo, hi + 1)]
 

@@ -46,6 +46,10 @@ EXC = PrimeConvention.EXCLUDE1
 GOLDEN = Path(__file__).parent / "golden"
 CFG = Config(workers=1)
 
+# cells drawn often from what csv's quoting turns on: the delimiter, the
+# quote, CR and LF, with a space, ASCII and a character past it
+_CELLS = st.text(st.sampled_from(',"\r\n a€') | st.characters(blacklist_categories=("Cs",)), max_size=6)
+
 # one valid parameter set per report kind but verify-summary, whose summary
 # comes from a verify run
 VALID_PARAMS = {
@@ -271,6 +275,21 @@ class TestUnitsGrid:
         assert raw.startswith(b"# config: ")
         assert b"\r\n" in raw
         assert b",1,3,7,9\r\n" in raw
+
+    @given(headers=st.lists(_CELLS, max_size=4).map(tuple),
+           rows=st.lists(st.lists(_CELLS, max_size=4).map(tuple), max_size=6))
+    @example(headers=("",), rows=[(), ("", ""), ("a,b", 'c"d', "e\r", "f\n", "g"), ("",)])
+    @settings(max_examples=100, deadline=None)
+    def test_csv_rows_are_the_bytes_csv_writer_writes(self, headers, rows):
+        # the excel dialect's minimal quoting, differentially against csv
+        import csv
+        import io
+
+        text = io.StringIO(newline="")
+        text.write(f"# config: {CFG.echo()}\r\n")
+        csv.writer(text).writerows([headers, *rows])
+        report = Report("t", headers, lambda: tuple(rows), (), dict)
+        assert _RENDERERS["csv"](report, CFG, "t") == text.getvalue().encode("utf-8")
 
 
 class TestRingTable:
@@ -546,16 +565,17 @@ class TestZetaTable:
 
     def test_each_candidate_is_tested_once(self, monkeypatch):
         # each even k is settled once: by is_prime below the square sieve's
-        # floor, and by one sieve over the even k from it on; an odd k > 1
-        # gives an even k^2 + 1, and is not tested at all
+        # floor for a top of 6000, and by one sieve over the even k from it
+        # on; an odd k > 1 gives an even k^2 + 1, and is not tested at all
         sieved, tested = [], []
         real_flags, real_prime = primes._square_flags, primes.is_prime
         monkeypatch.setattr(primes, "_square_flags",
                             lambda ks, slots: sieved.extend(ks) or real_flags(ks, slots))
         monkeypatch.setattr(primes, "is_prime", lambda n, conv: tested.append(n) or real_prime(n, conv))
         build_report("zeta-table", {"k_max": 6000}, CFG)
-        assert tested == [k * k + 1 for k in range(2, primes._SQUARE_SIEVE_FROM, 2)]
-        assert sieved == list(range(primes._SQUARE_SIEVE_FROM, 6001, 2))
+        floor = primes._square_floor(6000, 1)
+        assert tested == [k * k + 1 for k in range(2, floor, 2)]
+        assert sieved == list(range(floor + (floor & 1), 6001, 2))
 
 
 class TestRenderers:
