@@ -224,13 +224,8 @@ def _verify(task: str, cfg: Config, fmt: str, params: dict[str, Any]) -> int:
     from . import harness  # loaded on the first verify, not at start
 
     checkpoint = params["checkpoint"]
-    path = None
-    if checkpoint is not None:
-        path = (
-            checkpoint
-            if os.path.isabs(checkpoint)
-            else os.path.join(cfg.checkpoint_dir, checkpoint)
-        )
+    # an absolute checkpoint is used as given: join returns it unchanged
+    path = None if checkpoint is None else os.path.join(cfg.checkpoint_dir, checkpoint)
     try:
         summary = harness.verify_range(
             harness.Task(task),

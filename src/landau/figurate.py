@@ -2,19 +2,19 @@
 three-part triangular decompositions, exact power sums, and parabolic primes
 k^2 + 1 with their zeta-style estimate; whether the units of Z_{k^2+1} number
 k^2 is decided per k by an N - 1 certificate, apart from the primality of
-k^2 + 1, which the square sieve gives.
+k^2 + 1, which the square sieve gives.  _parabolic_scan is the one place
+that compares the two, odd k > 1 settled by parity; parabolic_primes, the
+ghost table and the parabolic verify task all read it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cache
-from itertools import compress
+from itertools import chain, compress
 from typing import TYPE_CHECKING
 
 from .primes import (
-    DEFAULT_CONVENTION,
-    PrimeConvention,
     _TRIAL_PRIMES,
     _TRIAL_PRODUCT,
     _parabolic_verdicts,
@@ -149,23 +149,15 @@ def faulhaber(m: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class ParabolicRecord:
-    """k alongside k^2 + 1, with the primality verdict and the independent
-    unit-count check: k^2 + 1 is prime exactly when its totient is k^2."""
+    """k alongside k^2 + 1 and whether it is prime, a verdict that the unit
+    count has certified: k^2 + 1 is prime exactly when its totient is k^2."""
 
     k: int
     is_parabolic: bool
-    totient_check: bool
 
     @property
     def p(self) -> int:
         return self.k * self.k + 1
-
-    def __post_init__(self) -> None:
-        if self.is_parabolic != self.totient_check:
-            raise ValueError(
-                f"primality and totient disagree at k={self.k}: "
-                f"prime={self.is_parabolic}, totient hit={self.totient_check}"
-            )
 
 
 def totient_is_k_squared(k: int) -> bool:
@@ -204,21 +196,41 @@ def totient_is_k_squared(k: int) -> bool:
     return True
 
 
-def parabolic_primes(
-    k_max: int, conv: PrimeConvention = DEFAULT_CONVENTION
-) -> list[ParabolicRecord]:
-    """Records for k = 1..k_max, each with the sieve's primality verdict and
-    the unit count's; construction re-verifies that they agree on every row."""
+def parabolic_primes(k_max: int) -> list[ParabolicRecord]:
+    """Records for k = 1..k_max, each with the sieve's primality verdict,
+    which the unit count has certified on every row."""
+    return [ParabolicRecord(k, bool(v)) for k, v in enumerate(_certified_verdicts(k_max), 1)]
+
+
+def _certified_verdicts(k_max: int) -> bytes:
+    """Byte k - 1 is 1 iff k^2 + 1 is prime, k = 1..k_max; raises at the
+    first k whose certificate disagrees with its verdict."""
     if k_max < 1:
         raise ValueError(f"needs k_max >= 1, got {k_max}")
-    return _parabolic_records(range(1, k_max + 1), conv)
+    verdicts, end = _parabolic_scan(range(1, k_max + 1))
+    if end < k_max:
+        raise ValueError(f"primality and totient disagree at k={end + 1}: "
+                         f"prime={verdicts[end] == 1}, totient hit={verdicts[end] != 1}")
+    return verdicts
 
 
-def _parabolic_records(ks: range, conv: PrimeConvention) -> list[ParabolicRecord]:
-    # an odd k > 1 makes k^2 + 1 even and past 2, which the certificate's gcd
-    # step rejects: its unit count is settled by parity
-    return [ParabolicRecord(k, prime, k == 1 or not k & 1 and totient_is_k_squared(k))
-            for k, prime in zip(ks, map(bool, _parabolic_verdicts(ks, conv)))]
+def _parabolic_scan(ks: range) -> tuple[bytes, int]:
+    """The primality verdicts of ks (k >= 1, step 1) as bytes, and the index
+    of the first k whose unit count disagrees with its verdict (len(ks) when
+    none does), the primality from the square sieve and the unit count from
+    totient_is_k_squared, so the two stay independent.  An odd k > 1 makes
+    k^2 + 1 even and past 2, which the certificate's gcd step rejects: those
+    k agree up to the first whose verdict says prime, and only k = 1 and the
+    even k before it take the certificate."""
+    lo = ks.start
+    verdicts = bytes(_parabolic_verdicts(ks))
+    odd = max(lo | 1, 3) - lo
+    found = verdicts[odd::2].find(1)
+    end = len(verdicts) if found < 0 else odd + 2 * found
+    for k in chain((1,) if lo == 1 else (), range(lo + (lo & 1), lo + end, 2)):
+        if verdicts[k - lo] != totient_is_k_squared(k):
+            return verdicts, k - lo
+    return verdicts, end
 
 
 @cache
@@ -241,7 +253,7 @@ def zeta_partial(k_max: int) -> tuple[Fraction, float]:
 
     total = Fraction(0)
     ks = range(1, k_max + 1)
-    for k in compress(ks, _parabolic_verdicts(ks, PrimeConvention.EXCLUDE1)):
+    for k in compress(ks, _parabolic_verdicts(ks)):
         total += Fraction(1, k * k)
     _check_zeta_bounds(total, k_max)
     return total, math.pi * math.pi / 6

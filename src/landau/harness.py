@@ -4,15 +4,13 @@ Each task turns a headline claim into a range certificate: descent success
 for every even number (couple search), a small-prime witness for every even
 gap, a prime inside every square interval, and totient/primality agreement
 for every parabolic candidate k^2 + 1, whose unit count comes from an N - 1
-certificate per k (figurate.totient_is_k_squared) and whose primality from
-the square sieve, so the two verdicts stay independent.  An odd k > 1 is
-settled by parity: k^2 + 1 is even, the certificate's gcd step rejects it,
-and one scan of the odd k's verdict bytes finds any that says prime, so the
-certificate runs only for k = 1 and the even k.  The square sieve and both
-of its readers live in primes: primes._parabolic_verdicts gives the k^2 + 1
-verdicts as bytes, and primes._first_gaps the first prime from each n^2;
-the sieve strikes a class of rows by slice, or by index where it holds one
-slot of the block.
+certificate per k and whose primality from the square sieve, so the two
+verdicts stay independent.  figurate._parabolic_scan is the one scan that
+compares them, odd k > 1 settled by parity; this module keeps only the stats
+and the witness.  The square sieve and both of its readers live in primes:
+primes._parabolic_verdicts gives the k^2 + 1 verdicts as bytes, and
+primes._first_gaps the first prime from each n^2; the sieve strikes a class
+of rows by slice, or by index where it holds one slot of the block.
 
 Progress lives in a line-delimited JSON checkpoint, one record per contiguous
 verified subrange.  The file is only ever replaced whole (write a sibling
@@ -61,16 +59,15 @@ import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import chain, islice
+from itertools import islice
 from typing import Any, Callable, Iterable, Iterator
 
-from .figurate import totient_is_k_squared
+from .figurate import _parabolic_scan
 from .primes import (
     DEFAULT_CONVENTION,
     PrimeConvention,
     _first_gaps,
     _odd_flags,
-    _parabolic_verdicts,
     _square_sieve_pays,
     primes_in_range,
 )
@@ -511,17 +508,7 @@ def _check_legendre(conv: PrimeConvention, lo: int, hi: int) -> dict[str, Any]:
 
 
 def _check_parabolic(conv: PrimeConvention, lo: int, hi: int) -> dict[str, Any]:
-    verdicts = bytes(_parabolic_verdicts(range(lo, hi + 1), conv))
-    # an odd k > 1 makes k^2 + 1 even and past 2, which the certificate's
-    # gcd step rejects: those k agree up to the first whose verdict says
-    # prime, and only k = 1 and the even k before it take the certificate
-    odd = max(lo | 1, 3) - lo
-    found = verdicts[odd::2].find(1)
-    end = len(verdicts) if found < 0 else odd + 2 * found
-    for k in chain((1,) if lo == 1 else (), range(lo + (lo & 1), lo + end, 2)):
-        if verdicts[k - lo] != totient_is_k_squared(k):
-            end = k - lo
-            break
+    verdicts, end = _parabolic_scan(range(lo, hi + 1))
     last = verdicts.rfind(1, 0, end)
     stats = {"instances": end, "parabolic": verdicts.count(1, 0, end),
              "largest_parabolic_k": lo + last if last >= 0 else 0}

@@ -2,7 +2,8 @@
 
 Responsibility: everything about the set P of primes lives here, including
 the convention switch for whether 1 belongs to P, and the square sieve with
-both readers of its rows. Other modules never roll their own primality.
+both readers of its rows; figurate certifies the parabolic reader's
+verdicts. Other modules never roll their own primality.
 """
 from __future__ import annotations
 
@@ -570,18 +571,17 @@ def _first_gaps(lo: int, hi: int, conv: PrimeConvention) -> Iterator[int]:
                else next_prime(n * n + 2 * slots, conv) - n * n)
 
 
-def _parabolic_verdicts(ks: range, conv: PrimeConvention) -> bytearray:
-    """Byte i is 1 iff k^2 + 1 is prime under conv, k = ks[i] (k >= 1, step
-    1, or step 2 over even k): 1 at k = 1, 0 at every odd k > 1, which makes
-    k^2 + 1 even, and the even k sieved where _sieved_rows says, else tested
-    with is_prime."""
+def _parabolic_verdicts(ks: range) -> bytearray:
+    """Byte i is 1 iff k^2 + 1 is prime, k = ks[i] (k >= 1, step 1), under
+    either convention, as k^2 + 1 >= 2: 1 at k = 1, 0 at every odd k > 1,
+    which makes k^2 + 1 even, and the even k sieved where _sieved_rows says,
+    else tested with is_prime.  figurate certifies them."""
     first = ks.start + (ks.start & 1)
     evens = _sieved_rows(range(first, ks.stop, 2), 1)
     tested = range(first, evens.start, 2)
     out = bytearray(len(ks))
-    # the even k lie 2 // ks.step bytes apart, the first at byte ks.start & 1
-    out[ks.start & 1 :: 2 // ks.step] = (bytes(is_prime(k * k + 1, conv) for k in tested)
-                                         + (_square_flags(evens, 1) if evens else b""))
+    out[ks.start & 1 :: 2] = (bytes(is_prime(k * k + 1) for k in tested)
+                              + (_square_flags(evens, 1) if evens else b""))
     if ks and ks.start == 1:
         out[0] = 1
     return out

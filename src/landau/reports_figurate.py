@@ -6,8 +6,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .figurate import (
+    _certified_verdicts,
     _check_zeta_bounds,
-    _parabolic_records,
     faulhaber,
     parabolic_primes,
     square_triangular,
@@ -32,9 +32,10 @@ def _frac(fr: Fraction) -> str:
 # ghost right-triangles (parabolic primes)
 
 # Bound on n_max from the 64 MiB budget per call that bounds the couple lists
-# in goldbach.py: the table holds a record and a row for every k <= 40 and
-# every even k past it.  Tracemalloc peaks (CPython 3.11, x86-64) at 10^5:
-# 33.7 MiB for md, 41.0 for json and 21.1 for csv, in about 1 s.
+# in goldbach.py: the table holds a verdict byte for every k and a row for
+# every k <= 40 and every even k past it.  Tracemalloc peaks (CPython 3.11,
+# x86-64) at 10^5, as a process's first call: 27.1 MiB for md, 34.8 for json
+# and 14.4 for csv, in under half a second.
 GHOST_TABLE_MAX_N = 10**5
 
 
@@ -42,11 +43,9 @@ def _emit_ghost_table(conv: PrimeConvention, /, *, n_max: int = 60) -> Report:
     if not 1 <= n_max <= GHOST_TABLE_MAX_N:
         raise ReportError(f"n_max: needs 1 <= n_max <= {GHOST_TABLE_MAX_N}, got {n_max}")
     limit = min(n_max, 40)
-    # only the k that rows print
-    records = {rec.k: rec for span in (range(1, limit + 1), range(42, n_max + 1, 2))
-               for rec in _parabolic_records(span, conv)}
-    ks = list(records)
-    marks = [k for k in range(1, limit + 1) if records[k].is_parabolic]
+    verdicts = _certified_verdicts(n_max)  # byte k - 1 for k
+    ks = [*range(1, limit + 1), *range(42, n_max + 1, 2)]  # only the k that rows print
+    marks = [k for k in range(1, limit + 1) if verdicts[k - 1]]
 
     runs = [
         (a, b, primes_in_range(a * a + 2, b * b, PrimeConvention.EXCLUDE1))
@@ -60,8 +59,9 @@ def _emit_ghost_table(conv: PrimeConvention, /, *, n_max: int = 60) -> Report:
         own_row = {a: between for a, b, between in runs if b - a == 1}
         out = []
         for k in ks:
-            rec, between = records[k], _ints(first_row.get(k, ()), ", ")
-            out.append((str(k), f"p={k * k}+1={rec.p}", "(□)" if rec.is_parabolic else "", between))
+            between = _ints(first_row.get(k, ()), ", ")
+            out.append((str(k), f"p={k * k}+1={k * k + 1}", "(□)" if verdicts[k - 1] else "",
+                        between))
             if k in own_row:
                 out.append(("", "", "", _ints(own_row[k], ", ")))
         return tuple(out)
@@ -96,7 +96,7 @@ def _emit_ghost_table(conv: PrimeConvention, /, *, n_max: int = 60) -> Report:
             "n_max": n_max,
             "convention": conv.value,
             "rows": [
-                {"n": k, "p": records[k].p, "parabolic": records[k].is_parabolic}
+                {"n": k, "p": k * k + 1, "parabolic": verdicts[k - 1] == 1}
                 for k in ks
             ],
             "marks": marks,
@@ -125,7 +125,7 @@ def _emit_zeta_table(conv: PrimeConvention, /, *, k_max: int = 10) -> Report:
         raise ReportError(f"k_max: needs k_max <= {ZETA_TABLE_MAX_K}, got {k_max}")
     terms = []  # (k, p, 1/(p-1), partial sum), the fractions as text
     running = Fraction(0)
-    for rec in parabolic_primes(k_max, conv):
+    for rec in parabolic_primes(k_max):
         if rec.is_parabolic:
             term = Fraction(1, rec.p - 1)
             running += term

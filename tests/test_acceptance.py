@@ -190,13 +190,13 @@ def test_c07_square_interval_rows_and_certificate_to_10k():
 
 
 def test_c08_parabolic_marks_totient_equivalence_and_zeta_bounds():
-    records = parabolic_primes(60, INC)
+    records = parabolic_primes(60)
     marked = [r.k for r in records if r.is_parabolic]
     assert marked == PARABOLIC_K
     assert [r.p for r in records if r.is_parabolic] == PARABOLIC_P
 
-    for r in parabolic_primes(10**4, INC):
-        assert r.is_parabolic == r.totient_check, r.k
+    for r in parabolic_primes(10**4):
+        assert r.is_parabolic == (totient(r.p) == r.k**2), r.k
 
     for k_max in (2, 3, 5, 10, 25, 60):
         partial, upper = zeta_partial(k_max)

@@ -165,24 +165,41 @@ def test_the_import_graph_is_acyclic_with_primes_at_the_bottom():
     assert graph["primes"] == set()
 
 
+def _readers(*names: str) -> dict[str, set[str]]:
+    """For each name, the package modules that import it, read it off a
+    module or name it in code (a def is no read)."""
+    readers = {name: set() for name in names}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                found = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                found = {node.attr}
+            else:
+                found = {node.id} if isinstance(node, ast.Name) else set()
+            for name in found & readers.keys():
+                readers[name].add(path.stem)
+    return readers
+
+
 def test_only_primes_reads_the_square_sieve_rows():
     # the row layout (slot s of row k holds k^2 + 2s + 1 + (k & 1)) is known
     # to primes alone, where both readers of the rows live beside the sieve:
     # no other module imports _square_flags, the sieve's floor, the rows it
     # picks or its one least top, or reads them off primes, and no module
     # names a fixed floor, the sieve's former one or one of Legendre's own
-    readers = {"_square_flags": set(), "_square_floor": set(), "_sieved_rows": set(),
-               "_SQUARE_SIEVE_TOP": set(), "_SQUARE_SIEVE_FROM": set(), "_LEGENDRE_SIEVE_FROM": set()}
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ImportFrom):
-                names = {alias.name for alias in node.names}
-            elif isinstance(node, ast.Attribute):
-                names = {node.attr}
-            else:
-                names = {node.id} if isinstance(node, ast.Name) else set()
-            for name in names & readers.keys():
-                readers[name].add(path.stem)
+    readers = _readers("_square_flags", "_square_floor", "_sieved_rows", "_SQUARE_SIEVE_TOP",
+                       "_SQUARE_SIEVE_FROM", "_LEGENDRE_SIEVE_FROM")
     assert readers == {"_square_flags": {"primes"}, "_square_floor": {"primes"},
                        "_sieved_rows": {"primes"}, "_SQUARE_SIEVE_TOP": {"primes"},
                        "_SQUARE_SIEVE_FROM": set(), "_LEGENDRE_SIEVE_FROM": set()}
+
+
+def test_only_figurate_certifies_the_parabolic_verdicts():
+    # figurate holds the one scan that checks the sieve's k^2 + 1 verdicts
+    # against the unit count, with the parity rule for odd k: no other module
+    # runs the certificate, and only primes and figurate read the verdicts
+    readers = _readers("totient_is_k_squared", "_parabolic_verdicts")
+    assert readers["totient_is_k_squared"] == {"figurate"}
+    assert "figurate" in readers["_parabolic_verdicts"]
+    assert readers["_parabolic_verdicts"] <= {"primes", "figurate"}

@@ -12,11 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import landau.figurate as figurate
+from landau.cli import main
 from landau.figurate import (
     SQUARE_TRIANGULAR_MAX_K,
     THREE_TRIANGULAR_MAX_N,
     DecompositionCounterexample,
-    ParabolicRecord,
     faulhaber,
     is_triangular,
     parabolic_primes,
@@ -243,12 +244,11 @@ class TestParabolicPrimes:
     def test_nine_plus_one_is_not(self):
         rec = parabolic_primes(3)[-1]
         assert rec.k == 3 and rec.p == 10
-        assert not rec.is_parabolic and not rec.totient_check
+        assert not rec.is_parabolic and totient(rec.p) != rec.k**2
 
     def test_totient_equivalence_sweep(self):
         for rec in parabolic_primes(3_000):
-            assert rec.is_parabolic == rec.totient_check
-            assert rec.totient_check == (totient(rec.p) == rec.k**2)
+            assert rec.is_parabolic == (totient(rec.p) == rec.k**2)
 
     # prime squares divide k^2 + 1 at 7^2 + 1 = 2 * 5^2, 38^2 + 1 = 5 * 17^2,
     # 57^2 + 1 = 2 * 5^3 * 13 and 70^2 + 1 = 13^2 * 29
@@ -287,10 +287,26 @@ class TestParabolicPrimes:
         for k in range(3, 100_001, 2):
             assert not is_prime(k * k + 1, EXC)
 
-    def test_record_validation(self):
-        assert ParabolicRecord(2, True, True).p == 5
-        with pytest.raises(ValueError, match="disagree"):
-            ParabolicRecord(2, True, False)
+    # 10^2 + 1 is prime and 7^2 + 1 even: each lie is one flipped verdict
+    @pytest.mark.parametrize("bad,prime", [(10, False), (7, True)], ids=["even-k", "odd-k"])
+    @pytest.mark.parametrize("entry", ["parabolic_primes", "list", "zeta"])
+    def test_a_verdict_its_certificate_contradicts_is_refused(self, monkeypatch, runner,
+                                                               entry, bad, prime):
+        real = figurate._parabolic_verdicts
+
+        def lie(ks):
+            out = real(ks)
+            out[bad - ks.start] ^= 1
+            return out
+
+        monkeypatch.setattr(figurate, "_parabolic_verdicts", lie)
+        message = f"disagree at k={bad}: prime={prime}, totient hit={not prime}"
+        if entry == "parabolic_primes":
+            with pytest.raises(ValueError, match=message):
+                parabolic_primes(20)
+        else:
+            result = runner.invoke(main, ["parabolic", entry, "--max-k", "20"])
+            assert result.exit_code == 2 and message in result.stderr
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):

@@ -647,10 +647,10 @@ def _lying_is_prime(above, says):
 
 def _lying_verdicts(above, says):
     """The checker's primality verdicts, answering `says` for every k > above."""
-    real = harness._parabolic_verdicts
+    real = figurate._parabolic_verdicts
 
-    def lie(ks, conv):
-        return (says if k > above else prime for k, prime in zip(ks, real(ks, conv)))
+    def lie(ks):
+        return (says if k > above else prime for k, prime in zip(ks, real(ks)))
 
     return lie
 
@@ -663,7 +663,7 @@ def _lying_verdicts(above, says):
 )
 def test_parabolic_counterexample_branch_matches_per_k_checker(monkeypatch, conv, lo,
                                                                above, says):
-    monkeypatch.setattr(harness, "_parabolic_verdicts", _lying_verdicts(above, says))
+    monkeypatch.setattr(figurate, "_parabolic_verdicts", _lying_verdicts(above, says))
     monkeypatch.setattr(oracles, "is_prime", _lying_is_prime(above, says))
     hi = lo + 2000
     got, want = harness._check_parabolic(conv, lo, hi), oracles.check_parabolic(conv, lo, hi)
@@ -674,10 +674,10 @@ def test_parabolic_counterexample_branch_matches_per_k_checker(monkeypatch, conv
 
 def _lying_at_odd_k(above):
     """The checker's primality verdicts, saying prime for every odd k > above."""
-    real = harness._parabolic_verdicts
+    real = figurate._parabolic_verdicts
 
-    def lie(ks, conv):
-        return (True if k & 1 and k > above else prime for k, prime in zip(ks, real(ks, conv)))
+    def lie(ks):
+        return (True if k & 1 and k > above else prime for k, prime in zip(ks, real(ks)))
 
     return lie
 
@@ -688,7 +688,7 @@ def _lying_at_odd_k(above):
 def test_parabolic_witness_at_an_odd_k_comes_from_the_parity_scan(monkeypatch, conv, lo, above):
     # every even k agrees, so only the scan of the odd k finds the first k
     # whose verdict says prime
-    monkeypatch.setattr(harness, "_parabolic_verdicts", _lying_at_odd_k(above))
+    monkeypatch.setattr(figurate, "_parabolic_verdicts", _lying_at_odd_k(above))
     # k^2 + 1 is even exactly at odd k
     monkeypatch.setattr(oracles, "is_prime", lambda n, conv=INC: (
         n & 1 == 0 and n > above * above + 1 or is_prime(n, conv)))
@@ -938,9 +938,13 @@ def test_rule_sized_chunks_change_no_record_and_no_summary(monkeypatch, tmp_path
     history = tmp_path / "seed.jsonl"
     mid = lo + rule.step * (count // 3)
     verify_range(task, mid, mid + rule.step * 999, conv, checkpoint_path=history)
-    # each distinct chunk is checked once: the runs differ only in how the
-    # chunks are cut, folded, resumed and shared among workers
+    # each distinct chunk is checked once, and each Legendre row's first gap
+    # is read off one sieve of the whole range: the runs differ only in how
+    # the chunks are cut, folded, resumed and shared among workers
     _replace_checker(monkeypatch, task, _memo(rule.check))
+    if task is Task.LEGENDRE:
+        gaps = list(primes._first_gaps(lo, hi, conv))
+        monkeypatch.setattr(harness, "_first_gaps", lambda a, b, c: iter(gaps[a - lo : b - lo + 1]))
     s = _sizes_agree(tmp_path, task, conv, lo, hi, history.read_text(), (512, 4096, None))
     assert s.complete
 

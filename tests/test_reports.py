@@ -571,7 +571,8 @@ class TestZetaTable:
         real_flags, real_prime = primes._square_flags, primes.is_prime
         monkeypatch.setattr(primes, "_square_flags",
                             lambda ks, slots: sieved.extend(ks) or real_flags(ks, slots))
-        monkeypatch.setattr(primes, "is_prime", lambda n, conv: tested.append(n) or real_prime(n, conv))
+        monkeypatch.setattr(primes, "is_prime", lambda n, conv=primes.DEFAULT_CONVENTION: (
+            tested.append(n) or real_prime(n, conv)))
         build_report("zeta-table", {"k_max": 6000}, CFG)
         floor = primes._square_floor(6000, 1)
         assert tested == [k * k + 1 for k in range(2, floor, 2)]
