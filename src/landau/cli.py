@@ -1,6 +1,7 @@
 """Command-line front end: renders reports and runs range certificates.
 
-Exit codes: 0 success, 1 counterexample found by a verify run, 2 usage error.
+Exit codes: 0 success, 1 counterexample found by a verify run or a failed
+internal check of the library (a RuntimeError), 2 usage error.
 A counterexample is additionally printed as a single JSON object on stderr.
 
 The command tables below are the whole interface: `main` parses a command
@@ -459,13 +460,13 @@ def main(args: Sequence[str] | None = None, prog_name: str | None = None) -> NoR
     prog = prog_name or os.path.basename(sys.argv[0])
     try:
         code = _run(list(sys.argv[1:] if args is None else args), prog)
-    except UsageError as exc:
-        if exc.where is not None:
+    except (UsageError, RuntimeError) as exc:  # RuntimeError: a failed internal check
+        if getattr(exc, "where", None) is not None:
             cmd, path = exc.where
             usage = _usage(cmd, path, _columns())
             print(f"{usage}\nTry '{path} --help' for help.\n", file=sys.stderr)
         print(f"Error: {exc}", file=sys.stderr)
-        code = 2
+        code = 2 if isinstance(exc, UsageError) else 1
     except KeyboardInterrupt:
         print("\nAborted!", file=sys.stderr)
         code = 1

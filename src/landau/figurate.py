@@ -203,14 +203,15 @@ def parabolic_primes(k_max: int) -> list[ParabolicRecord]:
 
 
 def _certified_verdicts(k_max: int) -> bytes:
-    """Byte k - 1 is 1 iff k^2 + 1 is prime, k = 1..k_max; raises at the
-    first k whose certificate disagrees with its verdict."""
+    """Byte k - 1 is 1 iff k^2 + 1 is prime, k = 1..k_max; raises
+    RuntimeError, a failed internal check, at the first k whose certificate
+    disagrees with its verdict."""
     if k_max < 1:
         raise ValueError(f"needs k_max >= 1, got {k_max}")
     verdicts, end = _parabolic_scan(range(1, k_max + 1))
     if end < k_max:
-        raise ValueError(f"primality and totient disagree at k={end + 1}: "
-                         f"prime={verdicts[end] == 1}, totient hit={verdicts[end] != 1}")
+        raise RuntimeError(f"primality and totient disagree at k={end + 1}: "
+                           f"prime={verdicts[end] == 1}, totient hit={verdicts[end] != 1}")
     return verdicts
 
 

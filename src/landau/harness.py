@@ -277,8 +277,10 @@ def _merge_stats(rule: _Rule, acc: dict[str, int], new: dict[str, int]) -> None:
 # a few word operations per level rather than a loop per instance.
 #
 # The Goldbach window reaches _REACH below the span (the descent's
-# candidates), the pre-Polignac window _REACH above it (the partners q + 2n);
-# a chunk whose search runs off its window is redone with four times the reach.
+# candidates), the pre-Polignac window _REACH above it (the partners q + 2n).
+# Each scan tries every q the window holds, so only instances near the window's
+# far end can run off it, and a chunk whose search does is redone with four
+# times the reach.
 #
 # The largest Goldbach descent depth is counted from the top level down, and
 # the count stops at the first level that cannot reach the best depth so far,
@@ -450,18 +452,15 @@ def _check_pre_polignac(conv: PrimeConvention, lo: int, hi: int) -> dict[str, An
     reach = _REACH
     count = (hi - lo) // 2 + 1
     while True:
-        first, flags = _odd_flags(lo, hi + reach, conv)  # the partners 2n + q
+        top = hi + reach
+        first, flags = _odd_flags(lo, top, conv)  # the partners 2n + q
         P = _as_int(flags)
-        # a window that ends at 2**64 - 1 can grow no further, so every
-        # instance tries each q whose partner the window holds
-        last = hi + reach == _LAST
 
         def shifted(q: int) -> int:
             # an even gap plus 2 is even, never a prime partner
             return 0 if q == 2 else P >> (lo + q - first) // 2
 
-        qs = _ascending_primes(min(_LAST - lo if last else reach, hi), conv)
-        levels, failed = _scan(count, qs, shifted)
+        levels, failed = _scan(count, _ascending_primes(top - lo, conv), shifted)
         # the certificate needs q < gap: a gap first met by some q >= gap has
         # no witness below it, like one that no q met
         for q, hit in levels:
@@ -469,9 +468,9 @@ def _check_pre_polignac(conv: PrimeConvention, lo: int, hi: int) -> dict[str, An
                 failed |= hit & ((2 << (q - lo) // 2) - 1)
         n_ok = _lowest(failed) if failed else count
         bad = lo + 2 * n_ok
-        if n_ok < count and (_LAST - bad if last else reach) < bad:
+        if n_ok < count and top - bad < bad:
             # the search stopped at the window's end, below the gap
-            if last:
+            if top == _LAST:
                 raise ValueError(
                     f"{Task.PRE_POLIGNAC.value} instance {bad} has no witness whose partner "
                     "is below 2**64: its search runs beyond the supported 64-bit range "
@@ -543,24 +542,25 @@ class _Rule:
 # 1.1e13 on, only to 4 times its odd slots, then tests the survivors), a
 # Legendre or parabolic chunk finds the roots of x^2 = -j modulo each prime
 # up to sqrt(top) for its square sieve, and every chunk makes one pool trip.
-# In process with one worker, CPython 3.11 on a shared 2-core x86-64 Xeon, a
-# fresh process per cell, one warm-up run, then the median of three (the
-# [4, 4e6] rates: the median of three such sweeps, under exclude1, with the
-# depth count starting at the record's floor; the 1e12 rows predate the
-# floor); rates in instances per second, peaks the tracemalloc peak of one
-# chunk after one at the same height has grown the base primes:
+# In process with one worker under exclude1, CPython 3.11 on a shared 2-core
+# x86-64 Xeon, a fresh process per cell, one warm-up run, then the median of
+# three (the [4, 4e6] rates: the median of three such sweeps, with the depth
+# count starting at the record's floor; the 1e12 rates: the median of three
+# such cells); rates in instances per second, peaks the tracemalloc peak of
+# one chunk after one at the same height has grown the base primes:
 #
 #   task and range              4096      2^15      2^16      2^17      2^18
 #   Goldbach [4, 4e6]           20.0 M/s  60.8 M/s  71.5 M/s  63.2 M/s  57.5 M/s
 #   pre-Polignac [4, 4e6]       22.9 M/s  85.7 M/s  103 M/s   99.3 M/s  82.5 M/s
-#   Goldbach [1e12, +2e6]       0.20 M/s  1.05 M/s  1.73 M/s  2.80 M/s  4.18 M/s
-#   Goldbach peak at 1e12                           1.4 MB    3.0 MB    6.3 MB
-#   pre-Polignac peak at 1e12                       2.5 MB    5.5 MB    11.4 MB
+#   Goldbach [1e12, +2e6]       0.36 M/s  1.70 M/s  2.81 M/s  5.17 M/s  6.99 M/s
+#   pre-Polignac [1e12, +2e6]   0.31 M/s  1.69 M/s  3.00 M/s  5.75 M/s  8.77 M/s
+#   Goldbach peak at 1e12                           1.4 MB    2.9 MB    6.4 MB
+#   pre-Polignac peak at 1e12                       1.3 MB    2.8 MB    6.1 MB
 #
-# So the even tasks take 2^16, the fastest width at 4e6 for both, under a
-# 4 MB peak per chunk.  Goldbach alone
-# would run faster at 1e12 with 2^17, but pre-Polignac shares the width and
-# its 2^17 chunk passes 4 MB.
+# So the even tasks take 2^16, the fastest width at 4e6 for both.  At 1e12
+# both would run about 1.8x faster with 2^17, whose chunk also stays under a
+# 4 MB peak; only 2^18 passes it.  The shared width favours the low heights
+# a sweep runs; one that grows with the height would serve both.
 #
 # The square tasks sieve a chunk only while the square sieve pays, which a
 # wider chunk meets up to a greater height.  The range [h, h + 2^16)

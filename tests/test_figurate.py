@@ -302,11 +302,13 @@ class TestParabolicPrimes:
         monkeypatch.setattr(figurate, "_parabolic_verdicts", lie)
         message = f"disagree at k={bad}: prime={prime}, totient hit={not prime}"
         if entry == "parabolic_primes":
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(RuntimeError, match=message):
                 parabolic_primes(20)
         else:
+            # a failed internal check, not a usage error: one line, exit 1
             result = runner.invoke(main, ["parabolic", entry, "--max-k", "20"])
-            assert result.exit_code == 2 and message in result.stderr
+            assert result.exit_code == 1
+            assert result.stderr.splitlines() == [f"Error: primality and totient {message}"]
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):

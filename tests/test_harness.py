@@ -325,6 +325,28 @@ def test_pre_polignac_at_the_64_bit_top_equals_the_per_instance_checker(conv):
     assert got["stats"] == {"instances": 4001, "max_witness": 1097, "max_witness_at": 2**64 - 7772}
 
 
+@pytest.mark.parametrize("conv", [INC, EXC], ids=lambda c: c.value)
+def test_a_witness_past_the_reach_inside_the_window_sieves_once(monkeypatch, conv):
+    # the witness of x, 1039, passes _REACH, but x lies 2000 below the span's
+    # top, so its window already holds x + 1039: every instance tries each q
+    # whose partner the window holds, and the window is sieved only once
+    x = 1_000_045_258
+    assert [q for q in primes.primes_in_range(1, 1039) if is_prime(x + q)] == [1039]
+    assert 1039 > harness._REACH
+    calls = []
+    real = harness._odd_flags
+
+    def counted(lo, hi, conv):
+        calls.append((lo, hi))
+        return real(lo, hi, conv)
+
+    monkeypatch.setattr(harness, "_odd_flags", counted)
+    got = harness._check_pre_polignac(conv, x - 2000, x + 2000)
+    assert got == oracles.check_pre_polignac(conv, x - 2000, x + 2000)
+    assert got["stats"] == {"instances": 2001, "max_witness": 1039, "max_witness_at": x}
+    assert calls == [(x - 2000, x + 2000 + harness._REACH)]
+
+
 def _chunks_from(task, lo, chunks):
     """The top of `chunks` full chunks of the rule's size from lo."""
     rule = harness._RULES[task]
